@@ -12,9 +12,9 @@ iff-characterizations where their hypotheses hold.
 
 import argparse
 
-from dualbch.bch import bch_spec, defining_set, dual_defining_set
+from dualbch.bch import bch_spec
 from dualbch.cyclotomic import coset_table
-from dualbch.dualtools import dually_bch_closed, dually_bch_direct
+from dualbch.dualtools import delta_sweep, dually_bch_closed
 from dualbch.gf import prime_power
 
 
@@ -41,15 +41,10 @@ def families(max_n):
                 m += 1
 
 
-def threshold_direct(q, m, kw, table, n):
-    thr = 1
-    for delta in range(2, n + 1):
-        spec = bch_spec(q, m, delta, **kw)
-        verdict, _ = dually_bch_direct(
-            dual_defining_set(defining_set(spec, table)), table)
-        if not verdict:
-            thr = delta
-    return thr
+def threshold_direct(table):
+    false_deltas = [d for d, (_, verdict, _) in enumerate(delta_sweep(table), 2)
+                    if not verdict]
+    return max(false_deltas, default=1)
 
 
 def threshold_closed(q, m, kw, table, n):
@@ -75,7 +70,7 @@ def main():
         spec = bch_spec(q, m, 2, **kw)
         n = spec.n
         table = coset_table(n, q)
-        direct = threshold_direct(q, m, kw, table, n)
+        direct = threshold_direct(table)
         closed = threshold_closed(q, m, kw, table, n)
         fam = f"s={kw['s']}" if "s" in kw else f"lam={kw['lam']}"
         if closed is None:

@@ -7,8 +7,8 @@ The top-level namespace re-exports the working API:
   (:mod:`dualbch.cyclotomic`),
 - BCH code specs, defining sets, and generator matrices
   (:mod:`dualbch.bch`),
-- dual-distance lower bounds and dually-BCH tests
-  (:mod:`dualbch.dualtools`),
+- dual-distance lower bounds, dually-BCH tests and the one-pass delta
+  sweep (:mod:`dualbch.dualtools`),
 - minimum-distance certification (:mod:`dualbch.mindist`),
 - grid-based property sweeps (:mod:`dualbch.propchecks`).
 """
@@ -39,6 +39,7 @@ from .dualtools import (
     BoundReport,
     PriorBound,
     bound_report,
+    delta_sweep,
     dual_lower_bound,
     dually_bch_closed,
     dually_bch_direct,
@@ -108,6 +109,7 @@ __all__ = [
     "coset_leader",
     "coset_table",
     "defining_set",
+    "delta_sweep",
     "dual_code_params",
     "dual_defining_set",
     "dual_lower_bound",

@@ -39,7 +39,13 @@ from .cyclotomic import (
     largest_leaders_closed_form,
     multiplicative_order,
 )
-from .dualtools import bound_report, dual_lower_bound, dually_bch_closed, dually_bch_direct
+from .dualtools import (
+    bound_report,
+    delta_sweep,
+    dual_lower_bound,
+    dually_bch_closed,
+    dually_bch_direct,
+)
 from .gf import field_new, prime_power
 from .mindist import DEFAULT_BUDGET, DEFAULT_TRIALS, certify
 from .propchecks import load_grid_manifest, run_grid
@@ -152,11 +158,22 @@ def _default_threads() -> int:
         return 1
 
 
+def _positive_int(text):
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(parser):
     parser.add_argument("--format", choices=("table", "csv", "json"),
                         default="table", help="output format")
-    parser.add_argument("--threads", type=int, default=_default_threads(),
-                        help="worker cap for internal sweeps "
+    parser.add_argument("--threads", type=_positive_int, default=_default_threads(),
+                        help="worker cap for verify's property grids "
                              "(default: DUALBCH_THREADS or 1)")
 
 
@@ -223,6 +240,8 @@ def _closed_form_leaders(q, m, lam, s, count):
 
 def cmd_cosets(args) -> int:
     q = args.q
+    if prime_power(q) is None:
+        raise CliError(f"q={q} is not a prime power")
     if args.n is not None:
         if args.m is not None or args.lam is not None or args.s is not None:
             raise CliError("--n replaces --m/--lambda/--s")
@@ -256,7 +275,7 @@ def cmd_cosets(args) -> int:
         raise CliError(str(e)) from None
 
     report = Report("cosets", {"q": q, "n": n, "m": m, "lambda": lam})
-    num_cosets = len(table.cosets)
+    num_cosets = len(table.leaders)
     report.add("summary", ["n", "q", "m", "lambda", "cosets"],
                [[n, q, m, lam, num_cosets]])
 
@@ -347,17 +366,6 @@ def cmd_dual_bound(args) -> int:
 # dually-bch
 # ---------------------------------------------------------------------------
 
-def _dually_bch_row(q, m, lam, s, table, delta):
-    spec = bch_spec(q, m, delta, lam=lam, s=s)
-    t_perp = dual_defining_set(defining_set(spec, table))
-    verdict, witness = dually_bch_direct(t_perp, table)
-    try:
-        closed = dually_bch_closed(spec, table)
-    except ValueError:
-        closed = None
-    return [delta, verdict, witness, closed]
-
-
 def cmd_dually_bch(args) -> int:
     if (args.delta is None) == (args.delta_range is None):
         raise CliError("need exactly one of --delta or --delta-range")
@@ -371,17 +379,14 @@ def cmd_dually_bch(args) -> int:
         raise CliError(f"delta range [{lo}, {hi}] outside [2, {n}]")
 
     table = coset_table(n, args.q)
-    deltas = range(lo, hi + 1)
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(
-                lambda d: _dually_bch_row(args.q, args.m, args.lam, args.s, table, d),
-                deltas))
-    else:
-        rows = [_dually_bch_row(args.q, args.m, args.lam, args.s, table, d)
-                for d in deltas]
+    rows = []
+    for delta, (_, verdict, witness) in enumerate(delta_sweep(table, lo, hi), lo):
+        try:
+            closed = dually_bch_closed(
+                bch_spec(args.q, args.m, delta, lam=args.lam, s=args.s), table)
+        except ValueError:
+            closed = None
+        rows.append([delta, verdict, witness, closed])
 
     report = Report("dually-bch", {
         "q": args.q, "m": args.m, "lambda": spec0.lam,
@@ -529,7 +534,7 @@ def build_parser() -> Parser:
     p.add_argument("--lambda", dest="lam", type=int,
                    help="modulus n = (q^m-1)/lambda")
     p.add_argument("--s", type=int, help="modulus n = (q^m-1)/(q^s-1)")
-    p.add_argument("--top", type=int, default=3, help="how many largest leaders")
+    p.add_argument("--top", type=_positive_int, default=3, help="how many largest leaders")
     p.add_argument("--closed-form", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="compare the largest leaders against the closed forms")
@@ -545,7 +550,7 @@ def build_parser() -> Parser:
                    help="also determine or bracket the true dual distance")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="codeword cap for exhaustive search")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+    p.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS,
                    help="information-set trials when exhaustion is too large")
     p.add_argument("--seed", type=int, default=0, help="search seed")
     p.add_argument("--force-direct", action="store_true",

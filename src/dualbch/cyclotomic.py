@@ -35,8 +35,8 @@ class CosetTable:
     """Leaders of every q-cyclotomic coset modulo n.
 
     leader_of[a] is the smallest element of the coset of a.  Immutable after
-    construction (the array is marked read-only); the cosets map is built on
-    first use.
+    construction (the array is marked read-only); the sorted leaders and the
+    cosets map are built on first use.
     """
 
     def __init__(self, n, q, leader_of):
@@ -44,10 +44,20 @@ class CosetTable:
         self.q = q
         leader_of.setflags(write=False)
         self.leader_of = leader_of
+        self._leaders = None
         self._cosets = None
 
     def __repr__(self):
         return f"CosetTable(n={self.n}, q={self.q})"
+
+    @property
+    def leaders(self) -> np.ndarray:
+        """The distinct coset leaders, ascending (read-only)."""
+        if self._leaders is None:
+            leaders = np.unique(self.leader_of)
+            leaders.setflags(write=False)
+            self._leaders = leaders
+        return self._leaders
 
     @property
     def cosets(self) -> dict[int, list[int]]:
@@ -95,8 +105,7 @@ def largest_leaders(table: CosetTable, count: int) -> list[int]:
     """The count largest coset leaders modulo n, descending."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    uniq = np.unique(table.leader_of)
-    return [int(v) for v in uniq[::-1][:count]]
+    return [int(v) for v in table.leaders[::-1][:count]]
 
 
 @dataclass(frozen=True)

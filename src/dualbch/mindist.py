@@ -149,6 +149,8 @@ def _isd_best(gen: np.ndarray, field: ScalarField, target: int,
     q = field.q
     if k == 0:
         raise ValueError("empty code: no nonzero codewords")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     best_w = n + 1
     best_cw = None
@@ -190,8 +192,6 @@ def low_weight_search(gen: np.ndarray, field: ScalarField, target: int,
     information patterns over `trials` random information sets and stops as
     soon as the target is met.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     w, cw = _isd_best(gen, field, target, trials, seed)
     return cw if w <= target else None
 

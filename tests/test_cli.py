@@ -86,6 +86,17 @@ class TestCosets:
         assert code == 1
         assert "lambda" in err
 
+    def test_top_0_exits_1(self, capsys):
+        code, _, err = run(capsys, "cosets", "--q", "2", "--m", "6",
+                           "--lambda", "1", "--top", "0")
+        assert code == 1
+        assert "dualbch cosets: error: argument --top" in err
+
+    def test_q_not_a_prime_power_exits_1(self, capsys):
+        code, out, err = run(capsys, "cosets", "--q", "6", "--n", "35")
+        assert (code, out) == (1, "")
+        assert "dualbch cosets: error: q=6 is not a prime power" in err
+
 
 class TestDualBound:
     def test_binary_delta3_certified(self, capsys):
@@ -150,6 +161,13 @@ class TestDualBound:
                        section(out, "dual_distance_bounds")["rows"][0]))
         assert row["i_delta_closed"] is None
         assert row["lower_bound_direct"] >= 2
+
+    def test_trials_0_exits_1(self, capsys):
+        code, out, err = run(capsys, "dual-bound", "--q", "2", "--m", "10",
+                             "--lambda", "1", "--delta", "33", "--certify",
+                             "--trials", "0")
+        assert (code, out) == (1, "")
+        assert "dualbch dual-bound: error: argument --trials" in err
 
     def test_lambda_and_s_conflict(self, capsys):
         code, _, _ = run(capsys, "dual-bound", "--q", "2", "--m", "6",
@@ -260,6 +278,11 @@ class TestVerify:
     def test_unknown_section_exits_1(self, capsys):
         code, _, err = run(capsys, "verify", "--only", "nonsense")
         assert code == 1
+
+    def test_threads_0_exits_1(self, capsys):
+        code, out, err = run(capsys, "verify", "--only", "grids", "--threads", "0")
+        assert (code, out) == (1, "")
+        assert "dualbch verify: error: argument --threads: must be >= 1" in err
 
     def test_custom_grids_path(self, capsys, tmp_path):
         manifest = {

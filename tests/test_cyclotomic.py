@@ -99,6 +99,18 @@ class TestLargestLeaders:
         with pytest.raises(ValueError):
             largest_leaders(coset_table(7, 2), 0)
 
+    @pytest.mark.parametrize("n,q", [(63, 2), (312, 5), (364, 3), (1, 2)])
+    def test_cached_leaders_match_unique_and_are_computed_once(self, n, q, monkeypatch):
+        table = coset_table(n, q)
+        reference = np.unique(table.leader_of)[::-1].tolist()
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda a: calls.append(1) or unique(a))
+        for k in range(1, len(reference) + 2):
+            assert largest_leaders(table, k) == reference[:k]
+        assert len(calls) == 1
+        assert not table.leaders.flags.writeable
+
 
 class TestQAdic:
     def test_digits_msd_first(self):

@@ -17,6 +17,7 @@ from dualbch.dualtools import (
     BoundReport,
     PriorBound,
     bound_report,
+    delta_sweep,
     dual_lower_bound,
     dually_bch_closed,
     dually_bch_direct,
@@ -25,6 +26,9 @@ from dualbch.dualtools import (
     i_delta_direct,
     prior_bounds,
 )
+
+
+from test_acceptance import divisor_form_specs, power_form_specs
 
 
 def t_perp_of(spec, table=None):
@@ -421,3 +425,51 @@ class TestHypothesisSweep:
             assert dually_bch_closed(spec, table) == verdict
         except ValueError:
             pass
+
+
+def per_delta_oracle(table):
+    """(I, verdict, witness) for every delta in [2, n] from the direct scans."""
+    lead = table.leader_of
+    out = []
+    for delta in range(2, table.n + 1):
+        t = DefiningSet(table.n, table.q, (lead >= 1) & (lead <= delta - 1),
+                        validate=False)
+        t_perp = dual_defining_set(t)
+        out.append((i_delta_direct(t_perp), *dually_bch_direct(t_perp, table)))
+    return out
+
+
+class TestDeltaSweep:
+    def test_matches_oracle_on_theorem_sweep(self):
+        # every family of the acceptance suite's n <= 1000 theorem sweep
+        families = [(q, n) for q, _, _, n in power_form_specs(1000)]
+        families += [(q, n) for q, _, _, n in divisor_form_specs(1000)]
+        pairs = 0
+        for q, n in families:
+            table = coset_table(n, q)
+            assert delta_sweep(table) == per_delta_oracle(table), (q, n)
+            pairs += n - 1
+        assert pairs == 149_339
+
+    @given(st.integers(1, 300), st.integers(2, 40), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_on_any_coprime_modulus(self, n, q, data):
+        # the sweep needs none of the theorem hypotheses, not even a prime power q
+        if math.gcd(n, q) != 1:
+            return
+        table = coset_table(n, q)
+        got = delta_sweep(table)
+        assert got == per_delta_oracle(table)
+        # plain Python values, so reports render them as the oracle's would
+        assert all([type(v) for v in row] == [int, bool, int] for row in got)
+        if n >= 2:
+            lo = data.draw(st.integers(2, n))
+            hi = data.draw(st.integers(lo, n))
+            assert delta_sweep(table, lo, hi) == got[lo - 2:hi - 1]
+
+    def test_range_outside_2_n_rejected(self):
+        table = coset_table(63, 2)
+        with pytest.raises(ValueError):
+            delta_sweep(table, 1, 10)
+        with pytest.raises(ValueError):
+            delta_sweep(table, 2, 64)

@@ -166,6 +166,11 @@ class TestCertify:
         assert cert.status == "bracketed"
         assert (cert.lower, cert.upper) == (15, 16)
 
+    def test_zero_trials_rejected(self):
+        # out of budget, so the search would run zero trials and find no witness
+        with pytest.raises(ValueError, match="trials"):
+            self.run(5, 2, 3, 1, 5, 2, budget=64, trials=0)
+
     def test_exact_reproduces_under_other_seed(self):
         *_, a = self.run(2, 6, 15, 1, 2, 6, budget=2**20, trials=500, seed=1)
         *_, b = self.run(2, 6, 15, 1, 2, 6, budget=2**20, trials=500, seed=99)
