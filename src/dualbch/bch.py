@@ -10,10 +10,12 @@ The two overlap exactly at lambda = q - 1, which is always normalized to
 PowerForm(1) by the bch_spec factory (for q = 2 that is lambda = 1).
 
 The defining set of C_delta with respect to beta = alpha^lambda is
-T = C_1 u ... u C_{delta-1}; the generator polynomial is the product of
+T = C_1 u ... u C_{delta-1}; the generator polynomial g is the product of
 the minimal polynomials of beta^l over the distinct coset leaders l in T.
 The dual's defining set is T_perp, the complement in Z_n of
-T^{-1} = {n - i : i in T}.
+T^{-1} = {n - i : i in T}.  The dual's generator is the monic reciprocal
+of (x^n - 1)/g, so it takes one polynomial division rather than one
+minimal polynomial per coset of the (usually much larger) T_perp.
 """
 
 from __future__ import annotations
@@ -187,33 +189,51 @@ class CodeParams:
     bch_bound: int
 
 
-def _params_from_set(spec: BchSpec, ctx: FieldCtx, table: CosetTable,
-                     dset: DefiningSet, delta) -> CodeParams:
-    q, n = spec.q, spec.n
+def generator_from_set(spec: BchSpec, ctx: FieldCtx, table: CosetTable,
+                       dset: DefiningSet) -> Poly:
+    """Product of the minimal polynomials of beta^l over the coset leaders l in dset.
+
+    This is the monic generator of the cyclic code with defining set dset;
+    it costs one minimal polynomial per coset in dset.
+    """
+    q = spec.q
     if ctx.order != q**spec.m:
         raise ValueError(f"ctx has order {ctx.order}, expected q^m = {q**spec.m}")
     lam = spec.lam
-    lead = table.leader_of
-    leaders = np.unique(lead[dset.mask])
     gen = Poly.one(scalar_field(q))
-    for l in leaders:
+    for l in np.unique(table.leader_of[dset.mask]):
         coset = table.cosets[int(l)]
         beta_power = elem_pow(ctx, ctx.generator, lam * int(l))
         gen = gen * minimal_polynomial(ctx, beta_power, coset, q)
     assert gen.degree == len(dset), "generator degree must equal |defining set|"
-    return CodeParams(n=n, k=n - len(dset), delta=delta, generator=gen,
-                      bch_bound=bch_bound_from_set(dset))
+    return gen
 
 
 def code_params(spec: BchSpec, ctx: FieldCtx, table: CosetTable) -> CodeParams:
     """Generator polynomial and dimensions of C_delta."""
-    return _params_from_set(spec, ctx, table, defining_set(spec, table), spec.delta)
+    t = defining_set(spec, table)
+    return CodeParams(n=spec.n, k=spec.n - len(t), delta=spec.delta,
+                      generator=generator_from_set(spec, ctx, table, t),
+                      bch_bound=bch_bound_from_set(t))
 
 
 def dual_code_params(spec: BchSpec, ctx: FieldCtx, table: CosetTable) -> CodeParams:
-    """Parameters of the cyclic code with defining set T_perp (the dual of C_delta)."""
-    t_perp = dual_defining_set(defining_set(spec, table))
-    return _params_from_set(spec, ctx, table, t_perp, None)
+    """Parameters of the cyclic code with defining set T_perp (the dual of C_delta).
+
+    The generator is the monic reciprocal of h = (x^n - 1)/g, g the
+    generator of C_delta: h has the roots beta^i for i outside T, so its
+    reciprocal has the roots beta^-i, whose exponents make up T_perp.  So
+    only the cosets in T need minimal polynomials, and |T| is the dual's
+    dimension, which is small wherever the dual can be enumerated.
+    """
+    t = defining_set(spec, table)
+    t_perp = dual_defining_set(t)
+    g = generator_from_set(spec, ctx, table, t)
+    h = Poly.x_pow_minus_one(spec.n, g.field) // g
+    gen = h.reciprocal().monic()
+    assert gen.degree == len(t_perp), "generator degree must equal |T_perp|"
+    return CodeParams(n=spec.n, k=spec.n - len(t_perp), delta=None, generator=gen,
+                      bch_bound=bch_bound_from_set(t_perp))
 
 
 def generator_matrix(params: CodeParams) -> np.ndarray:

@@ -50,6 +50,7 @@ from .gf import field_new, prime_power
 from .mindist import DEFAULT_BUDGET, DEFAULT_TRIALS, certify
 from .propchecks import load_grid_manifest, run_grid
 
+MAX_N = 1 << 24  # largest code length or modulus accepted; tables are O(n)
 NO_CLOSED_FORM_S = "n/a (s>1: no closed form)"
 NO_CLOSED_FORM_M = "n/a (m<4: no closed form)"
 
@@ -188,11 +189,19 @@ def _add_family(parser):
                        help="length n = (q^m-1)/(q^s-1) with s | m")
 
 
+def _check_size(n):
+    """Refuse lengths above MAX_N before any O(n) table is built."""
+    if n > MAX_N:
+        raise CliError(f"n={n} exceeds the size cap {MAX_N}")
+
+
 def _spec_from_args(args, delta):
     try:
-        return bch_spec(args.q, args.m, delta, lam=args.lam, s=args.s)
+        spec = bch_spec(args.q, args.m, delta, lam=args.lam, s=args.s)
     except ValueError as e:
         raise CliError(str(e)) from None
+    _check_size(spec.n)
+    return spec
 
 
 def _parse_delta_range(text):
@@ -248,6 +257,7 @@ def cmd_cosets(args) -> int:
         n = args.n
         if n < 1 or q < 2 or math.gcd(n, q) != 1:
             raise CliError(f"need n >= 1 and gcd(n, q) = 1, got n={n}, q={q}")
+        _check_size(n)
         m = multiplicative_order(q, n)
         lam = (q**m - 1) // n
         s = None
@@ -269,6 +279,7 @@ def cmd_cosets(args) -> int:
             n = (q**m - 1) // lam
         else:
             raise CliError("need --lambda or --s alongside --m")
+        _check_size(n)
     try:
         table = coset_table(n, q)
     except ValueError as e:

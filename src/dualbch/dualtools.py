@@ -180,31 +180,16 @@ def i_delta_closed_divisor_form(q: int, lam: int, m: int, delta: int) -> int:
 # ---------------------------------------------------------------------------
 
 def dual_lower_bound(spec: BchSpec) -> int:
-    """Closed-form lower bound on the minimum distance of the dual of C_delta.
+    """Closed-form lower bound I(delta) + 1 on the dual distance of C_delta.
 
-    Power form (m/s >= 3): (q^{m-ts} - 1)/(q^s - 1) + 1 on the interval
-    cases, 2 on the tail.  Divisor form (lambda | q-1, lambda != q-1,
-    m >= 2): the four-case values.  Always equals I(delta) + 1.
+    Raises ValueError where neither closed form for I(delta) applies:
+    the power form needs m/s >= 3, the divisor form lambda | q-1,
+    lambda != q-1 and m >= 2.
     """
-    q, m, delta = spec.q, spec.m, spec.delta
     lk = spec.lambda_kind
     if isinstance(lk, PowerForm):
-        s = lk.s
-        _validate_power_form(q, s, m)
-        t = _power_case(q, s, m, delta)
-        if t == 0:
-            return 2
-        return (q**(m - t * s) - 1) // (q**s - 1) + 1
-    lam = lk.lam
-    _validate_divisor_form(q, lam, m)
-    case, t, s = _divisor_case(q, lam, m, delta)
-    if case == 1:
-        return (q**(m - t) + lam - 1) // lam - s * q**(m - t - 1)
-    if case == 2:
-        return (q**(m - t) - 1) // lam - s + 1
-    if case == 3:
-        return (q**(m - t) - q) // lam + 2
-    return 2
+        return i_delta_closed_power_form(spec.q, lk.s, spec.m, spec.delta) + 1
+    return i_delta_closed_divisor_form(spec.q, lk.lam, spec.m, spec.delta) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +374,11 @@ def bound_report(spec: BchSpec, table: CosetTable | None = None) -> BoundReport:
     t = defining_set(spec, table)
     t_perp = dual_defining_set(t)
     i_direct = i_delta_direct(t_perp)
-    lk = spec.lambda_kind
     try:
-        if isinstance(lk, PowerForm):
-            i_closed = i_delta_closed_power_form(spec.q, lk.s, spec.m, spec.delta)
-        else:
-            i_closed = i_delta_closed_divisor_form(spec.q, lk.lam, spec.m, spec.delta)
         lower_closed = dual_lower_bound(spec)
     except ValueError:
-        i_closed = None
         lower_closed = None
+    i_closed = None if lower_closed is None else lower_closed - 1
     direct_verdict, witness = dually_bch_direct(t_perp, table)
     try:
         closed_verdict = dually_bch_closed(spec, table)

@@ -141,18 +141,22 @@ class FieldCtx:
     def _ensure_tables(self):
         if self._exp is not None or self.order > MAX_TABLE_ORDER:
             return
-        n1 = self.order - 1
-        exp = np.zeros(n1, dtype=np.int64)
+        p, k = self.p, self.k
+        # the generator is a root of the modulus (x itself when k > 1), so
+        # multiplying by it shifts the coordinates up one degree and replaces
+        # the overflowing x^k term by its reduction mod the modulus
+        x_k = [(-c) % p for c in self.modulus[:k]]
+        cur = [1] + [0] * (k - 1)
+        powers = []
+        for _ in range(self.order - 1):
+            powers.append(cur)
+            top = cur[-1]
+            cur = [0] + cur[:-1]
+            if top:
+                cur = [(c + top * r) % p for c, r in zip(cur, x_k)]
+        exp = np.array(powers, dtype=np.int64) @ (p ** np.arange(k, dtype=np.int64))
         log = np.full(self.order, -1, dtype=np.int64)
-        cur = tuple([1] + [0] * (self.k - 1))
-        gen = self.generator.coeffs
-        for i in range(n1):
-            v = 0
-            for c in reversed(cur):
-                v = v * self.p + c
-            exp[i] = v
-            log[v] = i
-            cur = _poly_mulmod(cur, gen, self.modulus, self.p)
+        log[exp] = np.arange(self.order - 1, dtype=np.int64)
         self._exp = exp
         self._log = log
 

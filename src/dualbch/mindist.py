@@ -5,7 +5,9 @@ mixed-radix Gray order, so each step updates the running codeword by a
 single scalar multiple of one generator row.  A block of low-order message
 digits is materialized as a matrix once, making the inner loop a vectorized
 table gather; this keeps 2^26 codewords in the few-minutes range and the
-acceptance-scale instances in seconds.
+acceptance-scale instances in seconds.  The block is capped both in rows
+and in elements (rows * n), so long codes walk more Gray steps over a
+smaller block instead of gathering matrices of hundreds of megabytes.
 
 low_weight_search is a randomized information-set decoder: permute columns,
 row-reduce to a systematic basis, and enumerate all information patterns of
@@ -29,6 +31,7 @@ from .gf import ScalarField, rref
 DEFAULT_BUDGET = 1 << 26
 DEFAULT_TRIALS = 20000
 _BLOCK_CAP = 4096  # max rows of the materialized low-digit block
+_BLOCK_ELEMS = 1 << 22  # max rows * n of that block; binds only for n > 1024
 
 
 class BudgetExceeded(RuntimeError):
@@ -61,6 +64,19 @@ def _weight_min_update(field, c_hi, block, best):
     return best
 
 
+def _block_digits(q: int, k: int, n: int) -> int:
+    """How many low message digits the materialized block covers.
+
+    The block has q^k_lo rows of length n: at most _BLOCK_CAP rows and
+    _BLOCK_ELEMS elements, but never fewer than q rows while q <= _BLOCK_CAP.
+    """
+    k_lo = 0
+    while k_lo < k and q ** (k_lo + 1) <= _BLOCK_CAP and (
+            k_lo == 0 or q ** (k_lo + 1) * n <= _BLOCK_ELEMS):
+        k_lo += 1
+    return k_lo
+
+
 def _exhaustive_best(gen: np.ndarray, field: ScalarField, budget: int):
     """(min_weight, witness) over all nonzero codewords; exact."""
     k, n = gen.shape
@@ -71,9 +87,7 @@ def _exhaustive_best(gen: np.ndarray, field: ScalarField, budget: int):
         raise BudgetExceeded(f"q^k = {q**k} exceeds budget {budget}")
     gen = gen.astype(np.int32)
     # split rows: low block materialized fully, high rows walked in Gray order
-    k_lo = 0
-    while k_lo < k and q ** (k_lo + 1) <= _BLOCK_CAP:
-        k_lo += 1
+    k_lo = _block_digits(q, k, n)
     block = np.zeros((1, n), dtype=np.int32)
     for i in range(k_lo):
         scaled = [field.mul_t[c, gen[i]] for c in range(q)]

@@ -16,10 +16,21 @@ from dualbch.bch import (
     defining_set,
     dual_code_params,
     dual_defining_set,
+    generator_from_set,
     generator_matrix,
 )
-from dualbch.cyclotomic import coset_table
-from dualbch.gf import Poly, elem_pow, field_new, poly_eval_in_ext, rref, scalar_field
+from dualbch.cyclotomic import coset_table, largest_leaders
+from dualbch.gf import (
+    Poly,
+    elem_pow,
+    field_new,
+    poly_eval_in_ext,
+    prime_power,
+    rref,
+    scalar_field,
+)
+from dualbch.mindist import DEFAULT_BUDGET
+from test_acceptance import divisor_form_specs, power_form_specs
 
 
 class TestBchSpec:
@@ -256,3 +267,27 @@ class TestDualGeneratorConsistency:
         for i in range(spec.n):
             val = poly_eval_in_ext(ctx, h_rev, elem_pow(ctx, beta, i))
             assert (val == ctx.zero()) == (i in t_perp)
+
+    def test_division_matches_coset_product_on_theorem_families(self):
+        # reference: the per-coset minimal-polynomial product over T_perp
+        families = [(q, m, {"s": s}) for q, s, m, _ in power_form_specs(255)]
+        families += [(q, m, {"lam": lam}) for q, lam, m, _ in divisor_form_specs(255)]
+        compared = 0
+        for q, m, kw in families:
+            n = bch_spec(q, m, 2, **kw).n
+            table = coset_table(n, q)
+            p_, e = prime_power(q)
+            ctx = field_new(p_, e * m)
+            delta1 = largest_leaders(table, 1)[0]
+            for delta in sorted({2, 3, n // 2, delta1, n} & set(range(2, n + 1))):
+                spec = bch_spec(q, m, delta, **kw)
+                t = defining_set(spec, table)
+                if q ** len(t) > DEFAULT_BUDGET:
+                    continue
+                t_perp = dual_defining_set(t)
+                params = dual_code_params(spec, ctx, table)
+                assert params.generator == generator_from_set(spec, ctx, table, t_perp), \
+                    (q, m, kw, delta)
+                assert (params.k, params.bch_bound) == (len(t), bch_bound_from_set(t_perp))
+                compared += 1
+        assert compared >= 200

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from dualbch.cli import main
+from dualbch.cli import MAX_N, main
 from dualbch.propchecks import MANIFEST_SCHEMA
 
 
@@ -96,6 +96,20 @@ class TestCosets:
         code, out, err = run(capsys, "cosets", "--q", "6", "--n", "35")
         assert (code, out) == (1, "")
         assert "dualbch cosets: error: q=6 is not a prime power" in err
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize("argv", [
+        ["dual-bound", "--q", "2", "--m", "40", "--lambda", "1", "--delta", "3"],
+        ["dually-bch", "--q", "2", "--m", "40", "--lambda", "1", "--delta", "3"],
+        ["cosets", "--q", "2", "--m", "40", "--lambda", "1"],
+        ["cosets", "--q", "2", "--n", str(MAX_N + 1)],
+    ])
+    def test_oversized_length_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert f"dualbch {argv[0]}: error: n=" in err
+        assert f"exceeds the size cap {MAX_N}" in err
 
 
 class TestDualBound:

@@ -116,6 +116,12 @@ class TestDualLowerBound:
         assert dual_lower_bound(bch_spec(3, 3, 26, lam=1)) == 2
         assert dual_lower_bound(bch_spec(2, 6, 60, lam=1)) == 2
 
+    def test_raises_outside_closed_forms(self):
+        with pytest.raises(ValueError, match="m/s"):
+            dual_lower_bound(bch_spec(2, 4, 3, s=2))
+        with pytest.raises(ValueError, match="m=1"):
+            dual_lower_bound(bch_spec(5, 1, 2, lam=2))
+
     def test_equals_i_delta_plus_1(self):
         for q, m, kw in [(2, 6, dict(lam=1)), (3, 6, dict(s=2)), (3, 9, dict(s=3)),
                          (5, 2, dict(lam=1)), (5, 4, dict(lam=2)), (7, 3, dict(lam=3)),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dualbch.gf import (
     FieldElem,
     Poly,
+    _poly_mulmod,
     elem_pow,
     field_new,
     minimal_polynomial,
@@ -60,6 +61,23 @@ class TestFieldNew:
     def test_rejects_non_prime(self):
         with pytest.raises(ValueError):
             field_new(4, 2)
+
+    @pytest.mark.parametrize("p,k", [(2, 1), (2, 8), (2, 13), (3, 1), (3, 5),
+                                     (5, 1), (5, 3), (7, 2)])
+    def test_exp_log_tables_match_mulmod(self, p, k):
+        # reference: one general polynomial product per power of the generator
+        ctx = field_new(p, k)
+        exp = []
+        cur = ctx.one().coeffs
+        for _ in range(ctx.order - 1):
+            exp.append(ctx.pack(FieldElem(cur)))
+            cur = _poly_mulmod(cur, ctx.generator.coeffs, ctx.modulus, p)
+        log = [-1] * ctx.order
+        for i, v in enumerate(exp):
+            log[v] = i
+        ctx._ensure_tables()
+        assert ctx._exp.tolist() == exp
+        assert ctx._log.tolist() == log
 
 
 class TestElemOps:

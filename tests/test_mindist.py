@@ -8,7 +8,9 @@ from dualbch.cyclotomic import coset_table
 from dualbch.dualtools import bound_report
 from dualbch.gf import elem_pow, field_new, poly_eval_in_ext, scalar_field, subfield_embed
 from dualbch.mindist import (
+    _BLOCK_CAP,
     BudgetExceeded,
+    _block_digits,
     certify,
     exhaustive_min_weight,
     in_row_space,
@@ -73,6 +75,28 @@ class TestExhaustive:
         field = scalar_field(q)
         got = exhaustive_min_weight(gen, field)
         assert got == naive_min_weight(gen, field)
+
+    @pytest.mark.parametrize("q,k,n,seed", [(2, 10, 5000, 10), (3, 6, 6000, 11)])
+    def test_matches_naive_where_element_cap_binds(self, q, k, n, seed):
+        k_lo = _block_digits(q, k, n)
+        assert k_lo < k and q ** (k_lo + 1) <= _BLOCK_CAP  # rows alone would allow more
+        rng = np.random.default_rng(seed)
+        gen = rng.integers(0, q, size=(k, n)).astype(np.int32)
+        field = scalar_field(q)
+        # plant a weight-3 codeword that mixes a block row and a Gray-walked row
+        e = np.zeros(n, dtype=np.int32)
+        e[rng.choice(n, size=3, replace=False)] = rng.integers(1, q, size=3)
+        gen[-1] = field.add_t[gen[0], e]
+        got = exhaustive_min_weight(gen, field)
+        assert got == naive_min_weight(gen, field)
+        assert got <= 3
+
+    def test_block_digits(self):
+        assert _block_digits(2, 14, 1024) == 12  # row cap only up to n = 1024
+        assert _block_digits(3, 9, 1024) == 7
+        assert _block_digits(2, 14, 16383) == 8  # 256 rows * 16383 <= 2^22
+        assert _block_digits(2, 5, 1 << 23) == 1  # never fewer than q rows
+        assert _block_digits(2, 3, 100) == 3  # never more digits than k
 
     def test_invariant_under_row_transforms(self):
         # random invertible row operations preserve the row space
