@@ -12,33 +12,9 @@ iff-characterizations where their hypotheses hold.
 
 import argparse
 
-from dualbch.bch import bch_spec
+from dualbch.bch import bch_spec, theorem_families
 from dualbch.cyclotomic import coset_table
 from dualbch.dualtools import delta_sweep, dually_bch_closed
-from dualbch.gf import prime_power
-
-
-def families(max_n):
-    for q in range(2, int(max_n**0.5) + 2):
-        if prime_power(q) is None:
-            continue
-        s = 1
-        while (q ** (3 * s) - 1) // (q**s - 1) <= max_n:
-            m = 3 * s
-            while (q**m - 1) // (q**s - 1) <= max_n:
-                yield q, m, {"s": s}
-                m += s
-            s += 1
-    for q in range(3, max_n // 2 + 2):
-        if prime_power(q) is None:
-            continue
-        for lam in range(1, q - 1):
-            if (q - 1) % lam:
-                continue
-            m = 2
-            while (q**m - 1) // lam <= max_n:
-                yield q, m, {"lam": lam}
-                m += 1
 
 
 def threshold_direct(table):
@@ -66,9 +42,7 @@ def main():
     print(f"{'q':>3} {'m':>3} {'family':<10} {'n':>6} {'direct':>7} "
           f"{'closed':>7} agree")
     disagreements = 0
-    for q, m, kw in families(args.max_n):
-        spec = bch_spec(q, m, 2, **kw)
-        n = spec.n
+    for q, m, kw, n in theorem_families(args.max_n):
         table = coset_table(n, q)
         direct = threshold_direct(table)
         closed = threshold_closed(q, m, kw, table, n)

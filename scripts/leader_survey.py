@@ -11,16 +11,14 @@ coset table.
 
 import argparse
 
-from dualbch.cyclotomic import coset_table, largest_leaders, largest_leaders_closed_form
+from dualbch.cyclotomic import (
+    LEADER_FAMILIES,
+    coset_table,
+    largest_leaders,
+    largest_leaders_closed_form,
+    leader_family_modulus,
+)
 from dualbch.gf import prime_power
-
-FAMILY_COUNT = {"full": 3, "q_minus_1": 1, "half": 2}
-
-
-def modulus(q, m, family):
-    order = q**m - 1
-    return {"full": order, "q_minus_1": order // (q - 1), "half": order // 2}[family]
-
 
 def survey(qs, max_order):
     print(f"{'q':>3} {'m':>3} {'family':<10} {'n':>8} {'closed form':<22} "
@@ -31,14 +29,13 @@ def survey(qs, max_order):
             raise SystemExit(f"q={q} is not a prime power")
         m = 4
         while q**m - 1 <= max_order:
-            for family, count in FAMILY_COUNT.items():
-                if family == "q_minus_1" and q < 3:
+            for family in LEADER_FAMILIES:
+                try:
+                    closed = largest_leaders_closed_form(q, m, family)
+                except ValueError:  # outside the family's hypotheses
                     continue
-                if family == "half" and q % 2 == 0:
-                    continue
-                n = modulus(q, m, family)
-                closed = largest_leaders_closed_form(q, m, family)
-                brute = largest_leaders(coset_table(n, q), count)
+                n = leader_family_modulus(q, m, family)
+                brute = largest_leaders(coset_table(n, q), len(closed))
                 agree = closed == brute
                 mismatches += not agree
                 print(f"{q:>3} {m:>3} {family:<10} {n:>8} "

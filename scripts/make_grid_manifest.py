@@ -15,6 +15,8 @@ import argparse
 import json
 from pathlib import Path
 
+from dualbch.bch import theorem_families
+
 QS = (2, 3, 5, 7)
 
 
@@ -50,22 +52,13 @@ def divisor_floor_cases(max_order):
 
 def membership_cases(max_n):
     cases = []
-    for q in QS:
-        s = 2
-        while (q ** (3 * s) - 1) // (q**s - 1) <= max_n:
-            m = 3 * s
-            while (q**m - 1) // (q**s - 1) <= max_n:
-                cases.append({"q": q, "kind": "power", "s": s, "m": m})
-                m += s
-            s += 1
-    for q in QS:
-        for lam in divisors(q - 1):
-            if not 1 < lam < q - 1 or q <= 3:
-                continue
-            m = 2
-            while (q**m - 1) // lam <= max_n:
-                cases.append({"q": q, "kind": "divisor", "lam": lam, "m": m})
-                m += 1
+    for q, m, kw, _ in theorem_families(max_n):
+        if q not in QS:
+            continue
+        if kw.get("s", 0) >= 2:
+            cases.append({"q": q, "kind": "power", "s": kw["s"], "m": m})
+        elif q > 3 and 1 < kw.get("lam", 0) < q - 1:
+            cases.append({"q": q, "kind": "divisor", "lam": kw["lam"], "m": m})
     return cases
 
 

@@ -5,8 +5,8 @@ The top-level namespace re-exports the working API:
 - field and polynomial arithmetic (:mod:`dualbch.gf`),
 - q-cyclotomic coset tables and closed-form largest leaders
   (:mod:`dualbch.cyclotomic`),
-- BCH code specs, defining sets, and generator matrices
-  (:mod:`dualbch.bch`),
+- BCH code specs, defining sets, generator matrices and the code
+  families of the closed forms (:mod:`dualbch.bch`),
 - dual-distance lower bounds, dually-BCH tests and the one-pass delta
   sweep (:mod:`dualbch.dualtools`),
 - minimum-distance certification (:mod:`dualbch.mindist`),
@@ -26,6 +26,7 @@ from .bch import (
     dual_code_params,
     dual_defining_set,
     generator_matrix,
+    theorem_families,
 )
 from .cyclotomic import (
     CosetTable,
@@ -33,6 +34,7 @@ from .cyclotomic import (
     coset_table,
     largest_leaders,
     largest_leaders_closed_form,
+    leader_family_modulus,
     multiplicative_order,
 )
 from .dualtools import (
@@ -53,7 +55,6 @@ from .gf import (
     FieldElem,
     Poly,
     ScalarField,
-    elem_pow,
     field_new,
     minimal_polynomial,
     poly_eval_in_ext,
@@ -115,7 +116,6 @@ __all__ = [
     "dual_lower_bound",
     "dually_bch_closed",
     "dually_bch_direct",
-    "elem_pow",
     "exhaustive_min_weight",
     "field_new",
     "generator_matrix",
@@ -125,6 +125,7 @@ __all__ = [
     "in_row_space",
     "largest_leaders",
     "largest_leaders_closed_form",
+    "leader_family_modulus",
     "load_grid_manifest",
     "low_weight_search",
     "minimal_polynomial",
@@ -134,4 +135,5 @@ __all__ = [
     "prior_bounds",
     "run_grid",
     "scalar_field",
+    "theorem_families",
 ]

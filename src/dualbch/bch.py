@@ -20,12 +20,13 @@ minimal polynomial per coset of the (usually much larger) T_perp.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cyclotomic import CosetTable, coset_table
-from .gf import FieldCtx, Poly, elem_pow, minimal_polynomial, prime_power, scalar_field
+from .gf import FieldCtx, Poly, minimal_polynomial, prime_power, scalar_field
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,37 @@ def bch_spec(q: int, m: int, delta: int, lam: int | None = None,
     if lam == q - 1:
         return BchSpec(q, m, PowerForm(1), delta)
     return BchSpec(q, m, DivisorOfQMinus1(lam), delta)
+
+
+def theorem_families(max_n: int):
+    """Yield (q, m, kw, n) for every code family of the closed forms with n <= max_n.
+
+    kw is {"s": s} for lambda = q^s - 1 with s | m and m/s >= 3, or
+    {"lam": lam} for lam | q - 1, lam < q - 1 and m >= 2, so that
+    bch_spec(q, m, delta, **kw) builds a code of the family.  Power forms
+    come first, by q, then s, then m; then divisor forms by q, lam, m.
+    """
+    for q in range(2, math.isqrt(max_n) + 2):
+        if prime_power(q) is None:
+            continue
+        s = 1
+        while (q ** (3 * s) - 1) // (q**s - 1) <= max_n:
+            m = 3 * s
+            while (n := (q**m - 1) // (q**s - 1)) <= max_n:
+                yield q, m, {"s": s}, n
+                m += s
+            s += 1
+    # a divisor form has lam <= (q - 1)/2, so n >= 2(q + 1)
+    for q in range(3, max_n // 2 + 1):
+        if prime_power(q) is None:
+            continue
+        for lam in range(1, q - 1):
+            if (q - 1) % lam:
+                continue
+            m = 2
+            while (n := (q**m - 1) // lam) <= max_n:
+                yield q, m, {"lam": lam}, n
+                m += 1
 
 
 class DefiningSet:
@@ -194,16 +226,19 @@ def generator_from_set(spec: BchSpec, ctx: FieldCtx, table: CosetTable,
     """Product of the minimal polynomials of beta^l over the coset leaders l in dset.
 
     This is the monic generator of the cyclic code with defining set dset;
-    it costs one minimal polynomial per coset in dset.
+    it costs one minimal polynomial per coset in dset.  Each coset is the
+    orbit l q^j mod n of its leader, so no coset map over all of Z_n is built.
     """
-    q = spec.q
+    q, n = spec.q, spec.n
     if ctx.order != q**spec.m:
         raise ValueError(f"ctx has order {ctx.order}, expected q^m = {q**spec.m}")
     lam = spec.lam
     gen = Poly.one(scalar_field(q))
     for l in np.unique(table.leader_of[dset.mask]):
-        coset = table.cosets[int(l)]
-        beta_power = elem_pow(ctx, ctx.generator, lam * int(l))
+        coset = [int(l)]
+        while (nxt := coset[-1] * q % n) != coset[0]:
+            coset.append(nxt)
+        beta_power = ctx.pow(ctx.generator, lam * coset[0])
         gen = gen * minimal_polynomial(ctx, beta_power, coset, q)
     assert gen.degree == len(dset), "generator degree must equal |defining set|"
     return gen

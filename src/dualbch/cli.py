@@ -34,9 +34,11 @@ from dataclasses import dataclass, field
 
 from .bch import bch_spec, defining_set, dual_code_params, dual_defining_set, generator_matrix
 from .cyclotomic import (
+    LEADER_FAMILIES,
     coset_table,
     largest_leaders,
     largest_leaders_closed_form,
+    leader_family_modulus,
     multiplicative_order,
 )
 from .dualtools import (
@@ -159,15 +161,20 @@ def _default_threads() -> int:
         return 1
 
 
-def _positive_int(text):
-    """argparse type for counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(lo):
+    """argparse type for ints that must be at least lo."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _add_common(parser):
@@ -180,12 +187,12 @@ def _add_common(parser):
 
 def _add_family(parser):
     parser.add_argument("--q", type=int, required=True, help="field size")
-    parser.add_argument("--m", type=int, required=True,
+    parser.add_argument("--m", type=_positive_int, required=True,
                         help="extension degree (code length divides q^m-1)")
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--lambda", dest="lam", type=int,
                        help="length n = (q^m-1)/lambda with lambda | q-1")
-    group.add_argument("--s", type=int,
+    group.add_argument("--s", type=_positive_int,
                        help="length n = (q^m-1)/(q^s-1) with s | m")
 
 
@@ -222,29 +229,28 @@ def _parse_delta_range(text):
 def _closed_form_leaders(q, m, lam, s, count):
     """Closed-form values for the largest leaders, or an n/a reason string.
 
-    Formulas exist for lambda = 1 (three leaders), lambda = q-1 with q >= 3
-    (one leader) and lambda = 2 with q odd (two leaders), all needing m >= 4.
-    The lambda = 2, q = 3 length admits both of the last two; they agree on
-    the shared leader, and the longer list wins.
+    A formula applies where a leader family's modulus is (q^m - 1)/lambda
+    and its hypotheses hold, all needing m >= 4.  The lambda = 2, q = 3
+    length is in both "q_minus_1" and "half"; they agree on the shared
+    leader, and the longer list wins.
     """
     if s is not None and s > 1:
         return NO_CLOSED_FORM_S
     if m < 4:
         return NO_CLOSED_FORM_M
     values = {}
-    families = []
-    if lam == 1:
-        families.append("full")
-    if lam == q - 1 and q >= 3:
-        families.append("q_minus_1")
-    if lam == 2 and q % 2 == 1:
-        families.append("half")
-    if not families:
-        return f"n/a (lambda={lam}: no closed form)"
-    for family in families:
-        for rank, value in enumerate(largest_leaders_closed_form(q, m, family)):
+    for family in LEADER_FAMILIES:
+        if leader_family_modulus(q, m, family) != (q**m - 1) // lam:
+            continue
+        try:
+            leaders = largest_leaders_closed_form(q, m, family)
+        except ValueError:
+            continue
+        for rank, value in enumerate(leaders):
             assert values.setdefault(rank, value) == value
-    return [values[r] if r in values else None for r in range(count)]
+    if not values:
+        return f"n/a (lambda={lam}: no closed form)"
+    return [values.get(r) for r in range(count)]
 
 
 def cmd_cosets(args) -> int:
@@ -448,13 +454,6 @@ DUALLY_BCH_CASES = [
     (7, 3, {"lam": 3}, 95),
 ]
 
-_FAMILY_MODULUS = {
-    "full": lambda q, m: q**m - 1,
-    "q_minus_1": lambda q, m: (q**m - 1) // (q - 1),
-    "half": lambda q, m: (q**m - 1) // 2,
-}
-
-
 def _verify_rows(only, grids_path, threads):
     rows = []
 
@@ -471,7 +470,7 @@ def _verify_rows(only, grids_path, threads):
         for q, m, family, expected in CLOSED_FORM_CASES:
             got = [int(v) for v in largest_leaders_closed_form(q, m, family)]
             check("closed_forms", f"q={q} m={m} family={family}", expected, got)
-            n = _FAMILY_MODULUS[family](q, m)
+            n = leader_family_modulus(q, m, family)
             brute = [int(v) for v in largest_leaders(coset_table(n, q), len(expected))]
             check("closed_forms", f"q={q} m={m} family={family} vs brute force",
                   got, brute)
@@ -504,8 +503,11 @@ def _verify_rows(only, grids_path, threads):
                 check("dually_bch", f"q={q} m={m} {name} delta={delta} closed form",
                       expected, dually_bch_closed(s2, table))
     if "grids" in only:
-        manifest = load_grid_manifest(grids_path)
-        results = run_grid(manifest, threads=threads)
+        try:
+            manifest = load_grid_manifest(grids_path)
+            results = run_grid(manifest, threads=threads)
+        except (OSError, ValueError, TypeError, ArithmeticError) as e:
+            raise CliError(f"grid manifest {grids_path or '(packaged)'}: {e}") from None
         cases = [(g["lemma_id"], c) for g in manifest["grids"] for c in g["cases"]]
         for (lemma_id, case), result in zip(cases, results):
             name = " ".join(f"{k}={v}" for k, v in case.items())
@@ -541,10 +543,11 @@ def build_parser() -> Parser:
     p = sub.add_parser("cosets", help="coset partition and largest leaders")
     p.add_argument("--q", type=int, required=True, help="field size")
     p.add_argument("--n", type=int, help="modulus (must be coprime to q)")
-    p.add_argument("--m", type=int, help="extension degree, with --lambda or --s")
+    p.add_argument("--m", type=_positive_int,
+                   help="extension degree, with --lambda or --s")
     p.add_argument("--lambda", dest="lam", type=int,
                    help="modulus n = (q^m-1)/lambda")
-    p.add_argument("--s", type=int, help="modulus n = (q^m-1)/(q^s-1)")
+    p.add_argument("--s", type=_positive_int, help="modulus n = (q^m-1)/(q^s-1)")
     p.add_argument("--top", type=_positive_int, default=3, help="how many largest leaders")
     p.add_argument("--closed-form", action=argparse.BooleanOptionalAction,
                    default=True,
@@ -563,7 +566,7 @@ def build_parser() -> Parser:
                    help="codeword cap for exhaustive search")
     p.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS,
                    help="information-set trials when exhaustion is too large")
-    p.add_argument("--seed", type=int, default=0, help="search seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="search seed")
     p.add_argument("--force-direct", action="store_true",
                    help="proceed without closed forms when the theorem "
                         "hypotheses fail")

@@ -12,7 +12,8 @@ largest coset leaders for three modulus families:
   "q_minus_1"  n = (q^m - 1)/(q - 1) -> largest leader (q >= 3)
   "half"       n = (q^m - 1)/2       -> two largest leaders (q odd)
 
-all pinned to m >= 4, where the expressions are exact.
+all pinned to m >= 4, where the expressions are exact;
+leader_family_modulus gives the family's n.
 """
 
 from __future__ import annotations
@@ -156,12 +157,23 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+LEADER_FAMILIES = ("full", "q_minus_1", "half")
+
+
+def leader_family_modulus(q: int, m: int, family: str) -> int:
+    """The modulus n of a closed-form leader family: q^m - 1 over 1, q - 1 or 2."""
+    divisor = {"full": 1, "q_minus_1": q - 1, "half": 2}.get(family)
+    if divisor is None:
+        raise ValueError(f"unknown family {family!r}")
+    return (q**m - 1) // divisor
+
+
 def largest_leaders_closed_form(q: int, m: int, family: str) -> list[int]:
     """Closed-form largest coset leaders for the given modulus family.
 
     Valid for m >= 4 in every family; "q_minus_1" additionally needs q >= 3
-    and "half" needs odd q.  Values are leaders modulo n where n is
-    q^m - 1, (q^m - 1)/(q - 1), or (q^m - 1)/2 respectively.
+    and "half" needs odd q.  Values are leaders modulo
+    leader_family_modulus(q, m, family).
     """
     if m < 4:
         raise ValueError(f"m={m}: closed forms are only exact for m >= 4")

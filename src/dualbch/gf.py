@@ -176,6 +176,7 @@ class FieldCtx:
         return self.pow(x, self.order - 2)
 
     def pow(self, x: FieldElem, e: int) -> FieldElem:
+        """x^e for e >= 0; x^0 = 1."""
         if e < 0:
             raise ValueError("exponent must be nonnegative")
         self._ensure_tables()
@@ -227,11 +228,6 @@ def field_new(p: int, k: int) -> FieldCtx:
     raise RuntimeError(f"no primitive polynomial found for GF({p}^{k})")  # unreachable
 
 
-def elem_pow(ctx: FieldCtx, x: FieldElem, e: int) -> FieldElem:
-    """x^e by square-and-multiply; x^0 = 1."""
-    return ctx.pow(x, e)
-
-
 # ---------------------------------------------------------------------------
 # packed-scalar GF(q) arithmetic
 # ---------------------------------------------------------------------------
@@ -239,8 +235,9 @@ def elem_pow(ctx: FieldCtx, x: FieldElem, e: int) -> FieldElem:
 class ScalarField:
     """Lookup-table arithmetic for GF(q) scalars packed as integers 0..q-1.
 
-    Tables are small numpy arrays, so elementwise methods accept either ints
-    or numpy arrays.  inv_t[0] is 0 as a sentinel; zero has no inverse.
+    The add_t, sub_t, mul_t, neg_t and inv_t tables are small numpy arrays,
+    indexed by ints or by numpy arrays.  inv_t[0] is 0 as a sentinel; zero
+    has no inverse.
     """
 
     def __init__(self, q):
@@ -278,23 +275,6 @@ class ScalarField:
 
     def __repr__(self):
         return f"ScalarField(GF({self.q}))"
-
-    def add(self, a, b):
-        return self.add_t[a, b]
-
-    def sub(self, a, b):
-        return self.sub_t[a, b]
-
-    def mul(self, a, b):
-        return self.mul_t[a, b]
-
-    def neg(self, a):
-        return self.neg_t[a]
-
-    def inv(self, a):
-        if np.any(np.asarray(a) == 0):
-            raise ZeroDivisionError("zero has no inverse")
-        return self.inv_t[a]
 
 
 @functools.lru_cache(maxsize=None)

@@ -233,47 +233,44 @@ def load_grid_manifest(path: str | Path | None = None) -> dict:
     ``{"q", "s", "m"}`` for ``leader_floor_power_form``, ``{"q", "lam", "m"}``
     for ``leader_floor_divisor_form``, and ``{"q", "kind", "s"|"lam", "m"}``
     (``kind`` one of ``"power"``/``"divisor"``) for the membership checks.
+    Raises ValueError for another schema or a malformed grid list.
     """
     if path is None:
         text = resources.files("dualbch").joinpath("data/prop_grids.json").read_text()
     else:
         text = Path(path).read_text()
     manifest = json.loads(text)
-    if manifest.get("schema") != MANIFEST_SCHEMA:
-        raise ValueError(f"unrecognised manifest schema: {manifest.get('schema')!r}")
+    schema = manifest.get("schema") if isinstance(manifest, dict) else None
+    if schema != MANIFEST_SCHEMA:
+        raise ValueError(f"unrecognised manifest schema: {schema!r}")
+    grids = manifest.get("grids")
+    if not (isinstance(grids, list)
+            and all(isinstance(g, dict) and isinstance(g.get("cases"), list)
+                    and "lemma_id" in g for g in grids)):
+        raise ValueError("manifest needs a list of grids, each with a lemma_id "
+                         "and a list of cases")
     return manifest
 
 
-def _run_case(lemma_id: str, case: dict, tables: dict) -> PropResult:
-    q, m = case["q"], case["m"]
-    if lemma_id == "leader_floor_power_form":
-        return check_leader_floor_power_form(
-            q, case["s"], m, table=tables.get((q**m - 1, q))
-        )
-    if lemma_id == "leader_floor_divisor_form":
-        return check_leader_floor_divisor_form(
-            q, case["lam"], m, table=tables.get((q**m - 1, q))
-        )
-    if lemma_id == "tperp_leader_membership":
-        if case["kind"] == "power":
-            kind = PowerForm(case["s"])
-            n = (q**m - 1) // (q ** case["s"] - 1)
-        elif case["kind"] == "divisor":
-            kind = DivisorOfQMinus1(case["lam"])
-            n = (q**m - 1) // case["lam"]
-        else:
-            raise ValueError(f"unknown membership kind: {case['kind']!r}")
-        return check_tperp_leader_membership(q, kind, m, table=tables.get((n, q)))
+def _plan_case(lemma_id: str, case: dict) -> tuple:
+    """(check, arguments, (modulus, base) of its coset table) for one case."""
+    try:
+        q, m = case["q"], case["m"]
+        if lemma_id == "leader_floor_power_form":
+            return check_leader_floor_power_form, (q, case["s"], m), (q**m - 1, q)
+        if lemma_id == "leader_floor_divisor_form":
+            return check_leader_floor_divisor_form, (q, case["lam"], m), (q**m - 1, q)
+        if lemma_id == "tperp_leader_membership":
+            if case["kind"] == "power":
+                kind, lam = PowerForm(case["s"]), q ** case["s"] - 1
+            elif case["kind"] == "divisor":
+                kind, lam = DivisorOfQMinus1(case["lam"]), case["lam"]
+            else:
+                raise ValueError(f"unknown membership kind: {case['kind']!r}")
+            return check_tperp_leader_membership, (q, kind, m), ((q**m - 1) // lam, q)
+    except KeyError as e:
+        raise ValueError(f"{lemma_id} case {case} lacks {e}") from None
     raise ValueError(f"unknown lemma_id in manifest: {lemma_id!r}")
-
-
-def _case_modulus(lemma_id: str, case: dict) -> tuple[int, int]:
-    q, m = case["q"], case["m"]
-    if lemma_id == "tperp_leader_membership":
-        if case["kind"] == "power":
-            return ((q**m - 1) // (q ** case["s"] - 1), q)
-        return ((q**m - 1) // case["lam"], q)
-    return (q**m - 1, q)
 
 
 def run_grid(manifest: dict | None = None, threads: int = 1) -> list[PropResult]:
@@ -288,17 +285,20 @@ def run_grid(manifest: dict | None = None, threads: int = 1) -> list[PropResult]
     if threads < 1:
         raise ValueError("threads must be >= 1")
     jobs = [
-        (grid["lemma_id"], case)
+        _plan_case(grid["lemma_id"], case)
         for grid in manifest["grids"]
         for case in grid["cases"]
     ]
     tables: dict[tuple[int, int], CosetTable] = {}
-    for lemma_id, case in jobs:
-        key = _case_modulus(lemma_id, case)
+    for _, _, key in jobs:
         if key not in tables:
             tables[key] = coset_table(*key)
+
+    def run(job):
+        check, args, key = job
+        return check(*args, table=tables[key])
+
     if threads == 1:
-        return [_run_case(lemma_id, case, tables) for lemma_id, case in jobs]
+        return [run(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_run_case, lm, c, tables) for lm, c in jobs]
-        return [f.result() for f in futures]
+        return list(pool.map(run, jobs))

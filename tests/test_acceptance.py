@@ -17,19 +17,24 @@ from dualbch.bch import (
     defining_set,
     dual_code_params,
     dual_defining_set,
+    theorem_families,
 )
-from dualbch.cyclotomic import coset_table, largest_leaders, largest_leaders_closed_form
+from dualbch.cli import BOUND_CASES, DUALLY_BCH_CASES, LEADER_CASES
+from dualbch.cyclotomic import (
+    coset_table,
+    largest_leaders,
+    largest_leaders_closed_form,
+    leader_family_modulus,
+)
 from dualbch.dualtools import (
     bound_report,
+    dual_lower_bound,
     dually_bch_closed,
     dually_bch_direct,
-    i_delta_closed_divisor_form,
-    i_delta_closed_power_form,
     i_delta_direct,
 )
 from dualbch.gf import (
     Poly,
-    elem_pow,
     field_new,
     minimal_polynomial,
     poly_eval_in_ext,
@@ -39,45 +44,11 @@ from dualbch.gf import (
 from dualbch.mindist import certify, exhaustive_min_weight
 from dualbch.propchecks import run_grid
 
-ANCHORS = [
-    # (q, m, delta, lam, expected lower bound, expected exact dual distance)
-    (2, 6, 3, 1, 32, 32),
-    (2, 6, 15, 1, 8, 8),
-    (3, 3, 5, 1, 9, 9),
-    (5, 2, 3, 1, 15, 16),
-]
-
-
-def prime_powers(limit):
-    return [v for v in range(2, limit + 1) if prime_power(v) is not None]
-
-
-def power_form_specs(cap):
-    """Every (q, s, m, n) with s | m, m/s >= 3 and n = (q^m-1)/(q^s-1) <= cap."""
-    out = []
-    for q in prime_powers(int(cap**0.5) + 1):
-        s = 1
-        while (q ** (3 * s) - 1) // (q**s - 1) <= cap:
-            m = 3 * s
-            while (n := (q**m - 1) // (q**s - 1)) <= cap:
-                out.append((q, s, m, n))
-                m += s
-            s += 1
-    return out
-
-
-def divisor_form_specs(cap):
-    """Every (q, lam, m, n) with lam | q-1, lam != q-1, m >= 2, n <= cap."""
-    out = []
-    for q in prime_powers(cap // 2):
-        for lam in range(1, q - 1):
-            if (q - 1) % lam:
-                continue
-            m = 2
-            while (n := (q**m - 1) // lam) <= cap:
-                out.append((q, lam, m, n))
-                m += 1
-    return out
+# Every code family inside either closed form's hypotheses with n <= 1000.
+THEOREM_SWEEP = list(theorem_families(1000))
+SMALL_FAMILIES = list(theorem_families(100))
+# (family, number of closed-form leaders) of largest_leaders_closed_form
+LEADER_FAMILIES = (("full", 3), ("q_minus_1", 1), ("half", 2))
 
 
 def ext_field(q, m):
@@ -87,8 +58,7 @@ def ext_field(q, m):
 
 def test_criterion_1_largest_leader_anchors():
     t0 = time.perf_counter()
-    cases = [(3, 91, 49), (3, 757, 388), (5, 312, 247), (7, 114, 95)]
-    for q, n, expected in cases:
+    for q, n, expected in LEADER_CASES:
         got = int(largest_leaders(coset_table(n, q), 1)[0])
         assert got == expected, f"largest leader mod {n}: {got} != {expected}"
     elapsed = time.perf_counter() - t0
@@ -100,22 +70,17 @@ def test_criterion_1_largest_leader_anchors():
 def test_criterion_2_closed_form_leaders_exhaustive():
     t0 = time.perf_counter()
     checked = 0
-    for q in prime_powers(31):
+    for q in range(2, 32):
+        if prime_power(q) is None:
+            continue
         m = 4
         while q**m - 1 <= 10**6:
-            order = q**m - 1
-            full = largest_leaders_closed_form(q, m, "full")
-            assert full == largest_leaders(coset_table(order, q), 3), (q, m, "full")
-            checked += 1
-            if q >= 3:
-                got = largest_leaders_closed_form(q, m, "q_minus_1")
-                brute = largest_leaders(coset_table(order // (q - 1), q), 1)
-                assert got == brute, (q, m, "q_minus_1")
-                checked += 1
-            if q % 2 == 1:
-                got = largest_leaders_closed_form(q, m, "half")
-                brute = largest_leaders(coset_table(order // 2, q), 2)
-                assert got == brute, (q, m, "half")
+            for family, count in LEADER_FAMILIES:
+                if (family == "q_minus_1" and q < 3) or (family == "half" and q % 2 == 0):
+                    continue
+                got = largest_leaders_closed_form(q, m, family)
+                n = leader_family_modulus(q, m, family)
+                assert got == largest_leaders(coset_table(n, q), count), (q, m, family)
                 checked += 1
             m += 1
     elapsed = time.perf_counter() - t0
@@ -127,7 +92,7 @@ def test_criterion_2_closed_form_leaders_exhaustive():
 
 def test_criterion_3_certified_dual_distances():
     t0 = time.perf_counter()
-    for q, m, delta, lam, bound, true_d in ANCHORS:
+    for q, m, delta, lam, bound, true_d in BOUND_CASES:
         spec = bch_spec(q, m, delta, lam=lam)
         table = coset_table(spec.n, q)
         report = bound_report(spec, table)
@@ -144,37 +109,19 @@ def test_criterion_3_certified_dual_distances():
           f"in {elapsed:.1f}s")
 
 
-SWEEP_CAP = 1000
-_sweep_cache = {}
-
-
-def theorem_sweep():
-    """Spec families within either family's validity, n <= 1000, cached."""
-    if "families" not in _sweep_cache:
-        fams = [("power", q, s, m, n) for q, s, m, n in power_form_specs(SWEEP_CAP)]
-        fams += [("divisor", q, lam, m, n)
-                 for q, lam, m, n in divisor_form_specs(SWEEP_CAP)]
-        _sweep_cache["families"] = fams
-    return _sweep_cache["families"]
-
-
 def test_criterion_4_i_delta_closed_equals_direct():
     t0 = time.perf_counter()
-    families = theorem_sweep()
+    families = THEOREM_SWEEP
     assert len(families) >= 100
     checked = 0
-    for kind, q, par, m, n in families:
+    for q, m, kw, n in families:
         table = coset_table(n, q)
         for delta in range(2, n + 1):
-            kw = {"s": par} if kind == "power" else {"lam": par}
             spec = bch_spec(q, m, delta, **kw)
             t_perp = dual_defining_set(defining_set(spec, table))
             direct = i_delta_direct(t_perp)
-            if kind == "power":
-                closed = i_delta_closed_power_form(q, par, m, delta)
-            else:
-                closed = i_delta_closed_divisor_form(q, par, m, delta)
-            assert closed == direct, (kind, q, par, m, delta, closed, direct)
+            closed = dual_lower_bound(spec) - 1  # the closed form for the family
+            assert closed == direct, (q, m, kw, delta, closed, direct)
             checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
@@ -184,12 +131,10 @@ def test_criterion_4_i_delta_closed_equals_direct():
 
 def test_criterion_5_dually_bch_closed_equals_direct():
     t0 = time.perf_counter()
-    families = theorem_sweep()
     compared = 0
     skipped_families = 0
-    for kind, q, par, m, n in families:
+    for q, m, kw, n in THEOREM_SWEEP:
         table = coset_table(n, q)
-        kw = {"s": par} if kind == "power" else {"lam": par}
         try:
             dually_bch_closed(bch_spec(q, m, 2, **kw), table)
         except ValueError:
@@ -200,13 +145,11 @@ def test_criterion_5_dually_bch_closed_equals_direct():
             direct, _ = dually_bch_direct(
                 dual_defining_set(defining_set(spec, table)), table)
             closed = dually_bch_closed(spec, table)
-            assert closed == direct, (kind, q, par, m, delta)
+            assert closed == direct, (q, m, kw, delta)
             compared += 1
 
     # thresholds of the four anchor instances: dually-BCH iff thr < delta <= n
-    thresholds = [(3, {"s": 2}, 6, 49), (3, {"s": 3}, 9, 388),
-                  (5, {"lam": 2}, 4, 247), (7, {"lam": 3}, 3, 95)]
-    for q, kw, m, expected in thresholds:
+    for q, m, kw, expected in DUALLY_BCH_CASES:
         spec = bch_spec(q, m, 2, **kw)
         table = coset_table(spec.n, q)
         verdicts = []
@@ -227,12 +170,11 @@ def test_criterion_5_dually_bch_closed_equals_direct():
 def test_criterion_6_lower_bound_soundness():
     t0 = time.perf_counter()
     checked = 0
-    for kind, q, par, m, n in theorem_sweep():
+    for q, m, kw, n in THEOREM_SWEEP:
         if n > 128:
             continue
         table = coset_table(n, q)
         ctx = ext_field(q, m)
-        kw = {"s": par} if kind == "power" else {"lam": par}
         for delta in range(2, n + 1):
             spec = bch_spec(q, m, delta, **kw)
             t = defining_set(spec, table)
@@ -243,10 +185,10 @@ def test_criterion_6_lower_bound_soundness():
             assert cert.status == "exact"
             if report.lower_bound_closed is not None:
                 assert report.lower_bound_closed <= cert.upper, \
-                    (kind, q, par, m, delta, report.lower_bound_closed, cert.upper)
+                    (q, m, kw, delta, report.lower_bound_closed, cert.upper)
                 checked += 1
     # the ISD-certified anchor is exact as well and must respect its bound
-    for q, m, delta, lam, bound, true_d in ANCHORS:
+    for q, m, delta, lam, bound, true_d in BOUND_CASES:
         spec = bch_spec(q, m, delta, lam=lam)
         table = coset_table(spec.n, q)
         report = bound_report(spec, table)
@@ -271,28 +213,20 @@ def test_criterion_7_property_grids():
           f"in {elapsed:.1f}s")
 
 
-def _instances_upto_100():
-    seen = set()
-    for kind, q, par, m, n in theorem_sweep():
-        if n <= 100 and (q, m, n) not in seen:
-            seen.add((q, m, n))
-            kw = {"s": par} if kind == "power" else {"lam": par}
-            yield q, m, n, kw
-
 
 def test_criterion_8_algebraic_invariants():
     t0 = time.perf_counter()
 
     # (a) product of the minimal polynomials over all cosets equals x^n - 1
     products = 0
-    for q, m, n, kw in _instances_upto_100():
+    for q, m, kw, n in SMALL_FAMILIES:
         ctx = ext_field(q, m)
         table = coset_table(n, q)
         lam_total = (q**m - 1) // n
         field = scalar_field(q)
         prod = Poly.one(field)
         for leader, members in table.cosets.items():
-            beta_power = elem_pow(ctx, ctx.generator, lam_total * leader)
+            beta_power = ctx.pow(ctx.generator, lam_total * leader)
             prod = prod * minimal_polynomial(ctx, beta_power, members, q)
         assert prod == Poly.x_pow_minus_one(n, field), (q, m, n)
         products += 1
@@ -300,7 +234,7 @@ def test_criterion_8_algebraic_invariants():
     # (b) dual defining set equals the root set of the reciprocal of
     #     h(x) = (x^n - 1)/g(x), for every instance with n <= 100
     reciprocal_checked = 0
-    for q, m, n, kw in _instances_upto_100():
+    for q, m, kw, n in SMALL_FAMILIES:
         ctx = ext_field(q, m)
         table = coset_table(n, q)
         field = scalar_field(q)
@@ -309,14 +243,14 @@ def test_criterion_8_algebraic_invariants():
             deltas = range(2, n + 1)
         else:
             deltas = sorted({2, 3, n // 2, delta1, min(delta1 + 1, n), n})
-        beta = elem_pow(ctx, ctx.generator, (q**m - 1) // n)
+        beta = ctx.pow(ctx.generator, (q**m - 1) // n)
         for delta in deltas:
             spec = bch_spec(q, m, delta, **kw)
             params = code_params(spec, ctx, table)
             h = Poly.x_pow_minus_one(n, field) // params.generator
             h_rev = h.reciprocal().monic()
             roots = {i for i in range(n)
-                     if poly_eval_in_ext(ctx, h_rev, elem_pow(ctx, beta, i))
+                     if poly_eval_in_ext(ctx, h_rev, ctx.pow(beta, i))
                      == ctx.zero()}
             t_perp = dual_defining_set(defining_set(spec, table))
             assert roots == set(t_perp.members), (q, m, n, delta)

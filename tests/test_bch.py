@@ -18,11 +18,12 @@ from dualbch.bch import (
     dual_defining_set,
     generator_from_set,
     generator_matrix,
+    theorem_families,
 )
 from dualbch.cyclotomic import coset_table, largest_leaders
+from dualbch.dualtools import dual_lower_bound
 from dualbch.gf import (
     Poly,
-    elem_pow,
     field_new,
     poly_eval_in_ext,
     prime_power,
@@ -30,7 +31,6 @@ from dualbch.gf import (
     scalar_field,
 )
 from dualbch.mindist import DEFAULT_BUDGET
-from test_acceptance import divisor_form_specs, power_form_specs
 
 
 class TestBchSpec:
@@ -71,6 +71,31 @@ class TestBchSpec:
             BchSpec(2, 6, PowerForm(1), 64)  # delta > n
         with pytest.raises(ValueError):
             BchSpec(2, 6, PowerForm(1), 1)  # delta < 2
+
+
+class TestTheoremFamilies:
+    def test_matches_brute_force_filter(self):
+        # Every prime power q, every m and every s or lambda that bch_spec and
+        # the closed forms accept, with n <= cap.  m >= 2 gives n >= q + 1, so
+        # q <= cap; n >= 2^(m/2) keeps m below 20.  lambda = q - 1 is s = 1.
+        cap, found = 300, []
+        for q in range(2, cap + 1):
+            if prime_power(q) is None:
+                continue
+            for m in range(1, 20):
+                kws = [{"s": s} for s in range(1, m + 1)]
+                kws += [{"lam": lam} for lam in range(1, q - 1) if (q**m - 1) // lam <= cap]
+                for kw in kws:
+                    try:
+                        spec = bch_spec(q, m, 2, **kw)
+                        dual_lower_bound(spec)  # raises outside both closed forms
+                    except ValueError:
+                        continue
+                    if spec.n <= cap:
+                        found.append(("lam" in kw, q, *kw.values(), m, spec.n, kw))
+        found.sort(key=lambda f: f[:4])  # power forms by q, s, m; then q, lam, m
+        assert list(theorem_families(cap)) == [(q, m, kw, n) for _, q, _, m, n, kw in found]
+        assert len(found) == 128
 
 
 class TestDefiningSet:
@@ -195,7 +220,7 @@ class TestCodeParams:
         t = defining_set(spec, table)
         for i in range(26):
             val = poly_eval_in_ext(ctx, params.generator,
-                                   elem_pow(ctx, ctx.generator, i))
+                                   ctx.pow(ctx.generator, i))
             assert (val == ctx.zero()) == (i in t)
 
     def test_power_form_beta_exponent(self):
@@ -205,10 +230,20 @@ class TestCodeParams:
         table = coset_table(91, 3)
         params = code_params(spec, ctx, table)
         assert params.n == 91
-        beta = elem_pow(ctx, ctx.generator, 8)
+        beta = ctx.pow(ctx.generator, 8)
         for i in (1, 2, 3):
-            val = poly_eval_in_ext(ctx, params.generator, elem_pow(ctx, beta, i))
+            val = poly_eval_in_ext(ctx, params.generator, ctx.pow(beta, i))
             assert val == ctx.zero()
+
+    def test_generators_build_no_coset_map(self):
+        # each coset of T comes from its leader's orbit, not from table.cosets
+        spec = bch_spec(2, 10, 9, lam=1)
+        table = coset_table(spec.n, 2)
+        ctx = field_new(2, 10)
+        dual = dual_code_params(spec, ctx, table)
+        primal = code_params(spec, ctx, table)
+        assert table._cosets is None
+        assert (dual.k, primal.k) == (40, 983)
 
 
 class TestGeneratorMatrix:
@@ -263,18 +298,15 @@ class TestDualGeneratorConsistency:
         f = scalar_field(q)
         h = Poly.x_pow_minus_one(spec.n, f) // params.generator
         h_rev = h.reciprocal().monic()
-        beta = elem_pow(ctx, ctx.generator, spec.lam)
+        beta = ctx.pow(ctx.generator, spec.lam)
         for i in range(spec.n):
-            val = poly_eval_in_ext(ctx, h_rev, elem_pow(ctx, beta, i))
+            val = poly_eval_in_ext(ctx, h_rev, ctx.pow(beta, i))
             assert (val == ctx.zero()) == (i in t_perp)
 
     def test_division_matches_coset_product_on_theorem_families(self):
         # reference: the per-coset minimal-polynomial product over T_perp
-        families = [(q, m, {"s": s}) for q, s, m, _ in power_form_specs(255)]
-        families += [(q, m, {"lam": lam}) for q, lam, m, _ in divisor_form_specs(255)]
         compared = 0
-        for q, m, kw in families:
-            n = bch_spec(q, m, 2, **kw).n
+        for q, m, kw, n in theorem_families(255):
             table = coset_table(n, q)
             p_, e = prime_power(q)
             ctx = field_new(p_, e * m)

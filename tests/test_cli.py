@@ -97,6 +97,17 @@ class TestCosets:
         assert (code, out) == (1, "")
         assert "dualbch cosets: error: q=6 is not a prime power" in err
 
+    @pytest.mark.parametrize("flag,value,rest", [
+        ("--s", "0", ["--m", "4"]),
+        ("--s", "-2", ["--m", "6"]),
+        ("--m", "-3", ["--lambda", "1"]),
+        ("--m", "0", ["--s", "1"]),
+    ])
+    def test_m_and_s_below_1_exit_1(self, capsys, flag, value, rest):
+        code, out, err = run(capsys, "cosets", "--q", "2", flag, value, *rest)
+        assert (code, out) == (1, "")
+        assert f"dualbch cosets: error: argument {flag}: must be >= 1, got {value}" in err
+
 
 class TestSizeGuard:
     @pytest.mark.parametrize("argv", [
@@ -116,7 +127,7 @@ class TestDualBound:
     def test_binary_delta3_certified(self, capsys):
         code, out, _ = run(capsys, "dual-bound", "--q", "2", "--m", "6",
                            "--lambda", "1", "--delta", "3", "--certify",
-                           "--format", "json")
+                           "--seed", "0", "--format", "json")
         assert code == 0
         bounds = section(out, "dual_distance_bounds")
         assert bounds["rows"] == [[31, 31, 32, 32]]
@@ -142,8 +153,6 @@ class TestDualBound:
         code, out, _ = run(capsys, "dual-bound", "--q", "3", "--m", "3",
                            "--lambda", "1", "--delta", "26", "--format", "json")
         assert code == 0
-        row = dict(zip(*(section(out, "dual_distance_bounds")[k]
-                         for k in ("columns", "rows"))))
         row = dict(zip(section(out, "dual_distance_bounds")["columns"],
                        section(out, "dual_distance_bounds")["rows"][0]))
         assert row["i_delta_direct"] == 1 and row["i_delta_closed"] == 1
@@ -182,6 +191,14 @@ class TestDualBound:
                              "--trials", "0")
         assert (code, out) == (1, "")
         assert "dualbch dual-bound: error: argument --trials" in err
+
+    def test_negative_seed_exits_1(self, capsys):
+        # the information-set search would hand the seed to numpy
+        code, out, err = run(capsys, "dual-bound", "--q", "2", "--m", "10",
+                             "--lambda", "1", "--delta", "65", "--certify",
+                             "--budget", "1", "--trials", "1", "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert "dualbch dual-bound: error: argument --seed: must be >= 0, got -1" in err
 
     def test_lambda_and_s_conflict(self, capsys):
         code, _, _ = run(capsys, "dual-bound", "--q", "2", "--m", "6",
@@ -298,6 +315,26 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert "dualbch verify: error: argument --threads: must be >= 1" in err
 
+    @pytest.mark.parametrize("text,message", [
+        (None, "No such file or directory"),
+        ("{", "Expecting property name"),
+        ('{"schema": "nope", "grids": []}', "unrecognised manifest schema: 'nope'"),
+        (json.dumps({"schema": MANIFEST_SCHEMA, "grids": [
+            {"lemma_id": "mystery", "cases": [{"q": 2, "m": 3}]}]}),
+         "unknown lemma_id in manifest: 'mystery'"),
+        (json.dumps({"schema": MANIFEST_SCHEMA, "grids": [
+            {"lemma_id": "leader_floor_power_form", "cases": [{"q": 2, "s": 1, "m": 2}]}]}),
+         "need s | m and m/s >= 3"),
+    ], ids=["missing", "invalid-json", "schema", "lemma-id", "hypotheses"])
+    def test_bad_grids_exit_1(self, capsys, tmp_path, text, message):
+        p = tmp_path / "grids.json"
+        if text is not None:
+            p.write_text(text)
+        code, out, err = run(capsys, "verify", "--only", "grids", "--grids", str(p))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"dualbch verify: error: grid manifest {p}: ")
+        assert message in err
+
     def test_custom_grids_path(self, capsys, tmp_path):
         manifest = {
             "schema": MANIFEST_SCHEMA,
@@ -316,7 +353,6 @@ class TestVerify:
     def test_mismatch_exits_2(self, capsys, monkeypatch):
         import dualbch.cli as cli
 
-        monkeypatch.setitem(cli._FAMILY_MODULUS, "full", lambda q, m: q**m - 1)
         monkeypatch.setattr(
             cli, "LEADER_CASES", [(3, 91, 50)])  # wrong on purpose
         code, out, _ = run(capsys, "verify", "--only", "leaders",

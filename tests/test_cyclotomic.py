@@ -12,6 +12,7 @@ from dualbch.cyclotomic import (
     is_leader_at_least,
     largest_leaders,
     largest_leaders_closed_form,
+    leader_family_modulus,
     multiplicative_order,
     q_adic,
 )
@@ -194,6 +195,14 @@ class TestClosedFormLeaders:
             largest_leaders_closed_form(4, 5, "half")
         with pytest.raises(ValueError):
             largest_leaders_closed_form(3, 5, "everything")
+
+    def test_family_modulus(self):
+        assert leader_family_modulus(3, 4, "full") == 80
+        assert leader_family_modulus(3, 4, "q_minus_1") == 40
+        assert leader_family_modulus(3, 4, "half") == 40
+        assert leader_family_modulus(5, 4, "q_minus_1") == 156
+        with pytest.raises(ValueError):
+            leader_family_modulus(3, 4, "everything")
 
 
 def divisors(n):

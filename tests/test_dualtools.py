@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from dualbch.bch import (
     DefiningSet,
+    PowerForm,
+    bch_bound_from_set,
     bch_spec,
     defining_set,
     dual_defining_set,
+    theorem_families,
 )
 from dualbch.cyclotomic import coset_leader, coset_table, largest_leaders
 from dualbch.dualtools import (
@@ -26,9 +29,6 @@ from dualbch.dualtools import (
     i_delta_direct,
     prior_bounds,
 )
-
-
-from test_acceptance import divisor_form_specs, power_form_specs
 
 
 def t_perp_of(spec, table=None):
@@ -126,11 +126,8 @@ class TestDualLowerBound:
         for q, m, kw in [(2, 6, dict(lam=1)), (3, 6, dict(s=2)), (3, 9, dict(s=3)),
                          (5, 2, dict(lam=1)), (5, 4, dict(lam=2)), (7, 3, dict(lam=3)),
                          (7, 2, dict(lam=2)), (3, 4, dict(lam=1))]:
-            n = None
             for delta in range(2, bch_spec(q, m, 2, **kw).n + 1):
                 spec = bch_spec(q, m, delta, **kw)
-                from dualbch.bch import PowerForm
-
                 if isinstance(spec.lambda_kind, PowerForm):
                     i = i_delta_closed_power_form(q, spec.lambda_kind.s, m, delta)
                 else:
@@ -159,18 +156,13 @@ SWEEP_SPECS = [
 class TestClosedMatchesDirect:
     @pytest.mark.parametrize("q,m,kw", SWEEP_SPECS)
     def test_i_delta_full_sweep(self, q, m, kw):
-        from dualbch.bch import PowerForm
-
+        # dual_lower_bound is closed I(delta) + 1 (test_equals_i_delta_plus_1)
         n = bch_spec(q, m, 2, **kw).n
         table = coset_table(n, q)
         for delta in range(2, n + 1):
             spec = bch_spec(q, m, delta, **kw)
             direct = i_delta_direct(t_perp_of(spec, table))
-            if isinstance(spec.lambda_kind, PowerForm):
-                closed = i_delta_closed_power_form(q, spec.lambda_kind.s, m, delta)
-            else:
-                closed = i_delta_closed_divisor_form(q, spec.lam, m, delta)
-            assert closed == direct, f"delta={delta}"
+            assert dual_lower_bound(spec) - 1 == direct, f"delta={delta}"
 
     @pytest.mark.parametrize("q,m,kw", SWEEP_SPECS)
     def test_dually_bch_full_sweep(self, q, m, kw):
@@ -187,8 +179,6 @@ class TestClosedMatchesDirect:
 
     @pytest.mark.parametrize("q,m,kw", SWEEP_SPECS)
     def test_direct_run_bound_at_least_closed(self, q, m, kw):
-        from dualbch.bch import bch_bound_from_set
-
         n = bch_spec(q, m, 2, **kw).n
         table = coset_table(n, q)
         for delta in range(2, n + 1, 7):
@@ -410,22 +400,12 @@ class TestHypothesisSweep:
     @given(valid_specs())
     @settings(max_examples=120, deadline=None)
     def test_closed_forms_agree_with_direct(self, spec):
-        from dualbch.bch import PowerForm
-
         table = coset_table(spec.n, spec.q)
         tp = t_perp_of(spec, table)
-        direct = i_delta_direct(tp)
         try:
-            if isinstance(spec.lambda_kind, PowerForm):
-                closed = i_delta_closed_power_form(
-                    spec.q, spec.lambda_kind.s, spec.m, spec.delta)
-            else:
-                closed = i_delta_closed_divisor_form(
-                    spec.q, spec.lam, spec.m, spec.delta)
+            assert dual_lower_bound(spec) - 1 == i_delta_direct(tp)
         except ValueError:
-            closed = None
-        if closed is not None:
-            assert closed == direct
+            pass  # outside both closed forms' hypotheses
         verdict, _ = dually_bch_direct(tp, table)
         try:
             assert dually_bch_closed(spec, table) == verdict
@@ -447,11 +427,9 @@ def per_delta_oracle(table):
 
 class TestDeltaSweep:
     def test_matches_oracle_on_theorem_sweep(self):
-        # every family of the acceptance suite's n <= 1000 theorem sweep
-        families = [(q, n) for q, _, _, n in power_form_specs(1000)]
-        families += [(q, n) for q, _, _, n in divisor_form_specs(1000)]
+        # every theorem family with n <= 1000
         pairs = 0
-        for q, n in families:
+        for q, _, _, n in theorem_families(1000):
             table = coset_table(n, q)
             assert delta_sweep(table) == per_delta_oracle(table), (q, n)
             pairs += n - 1

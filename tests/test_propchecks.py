@@ -195,12 +195,18 @@ class TestManifestAndRunner:
 
     def test_bad_manifest_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": "nope", "grids": []}))
-        with pytest.raises(ValueError):
-            load_grid_manifest(bad)
-        with pytest.raises(ValueError):
-            run_grid({"schema": MANIFEST_SCHEMA,
-                      "grids": [{"lemma_id": "mystery", "cases": [{"q": 2, "m": 3}]}]})
+        for manifest in [{"schema": "nope", "grids": []}, [1], {"schema": MANIFEST_SCHEMA},
+                         {"schema": MANIFEST_SCHEMA, "grids": [{"lemma_id": "x"}]}]:
+            bad.write_text(json.dumps(manifest))
+            with pytest.raises(ValueError):
+                load_grid_manifest(bad)
+        for lemma_id, case in [("mystery", {"q": 2, "m": 3}),
+                               ("leader_floor_power_form", {"q": 2, "m": 6}),
+                               ("tperp_leader_membership", {"q": 2, "s": 2, "m": 6}),
+                               ("tperp_leader_membership", {"q": 2, "kind": "x", "m": 6})]:
+            with pytest.raises(ValueError):
+                run_grid({"schema": MANIFEST_SCHEMA,
+                          "grids": [{"lemma_id": lemma_id, "cases": [case]}]})
         with pytest.raises(ValueError):
             run_grid({}, threads=0)
 
