@@ -17,20 +17,9 @@ from dualbch.cyclotomic import coset_table
 from dualbch.dualtools import delta_sweep, dually_bch_closed
 
 
-def threshold_direct(table):
-    false_deltas = [d for d, (_, verdict, _) in enumerate(delta_sweep(table), 2)
-                    if not verdict]
-    return max(false_deltas, default=1)
-
-
-def threshold_closed(q, m, kw, table, n):
-    try:
-        verdicts = [dually_bch_closed(bch_spec(q, m, d, **kw), table)
-                    for d in range(2, n + 1)]
-    except ValueError:
-        return None
-    false_deltas = [d for d, v in zip(range(2, n + 1), verdicts) if not v]
-    return max(false_deltas) if false_deltas else 1
+def threshold(verdicts):
+    """Largest delta (counting from 2) with a False verdict, or 1 if none."""
+    return max((d for d, v in enumerate(verdicts, 2) if not v), default=1)
 
 
 def main():
@@ -44,8 +33,12 @@ def main():
     disagreements = 0
     for q, m, kw, n in theorem_families(args.max_n):
         table = coset_table(n, q)
-        direct = threshold_direct(table)
-        closed = threshold_closed(q, m, kw, table, n)
+        direct = threshold(v for _, v, _ in delta_sweep(table))
+        try:
+            closed = threshold([dually_bch_closed(bch_spec(q, m, d, **kw), table)
+                                for d in range(2, n + 1)])
+        except ValueError:  # outside the closed form's hypotheses
+            closed = None
         fam = f"s={kw['s']}" if "s" in kw else f"lam={kw['lam']}"
         if closed is None:
             agree = "n/a"

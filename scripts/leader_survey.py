@@ -20,6 +20,7 @@ from dualbch.cyclotomic import (
 )
 from dualbch.gf import prime_power
 
+
 def survey(qs, max_order):
     print(f"{'q':>3} {'m':>3} {'family':<10} {'n':>8} {'closed form':<22} "
           f"{'brute force':<22} agree")

@@ -29,9 +29,7 @@ def power_floor_cases(max_order):
     for q in QS:
         m = 3
         while q**m - 1 <= max_order:
-            for s in divisors(m):
-                if m // s >= 3:
-                    cases.append({"q": q, "s": s, "m": m})
+            cases += [{"q": q, "s": s, "m": m} for s in divisors(m) if m // s >= 3]
             m += 1
     return cases
 
@@ -39,10 +37,7 @@ def power_floor_cases(max_order):
 def divisor_floor_cases(max_order):
     cases = []
     for q in QS:
-        lams = [d for d in divisors(q - 1) if d != q - 1]
-        if not lams:
-            continue
-        for lam in lams:
+        for lam in divisors(q - 1)[:-1]:  # every divisor but q - 1
             m = 2
             while q**m - 1 <= max_order:
                 cases.append({"q": q, "lam": lam, "m": m})
@@ -57,7 +52,7 @@ def membership_cases(max_n):
             continue
         if kw.get("s", 0) >= 2:
             cases.append({"q": q, "kind": "power", "s": kw["s"], "m": m})
-        elif q > 3 and 1 < kw.get("lam", 0) < q - 1:
+        elif kw.get("lam", 0) > 1:
             cases.append({"q": q, "kind": "divisor", "lam": kw["lam"], "m": m})
     return cases
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import CosetTable, coset_table
+from .cyclotomic import CosetTable
 from .gf import FieldCtx, Poly, minimal_polynomial, prime_power, scalar_field
 
 

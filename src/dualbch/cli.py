@@ -32,7 +32,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .bch import bch_spec, defining_set, dual_code_params, dual_defining_set, generator_matrix
+from .bch import bch_spec, defining_set, dual_code_params, dual_defining_set
 from .cyclotomic import (
     LEADER_FAMILIES,
     coset_table,
@@ -272,19 +272,16 @@ def cmd_cosets(args) -> int:
             raise CliError("need --n, or --m with --lambda or --s")
         m = args.m
         if args.s is not None:
-            s, lam = args.s, None
+            s, lam = args.s, q**args.s - 1
             if m % s:
                 raise CliError(f"s={s} does not divide m={m}")
-            n = (q**m - 1) // (q**s - 1)
-            lam = q**s - 1
         elif args.lam is not None:
-            s = None
-            lam = args.lam
+            s, lam = None, args.lam
             if lam < 1 or (q**m - 1) % lam:
                 raise CliError(f"lambda={lam} does not divide q^m-1={q**m - 1}")
-            n = (q**m - 1) // lam
         else:
             raise CliError("need --lambda or --s alongside --m")
+        n = (q**m - 1) // lam
         _check_size(n)
     try:
         table = coset_table(n, q)
@@ -506,8 +503,10 @@ def _verify_rows(only, grids_path, threads):
         try:
             manifest = load_grid_manifest(grids_path)
             results = run_grid(manifest, threads=threads)
-        except (OSError, ValueError, TypeError, ArithmeticError) as e:
-            raise CliError(f"grid manifest {grids_path or '(packaged)'}: {e}") from None
+        except (OSError, ValueError) as e:
+            if grids_path is None:
+                raise  # the packaged manifest is tested; this is a defect
+            raise CliError(f"grid manifest {grids_path}: {e}") from None
         cases = [(g["lemma_id"], c) for g in manifest["grids"] for c in g["cases"]]
         for (lemma_id, case), result in zip(cases, results):
             name = " ".join(f"{k}={v}" for k, v in case.items())

@@ -31,7 +31,6 @@ import numpy as np
 from .bch import (
     BchSpec,
     DefiningSet,
-    DivisorOfQMinus1,
     PowerForm,
     bch_bound_from_set,
     defining_set,
@@ -89,7 +88,8 @@ def i_delta_direct(t_perp: DefiningSet) -> int:
 # I(delta): closed forms
 # ---------------------------------------------------------------------------
 
-def _validate_power_form(q, s, m):
+def validate_power_form(q, s, m):
+    """Raise ValueError unless the power-form analysis covers (q, s, m)."""
     if q < 2:
         raise ValueError(f"q={q} must be >= 2")
     if s < 1 or m % s:
@@ -112,7 +112,7 @@ def _power_case(q, s, m, delta):
 
 def i_delta_closed_power_form(q: int, s: int, m: int, delta: int) -> int:
     """I(delta) for length (q^m - 1)/(q^s - 1), valid for m/s >= 3."""
-    _validate_power_form(q, s, m)
+    validate_power_form(q, s, m)
     n = (q**m - 1) // (q**s - 1)
     if not 2 <= delta <= n:
         raise ValueError(f"delta={delta} out of range [2, {n}]")
@@ -122,7 +122,8 @@ def i_delta_closed_power_form(q: int, s: int, m: int, delta: int) -> int:
     return (q**(m - t * s) - 1) // (q**s - 1)
 
 
-def _validate_divisor_form(q, lam, m):
+def validate_divisor_form(q, lam, m):
+    """Raise ValueError unless the divisor-form analysis covers (q, lam, m)."""
     if q < 3:
         raise ValueError(f"q={q} must be >= 3 for the divisor-form analysis")
     if lam < 1 or (q - 1) % lam:
@@ -161,7 +162,7 @@ def _divisor_case(q, lam, m, delta):
 
 def i_delta_closed_divisor_form(q: int, lam: int, m: int, delta: int) -> int:
     """I(delta) for length (q^m - 1)/lambda with lambda | q-1, lambda != q-1."""
-    _validate_divisor_form(q, lam, m)
+    validate_divisor_form(q, lam, m)
     n = (q**m - 1) // lam
     if not 2 <= delta <= n:
         raise ValueError(f"delta={delta} out of range [2, {n}]")
@@ -345,7 +346,7 @@ def dually_bch_closed(spec: BchSpec, table: CosetTable | None = None) -> bool:
     if (table.n, table.q) != (n, q):
         raise ValueError("table does not match spec")
     if isinstance(lk, PowerForm):
-        _validate_power_form(q, lk.s, m)
+        validate_power_form(q, lk.s, m)
         if q == 2 and m < 6:
             raise ValueError(f"m={m} < 6: criterion not applicable for q = 2")
         if q >= 3 and m < 4:
@@ -355,7 +356,7 @@ def dually_bch_closed(spec: BchSpec, table: CosetTable | None = None) -> bool:
             return delta in (2, 3) or d2 + 1 <= delta <= n
         d1 = largest_leaders(table, 1)[0]
         return d1 < delta <= n
-    _validate_divisor_form(q, lk.lam, m)
+    validate_divisor_form(q, lk.lam, m)
     if lk.lam == 1:
         d1, d2 = largest_leaders(table, 2)
         return delta == 2 or d2 < delta <= n

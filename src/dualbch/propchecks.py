@@ -27,6 +27,7 @@ import numpy as np
 
 from .bch import DivisorOfQMinus1, PowerForm
 from .cyclotomic import CosetTable, coset_table
+from .dualtools import validate_divisor_form, validate_power_form
 
 MANIFEST_SCHEMA = "dualbch-prop-grids/1"
 
@@ -70,8 +71,7 @@ def check_leader_floor_power_form(
     These floors pin the large coset leaders that make the dual defining set
     of a power-form code start with a long run of consecutive elements.
     """
-    if m % s or m // s < 3:
-        raise ValueError("need s | m and m/s >= 3")
+    validate_power_form(q, s, m)
     order = q**m - 1
     table = _own_table(order, q, table)
     lead = table.leader_of
@@ -102,10 +102,7 @@ def check_leader_floor_divisor_form(
     modulo q^m-1 before the coset lookup since the raw value can exceed the
     modulus.
     """
-    if q < 3 or (q - 1) % lam or lam == q - 1:
-        raise ValueError("need q >= 3, lam | q-1 and lam != q-1")
-    if m < 2:
-        raise ValueError("need m >= 2")
+    validate_divisor_form(q, lam, m)
     order = q**m - 1
     table = _own_table(order, q, table)
     lead = table.leader_of
@@ -171,8 +168,7 @@ def check_tperp_leader_membership(
         s = lambda_kind.s
         if s <= 1:
             raise ValueError("power-form membership claims need s > 1")
-        if m % s or m // s < 3:
-            raise ValueError("need s | m and m/s >= 3")
+        validate_power_form(q, s, m)
         n = (q**m - 1) // (q**s - 1)
         table = _own_table(n, q, table)
         for t in range(1, m // s - 1):
@@ -190,10 +186,7 @@ def check_tperp_leader_membership(
         lam = lambda_kind.lam
         if not (q > 3 and 1 < lam < q - 1):
             raise ValueError("divisor-form membership claims need q > 3 and 1 < lam < q-1")
-        if (q - 1) % lam:
-            raise ValueError("need lam | q-1")
-        if m < 2:
-            raise ValueError("need m >= 2")
+        validate_divisor_form(q, lam, m)
         n = (q**m - 1) // lam
         table = _own_table(n, q, table)
         num1 = q**m - ((lam - 1) * q + 1) * q ** (m - 2) - 1
@@ -254,6 +247,11 @@ def load_grid_manifest(path: str | Path | None = None) -> dict:
 
 def _plan_case(lemma_id: str, case: dict) -> tuple:
     """(check, arguments, (modulus, base) of its coset table) for one case."""
+    if not isinstance(case, dict):
+        raise ValueError(f"{lemma_id} case {case!r} is not an object")
+    for key, lo in (("q", 2), ("m", 1), ("s", 1), ("lam", 1)):
+        if key in case and not (type(case[key]) is int and case[key] >= lo):
+            raise ValueError(f"{lemma_id} case {case}: {key} must be an integer >= {lo}")
     try:
         q, m = case["q"], case["m"]
         if lemma_id == "leader_floor_power_form":

@@ -319,21 +319,33 @@ class TestVerify:
         (None, "No such file or directory"),
         ("{", "Expecting property name"),
         ('{"schema": "nope", "grids": []}', "unrecognised manifest schema: 'nope'"),
-        (json.dumps({"schema": MANIFEST_SCHEMA, "grids": [
-            {"lemma_id": "mystery", "cases": [{"q": 2, "m": 3}]}]}),
-         "unknown lemma_id in manifest: 'mystery'"),
-        (json.dumps({"schema": MANIFEST_SCHEMA, "grids": [
-            {"lemma_id": "leader_floor_power_form", "cases": [{"q": 2, "s": 1, "m": 2}]}]}),
-         "need s | m and m/s >= 3"),
-    ], ids=["missing", "invalid-json", "schema", "lemma-id", "hypotheses"])
+        (("mystery", {"q": 2, "m": 3}), "unknown lemma_id in manifest: 'mystery'"),
+        (("leader_floor_power_form", {"q": 2, "s": 1, "m": 2}), "m/s = 2/1 < 3"),
+        (("leader_floor_power_form", {"q": 2.0, "s": 2, "m": 6}),
+         "q must be an integer >= 2"),
+        (("leader_floor_power_form", {"q": 2, "s": 0, "m": 6}),
+         "s must be an integer >= 1"),
+    ], ids=["missing", "invalid-json", "schema", "lemma-id", "hypotheses",
+            "float-q", "zero-s"])
     def test_bad_grids_exit_1(self, capsys, tmp_path, text, message):
         p = tmp_path / "grids.json"
+        if isinstance(text, tuple):  # one grid with one case
+            text = json.dumps({"schema": MANIFEST_SCHEMA, "grids": [
+                {"lemma_id": text[0], "cases": [text[1]]}]})
         if text is not None:
             p.write_text(text)
         code, out, err = run(capsys, "verify", "--only", "grids", "--grids", str(p))
         assert (code, out) == (1, "")
         assert err.startswith(f"dualbch verify: error: grid manifest {p}: ")
         assert message in err
+
+    def test_packaged_grid_error_is_not_a_usage_error(self, monkeypatch):
+        # the packaged manifest is tested, so an error on it is a library defect
+        import dualbch.cli as cli
+
+        monkeypatch.setattr(cli, "run_grid", lambda manifest, threads: int("defect"))
+        with pytest.raises(ValueError, match="defect"):
+            main(["verify", "--only", "grids"])
 
     def test_custom_grids_path(self, capsys, tmp_path):
         manifest = {

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualbch.cyclotomic import (
-    CosetTable,
     coset_leader,
     coset_table,
     is_leader_at_least,
@@ -206,8 +205,7 @@ class TestClosedFormLeaders:
 
 
 def divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 class TestLeaderLifting:

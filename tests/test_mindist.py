@@ -6,7 +6,7 @@ import pytest
 from dualbch.bch import bch_spec, dual_code_params, generator_matrix
 from dualbch.cyclotomic import coset_table
 from dualbch.dualtools import bound_report
-from dualbch.gf import field_new, poly_eval_in_ext, scalar_field, subfield_embed
+from dualbch.gf import field_new, scalar_field, subfield_embed
 from dualbch.mindist import (
     _BLOCK_CAP,
     BudgetExceeded,

@@ -203,7 +203,11 @@ class TestManifestAndRunner:
         for lemma_id, case in [("mystery", {"q": 2, "m": 3}),
                                ("leader_floor_power_form", {"q": 2, "m": 6}),
                                ("tperp_leader_membership", {"q": 2, "s": 2, "m": 6}),
-                               ("tperp_leader_membership", {"q": 2, "kind": "x", "m": 6})]:
+                               ("tperp_leader_membership", {"q": 2, "kind": "x", "m": 6}),
+                               ("leader_floor_power_form", [2, 2, 6]),
+                               ("leader_floor_power_form", {"q": 2.0, "s": 2, "m": 6}),
+                               ("leader_floor_power_form", {"q": 2, "s": 0, "m": 6}),
+                               ("leader_floor_divisor_form", {"q": 5, "lam": True, "m": 3})]:
             with pytest.raises(ValueError):
                 run_grid({"schema": MANIFEST_SCHEMA,
                           "grids": [{"lemma_id": lemma_id, "cases": [case]}]})
