@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from .bch import bch_spec, defining_set, dual_code_params, dual_defining_set
 from .cyclotomic import (
     LEADER_FAMILIES,
+    MAX_N,
     coset_table,
     largest_leaders,
     largest_leaders_closed_form,
@@ -52,7 +53,6 @@ from .gf import field_new, prime_power
 from .mindist import DEFAULT_BUDGET, DEFAULT_TRIALS, certify
 from .propchecks import load_grid_manifest, run_grid
 
-MAX_N = 1 << 24  # largest code length or modulus accepted; tables are O(n)
 NO_CLOSED_FORM_S = "n/a (s>1: no closed form)"
 NO_CLOSED_FORM_M = "n/a (m<4: no closed form)"
 
@@ -561,7 +561,7 @@ def build_parser() -> Parser:
     p.add_argument("--delta", type=int, required=True, help="designed distance")
     p.add_argument("--certify", action="store_true",
                    help="also determine or bracket the true dual distance")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                    help="codeword cap for exhaustive search")
     p.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS,
                    help="information-set trials when exhaustion is too large")

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from sympy import n_order
 
+MAX_N = 1 << 24  # largest code length or modulus accepted; tables are O(n)
+
 
 def multiplicative_order(q: int, n: int) -> int:
     """Order of q in (Z/n)^*; n = 1 gives 1."""

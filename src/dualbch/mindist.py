@@ -3,24 +3,40 @@
 exhaustive_min_weight walks all q^k messages of a k-dimensional code in
 mixed-radix Gray order, so each step updates the running codeword by a
 single scalar multiple of one generator row.  A block of low-order message
-digits is materialized as a matrix once, making the inner loop a vectorized
-table gather; this keeps 2^26 codewords in the few-minutes range and the
-acceptance-scale instances in seconds.  The block is capped both in rows
-and in elements (rows * n), so long codes walk more Gray steps over a
-smaller block instead of gathering matrices of hundreds of megabytes.
+digits is materialized as a matrix once, making the inner loop one
+vectorized sum of the running word and every block row; this keeps 2^26
+codewords in the few-minutes range and the acceptance-scale instances in
+seconds.  The block is capped both in rows and in elements (rows * n), so
+long codes walk more Gray steps over a smaller block instead of building
+matrices of hundreds of megabytes.
 
-low_weight_search is a randomized information-set decoder: permute columns,
-row-reduce to a systematic basis, and enumerate all information patterns of
-weight <= 2.  It returns the lightest codeword seen, which upper-bounds the
-minimum distance; meeting a proven lower bound certifies exactness.
+low_weight_search is a randomized information-set decoder (Lee-Brickell):
+permute columns, row-reduce to a systematic basis, and enumerate all
+information patterns of weight <= 2.  It returns the lightest codeword
+seen, which upper-bounds the minimum distance; meeting a proven lower bound
+certifies exactness.
 
-certify combines both with the closed-form/BCH lower bounds into a
+Both searches do their codeword arithmetic through one of two kernels.  Over
+GF(q) with q > 2, codewords are int32 rows of field elements, summed by
+gathers from the field's addition table and weighed by count_nonzero.  Over
+GF(2), codewords are bit-packed: 64 positions per uint64 word, a sum is an
+XOR and a weight is a popcount (np.bitwise_count), which moves 32 times
+fewer bytes than int32 rows.  The packing relies on GF(2) having one
+nonzero scalar and addition being XOR, so it is binary only; a GF(q)
+element needs several bits and its sum is no bitwise operation.  The
+kernels share the block split (_block_digits), the Gray digit order and the
+information-pattern order, and both keep the first lightest codeword, so
+both return the same (weight, witness); the table kernel is the packed
+kernel's test oracle.
+
+certify combines both searches with the closed-form/BCH lower bounds into a
 DistanceCertificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +56,14 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class DistanceCertificate:
-    """Bracket [lower, upper] on a code's minimum distance, with evidence."""
+    """Bracket [lower, upper] on a code's minimum distance, with evidence.
+
+    codewords_enumerated counts the nonzero codewords the search weighed
+    (q^k - 1 when exhaustive), trials_run the information sets tried (0
+    when exhaustive), and stop_reason says why the search ended:
+    "exhausted", "target_met" (a witness reached the lower bound) or
+    "trials_done".
+    """
 
     lower: int
     lower_source: str  # "exhaustive", "closed_form_bound", or "cyclic_run_bound"
@@ -49,18 +72,92 @@ class DistanceCertificate:
     status: str  # "exact" | "bracketed"
     method: str  # "exhaustive" | "information_set"
     seed: int | None
+    codewords_enumerated: int
+    trials_run: int
+    stop_reason: str  # "exhausted" | "target_met" | "trials_done"
 
 
-def _weight_min_update(field, c_hi, block, best):
+class _Search(NamedTuple):
+    """Lightest codeword a search found, and what the search did."""
+
+    weight: int
+    witness: np.ndarray
+    enumerated: int
+    trials_run: int
+    stop_reason: str
+
+
+class _TableWords:
+    """Codewords over GF(q) as int32 rows of field elements."""
+
+    def __init__(self, field: ScalarField):
+        self.q = field.q
+        self.add_flat = field.add_t.ravel()
+        self.mul_t = field.mul_t
+        self.nonzero = np.arange(1, field.q, dtype=np.int32)
+
+    def pack(self, rows):
+        return rows.astype(np.int32)
+
+    def unpack(self, word):
+        return word.copy()
+
+    def add(self, a, b):
+        return self.add_flat[a * self.q + b]
+
+    def multiples(self, rows):
+        """c * row for c = 1..q-1 and each row, c-major, as one matrix."""
+        return self.mul_t[self.nonzero[:, None, None], rows[None]].reshape(
+            -1, rows.shape[-1])
+
+    def weights(self, words):
+        return np.count_nonzero(words, axis=-1)
+
+
+class _PackedWords:
+    """Codewords over GF(2) as rows of uint64 words, 64 positions per word.
+
+    The padding bits past position n are 0 in every packed row, and XOR
+    keeps them 0, so a popcount is a Hamming weight.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.width = -(-n // 64)
+
+    def pack(self, rows):
+        bits = np.zeros((len(rows), 64 * self.width), dtype=np.uint8)
+        bits[:, :self.n] = rows != 0
+        return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+
+    def unpack(self, word):
+        bits = np.unpackbits(word.view(np.uint8), bitorder="little")
+        return bits[:self.n].astype(np.int32)
+
+    def add(self, a, b):
+        return a ^ b
+
+    def multiples(self, rows):
+        return rows  # 1 is the only nonzero scalar
+
+    def weights(self, words):
+        return np.bitwise_count(words).sum(axis=-1)
+
+
+def _words_for(field: ScalarField, n: int):
+    """The codeword kernel for length-n codes over field."""
+    return _PackedWords(n) if field.q == 2 else _TableWords(field)
+
+
+def _weight_min_update(words, c_hi, block, best):
     """Min weight over {c_hi + b : b in block}, excluding nothing."""
-    idx = c_hi.astype(np.int32) * field.q + block
-    words = field.add_t.ravel()[idx]
-    weights = np.count_nonzero(words, axis=1)
+    cands = words.add(c_hi, block)
+    weights = words.weights(cands)
     j = int(np.argmin(weights))
     w = int(weights[j])
     if w < best[0]:
         best[0] = w
-        best[1] = words[j].copy()
+        best[1] = words.unpack(cands[j])
     return best
 
 
@@ -77,39 +174,38 @@ def _block_digits(q: int, k: int, n: int) -> int:
     return k_lo
 
 
-def _exhaustive_best(gen: np.ndarray, field: ScalarField, budget: int):
-    """(min_weight, witness) over all nonzero codewords; exact."""
+def _exhaustive_best(gen: np.ndarray, field: ScalarField, budget: int,
+                     words=None) -> _Search:
+    """Lightest nonzero codeword; exact.  words defaults to _words_for."""
     k, n = gen.shape
     q = field.q
     if k == 0:
         raise ValueError("empty code: no nonzero codewords")
     if q**k > budget:
         raise BudgetExceeded(f"q^k = {q**k} exceeds budget {budget}")
-    gen = gen.astype(np.int32)
+    words = words or _words_for(field, n)
+    rows = words.pack(gen)
     # split rows: low block materialized fully, high rows walked in Gray order
     k_lo = _block_digits(q, k, n)
-    block = np.zeros((1, n), dtype=np.int32)
+    block = words.pack(np.zeros((1, n), dtype=np.int32))
     for i in range(k_lo):
-        scaled = [field.mul_t[c, gen[i]] for c in range(q)]
-        block = np.concatenate([field.add_t[block, row[None, :]] for row in scaled])
+        # digit i = 0 keeps the block; digit c > 0 adds c * row i to it
+        block = np.concatenate(
+            [block, *(words.add(block, m) for m in words.multiples(rows[i:i + 1]))])
     k_hi = k - k_lo
-    hi_rows = gen[k_lo:]
+    steps = [words.multiples(rows[i:i + 1]) for i in range(k_lo, k)]
 
-    best = [n + 1, np.zeros(n, dtype=np.int32)]
+    best = [n + 1, None]
     # zero high part: exclude the all-zero low word (block row 0)
     if block.shape[0] > 1:
-        weights = np.count_nonzero(block[1:], axis=1)
+        weights = words.weights(block[1:])
         j = int(np.argmin(weights))
-        if int(weights[j]) < best[0]:
-            best = [int(weights[j]), block[1 + j].copy()]
-
-    if k_hi == 0:
-        return best[0], best[1]
+        best = [int(weights[j]), words.unpack(block[1 + j])]
 
     digits = [0] * k_hi
     dirs = [1] * k_hi
     nonzero_digits = 0
-    c_hi = np.zeros(n, dtype=np.int32)
+    c_hi = np.zeros_like(block[0])
     while True:
         i = 0
         while i < k_hi:
@@ -119,15 +215,16 @@ def _exhaustive_best(gen: np.ndarray, field: ScalarField, budget: int):
                 digits[i] = nd
                 nonzero_digits += (nd != 0) - (old != 0)
                 delta = int(field.sub_t[nd, old])
-                c_hi = field.add_t[c_hi, field.mul_t[delta, hi_rows[i]]]
+                c_hi = words.add(c_hi, steps[i][delta - 1])
                 break
             dirs[i] = -dirs[i]
             i += 1
         else:
-            return best[0], best[1]
+            break  # every high digit pattern visited
         if nonzero_digits == 0:
             continue  # only the zero-high slice, already handled
-        best = _weight_min_update(field, c_hi, block, best)
+        best = _weight_min_update(words, c_hi, block, best)
+    return _Search(best[0], best[1], q**k - 1, 0, "exhausted")
 
 
 def exhaustive_min_weight(gen: np.ndarray, field: ScalarField,
@@ -137,8 +234,7 @@ def exhaustive_min_weight(gen: np.ndarray, field: ScalarField,
     Enumerates all q^k - 1 nonzero codewords; raises BudgetExceeded when
     q^k > budget and ValueError for a zero-dimensional code.
     """
-    w, _ = _exhaustive_best(gen, field, budget)
-    return w
+    return _exhaustive_best(gen, field, budget).weight
 
 
 def _reduce_against(v, R, pivots, field):
@@ -157,45 +253,48 @@ def in_row_space(v: np.ndarray, gen: np.ndarray, field: ScalarField) -> bool:
 
 
 def _isd_best(gen: np.ndarray, field: ScalarField, target: int,
-              trials: int, seed: int):
-    """(best_weight, witness) from information-set search; stops at target."""
+              trials: int, seed: int, words=None) -> _Search:
+    """Lightest codeword from information-set search; stops at target.
+
+    words defaults to _words_for; the row reduction is rref's either way.
+    """
     k, n = gen.shape
-    q = field.q
     if k == 0:
         raise ValueError("empty code: no nonzero codewords")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    words = words or _words_for(field, n)
     rng = np.random.Generator(np.random.PCG64(seed))
     best_w = n + 1
     best_cw = None
-    nonzero = np.arange(1, q, dtype=np.int32)
-    for _ in range(trials):
+    seen = 0
+    for trial in range(1, trials + 1):
         perm = rng.permutation(n)
         R, piv = rref(gen[:, perm], field)
         r = len(piv)
-        rows = R[:r]
+        rows = words.pack(R[:r])
+        inv = perm.argsort()
         # weight-1 information patterns: the reduced rows themselves
-        weights = np.count_nonzero(rows, axis=1)
+        weights = words.weights(rows)
+        seen += r
         j = int(np.argmin(weights))
         if int(weights[j]) < best_w:
             best_w = int(weights[j])
-            best_cw = rows[j][perm.argsort()].copy()
+            best_cw = words.unpack(rows[j])[inv]
             if best_w <= target:
-                return best_w, best_cw
+                return _Search(best_w, best_cw, seen, trial, "target_met")
         # weight-2 patterns: row_i + c*row_j, first coefficient fixed to 1
         for i in range(r - 1):
-            combos = field.add_t[rows[i][None, None, :],
-                                 field.mul_t[nonzero[:, None, None],
-                                             rows[i + 1:][None, :, :]]]
-            combos = combos.reshape(-1, n)
-            weights = np.count_nonzero(combos, axis=1)
+            combos = words.add(rows[i], words.multiples(rows[i + 1:]))
+            weights = words.weights(combos)
+            seen += len(combos)
             j = int(np.argmin(weights))
             if int(weights[j]) < best_w:
                 best_w = int(weights[j])
-                best_cw = combos[j][perm.argsort()].copy()
+                best_cw = words.unpack(combos[j])[inv]
                 if best_w <= target:
-                    return best_w, best_cw
-    return best_w, best_cw
+                    return _Search(best_w, best_cw, seen, trial, "target_met")
+    return _Search(best_w, best_cw, seen, trials, "trials_done")
 
 
 def low_weight_search(gen: np.ndarray, field: ScalarField, target: int,
@@ -206,8 +305,8 @@ def low_weight_search(gen: np.ndarray, field: ScalarField, target: int,
     information patterns over `trials` random information sets and stops as
     soon as the target is met.
     """
-    w, cw = _isd_best(gen, field, target, trials, seed)
-    return cw if w <= target else None
+    found = _isd_best(gen, field, target, trials, seed)
+    return found.witness if found.weight <= target else None
 
 
 def certify(params: CodeParams, bounds: BoundReport,
@@ -228,12 +327,12 @@ def certify(params: CodeParams, bounds: BoundReport,
     else:
         lower, source = direct, "cyclic_run_bound"
     try:
-        w, cw = _exhaustive_best(gen, field, budget)
-        lower, source, upper, method = w, "exhaustive", w, "exhaustive"
-        used_seed = None
+        found = _exhaustive_best(gen, field, budget)
+        lower, source, method, used_seed = found.weight, "exhaustive", "exhaustive", None
     except BudgetExceeded:
-        w, cw = _isd_best(gen, field, lower, trials, seed)
-        upper, method, used_seed = w, "information_set", seed
+        found = _isd_best(gen, field, lower, trials, seed)
+        method, used_seed = "information_set", seed
+    upper, cw = found.weight, found.witness
     if not in_row_space(cw, gen, field):
         raise AssertionError("witness fails row-space membership check")
     if int(np.count_nonzero(cw)) != upper:
@@ -245,4 +344,6 @@ def certify(params: CodeParams, bounds: BoundReport,
         lower=lower, lower_source=source, upper=upper,
         witness=tuple(int(c) for c in cw),
         status="exact" if lower == upper else "bracketed",
-        method=method, seed=used_seed)
+        method=method, seed=used_seed,
+        codewords_enumerated=found.enumerated, trials_run=found.trials_run,
+        stop_reason=found.stop_reason)

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .bch import DivisorOfQMinus1, PowerForm
-from .cyclotomic import CosetTable, coset_table
+from .cyclotomic import MAX_N, CosetTable, coset_table
 from .dualtools import validate_divisor_form, validate_power_form
 
 MANIFEST_SCHEMA = "dualbch-prop-grids/1"
@@ -246,7 +246,10 @@ def load_grid_manifest(path: str | Path | None = None) -> dict:
 
 
 def _plan_case(lemma_id: str, case: dict) -> tuple:
-    """(check, arguments, (modulus, base) of its coset table) for one case."""
+    """(check, arguments, (modulus, base) of its coset table) for one case.
+
+    Refuses a case whose table modulus exceeds MAX_N, before any table exists.
+    """
     if not isinstance(case, dict):
         raise ValueError(f"{lemma_id} case {case!r} is not an object")
     for key, lo in (("q", 2), ("m", 1), ("s", 1), ("lam", 1)):
@@ -255,20 +258,26 @@ def _plan_case(lemma_id: str, case: dict) -> tuple:
     try:
         q, m = case["q"], case["m"]
         if lemma_id == "leader_floor_power_form":
-            return check_leader_floor_power_form, (q, case["s"], m), (q**m - 1, q)
-        if lemma_id == "leader_floor_divisor_form":
-            return check_leader_floor_divisor_form, (q, case["lam"], m), (q**m - 1, q)
-        if lemma_id == "tperp_leader_membership":
+            plan = check_leader_floor_power_form, (q, case["s"], m), (q**m - 1, q)
+        elif lemma_id == "leader_floor_divisor_form":
+            plan = check_leader_floor_divisor_form, (q, case["lam"], m), (q**m - 1, q)
+        elif lemma_id == "tperp_leader_membership":
             if case["kind"] == "power":
                 kind, lam = PowerForm(case["s"]), q ** case["s"] - 1
             elif case["kind"] == "divisor":
                 kind, lam = DivisorOfQMinus1(case["lam"]), case["lam"]
             else:
                 raise ValueError(f"unknown membership kind: {case['kind']!r}")
-            return check_tperp_leader_membership, (q, kind, m), ((q**m - 1) // lam, q)
+            plan = check_tperp_leader_membership, (q, kind, m), ((q**m - 1) // lam, q)
+        else:
+            raise ValueError(f"unknown lemma_id in manifest: {lemma_id!r}")
     except KeyError as e:
         raise ValueError(f"{lemma_id} case {case} lacks {e}") from None
-    raise ValueError(f"unknown lemma_id in manifest: {lemma_id!r}")
+    if plan[2][0] > MAX_N:
+        # the modulus itself may have too many digits to print
+        raise ValueError(f"{lemma_id} case {case}: table modulus exceeds "
+                         f"the size cap {MAX_N}")
+    return plan
 
 
 def run_grid(manifest: dict | None = None, threads: int = 1) -> list[PropResult]:

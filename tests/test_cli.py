@@ -192,6 +192,16 @@ class TestDualBound:
         assert (code, out) == (1, "")
         assert "dualbch dual-bound: error: argument --trials" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_1_exits_1(self, capsys, budget):
+        # a budget below 1 used to switch silently to information-set search
+        code, out, err = run(capsys, "dual-bound", "--q", "2", "--m", "6",
+                             "--lambda", "1", "--delta", "3", "--certify",
+                             "--budget", budget, "--trials", "1")
+        assert (code, out) == (1, "")
+        assert ("dualbch dual-bound: error: argument --budget: "
+                f"must be >= 1, got {budget}") in err
+
     def test_negative_seed_exits_1(self, capsys):
         # the information-set search would hand the seed to numpy
         code, out, err = run(capsys, "dual-bound", "--q", "2", "--m", "10",
@@ -325,8 +335,11 @@ class TestVerify:
          "q must be an integer >= 2"),
         (("leader_floor_power_form", {"q": 2, "s": 0, "m": 6}),
          "s must be an integer >= 1"),
+        # a 2^40-element coset table would not fit; refused before allocation
+        (("leader_floor_power_form", {"q": 2, "s": 1, "m": 40}),
+         f"table modulus exceeds the size cap {MAX_N}"),
     ], ids=["missing", "invalid-json", "schema", "lemma-id", "hypotheses",
-            "float-q", "zero-s"])
+            "float-q", "zero-s", "oversized"])
     def test_bad_grids_exit_1(self, capsys, tmp_path, text, message):
         p = tmp_path / "grids.json"
         if isinstance(text, tuple):  # one grid with one case

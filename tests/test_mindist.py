@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from dualbch.bch import bch_spec, dual_code_params, generator_matrix
+from dualbch.bch import (
+    bch_spec,
+    defining_set,
+    dual_code_params,
+    generator_matrix,
+    theorem_families,
+)
 from dualbch.cyclotomic import coset_table
 from dualbch.dualtools import bound_report
 from dualbch.gf import field_new, scalar_field, subfield_embed
@@ -11,6 +17,10 @@ from dualbch.mindist import (
     _BLOCK_CAP,
     BudgetExceeded,
     _block_digits,
+    _exhaustive_best,
+    _isd_best,
+    _PackedWords,
+    _TableWords,
     certify,
     exhaustive_min_weight,
     in_row_space,
@@ -116,6 +126,87 @@ class TestExhaustive:
         assert exhaustive_min_weight(g2, field) == base
 
 
+def same_search(a, b):
+    """Whether two searches found the same weight and witness, the same way."""
+    return (a.weight == b.weight and np.array_equal(a.witness, b.witness)
+            and a[2:] == b[2:])
+
+
+def binary_theorem_duals(max_n, max_k):
+    """Generator matrices of every distinct binary theorem-family dual."""
+    for q, m, kw, n in theorem_families(max_n):
+        if q != 2:
+            continue
+        ctx = field_new(2, m)
+        table = coset_table(n, 2)
+        seen = set()
+        for delta in range(2, n + 1):
+            spec = bch_spec(2, m, delta, **kw)
+            t = defining_set(spec, table)
+            if len(t) > max_k:
+                break  # T only grows with delta
+            if t.members not in seen:
+                seen.add(t.members)
+                yield (m, kw, delta), generator_matrix(dual_code_params(spec, ctx, table))
+
+
+class TestPackedKernel:
+    """The bit-packed GF(2) kernel against the int32 table kernel."""
+
+    F2 = scalar_field(2)
+
+    def walk_both(self, gen, label=None):
+        packed = _exhaustive_best(gen, self.F2, 1 << 26)
+        table = _exhaustive_best(gen, self.F2, 1 << 26, _TableWords(self.F2))
+        assert same_search(packed, table), label
+        return packed
+
+    def test_walk_on_binary_theorem_duals(self):
+        codes = 0
+        for label, gen in binary_theorem_duals(1023, 20):
+            self.walk_both(gen, label)
+            codes += 1
+        assert codes == 34
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 5000])
+    def test_walk_on_random_codes(self, n):
+        # n = 5000 makes the element cap bind; the others probe the last word's padding
+        k = 12 if n == 5000 else 8
+        gen = np.random.default_rng(n).integers(0, 2, size=(k, n)).astype(np.int32)
+        assert self.walk_both(gen).enumerated == 2**k - 1
+
+    @pytest.mark.parametrize("weight", [1, 2])
+    def test_walk_finds_planted_word(self, weight):
+        rng = np.random.default_rng(weight)
+        n = 65
+        gen = rng.integers(0, 2, size=(10, n)).astype(np.int32)
+        e = np.zeros(n, dtype=np.int32)
+        e[rng.choice(n, size=weight, replace=False)] = 1
+        gen[-1] = gen[0] ^ e
+        found = self.walk_both(gen)
+        assert found.weight == weight
+        assert np.array_equal(found.witness, e)
+
+    def test_pack_round_trip(self):
+        words = _PackedWords(130)
+        rows = np.random.default_rng(3).integers(0, 2, size=(5, 130)).astype(np.int32)
+        packed = words.pack(rows)
+        assert packed.shape == (5, 3) and packed.dtype == np.uint64
+        assert all(np.array_equal(words.unpack(p), r) for p, r in zip(packed, rows))
+        assert np.array_equal(words.weights(packed), np.count_nonzero(rows, axis=1))
+
+    @pytest.mark.parametrize("m,delta", [(8, 8), (9, 8), (10, 16), (10, 32)])
+    def test_isd_on_bench_binary_codes(self, m, delta):
+        _, _, _, params = dual_setup(2, m, delta, lam=1, p=2, k=m)
+        gen = generator_matrix(params)
+        for seed in (0, 1, 2):
+            # target 1 is never met, so every weight-2 pattern of both trials is weighed
+            packed = _isd_best(gen, self.F2, 1, 2, seed)
+            table = _isd_best(gen, self.F2, 1, 2, seed, _TableWords(self.F2))
+            assert same_search(packed, table)
+            assert (packed.trials_run, packed.stop_reason) == (2, "trials_done")
+
+
 class TestLowWeightSearch:
     def test_target_n_trivial(self):
         gen = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.int32)
@@ -163,6 +254,8 @@ class TestCertify:
         *_, cert = self.run(2, 6, 3, 1, 2, 6)
         assert (cert.lower, cert.upper, cert.status) == (32, 32, "exact")
         assert cert.method == "exhaustive"
+        assert (cert.codewords_enumerated, cert.trials_run, cert.stop_reason) == (
+            2**6 - 1, 0, "exhausted")
 
     def test_exact_9(self):
         *_, cert = self.run(3, 3, 5, 1, 3, 3)
@@ -181,6 +274,8 @@ class TestCertify:
         assert cert.method == "information_set"
         assert (cert.lower, cert.upper, cert.status) == (8, 8, "exact")
         assert cert.lower_source == "closed_form_bound"
+        assert cert.stop_reason == "target_met" and 1 <= cert.trials_run < 500
+        assert cert.codewords_enumerated <= cert.trials_run * (39 + 39 * 38 // 2)
 
     def test_bracketed_when_bound_is_slack(self):
         # [24, 4] over GF(5): bound says 15, the true distance is 16, so a
@@ -189,6 +284,16 @@ class TestCertify:
         assert cert.method == "information_set"
         assert cert.status == "bracketed"
         assert (cert.lower, cert.upper) == (15, 16)
+        # each trial weighs the 4 reduced rows and the (5-1) * C(4, 2) sums of two
+        assert (cert.codewords_enumerated, cert.trials_run, cert.stop_reason) == (
+            20 * (4 + 4 * 6), 20, "trials_done")
+
+    def test_binary_bracket_carries_evidence(self):
+        # [255, 32] dual, packed kernel: the bound stays below every witness found
+        *_, cert = self.run(2, 8, 8, 1, 2, 8, budget=2**20, trials=2, seed=0)
+        assert (cert.method, cert.status) == ("information_set", "bracketed")
+        assert (cert.codewords_enumerated, cert.trials_run, cert.stop_reason) == (
+            2 * (32 + 32 * 31 // 2), 2, "trials_done")
 
     def test_zero_trials_rejected(self):
         # out of budget, so the search would run zero trials and find no witness

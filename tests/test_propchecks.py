@@ -12,7 +12,7 @@ from dualbch.bch import (
     defining_set,
     dual_defining_set,
 )
-from dualbch.cyclotomic import coset_table
+from dualbch.cyclotomic import MAX_N, coset_table
 from dualbch.propchecks import (
     MANIFEST_SCHEMA,
     PropResult,
@@ -213,6 +213,25 @@ class TestManifestAndRunner:
                           "grids": [{"lemma_id": lemma_id, "cases": [case]}]})
         with pytest.raises(ValueError):
             run_grid({}, threads=0)
+
+    @pytest.mark.parametrize("lemma_id,case", [
+        ("leader_floor_power_form", {"q": 2, "s": 1, "m": 40}),
+        ("leader_floor_divisor_form", {"q": 3, "lam": 1, "m": 16}),
+        ("tperp_leader_membership", {"q": 2, "kind": "power", "s": 1, "m": 25}),
+        ("leader_floor_power_form", {"q": 3, "s": 1, "m": 100000}),  # 47,713 digits
+    ])
+    def test_oversized_case_refused_before_any_table(self, monkeypatch, lemma_id, case):
+        import dualbch.propchecks as propchecks
+
+        def no_table(n, q):
+            raise AssertionError(f"coset table modulo {n} built")
+
+        monkeypatch.setattr(propchecks, "coset_table", no_table)
+        manifest = {"schema": MANIFEST_SCHEMA, "grids": [
+            {"lemma_id": "leader_floor_power_form", "cases": [{"q": 2, "s": 1, "m": 6}]},
+            {"lemma_id": lemma_id, "cases": [case]}]}
+        with pytest.raises(ValueError, match=f"exceeds the size cap {MAX_N}"):
+            run_grid(manifest)
 
     def test_manifest_roundtrip_from_path(self, tmp_path):
         manifest = {
