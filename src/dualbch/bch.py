@@ -178,11 +178,16 @@ class DefiningSet:
         return f"DefiningSet(n={self.n}, q={self.q}, size={len(self)})"
 
 
-def defining_set(spec: BchSpec, table: CosetTable) -> DefiningSet:
-    """T = C_1 u ... u C_{delta-1}: residues whose leader is in [1, delta-1]."""
+def check_table(spec: BchSpec, table: CosetTable) -> None:
+    """Raise ValueError unless table is the coset table modulo spec.n for spec.q."""
     if (table.n, table.q) != (spec.n, spec.q):
         raise ValueError(f"table is for (n={table.n}, q={table.q}), "
                          f"spec needs (n={spec.n}, q={spec.q})")
+
+
+def defining_set(spec: BchSpec, table: CosetTable) -> DefiningSet:
+    """T = C_1 u ... u C_{delta-1}: residues whose leader is in [1, delta-1]."""
+    check_table(spec, table)
     lead = table.leader_of
     mask = (lead >= 1) & (lead <= spec.delta - 1)
     return DefiningSet(spec.n, spec.q, mask, validate=False)

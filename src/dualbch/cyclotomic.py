@@ -19,7 +19,6 @@ leader_family_modulus gives the family's n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from sympy import n_order
@@ -39,7 +38,9 @@ class CosetTable:
 
     leader_of[a] is the smallest element of the coset of a.  Immutable after
     construction (the array is marked read-only); the sorted leaders and the
-    cosets map are built on first use.
+    cosets map are built on first use.  direct_rows is the memo of
+    dualtools.bound_report's direct columns, one entry per segment of deltas
+    that share a dual defining set, so it lives and dies with the table.
     """
 
     def __init__(self, n, q, leader_of):
@@ -49,6 +50,7 @@ class CosetTable:
         self.leader_of = leader_of
         self._leaders = None
         self._cosets = None
+        self.direct_rows = {}
 
     def __repr__(self):
         return f"CosetTable(n={self.n}, q={self.q})"
@@ -109,50 +111,6 @@ def largest_leaders(table: CosetTable, count: int) -> list[int]:
     if count < 1:
         raise ValueError("count must be >= 1")
     return [int(v) for v in table.leaders[::-1][:count]]
-
-
-@dataclass(frozen=True)
-class QAdic:
-    """q-adic digit vector of an integer, most significant digit first."""
-
-    digits: tuple[int, ...]
-    q: int
-
-    @property
-    def value(self) -> int:
-        v = 0
-        for d in self.digits:
-            v = v * self.q + d
-        return v
-
-
-def q_adic(i: int, q: int, m: int) -> QAdic:
-    """Digits of i in base q, padded to length m, most significant first."""
-    if q < 2:
-        raise ValueError(f"q={q} must be >= 2")
-    if not 0 <= i < q**m:
-        raise ValueError(f"i={i} out of range [0, q^m={q**m})")
-    ds = []
-    for _ in range(m):
-        i, d = divmod(i, q)
-        ds.append(d)
-    return QAdic(tuple(reversed(ds)), q)
-
-
-def is_leader_at_least(a: QAdic, b: QAdic) -> bool:
-    """Whether every cyclic digit rotation of a is lexicographically >= b.
-
-    For a < q^m - 1 the rotations of the digit vector are exactly the q-adic
-    vectors of the coset members modulo q^m - 1, and lexicographic order on
-    equal-length vectors matches integer order, so this decides
-    coset_leader(a) >= value(b) without building a table.
-    """
-    if a.q != b.q or len(a.digits) != len(b.digits):
-        raise ValueError("operands must share base and length")
-    d = a.digits
-    m = len(d)
-    dd = d + d
-    return all(dd[r:r + m] >= b.digits for r in range(m))
 
 
 def _ceil_div(a: int, b: int) -> int:

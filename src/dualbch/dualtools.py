@@ -14,7 +14,11 @@ bound then gives d_perp >= I(delta) + 1.  This module computes
   * the dually-BCH criterion: whether T_perp is exactly a union of the
     cosets of 0 .. J-1, decided directly and by the threshold theorems,
   * delta_sweep: I(delta) and the direct dually-BCH verdict for every delta
-    in [2, n] from one pass over the coset leaders.
+    in [2, n] from one pass over the coset leaders,
+  * bound_report: all of the above for one delta.  Given one table for
+    every delta of a family, it scans T_perp once per segment of deltas
+    between two consecutive coset leaders, where T_perp does not change,
+    and keeps those direct columns on the table.
 
 Direct and closed-form routes are implemented independently; their
 agreement is the cross-check the test suite enforces.
@@ -33,6 +37,7 @@ from .bch import (
     DefiningSet,
     PowerForm,
     bch_bound_from_set,
+    check_table,
     defining_set,
     dual_defining_set,
 )
@@ -369,18 +374,32 @@ def dually_bch_closed(spec: BchSpec, table: CosetTable | None = None) -> bool:
 # ---------------------------------------------------------------------------
 
 def bound_report(spec: BchSpec, table: CosetTable | None = None) -> BoundReport:
-    """Compute every direct quantity and every applicable closed form."""
+    """Compute every direct quantity and every applicable closed form.
+
+    Pass one table to every delta of a family: the direct columns are
+    scanned once per segment of deltas and read back for the rest.  They
+    depend on delta only through k, the number of coset leaders below
+    delta, because T = C_1 u ... u C_{delta-1} and so T_perp stay the same
+    between two consecutive leaders.  The table keeps them in its
+    direct_rows, keyed by k.  The closed forms and prior bounds are
+    evaluated for every delta, so the two routes stay independent.
+    """
     if table is None:
         table = coset_table(spec.n, spec.q)
-    t = defining_set(spec, table)
-    t_perp = dual_defining_set(t)
-    i_direct = i_delta_direct(t_perp)
+    check_table(spec, table)
+    k = int(np.searchsorted(table.leaders, spec.delta))
+    row = table.direct_rows.get(k)
+    if row is None:
+        t_perp = dual_defining_set(defining_set(spec, table))
+        row = (i_delta_direct(t_perp), *dually_bch_direct(t_perp, table),
+               bch_bound_from_set(t_perp))
+        table.direct_rows[k] = row
+    i_direct, direct_verdict, witness, lower_direct = row
     try:
         lower_closed = dual_lower_bound(spec)
     except ValueError:
         lower_closed = None
     i_closed = None if lower_closed is None else lower_closed - 1
-    direct_verdict, witness = dually_bch_direct(t_perp, table)
     try:
         closed_verdict = dually_bch_closed(spec, table)
     except ValueError:
@@ -391,7 +410,7 @@ def bound_report(spec: BchSpec, table: CosetTable | None = None) -> BoundReport:
         i_delta_direct=i_direct,
         i_delta_closed=i_closed,
         lower_bound_closed=lower_closed,
-        lower_bound_direct=bch_bound_from_set(t_perp),
+        lower_bound_direct=lower_direct,
         prior_bounds=prior_bounds(spec),
         dually_bch_direct=direct_verdict,
         dually_bch_witness=witness,

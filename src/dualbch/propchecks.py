@@ -255,29 +255,37 @@ def _plan_case(lemma_id: str, case: dict) -> tuple:
     for key, lo in (("q", 2), ("m", 1), ("s", 1), ("lam", 1)):
         if key in case and not (type(case[key]) is int and case[key] >= lo):
             raise ValueError(f"{lemma_id} case {case}: {key} must be an integer >= {lo}")
+    # the table modulus is (q^m - 1)/lam, with lam = q^s - 1 when s is set
+    s, lam = None, 1
     try:
         q, m = case["q"], case["m"]
         if lemma_id == "leader_floor_power_form":
-            plan = check_leader_floor_power_form, (q, case["s"], m), (q**m - 1, q)
+            plan = check_leader_floor_power_form, (q, case["s"], m)
         elif lemma_id == "leader_floor_divisor_form":
-            plan = check_leader_floor_divisor_form, (q, case["lam"], m), (q**m - 1, q)
+            plan = check_leader_floor_divisor_form, (q, case["lam"], m)
         elif lemma_id == "tperp_leader_membership":
             if case["kind"] == "power":
-                kind, lam = PowerForm(case["s"]), q ** case["s"] - 1
+                s = case["s"]
+                kind = PowerForm(s)
             elif case["kind"] == "divisor":
-                kind, lam = DivisorOfQMinus1(case["lam"]), case["lam"]
+                lam = case["lam"]
+                kind = DivisorOfQMinus1(lam)
             else:
                 raise ValueError(f"unknown membership kind: {case['kind']!r}")
-            plan = check_tperp_leader_membership, (q, kind, m), ((q**m - 1) // lam, q)
+            plan = check_tperp_leader_membership, (q, kind, m)
         else:
             raise ValueError(f"unknown lemma_id in manifest: {lemma_id!r}")
     except KeyError as e:
         raise ValueError(f"{lemma_id} case {case} lacks {e}") from None
-    if plan[2][0] > MAX_N:
+    # q^m >= 2^(m (bits(q) - 1)) and lam < 2^lam_bits, so the first test
+    # refuses, from bit lengths alone, a modulus above 2^26 before q^m is taken
+    lam_bits = lam.bit_length() if s is None else s * q.bit_length()
+    if (m * (q.bit_length() - 1) - lam_bits > MAX_N.bit_length() + 1
+            or (n := (q**m - 1) // (lam if s is None else q**s - 1)) > MAX_N):
         # the modulus itself may have too many digits to print
         raise ValueError(f"{lemma_id} case {case}: table modulus exceeds "
                          f"the size cap {MAX_N}")
-    return plan
+    return *plan, (n, q)
 
 
 def run_grid(manifest: dict | None = None, threads: int = 1) -> list[PropResult]:

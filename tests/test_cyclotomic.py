@@ -1,4 +1,4 @@
-"""Coset tables, leaders, digit vectors, and closed-form largest leaders."""
+"""Coset tables, leaders, and closed-form largest leaders."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from dualbch.cyclotomic import (
     coset_leader,
     coset_table,
-    is_leader_at_least,
     largest_leaders,
     largest_leaders_closed_form,
     leader_family_modulus,
     multiplicative_order,
-    q_adic,
 )
 
 
@@ -110,47 +108,6 @@ class TestLargestLeaders:
             assert largest_leaders(table, k) == reference[:k]
         assert len(calls) == 1
         assert not table.leaders.flags.writeable
-
-
-class TestQAdic:
-    def test_digits_msd_first(self):
-        v = q_adic(11, 2, 4)
-        assert v.digits == (1, 0, 1, 1)
-        assert v.q == 2
-
-    def test_value_roundtrip(self):
-        for q, m in [(2, 6), (3, 4), (5, 3)]:
-            for i in range(q**m):
-                assert q_adic(i, q, m).value == i
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            q_adic(16, 2, 4)
-        with pytest.raises(ValueError):
-            q_adic(-1, 2, 4)
-
-    def test_mixed_base_rejected(self):
-        with pytest.raises(ValueError):
-            is_leader_at_least(q_adic(3, 2, 4), q_adic(3, 3, 4))
-
-
-class TestIsLeaderAtLeast:
-    @pytest.mark.parametrize("q,m", [(2, 10), (3, 6), (4, 5), (5, 4), (7, 3), (8, 3), (9, 3)])
-    def test_boundary_agrees_with_table(self, q, m):
-        # is_leader_at_least(a, b) is monotone in value(b), so checking both
-        # sides of b = coset_leader(a) proves agreement for every b
-        n = q**m - 1
-        t = coset_table(n, q)
-        for a in range(n):
-            lead = coset_leader(t, a)
-            av = q_adic(a, q, m)
-            assert is_leader_at_least(av, q_adic(lead, q, m))
-            if lead + 1 < q**m:
-                assert not is_leader_at_least(av, q_adic(lead + 1, q, m))
-
-    def test_trivial_cases(self):
-        assert is_leader_at_least(q_adic(0, 2, 4), q_adic(0, 2, 4))
-        assert not is_leader_at_least(q_adic(8, 2, 4), q_adic(2, 2, 4))  # 8 ~ 1
 
 
 class TestClosedFormLeaders:

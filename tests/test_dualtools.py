@@ -1,6 +1,9 @@
 """I(delta), dual distance bounds, prior bounds, and the dually-BCH criterion."""
 
+import gc
 import math
+import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,8 @@ from dualbch.bch import (
     dual_defining_set,
     theorem_families,
 )
-from dualbch.cyclotomic import coset_leader, coset_table, largest_leaders
+from dualbch import dualtools
+from dualbch.cyclotomic import CosetTable, coset_leader, coset_table, largest_leaders
 from dualbch.dualtools import (
     bound_report,
     delta_sweep,
@@ -372,6 +376,62 @@ class TestBoundReport:
                 assert r.lower_bound_closed == r.i_delta_closed + 1
             if r.dually_bch_closed is not None:
                 assert r.dually_bch_closed == r.dually_bch_direct
+
+    def test_shared_table_matches_fresh_tables_on_theorem_sweep(self):
+        # every theorem family with n <= 400, deltas in shuffled order; the
+        # oracle table is a new object on the same leaders, so it has no
+        # memo and scans T_perp for its own delta
+        pairs = 0
+        for q, m, kw, n in theorem_families(400):
+            table = coset_table(n, q)
+            deltas = list(range(2, n + 1))
+            random.Random(n * q).shuffle(deltas)
+            for delta in deltas:
+                spec = bch_spec(q, m, delta, **kw)
+                fresh = CosetTable(n, q, table.leader_of)
+                assert bound_report(spec, table) == bound_report(spec, fresh), \
+                    (q, m, kw, delta)
+            pairs += n - 1
+        assert pairs == 31_236
+
+    def test_scans_once_per_segment(self, monkeypatch):
+        calls = []
+
+        def counting(t_perp, table):
+            calls.append(t_perp)
+            return dually_bch_direct(t_perp, table)
+
+        monkeypatch.setattr(dualtools, "dually_bch_direct", counting)
+        table = coset_table(255, 2)
+        for delta in range(255, 1, -1):
+            bound_report(bch_spec(2, 8, delta, s=1), table)
+        # one segment per count of leaders below delta, for delta in [2, 255]
+        assert len(calls) == len(table.leaders) - 1 == len(table.direct_rows)
+
+    def test_memo_does_not_keep_table_alive(self):
+        table = coset_table(1023, 2)
+        for delta in (3, 100, 1023):
+            bound_report(bch_spec(2, 10, delta, s=1), table)
+        ref = weakref.ref(table)
+        del table
+        gc.collect()
+        assert ref() is None
+
+    def test_mismatched_table_rejected(self):
+        table = coset_table(63, 2)
+        bound_report(bch_spec(2, 6, 5, s=1), table)
+        # 21 = (4^3 - 1)/3 differs from the table's n; the k of delta = 5
+        # has a memo entry on the table, which must not be read
+        for spec in (bch_spec(4, 3, 5, s=1), bch_spec(2, 6, 5, s=2)):
+            with pytest.raises(ValueError, match=r"table is for \(n=63, q=2\), "
+                                                 r"spec needs \(n=21, q=(4|2)\)"):
+                bound_report(spec, table)
+
+    def test_tables_of_one_modulus_agree(self):
+        a, b = coset_table(242, 3), coset_table(242, 3)
+        for delta in range(2, 243):
+            spec = bch_spec(3, 5, delta, lam=1)
+            assert bound_report(spec, a) == bound_report(spec, b)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Property-suite checks: leader floors, dual-set memberships, grid runner."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dualbch.propchecks import (
     MANIFEST_SCHEMA,
     PropResult,
     _membership_failures,
+    _plan_case,
     check_leader_floor_divisor_form,
     check_leader_floor_power_form,
     check_tperp_leader_membership,
@@ -219,6 +221,10 @@ class TestManifestAndRunner:
         ("leader_floor_divisor_form", {"q": 3, "lam": 1, "m": 16}),
         ("tperp_leader_membership", {"q": 2, "kind": "power", "s": 1, "m": 25}),
         ("leader_floor_power_form", {"q": 3, "s": 1, "m": 100000}),  # 47,713 digits
+        # 3^(10^7) alone takes seconds, so it is refused from bit lengths
+        ("leader_floor_power_form", {"q": 3, "s": 1, "m": 10**7}),
+        ("tperp_leader_membership", {"q": 5, "kind": "divisor", "lam": 2, "m": 10**7}),
+        ("tperp_leader_membership", {"q": 2, "kind": "power", "s": 10, "m": 40}),
     ])
     def test_oversized_case_refused_before_any_table(self, monkeypatch, lemma_id, case):
         import dualbch.propchecks as propchecks
@@ -230,8 +236,21 @@ class TestManifestAndRunner:
         manifest = {"schema": MANIFEST_SCHEMA, "grids": [
             {"lemma_id": "leader_floor_power_form", "cases": [{"q": 2, "s": 1, "m": 6}]},
             {"lemma_id": lemma_id, "cases": [case]}]}
+        t0 = time.perf_counter()
         with pytest.raises(ValueError, match=f"exceeds the size cap {MAX_N}"):
             run_grid(manifest)
+        assert time.perf_counter() - t0 < 0.1
+
+    @pytest.mark.parametrize("lemma_id,case,modulus", [
+        ("leader_floor_power_form", {"q": 2, "s": 1, "m": 24}, 2**24 - 1),
+        ("tperp_leader_membership", {"q": 2, "kind": "power", "s": 10, "m": 30},
+         (2**30 - 1) // (2**10 - 1)),
+        ("tperp_leader_membership", {"q": 17, "kind": "divisor", "lam": 8, "m": 6},
+         (17**6 - 1) // 8),
+    ])
+    def test_case_within_cap_planned(self, lemma_id, case, modulus):
+        # q^m is above the cap in the last two, the table modulus is not
+        assert _plan_case(lemma_id, case)[2] == (modulus, case["q"])
 
     def test_manifest_roundtrip_from_path(self, tmp_path):
         manifest = {
