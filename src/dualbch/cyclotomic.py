@@ -19,6 +19,7 @@ leader_family_modulus gives the family's n.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from sympy import n_order
@@ -111,6 +112,34 @@ def largest_leaders(table: CosetTable, count: int) -> list[int]:
     if count < 1:
         raise ValueError("count must be >= 1")
     return [int(v) for v in table.leaders[::-1][:count]]
+
+
+@dataclass(frozen=True)
+class QAdic:
+    """q-adic digit vector of an integer, most significant digit first."""
+
+    digits: tuple[int, ...]
+    q: int
+
+    @property
+    def value(self) -> int:
+        v = 0
+        for d in self.digits:
+            v = v * self.q + d
+        return v
+
+
+def q_adic(i: int, q: int, m: int) -> QAdic:
+    """Digits of i in base q, padded to length m, most significant first."""
+    if q < 2:
+        raise ValueError(f"q={q} must be >= 2")
+    if not 0 <= i < q**m:
+        raise ValueError(f"i={i} out of range [0, q^m={q**m})")
+    ds = []
+    for _ in range(m):
+        i, d = divmod(i, q)
+        ds.append(d)
+    return QAdic(tuple(reversed(ds)), q)
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -1,4 +1,4 @@
-"""Coset tables, leaders, and closed-form largest leaders."""
+"""Coset tables, leaders, digit vectors, and closed-form largest leaders."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from dualbch.cyclotomic import (
     largest_leaders_closed_form,
     leader_family_modulus,
     multiplicative_order,
+    q_adic,
 )
 
 
@@ -108,6 +109,24 @@ class TestLargestLeaders:
             assert largest_leaders(table, k) == reference[:k]
         assert len(calls) == 1
         assert not table.leaders.flags.writeable
+
+
+class TestQAdic:
+    def test_digits_msd_first(self):
+        v = q_adic(11, 2, 4)
+        assert v.digits == (1, 0, 1, 1)
+        assert v.q == 2
+
+    def test_value_roundtrip(self):
+        for q, m in [(2, 6), (3, 4), (5, 3)]:
+            for i in range(q**m):
+                assert q_adic(i, q, m).value == i
+
+    def test_range_validation(self):
+        with pytest.raises(ValueError):
+            q_adic(16, 2, 4)
+        with pytest.raises(ValueError):
+            q_adic(-1, 2, 4)
 
 
 class TestClosedFormLeaders:
