@@ -194,25 +194,27 @@ def defining_set(spec: BchSpec, table: CosetTable) -> DefiningSet:
 
 
 def dual_defining_set(t: DefiningSet) -> DefiningSet:
-    """T_perp = Z_n \\ T^{-1} where T^{-1} = {n - i mod n : i in T}."""
-    idx = (t.n - np.arange(t.n, dtype=np.int64)) % t.n
-    return DefiningSet(t.n, t.q, ~t.mask[idx], validate=False)
+    """T_perp = Z_n \\ T^{-1} where T^{-1} = {n - i mod n : i in T}.
+
+    Position i of T^{-1} reads position n - i of T, so its mask is T's mask
+    with positions 1 .. n-1 reversed.
+    """
+    mask = t.mask
+    return DefiningSet(t.n, t.q, ~np.concatenate([mask[:1], mask[:0:-1]]),
+                       validate=False)
 
 
 def bch_bound_from_set(s: DefiningSet) -> int:
-    """1 + length of the longest cyclic run of consecutive residues in s."""
-    mask = s.mask
-    if mask.all():
+    """1 + length of the longest cyclic run of consecutive residues in s.
+
+    A run lies strictly between two cyclically consecutive non-members, so
+    1 + the longest run is the largest gap between them, counting the gap
+    that wraps from the last non-member to the first.
+    """
+    zeros = np.flatnonzero(~s.mask)
+    if zeros.size == 0:
         return s.n + 1
-    if not mask.any():
-        return 1
-    # longest run in the doubled array never exceeds n once not all-true
-    m2 = np.concatenate([mask, mask]).astype(np.int8)
-    bounded = np.concatenate([[0], m2, [0]])
-    edges = np.diff(bounded)
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    return int((ends - starts).max()) + 1
+    return int(np.diff(zeros, append=zeros[0] + s.n).max())
 
 
 @dataclass(frozen=True)
@@ -239,7 +241,8 @@ def generator_from_set(spec: BchSpec, ctx: FieldCtx, table: CosetTable,
         raise ValueError(f"ctx has order {ctx.order}, expected q^m = {q**spec.m}")
     lam = spec.lam
     gen = Poly.one(scalar_field(q))
-    for l in np.unique(table.leader_of[dset.mask]):
+    leaders = table.leaders
+    for l in leaders[dset.mask[leaders]]:
         coset = [int(l)]
         while (nxt := coset[-1] * q % n) != coset[0]:
             coset.append(nxt)

@@ -1,9 +1,10 @@
 """q-cyclotomic cosets modulo n, coset leaders, and closed-form leader lists.
 
 The coset of a modulo n is {a q^j mod n}; its leader is the smallest member.
-coset_table computes the full leader array in O(n log m) numpy passes via
-pointer doubling on the permutation i -> q i mod n, which keeps n up to a
-few million comfortable.
+coset_table computes the full leader array in O(n log m) int32 numpy passes
+via pointer doubling on the permutation i -> q i mod n, for n up to MAX_N =
+2^24.  The leaders need no sort: a leader is exactly a fixed point of the
+leader array, so one comparison with arange(n) lists them in ascending order.
 
 largest_leaders_closed_form evaluates the known closed expressions for the
 largest coset leaders for three modulus families:
@@ -19,12 +20,11 @@ leader_family_modulus gives the family's n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from sympy import n_order
 
-MAX_N = 1 << 24  # largest code length or modulus accepted; tables are O(n)
+MAX_N = 1 << 24  # largest code length or modulus accepted; tables are O(n) int32
 
 
 def multiplicative_order(q: int, n: int) -> int:
@@ -37,9 +37,10 @@ def multiplicative_order(q: int, n: int) -> int:
 class CosetTable:
     """Leaders of every q-cyclotomic coset modulo n.
 
-    leader_of[a] is the smallest element of the coset of a.  Immutable after
-    construction (the array is marked read-only); the sorted leaders and the
-    cosets map are built on first use.  direct_rows is the memo of
+    leader_of[a] is the smallest element of the coset of a; it is int32,
+    since n <= MAX_N.  Immutable after construction (the array is marked
+    read-only).  The leaders, which are the fixed points a = leader_of[a],
+    and the cosets map are built on first use.  direct_rows is the memo of
     dualtools.bound_report's direct columns, one entry per segment of deltas
     that share a dual defining set, so it lives and dies with the table.
     """
@@ -60,7 +61,8 @@ class CosetTable:
     def leaders(self) -> np.ndarray:
         """The distinct coset leaders, ascending (read-only)."""
         if self._leaders is None:
-            leaders = np.unique(self.leader_of)
+            lead = self.leader_of
+            leaders = np.flatnonzero(lead == np.arange(self.n, dtype=lead.dtype))
             leaders.setflags(write=False)
             self._leaders = leaders
         return self._leaders
@@ -80,23 +82,31 @@ class CosetTable:
 def coset_table(n: int, q: int) -> CosetTable:
     """Compute all q-cyclotomic coset leaders modulo n.
 
-    Requires gcd(n, q) = 1 so that multiplication by q permutes Z_n.
+    Requires gcd(n, q) = 1 so that multiplication by q permutes Z_n, and
+    n <= MAX_N, which keeps every index and leader inside int32.
     """
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
+    if n > MAX_N:
+        raise ValueError(f"n={n} exceeds MAX_N = {MAX_N}")
     if q < 2:
         raise ValueError(f"q={q} must be >= 2")
     if math.gcd(n, q) != 1:
         raise ValueError(f"gcd(n, q) = {math.gcd(n, q)} != 1")
     if n == 1:
-        return CosetTable(1, q, np.zeros(1, dtype=np.int64))
+        return CosetTable(1, q, np.zeros(1, dtype=np.int32))
     m = multiplicative_order(q, n)
-    lead = np.arange(n, dtype=np.int64)
-    perm = (lead * q) % n
-    # after r doubling rounds, lead[a] = min of a's orbit under 2^r steps
-    for _ in range(max(1, math.ceil(math.log2(m)))):
-        lead = np.minimum(lead, lead[perm])
-        perm = perm[perm]
+    perm = np.arange(n, dtype=np.int64)
+    perm *= q % n  # below n^2 <= 2^48; reduced, it fits int32
+    perm %= n
+    perm = perm.astype(np.int32)
+    lead = np.arange(n, dtype=np.int32)
+    # after r doubling rounds, lead[a] = min of a's orbit under 2^r steps;
+    # perm is then the step by q^(2^r), so the last round needs no square
+    for r in range(max(1, math.ceil(math.log2(m)))):
+        if r:
+            perm = perm[perm]
+        np.minimum(lead, lead[perm], out=lead)
     return CosetTable(n, q, lead)
 
 
@@ -112,34 +122,6 @@ def largest_leaders(table: CosetTable, count: int) -> list[int]:
     if count < 1:
         raise ValueError("count must be >= 1")
     return [int(v) for v in table.leaders[::-1][:count]]
-
-
-@dataclass(frozen=True)
-class QAdic:
-    """q-adic digit vector of an integer, most significant digit first."""
-
-    digits: tuple[int, ...]
-    q: int
-
-    @property
-    def value(self) -> int:
-        v = 0
-        for d in self.digits:
-            v = v * self.q + d
-        return v
-
-
-def q_adic(i: int, q: int, m: int) -> QAdic:
-    """Digits of i in base q, padded to length m, most significant first."""
-    if q < 2:
-        raise ValueError(f"q={q} must be >= 2")
-    if not 0 <= i < q**m:
-        raise ValueError(f"i={i} out of range [0, q^m={q**m})")
-    ds = []
-    for _ in range(m):
-        i, d = divmod(i, q)
-        ds.append(d)
-    return QAdic(tuple(reversed(ds)), q)
 
 
 def _ceil_div(a: int, b: int) -> int:

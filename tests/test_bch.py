@@ -1,8 +1,10 @@
 """Defining sets, dual defining sets, generators, and code dimensions."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualbch.bch import (
@@ -127,6 +129,67 @@ class TestDefiningSet:
             defining_set(spec, coset_table(26, 3))
 
 
+def reference_dual_mask(mask):
+    """The gather through (n - i) mod n that dual_defining_set replaced."""
+    n = len(mask)
+    return ~mask[(n - np.arange(n, dtype=np.int64)) % n]
+
+
+def reference_bch_bound(mask):
+    """The doubled-array run scan that bch_bound_from_set replaced."""
+    if mask.all():
+        return len(mask) + 1
+    if not mask.any():
+        return 1
+    m2 = np.concatenate([mask, mask]).astype(np.int8)
+    edges = np.diff(np.concatenate([[0], m2, [0]]))
+    return int((np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)).max()) + 1
+
+
+def assert_scans_match_reference(mask, q=2):
+    s = DefiningSet(len(mask), q, mask, validate=False)
+    assert np.array_equal(dual_defining_set(s).mask, reference_dual_mask(s.mask))
+    assert bch_bound_from_set(s) == reference_bch_bound(s.mask)
+
+
+# all true, all false, single zeros, runs that wrap past position 0 (the
+# wrap run 6, 7, 8, 0, 1 is longest; the wrap run 8, 0 is not), and n = 1
+EDGE_MASKS = ["111111111", "000000000", "011111111", "111101111", "111111110",
+              "110010111", "101110001", "1", "0"]
+
+
+class TestScanOracles:
+    @pytest.mark.parametrize("bits", EDGE_MASKS)
+    def test_edge_masks(self, bits):
+        assert_scans_match_reference(np.array([b == "1" for b in bits]))
+
+    def test_theorem_families(self):
+        # T and T_perp at about ten deltas per family, spread over its leaders
+        for q, _, _, n in theorem_families(1000):
+            table = coset_table(n, q)
+            leaders = table.leaders[1:]
+            for delta in {2, n, *(leaders[::max(1, len(leaders) // 10)] + 1).tolist()}:
+                if delta > n:
+                    continue
+                mask = (table.leader_of >= 1) & (table.leader_of <= delta - 1)
+                assert_scans_match_reference(mask, q)
+                assert_scans_match_reference(reference_dual_mask(mask), q)
+
+    @given(st.integers(1, 5000), st.integers(2, 64), st.integers(0, 5000))
+    @settings(max_examples=100, deadline=None)
+    def test_coprime_defining_sets(self, n, q, delta):
+        assume(math.gcd(n, q) == 1)
+        table = coset_table(n, q)
+        mask = (table.leader_of >= 1) & (table.leader_of <= min(delta, n) - 1)
+        assert_scans_match_reference(mask, q)
+        assert_scans_match_reference(reference_dual_mask(mask), q)
+
+    @given(st.lists(st.booleans(), min_size=1, max_size=200))
+    @settings(max_examples=100, deadline=None)
+    def test_arbitrary_masks(self, bits):
+        assert_scans_match_reference(np.array(bits, dtype=bool))
+
+
 class TestDualDefiningSet:
     def test_empty_and_full(self):
         empty = DefiningSet.from_members(10, 3, [])
@@ -168,8 +231,6 @@ class TestBchBound:
     @given(st.integers(2, 60), st.integers(2, 7))
     @settings(max_examples=60)
     def test_at_least_delta(self, n, q):
-        import math
-
         if math.gcd(n, q) != 1:
             return
         table = coset_table(n, q)

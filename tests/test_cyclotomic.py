@@ -1,18 +1,21 @@
-"""Coset tables, leaders, digit vectors, and closed-form largest leaders."""
+"""Coset tables, leaders, and closed-form largest leaders."""
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dualbch.bch import theorem_families
 from dualbch.cyclotomic import (
+    MAX_N,
     coset_leader,
     coset_table,
     largest_leaders,
     largest_leaders_closed_form,
     leader_family_modulus,
     multiplicative_order,
-    q_adic,
 )
 
 
@@ -23,6 +26,47 @@ def naive_coset(a, n, q):
         out.add(x)
         x = (x * q) % n
     return sorted(out)
+
+
+def reference_leader_of(n, q):
+    """The int64 pointer doubling that coset_table replaced: its test oracle."""
+    if n == 1:
+        return np.zeros(1, dtype=np.int64)
+    m = multiplicative_order(q, n)
+    lead = np.arange(n, dtype=np.int64)
+    perm = (lead * q) % n
+    for _ in range(max(1, math.ceil(math.log2(m)))):
+        lead = np.minimum(lead, lead[perm])
+        perm = perm[perm]
+    return lead
+
+
+def burnside_cosets(n, q):
+    """Number of q-cyclotomic cosets modulo n, with no table.
+
+    The cosets are the orbits of the cyclic group <q> of order o = ord_n(q)
+    acting on Z_n, and q^j fixes gcd(q^j - 1, n) residues, so Burnside's
+    lemma gives sum(gcd(q^j - 1, n) for j < o) / o.
+    """
+    order = multiplicative_order(q, n)
+    fixed = sum(math.gcd(pow(q, j, n) - 1, n) for j in range(order))
+    assert fixed % order == 0
+    return fixed // order
+
+
+def assert_table_matches_reference(n, q):
+    table = coset_table(n, q)
+    reference = reference_leader_of(n, q)
+    assert table.leader_of.dtype == np.int32
+    assert np.array_equal(table.leader_of, reference)
+    assert np.array_equal(table.leaders, np.unique(reference))
+    assert len(table.leaders) == burnside_cosets(n, q)
+
+
+# the large-n bench's tables: its five cosets/dual-bound moduli and the
+# q^m - 1 moduli of its grid cases at 2^21-1, 7^7-1, 9^6-1 and 17^5-1
+BENCH_MODULI = [(2, 20, 1), (3, 13, 1), (3, 13, 2), (5, 9, 4), (4, 10, 1),
+                (2, 21, 1), (7, 7, 1), (9, 6, 1), (17, 5, 1)]
 
 
 class TestCosetTable:
@@ -63,8 +107,6 @@ class TestCosetTable:
     @given(st.integers(2, 400), st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11]))
     @settings(max_examples=80)
     def test_leader_matches_naive_orbit(self, n, q):
-        import math
-
         if math.gcd(n, q) != 1:
             return
         t = coset_table(n, q)
@@ -77,6 +119,40 @@ class TestCosetTable:
             lead = coset_leader(t, a)
             assert coset_leader(t, lead) == lead
             assert lead <= a
+
+    def test_matches_int64_reference_on_theorem_families(self):
+        for q, _, _, n in theorem_families(1000):
+            assert_table_matches_reference(n, q)
+
+    @given(st.integers(1, 5000), st.one_of(st.integers(2, 64), st.integers(2, 10**15)))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_int64_reference_on_coprime_pairs(self, n, q):
+        assume(math.gcd(n, q) == 1)
+        assert_table_matches_reference(n, q)
+
+    def test_q_far_above_n(self):
+        # both q are prime to 1000; at 10^18 + 9, i q would overflow int64
+        # unless q is reduced mod n first, so the oracle takes q mod n there
+        assert_table_matches_reference(1000, 10**12 + 39)
+        q = 10**18 + 9
+        assert np.array_equal(coset_table(1000, q).leader_of, reference_leader_of(1000, q % 1000))
+
+    def test_leader_count_is_burnside_count_on_bench_moduli(self):
+        counts = {}
+        for q, m, lam in BENCH_MODULI:
+            n = (q**m - 1) // lam
+            counts[n, q] = len(coset_table(n, q).leaders)
+            assert counts[n, q] == burnside_cosets(n, q), (q, m, lam)
+        assert counts[2**20 - 1, 2] == 52487
+        assert counts[2**21 - 1, 2] == 99879
+
+    def test_oversized_n_refused_before_allocation(self, monkeypatch):
+        def no_arange(*args, **kwargs):
+            raise AssertionError("coset_table allocated before its size check")
+
+        monkeypatch.setattr(np, "arange", no_arange)
+        with pytest.raises(ValueError, match="MAX_N"):
+            coset_table(MAX_N + 1, 3)
 
 
 class TestLargestLeaders:
@@ -103,30 +179,13 @@ class TestLargestLeaders:
         table = coset_table(n, q)
         reference = np.unique(table.leader_of)[::-1].tolist()
         calls = []
-        unique = np.unique
-        monkeypatch.setattr(np, "unique", lambda a: calls.append(1) or unique(a))
+        flatnonzero = np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(1) or flatnonzero(a))
         for k in range(1, len(reference) + 2):
             assert largest_leaders(table, k) == reference[:k]
+        assert table.leaders is table.leaders
         assert len(calls) == 1
         assert not table.leaders.flags.writeable
-
-
-class TestQAdic:
-    def test_digits_msd_first(self):
-        v = q_adic(11, 2, 4)
-        assert v.digits == (1, 0, 1, 1)
-        assert v.q == 2
-
-    def test_value_roundtrip(self):
-        for q, m in [(2, 6), (3, 4), (5, 3)]:
-            for i in range(q**m):
-                assert q_adic(i, q, m).value == i
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            q_adic(16, 2, 4)
-        with pytest.raises(ValueError):
-            q_adic(-1, 2, 4)
 
 
 class TestClosedFormLeaders:
@@ -189,8 +248,6 @@ class TestLeaderLifting:
     # for every common divisor mu; exhaustive at small scale
     @pytest.mark.parametrize("q,m", [(2, 9), (3, 6), (4, 4), (5, 4), (7, 3), (9, 3), (11, 2)])
     def test_exhaustive(self, q, m):
-        import math
-
         n = q**m - 1
         big = coset_table(n, q)
         small = {}
