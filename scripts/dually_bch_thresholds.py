@@ -14,12 +14,7 @@ import argparse
 
 from dualbch.bch import bch_spec, theorem_families
 from dualbch.cyclotomic import coset_table
-from dualbch.dualtools import delta_sweep, dually_bch_closed
-
-
-def threshold(verdicts):
-    """Largest delta (counting from 2) with a False verdict, or 1 if none."""
-    return max((d for d, v in enumerate(verdicts, 2) if not v), default=1)
+from dualbch.dualtools import delta_sweep, dually_bch_closed_intervals
 
 
 def main():
@@ -33,10 +28,11 @@ def main():
     disagreements = 0
     for q, m, kw, n in theorem_families(args.max_n):
         table = coset_table(n, q)
-        direct = threshold(v for _, v, _ in delta_sweep(table))
-        try:
-            closed = threshold([dually_bch_closed(bch_spec(q, m, d, **kw), table)
-                                for d in range(2, n + 1)])
+        sweep = enumerate(delta_sweep(table), 2)
+        direct = max((d for d, (_, v, _) in sweep if not v), default=1)
+        try:  # the last interval ends at n, and the threshold is just below it
+            closed = dually_bch_closed_intervals(
+                q, m, bch_spec(q, m, 2, **kw).lambda_kind, table)[-1][0] - 1
         except ValueError:  # outside the closed form's hypotheses
             closed = None
         fam = f"s={kw['s']}" if "s" in kw else f"lam={kw['lam']}"

@@ -41,12 +41,14 @@ from .cyclotomic import (
     largest_leaders_closed_form,
     leader_family_modulus,
     multiplicative_order,
+    plainly_above_max_n,
 )
 from .dualtools import (
     bound_report,
     delta_sweep,
     dual_lower_bound,
     dually_bch_closed,
+    dually_bch_closed_intervals,
     dually_bch_direct,
 )
 from .gf import field_new, prime_power
@@ -202,7 +204,15 @@ def _check_size(n):
         raise CliError(f"n={n} exceeds the size cap {MAX_N}")
 
 
+def _check_family_size(q, m, lam, s):
+    """Refuse a vast (q^m-1)/lambda from bit lengths, before q^m is taken."""
+    if plainly_above_max_n(q, m, 1 if lam is None else lam, s):
+        raise CliError(f"n=(q^m-1)/lambda with q={q}, m={m} exceeds "
+                       f"the size cap {MAX_N}")
+
+
 def _spec_from_args(args, delta):
+    _check_family_size(args.q, args.m, args.lam, args.s)
     try:
         spec = bch_spec(args.q, args.m, delta, lam=args.lam, s=args.s)
     except ValueError as e:
@@ -270,17 +280,15 @@ def cmd_cosets(args) -> int:
     else:
         if args.m is None:
             raise CliError("need --n, or --m with --lambda or --s")
-        m = args.m
-        if args.s is not None:
-            s, lam = args.s, q**args.s - 1
-            if m % s:
-                raise CliError(f"s={s} does not divide m={m}")
-        elif args.lam is not None:
-            s, lam = None, args.lam
-            if lam < 1 or (q**m - 1) % lam:
-                raise CliError(f"lambda={lam} does not divide q^m-1={q**m - 1}")
-        else:
+        m, s = args.m, args.s
+        if s is None and args.lam is None:
             raise CliError("need --lambda or --s alongside --m")
+        if s is not None and m % s:
+            raise CliError(f"s={s} does not divide m={m}")
+        _check_family_size(q, m, args.lam, s)
+        lam = q**s - 1 if s is not None else args.lam
+        if lam < 1 or (q**m - 1) % lam:
+            raise CliError(f"lambda={lam} does not divide q^m-1={q**m - 1}")
         n = (q**m - 1) // lam
         _check_size(n)
     try:
@@ -383,8 +391,8 @@ def cmd_dual_bound(args) -> int:
 def cmd_dually_bch(args) -> int:
     if (args.delta is None) == (args.delta_range is None):
         raise CliError("need exactly one of --delta or --delta-range")
-    spec0 = _spec_from_args(args, 2)
-    n = spec0.n
+    spec = _spec_from_args(args, 2)
+    n = spec.n
     if args.delta_range is not None:
         lo, hi = _parse_delta_range(args.delta_range)
     else:
@@ -393,17 +401,16 @@ def cmd_dually_bch(args) -> int:
         raise CliError(f"delta range [{lo}, {hi}] outside [2, {n}]")
 
     table = coset_table(n, args.q)
-    rows = []
-    for delta, (_, verdict, witness) in enumerate(delta_sweep(table, lo, hi), lo):
-        try:
-            closed = dually_bch_closed(
-                bch_spec(args.q, args.m, delta, lam=args.lam, s=args.s), table)
-        except ValueError:
-            closed = None
-        rows.append([delta, verdict, witness, closed])
+    try:
+        closed = dually_bch_closed_intervals(args.q, args.m, spec.lambda_kind, table)
+    except ValueError:
+        closed = None  # outside the threshold theorems' hypotheses
+    rows = [[delta, verdict, witness,
+             None if closed is None else any(a <= delta <= b for a, b in closed)]
+            for delta, (_, verdict, witness) in enumerate(delta_sweep(table, lo, hi), lo)]
 
     report = Report("dually-bch", {
-        "q": args.q, "m": args.m, "lambda": spec0.lam,
+        "q": args.q, "m": args.m, "lambda": spec.lam,
         "delta_range": [lo, hi], "n": n,
     })
     report.add("verdicts", ["delta", "dually_bch", "witness", "closed_form"], rows)

@@ -27,6 +27,20 @@ from sympy import n_order
 MAX_N = 1 << 24  # largest code length or modulus accepted; tables are O(n) int32
 
 
+def plainly_above_max_n(q: int, m: int, lam: int = 1, s: int | None = None) -> bool:
+    """Whether n = (q^m - 1)/lambda surely exceeds MAX_N, from bit lengths alone.
+
+    lambda is q^s - 1 when s is given, else lam.  With b = bits(q) - 1, so
+    that q >= 2^b, n >= q^(m-s) >= 2^((m-s) b) in the power form and
+    n >= 2^(m b - bits(lam)) otherwise.  So a vast length is refused before
+    q^m, which may have millions of digits, is taken.  False still calls for
+    the exact comparison with MAX_N.
+    """
+    b = q.bit_length() - 1
+    floor_bits = (m - s) * b if s is not None else m * b - lam.bit_length()
+    return floor_bits >= MAX_N.bit_length()
+
+
 def multiplicative_order(q: int, n: int) -> int:
     """Order of q in (Z/n)^*; n = 1 gives 1."""
     if n == 1:

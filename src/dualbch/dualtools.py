@@ -12,7 +12,7 @@ bound then gives d_perp >= I(delta) + 1.  This module computes
   * earlier published bounds that apply to the same lengths (for
     comparison, reported with their raw values even when vacuous),
   * the dually-BCH criterion: whether T_perp is exactly a union of the
-    cosets of 0 .. J-1, decided directly and by the threshold theorems,
+    cosets of 0 .. J-1, per delta directly, per family by the theorems,
   * delta_sweep: I(delta) and the direct dually-BCH verdict for every delta
     in [2, n] from one pass over the coset leaders,
   * bound_report: all of the above for one delta.  Given one table for
@@ -35,6 +35,7 @@ import numpy as np
 from .bch import (
     BchSpec,
     DefiningSet,
+    DivisorOfQMinus1,
     PowerForm,
     bch_bound_from_set,
     check_table,
@@ -333,40 +334,43 @@ def delta_sweep(table: CosetTable, lo: int = 2,
     return list(zip(i_delta.tolist(), verdict.tolist(), witness.tolist()))
 
 
-def dually_bch_closed(spec: BchSpec, table: CosetTable | None = None) -> bool:
-    """Threshold criterion for C_delta being dually-BCH.
+def dually_bch_closed_intervals(q: int, m: int, lambda_kind: PowerForm | DivisorOfQMinus1,
+                                table: CosetTable) -> tuple[tuple[int, int], ...]:
+    """The deltas whose C_delta is dually-BCH, as ascending inclusive (lo, hi).
 
     Power form (m/s >= 3; m >= 4 when q >= 3, m >= 6 when q = 2):
-    true iff delta1 < delta <= n, except q = 2, s = 1 where the verdict is
-    delta in {2, 3} or delta >= delta2 + 1.  Divisor form (q >= 3, m >= 2,
-    lambda | q-1, lambda != q-1): lambda = 1 gives delta = 2 or
-    delta > delta2; lambda > 1 gives delta > delta1.  delta1/delta2 are the
-    largest coset leaders mod n, taken from the table (brute force), never
-    from the closed-form leader expressions.
+    delta1 < delta <= n, except q = 2, s = 1: delta in {2, 3} or
+    delta > delta2.  Divisor form (q >= 3, m >= 2, lambda | q-1,
+    lambda != q-1): delta1 < delta <= n, except lambda = 1: delta = 2 or
+    delta > delta2.  delta1/delta2 are the largest coset leaders mod n, from
+    the table (brute force), never from the closed-form leader expressions.
+    Raises ValueError outside these hypotheses or on a table of another (n, q).
     """
-    q, m, delta, n = spec.q, spec.m, spec.delta, spec.n
-    lk = spec.lambda_kind
-    if table is None:
-        table = coset_table(n, q)
-    if (table.n, table.q) != (n, q):
-        raise ValueError("table does not match spec")
-    if isinstance(lk, PowerForm):
-        validate_power_form(q, lk.s, m)
+    if isinstance(lambda_kind, PowerForm):
+        validate_power_form(q, lambda_kind.s, m)
         if q == 2 and m < 6:
             raise ValueError(f"m={m} < 6: criterion not applicable for q = 2")
         if q >= 3 and m < 4:
             raise ValueError(f"m={m} < 4: criterion not applicable for q >= 3")
-        if q == 2 and lk.s == 1:
-            d1, d2 = largest_leaders(table, 2)
-            return delta in (2, 3) or d2 + 1 <= delta <= n
-        d1 = largest_leaders(table, 1)[0]
-        return d1 < delta <= n
-    validate_divisor_form(q, lk.lam, m)
-    if lk.lam == 1:
-        d1, d2 = largest_leaders(table, 2)
-        return delta == 2 or d2 < delta <= n
-    d1 = largest_leaders(table, 1)[0]
-    return d1 < delta <= n
+        n = (q**m - 1) // (q**lambda_kind.s - 1)
+        isolated = (2, 3) if q == 2 and lambda_kind.s == 1 else None
+    else:
+        validate_divisor_form(q, lambda_kind.lam, m)
+        n = (q**m - 1) // lambda_kind.lam
+        isolated = (2, 2) if lambda_kind.lam == 1 else None
+    if (table.n, table.q) != (n, q):
+        raise ValueError("table does not match spec")
+    if isolated is None:
+        return ((largest_leaders(table, 1)[0] + 1, n),)
+    return (isolated, (largest_leaders(table, 2)[1] + 1, n))
+
+
+def dually_bch_closed(spec: BchSpec, table: CosetTable | None = None) -> bool:
+    """Whether delta lies in its family's dually_bch_closed_intervals."""
+    if table is None:
+        table = coset_table(spec.n, spec.q)
+    intervals = dually_bch_closed_intervals(spec.q, spec.m, spec.lambda_kind, table)
+    return any(lo <= spec.delta <= hi for lo, hi in intervals)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .bch import DivisorOfQMinus1, PowerForm
-from .cyclotomic import MAX_N, CosetTable, coset_table
+from .cyclotomic import MAX_N, CosetTable, coset_table, plainly_above_max_n
 from .dualtools import validate_divisor_form, validate_power_form
 
 MANIFEST_SCHEMA = "dualbch-prop-grids/1"
@@ -277,10 +277,7 @@ def _plan_case(lemma_id: str, case: dict) -> tuple:
             raise ValueError(f"unknown lemma_id in manifest: {lemma_id!r}")
     except KeyError as e:
         raise ValueError(f"{lemma_id} case {case} lacks {e}") from None
-    # q^m >= 2^(m (bits(q) - 1)) and lam < 2^lam_bits, so the first test
-    # refuses, from bit lengths alone, a modulus above 2^26 before q^m is taken
-    lam_bits = lam.bit_length() if s is None else s * q.bit_length()
-    if (m * (q.bit_length() - 1) - lam_bits > MAX_N.bit_length() + 1
+    if (plainly_above_max_n(q, m, lam, s)
             or (n := (q**m - 1) // (lam if s is None else q**s - 1)) > MAX_N):
         # the modulus itself may have too many digits to print
         raise ValueError(f"{lemma_id} case {case}: table modulus exceeds "

@@ -30,9 +30,7 @@ from dualbch.cyclotomic import (
 from dualbch.dualtools import (
     bound_report,
     dual_lower_bound,
-    dually_bch_closed,
-    dually_bch_direct,
-    i_delta_direct,
+    dually_bch_closed_intervals,
 )
 from dualbch.gf import (
     Poly,
@@ -113,54 +111,43 @@ def test_criterion_3_certified_dual_distances():
           f"in {elapsed:.1f}s")
 
 
-def test_criterion_4_i_delta_closed_equals_direct():
+def test_criterion_4_i_delta_closed_equals_direct(direct_oracle):
     t0 = time.perf_counter()
     assert len(THEOREM_SWEEP) >= 100
     checked = 0
     for q, m, kw, n in THEOREM_SWEEP:
-        table = coset_table(n, q)
-        for delta in range(2, n + 1):
-            spec = bch_spec(q, m, delta, **kw)
-            t_perp = dual_defining_set(defining_set(spec, table))
-            direct = i_delta_direct(t_perp)
-            closed = dual_lower_bound(spec) - 1  # the closed form for the family
+        for delta, (direct, _, _) in enumerate(direct_oracle(q, n), 2):
+            closed = dual_lower_bound(bch_spec(q, m, delta, **kw)) - 1
             assert closed == direct, (q, m, kw, delta, closed, direct)
             checked += 1
+    assert checked == 149_339
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     print(f"criterion 4 PASS I(delta) closed == direct on {checked} "
           f"(spec, delta) pairs across {len(THEOREM_SWEEP)} families in {elapsed:.1f}s")
 
 
-def test_criterion_5_dually_bch_closed_equals_direct():
+def test_criterion_5_dually_bch_closed_equals_direct(direct_oracle):
     t0 = time.perf_counter()
     compared = 0
     skipped_families = 0
     for q, m, kw, n in THEOREM_SWEEP:
-        table = coset_table(n, q)
         try:
-            dually_bch_closed(bch_spec(q, m, 2, **kw), table)
+            intervals = dually_bch_closed_intervals(
+                q, m, bch_spec(q, m, 2, **kw).lambda_kind, coset_table(n, q))
         except ValueError:
             skipped_families += 1  # outside the iff-theorem hypotheses
             continue
-        for delta in range(2, n + 1):
-            spec = bch_spec(q, m, delta, **kw)
-            direct, _ = dually_bch_direct(
-                dual_defining_set(defining_set(spec, table)), table)
-            closed = dually_bch_closed(spec, table)
+        for delta, (_, direct, _) in enumerate(direct_oracle(q, n), 2):
+            closed = any(lo <= delta <= hi for lo, hi in intervals)
             assert closed == direct, (q, m, kw, delta)
             compared += 1
+    assert compared == 143_917
 
     # thresholds of the four anchor instances: dually-BCH iff thr < delta <= n
     for q, m, kw, expected in DUALLY_BCH_CASES:
-        spec = bch_spec(q, m, 2, **kw)
-        table = coset_table(spec.n, q)
-        verdicts = []
-        for delta in range(2, spec.n + 1):
-            s2 = bch_spec(q, m, delta, **kw)
-            v, _ = dually_bch_direct(
-                dual_defining_set(defining_set(s2, table)), table)
-            verdicts.append((delta, v))
+        n = bch_spec(q, m, 2, **kw).n
+        verdicts = [(d, v) for d, (_, v, _) in enumerate(direct_oracle(q, n), 2)]
         false_deltas = [d for d, v in verdicts if not v]
         assert max(false_deltas) == expected, (q, kw, m)
         assert all(v for d, v in verdicts if d > expected)

@@ -3,9 +3,12 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
+from dualbch import cli
+from dualbch.bch import bch_spec
 from dualbch.cli import MAX_N, main
 from dualbch.propchecks import MANIFEST_SCHEMA
 
@@ -121,6 +124,27 @@ class TestSizeGuard:
         assert (code, out) == (1, "")
         assert f"dualbch {argv[0]}: error: n=" in err
         assert f"exceeds the size cap {MAX_N}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["dually-bch", "--q", "3", "--m", "10000", "--lambda", "1", "--delta", "3"],
+        ["dual-bound", "--q", "3", "--m", "10000", "--lambda", "1", "--delta", "3"],
+        ["cosets", "--q", "3", "--m", "10000", "--lambda", "1"],
+        ["dually-bch", "--q", "3", "--m", "30000000", "--lambda", "1",
+         "--delta", "3"],
+        ["dual-bound", "--q", "2", "--m", "30000000", "--s", "2", "--delta", "3"],
+        ["cosets", "--q", "3", "--m", "30000000", "--s", "1"],
+    ], ids=["dually-bch", "dual-bound", "cosets", "dually-bch-3e7",
+            "dual-bound-3e7-s", "cosets-3e7-s"])
+    def test_vast_m_refused_from_bit_lengths(self, capsys, argv):
+        # q^m has thousands of digits, too many to print, or millions, which
+        # take about a minute to compute; neither is needed to refuse
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (1, "")
+        q, m = argv[2], argv[4]
+        assert err == (f"dualbch {argv[0]}: error: n=(q^m-1)/lambda with q={q}, "
+                       f"m={m} exceeds the size cap {MAX_N}\n")
 
 
 class TestDualBound:
@@ -274,6 +298,45 @@ class TestDuallyBch:
         assert code == 0
         assert section(out, "true_intervals")["rows"] == [[2, 3], [28, 63]]
         assert section(out, "summary")["rows"] == [[27]]
+
+    def test_one_bch_spec_per_sweep(self, capsys, monkeypatch):
+        # the closed column is decided once per family, not once per delta
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return bch_spec(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "bch_spec", counting)
+        code, out, _ = run(capsys, "dually-bch", "--q", "2", "--m", "6",
+                           "--lambda", "1", "--delta-range", "2:63",
+                           "--format", "json")
+        assert code == 0
+        assert len(section(out, "verdicts")["rows"]) == 62
+        assert calls == [(2, 6, 2)]
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_outside_hypotheses_closed_column_is_empty(self, capsys, fmt):
+        # q = 2 needs m >= 6 for the threshold theorem
+        code, out, _ = run(capsys, "dually-bch", "--q", "2", "--m", "4",
+                           "--lambda", "1", "--delta-range", "2:15",
+                           "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            rows = section(out, "verdicts")["rows"]
+            closed = [r[3] for r in rows]
+            assert closed == [None] * 14
+        elif fmt == "csv":
+            block = out.split("#section:verdicts\n", 1)[1].split("\n\n", 1)[0]
+            rows = list(csv.reader(io.StringIO(block)))
+            assert rows[0] == ["delta", "dually_bch", "witness", "closed_form"]
+            assert [r[3] for r in rows[1:]] == [""] * 14
+        else:
+            block = out.split("== verdicts ==\n", 1)[1].split("\n\n", 1)[0]
+            lines = block.splitlines()
+            assert lines[0].split() == ["delta", "dually_bch", "witness", "closed_form"]
+            # the empty last cell leaves three cells on every data row
+            assert [len(line.split()) for line in lines[2:]] == [3] * 14
 
     def test_requires_exactly_one_delta_flag(self, capsys):
         code, _, _ = run(capsys, "dually-bch", "--q", "2", "--m", "6",

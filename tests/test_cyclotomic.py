@@ -16,6 +16,7 @@ from dualbch.cyclotomic import (
     largest_leaders_closed_form,
     leader_family_modulus,
     multiplicative_order,
+    plainly_above_max_n,
 )
 
 
@@ -153,6 +154,33 @@ class TestCosetTable:
         monkeypatch.setattr(np, "arange", no_arange)
         with pytest.raises(ValueError, match="MAX_N"):
             coset_table(MAX_N + 1, 3)
+
+
+class TestPlainlyAboveMaxN:
+    def test_never_refuses_a_length_within_the_cap(self):
+        # every refusal is of an exact (q^m - 1)/lambda above MAX_N
+        refused = 0
+        for q in range(2, 70):
+            for m in range(1, 80):
+                qm = q**m - 1
+                forms = [(lam, None, qm // lam) for lam in range(1, q)]
+                forms += [(1, s, qm // (q**s - 1)) for s in range(1, m + 1) if m % s == 0]
+                for lam, s, n in forms:
+                    if plainly_above_max_n(q, m, lam, s):
+                        assert n > MAX_N, (q, m, lam, s)
+                        refused += 1
+        assert refused > 100_000
+
+    def test_refuses_vast_lengths(self):
+        assert plainly_above_max_n(2, 26)
+        assert not plainly_above_max_n(2, 25)  # n = 2^25 - 1: exact check refuses
+        assert plainly_above_max_n(3, 10_000)
+        assert plainly_above_max_n(3, 30_000_000, s=1)
+        assert plainly_above_max_n(2, 30_000_000, s=2)
+        assert plainly_above_max_n(5, 10**7, lam=2)
+        # n = 1 + q^s: too large once s is
+        assert plainly_above_max_n(2, 60, s=30)
+        assert not plainly_above_max_n(2, 40, s=20)
 
 
 class TestLargestLeaders:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dualbch.bch import (
     DefiningSet,
+    DivisorOfQMinus1,
     PowerForm,
     bch_bound_from_set,
     bch_spec,
@@ -25,6 +26,7 @@ from dualbch.dualtools import (
     delta_sweep,
     dual_lower_bound,
     dually_bch_closed,
+    dually_bch_closed_intervals,
     dually_bch_direct,
     i_delta_closed_divisor_form,
     i_delta_closed_power_form,
@@ -168,15 +170,16 @@ class TestClosedMatchesDirect:
 
     @pytest.mark.parametrize("q,m,kw", SWEEP_SPECS)
     def test_dually_bch_full_sweep(self, q, m, kw):
-        n = bch_spec(q, m, 2, **kw).n
-        table = coset_table(n, q)
-        for delta in range(2, n + 1):
-            spec = bch_spec(q, m, delta, **kw)
-            direct, _ = dually_bch_direct(t_perp_of(spec, table), table)
-            try:
-                closed = dually_bch_closed(spec, table)
-            except ValueError:
-                continue  # theorem hypotheses not met (e.g. m too small)
+        spec = bch_spec(q, m, 2, **kw)
+        table = coset_table(spec.n, q)
+        try:
+            intervals = dually_bch_closed_intervals(q, m, spec.lambda_kind, table)
+        except ValueError:
+            return  # theorem hypotheses not met (e.g. m too small)
+        for delta in range(2, spec.n + 1):
+            direct, _ = dually_bch_direct(
+                t_perp_of(bch_spec(q, m, delta, **kw), table), table)
+            closed = any(lo <= delta <= hi for lo, hi in intervals)
             assert closed == direct, f"delta={delta}"
 
     @pytest.mark.parametrize("q,m,kw", SWEEP_SPECS)
@@ -316,6 +319,39 @@ class TestDuallyBchClosed:
             dually_bch_closed(bch_spec(3, 3, 3, s=1))  # q>=3 needs m >= 4
         with pytest.raises(ValueError):
             dually_bch_closed(bch_spec(2, 4, 3, s=2))  # m/s < 3
+
+    def test_intervals_of_the_anchor_families(self):
+        def intervals(q, m, n, kind):
+            return dually_bch_closed_intervals(q, m, kind, coset_table(n, q))
+        # binary s = 1: {2, 3} and every delta above delta2 = 27 mod 63
+        assert intervals(2, 6, 63, PowerForm(1)) == ((2, 3), (28, 63))
+        assert intervals(3, 9, 757, PowerForm(3)) == ((389, 757),)
+        assert intervals(5, 4, 312, DivisorOfQMinus1(2)) == ((248, 312),)
+        # lambda = 1: delta = 2 and every delta above delta2 = 14 mod 26
+        assert intervals(3, 3, 26, DivisorOfQMinus1(1)) == ((2, 2), (15, 26))
+
+    def test_intervals_refuse_what_the_criterion_refuses(self):
+        for q, m, kind, n in [(2, 4, PowerForm(1), 15), (3, 3, PowerForm(1), 13),
+                              (2, 4, PowerForm(2), 5)]:
+            with pytest.raises(ValueError):
+                dually_bch_closed_intervals(q, m, kind, coset_table(n, q))
+        with pytest.raises(ValueError, match="table does not match"):
+            dually_bch_closed_intervals(2, 6, PowerForm(1), coset_table(21, 2))
+
+    def test_intervals_are_ordered_and_end_at_n(self):
+        inside = 0
+        for q, m, kw, n in theorem_families(1000):
+            table = coset_table(n, q)
+            try:
+                got = dually_bch_closed_intervals(
+                    q, m, bch_spec(q, m, 2, **kw).lambda_kind, table)
+            except ValueError:
+                continue  # outside the threshold theorems' hypotheses
+            inside += 1
+            assert got and all(2 <= lo <= hi <= n for lo, hi in got), (q, m, kw, got)
+            assert all(a[1] < b[0] for a, b in zip(got, got[1:])), (q, m, kw, got)
+            assert got[-1][1] == n, (q, m, kw, got)
+        assert inside == 318
 
 
 class TestDeltaPrimeLemma:
@@ -474,37 +510,24 @@ class TestHypothesisSweep:
             pass
 
 
-def per_delta_oracle(table):
-    """(I, verdict, witness) for every delta in [2, n] from the direct scans."""
-    lead = table.leader_of
-    out = []
-    for delta in range(2, table.n + 1):
-        t = DefiningSet(table.n, table.q, (lead >= 1) & (lead <= delta - 1),
-                        validate=False)
-        t_perp = dual_defining_set(t)
-        out.append((i_delta_direct(t_perp), *dually_bch_direct(t_perp, table)))
-    return out
-
-
 class TestDeltaSweep:
-    def test_matches_oracle_on_theorem_sweep(self):
+    def test_matches_oracle_on_theorem_sweep(self, direct_oracle):
         # every theorem family with n <= 1000
         pairs = 0
         for q, _, _, n in theorem_families(1000):
-            table = coset_table(n, q)
-            assert delta_sweep(table) == per_delta_oracle(table), (q, n)
+            assert delta_sweep(coset_table(n, q)) == direct_oracle(q, n), (q, n)
             pairs += n - 1
         assert pairs == 149_339
 
     @given(st.integers(1, 300), st.integers(2, 40), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_matches_oracle_on_any_coprime_modulus(self, n, q, data):
+    def test_matches_oracle_on_any_coprime_modulus(self, direct_oracle, n, q, data):
         # the sweep needs none of the theorem hypotheses, not even a prime power q
         if math.gcd(n, q) != 1:
             return
         table = coset_table(n, q)
         got = delta_sweep(table)
-        assert got == per_delta_oracle(table)
+        assert got == direct_oracle(q, n)
         # plain Python values, so reports render them as the oracle's would
         assert all([type(v) for v in row] == [int, bool, int] for row in got)
         if n >= 2:
