@@ -211,7 +211,16 @@ def _check_family_size(q, m, lam, s):
                        f"the size cap {MAX_N}")
 
 
+def _check_s(m, s):
+    """Refuse an s that does not divide m, or s = m (n = 1), before q^m."""
+    if s is not None and m % s:
+        raise CliError(f"s={s} does not divide m={m}")
+    if s == m:
+        raise CliError(f"s={s} equals m, so n = (q^m-1)/(q^s-1) = 1; need s < m")
+
+
 def _spec_from_args(args, delta):
+    _check_s(args.m, args.s)
     _check_family_size(args.q, args.m, args.lam, args.s)
     try:
         spec = bch_spec(args.q, args.m, delta, lam=args.lam, s=args.s)
@@ -283,8 +292,7 @@ def cmd_cosets(args) -> int:
         m, s = args.m, args.s
         if s is None and args.lam is None:
             raise CliError("need --lambda or --s alongside --m")
-        if s is not None and m % s:
-            raise CliError(f"s={s} does not divide m={m}")
+        _check_s(m, s)
         _check_family_size(q, m, args.lam, s)
         lam = q**s - 1 if s is not None else args.lam
         if lam < 1 or (q**m - 1) % lam:
@@ -339,14 +347,13 @@ def cmd_dual_bound(args) -> int:
             raise CliError(f"{e} (pass --force-direct for the direct scan only)") from None
     table = coset_table(spec.n, spec.q)
     rep = bound_report(spec, table)
-    t = defining_set(spec, table)
 
     report = Report("dual-bound", {
         "q": spec.q, "m": spec.m, "lambda": spec.lam, "delta": spec.delta,
         "n": spec.n,
     })
     report.add("parameters", ["n", "dim", "dual_dim", "delta"],
-               [[spec.n, spec.n - len(t), len(t), spec.delta]])
+               [[spec.n, spec.n - rep.dual_dim, rep.dual_dim, spec.delta]])
     report.add(
         "dual_distance_bounds",
         ["i_delta_direct", "i_delta_closed", "lower_bound_direct", "lower_bound_closed"],

@@ -59,6 +59,7 @@ class BoundReport:
     """Everything known about the dual of one BchSpec instance."""
 
     spec: BchSpec
+    dual_dim: int  # |T|, the dimension of the dual code
     i_delta_direct: int
     i_delta_closed: int | None
     lower_bound_closed: int | None
@@ -384,8 +385,8 @@ def bound_report(spec: BchSpec, table: CosetTable | None = None) -> BoundReport:
     scanned once per segment of deltas and read back for the rest.  They
     depend on delta only through k, the number of coset leaders below
     delta, because T = C_1 u ... u C_{delta-1} and so T_perp stay the same
-    between two consecutive leaders.  The table keeps them in its
-    direct_rows, keyed by k.  The closed forms and prior bounds are
+    between two consecutive leaders.  The table keeps them, with |T|, in
+    its direct_rows, keyed by k.  The closed forms and prior bounds are
     evaluated for every delta, so the two routes stay independent.
     """
     if table is None:
@@ -394,11 +395,12 @@ def bound_report(spec: BchSpec, table: CosetTable | None = None) -> BoundReport:
     k = int(np.searchsorted(table.leaders, spec.delta))
     row = table.direct_rows.get(k)
     if row is None:
-        t_perp = dual_defining_set(defining_set(spec, table))
-        row = (i_delta_direct(t_perp), *dually_bch_direct(t_perp, table),
+        t = defining_set(spec, table)
+        t_perp = dual_defining_set(t)
+        row = (len(t), i_delta_direct(t_perp), *dually_bch_direct(t_perp, table),
                bch_bound_from_set(t_perp))
         table.direct_rows[k] = row
-    i_direct, direct_verdict, witness, lower_direct = row
+    dual_dim, i_direct, direct_verdict, witness, lower_direct = row
     try:
         lower_closed = dual_lower_bound(spec)
     except ValueError:
@@ -411,6 +413,7 @@ def bound_report(spec: BchSpec, table: CosetTable | None = None) -> BoundReport:
     tops = largest_leaders(table, 2)
     return BoundReport(
         spec=spec,
+        dual_dim=dual_dim,
         i_delta_direct=i_direct,
         i_delta_closed=i_closed,
         lower_bound_closed=lower_closed,

@@ -312,6 +312,37 @@ def rref(mat: np.ndarray, field: ScalarField):
     return R, pivots
 
 
+def rref_gf2(rows: np.ndarray, n: int):
+    """rref over GF(2) of bit-packed rows of length n; returns (R[:r], pivots).
+
+    Position c of a row is bit c % 64 of uint64 word c // 64, and the
+    padding bits past n are 0.  The steps are rref's (the first set row at
+    or below r is the pivot, it is swapped up to r, every other row with
+    the column set is cleared), with XOR for row subtraction and no scaling,
+    so R is the packed form of rref's first r rows and the pivots are the
+    same.  r is the rank.
+    """
+    R = np.array(rows, dtype=np.uint64, copy=True)
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == len(R):
+            break
+        col = ((R[:, c // 64] >> (c % 64)) & 1).astype(bool)
+        below = np.flatnonzero(col[r:])
+        if below.size == 0:
+            continue
+        p = r + int(below[0])
+        if p != r:
+            R[[r, p]] = R[[p, r]]
+            col[p] = col[r]
+        col[r] = False
+        R[col] ^= R[r]
+        pivots.append(c)
+        r += 1
+    return R[:r], pivots
+
+
 # ---------------------------------------------------------------------------
 # polynomials over GF(q)
 # ---------------------------------------------------------------------------

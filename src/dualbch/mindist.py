@@ -14,7 +14,10 @@ low_weight_search is a randomized information-set decoder (Lee-Brickell):
 permute columns, row-reduce to a systematic basis, and enumerate all
 information patterns of weight <= 2.  It returns the lightest codeword
 seen, which upper-bounds the minimum distance; meeting a proven lower bound
-certifies exactness.
+certifies exactness.  Each trial's row reduction is the kernel's: over
+GF(2) it runs on the packed rows (gf.rref_gf2), XORing 64 positions per
+word, and gives the same reduced rows and pivots as the int32 gf.rref,
+which serves q > 2.  The witness's row-space check uses the same kernel.
 
 Both searches do their codeword arithmetic through one of two kernels.  Over
 GF(q) with q > 2, codewords are int32 rows of field elements, summed by
@@ -42,7 +45,7 @@ import numpy as np
 
 from .bch import CodeParams, generator_matrix
 from .dualtools import BoundReport
-from .gf import ScalarField, rref
+from .gf import ScalarField, rref, rref_gf2
 
 DEFAULT_BUDGET = 1 << 26
 DEFAULT_TRIALS = 20000
@@ -91,6 +94,7 @@ class _TableWords:
     """Codewords over GF(q) as int32 rows of field elements."""
 
     def __init__(self, field: ScalarField):
+        self.field = field
         self.q = field.q
         self.add_flat = field.add_t.ravel()
         self.mul_t = field.mul_t
@@ -112,6 +116,19 @@ class _TableWords:
 
     def weights(self, words):
         return np.count_nonzero(words, axis=-1)
+
+    def rref(self, mat):
+        """rref's (R, pivots), R trimmed to the rank."""
+        R, pivots = rref(mat, self.field)
+        return R[:len(pivots)], pivots
+
+    def reduce(self, word, R, pivots):
+        """Residual of word after elimination by the reduced rows R."""
+        sub_t, mul_t = self.field.sub_t, self.mul_t
+        for r, c in enumerate(pivots):
+            if word[c]:
+                word = sub_t[word, mul_t[int(word[c]), R[r]]]
+        return word
 
 
 class _PackedWords:
@@ -142,6 +159,20 @@ class _PackedWords:
 
     def weights(self, words):
         return np.bitwise_count(words).sum(axis=-1)
+
+    def rref(self, mat):
+        """rref of mat as packed rows, trimmed to the rank; same pivots."""
+        return rref_gf2(self.pack(mat), self.n)
+
+    def reduce(self, word, R, pivots):
+        """Residual of word after elimination by the reduced rows R.
+
+        R is reduced, so pivot column c is set in row r alone, and word's
+        bit c says whether row r is added: one XOR over the selected rows.
+        """
+        piv = np.asarray(pivots, dtype=np.uint64)
+        hits = ((word[piv // 64] >> (piv % 64)) & 1).astype(bool)
+        return word ^ np.bitwise_xor.reduce(R[hits], axis=0)
 
 
 def _words_for(field: ScalarField, n: int):
@@ -237,26 +268,18 @@ def exhaustive_min_weight(gen: np.ndarray, field: ScalarField,
     return _exhaustive_best(gen, field, budget).weight
 
 
-def _reduce_against(v, R, pivots, field):
-    """Residual of v after elimination by the reduced rows R."""
-    v = v.astype(np.int32).copy()
-    for r, c in enumerate(pivots):
-        if v[c]:
-            v = field.sub_t[v, field.mul_t[int(v[c]), R[r]]]
-    return v
-
-
 def in_row_space(v: np.ndarray, gen: np.ndarray, field: ScalarField) -> bool:
     """Whether v lies in the row space of gen over GF(q)."""
-    R, piv = rref(gen, field)
-    return not _reduce_against(v, R[:len(piv)], piv, field).any()
+    words = _words_for(field, gen.shape[1])
+    R, piv = words.rref(gen)
+    return not words.reduce(words.pack(v[None])[0], R, piv).any()
 
 
 def _isd_best(gen: np.ndarray, field: ScalarField, target: int,
               trials: int, seed: int, words=None) -> _Search:
     """Lightest codeword from information-set search; stops at target.
 
-    words defaults to _words_for; the row reduction is rref's either way.
+    words defaults to _words_for, whose rref reduces each permuted generator.
     """
     k, n = gen.shape
     if k == 0:
@@ -270,9 +293,8 @@ def _isd_best(gen: np.ndarray, field: ScalarField, target: int,
     seen = 0
     for trial in range(1, trials + 1):
         perm = rng.permutation(n)
-        R, piv = rref(gen[:, perm], field)
+        rows, piv = words.rref(gen[:, perm])
         r = len(piv)
-        rows = words.pack(R[:r])
         inv = perm.argsort()
         # weight-1 information patterns: the reduced rows themselves
         weights = words.weights(rows)

@@ -288,9 +288,11 @@ def _plan_case(lemma_id: str, case: dict) -> tuple:
 def run_grid(manifest: dict | None = None, threads: int = 1) -> list[PropResult]:
     """Run every check in the manifest and return results in manifest order.
 
-    Coset tables are shared across cases with the same modulus/base.  With
-    ``threads > 1`` the independent checks are fanned out to a thread pool;
-    the result ordering is unaffected.
+    Cases with the same modulus/base share one coset table.  The cases are
+    run in groups, one per table, in order of each table's first case; a
+    table is built just before its group and dropped after it, so only one
+    table is alive at a time.  With ``threads > 1`` the checks of a group are
+    fanned out to a thread pool; the result ordering is unaffected.
     """
     if manifest is None:
         manifest = load_grid_manifest()
@@ -301,16 +303,26 @@ def run_grid(manifest: dict | None = None, threads: int = 1) -> list[PropResult]
         for grid in manifest["grids"]
         for case in grid["cases"]
     ]
-    tables: dict[tuple[int, int], CosetTable] = {}
-    for _, _, key in jobs:
-        if key not in tables:
-            tables[key] = coset_table(*key)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (_, _, key) in enumerate(jobs):
+        groups.setdefault(key, []).append(i)
+    results: list[PropResult | None] = [None] * len(jobs)
 
-    def run(job):
-        check, args, key = job
-        return check(*args, table=tables[key])
+    def run_group(key, indices, map_fn):
+        table = coset_table(*key)
+
+        def run(i):
+            check, args, _ = jobs[i]
+            return check(*args, table=table)
+
+        for i, result in zip(indices, map_fn(run, indices)):
+            results[i] = result
 
     if threads == 1:
-        return [run(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, jobs))
+        for key, indices in groups.items():
+            run_group(key, indices, map)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for key, indices in groups.items():
+                run_group(key, indices, pool.map)
+    return results

@@ -146,8 +146,43 @@ class TestSizeGuard:
         assert err == (f"dualbch {argv[0]}: error: n=(q^m-1)/lambda with q={q}, "
                        f"m={m} exceeds the size cap {MAX_N}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["cosets", "--q", "3", "--m", "10000", "--s", "10000"],
+        ["dually-bch", "--q", "3", "--m", "3000000", "--s", "3000000", "--delta", "2"],
+        ["dual-bound", "--q", "3", "--m", "3000000", "--s", "3000000", "--delta", "2"],
+        ["cosets", "--q", "2", "--m", "4", "--s", "4"],
+    ], ids=["cosets-1e4", "dually-bch-3e6", "dual-bound-3e6", "cosets-small"])
+    def test_s_equal_to_m_refused_before_q_pow_m(self, capsys, argv):
+        # n = 1 passes the size cap, but lambda = q^m - 1 may be vast
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (1, "")
+        m = argv[4]
+        assert err == (f"dualbch {argv[0]}: error: s={m} equals m, so "
+                       f"n = (q^m-1)/(q^s-1) = 1; need s < m\n")
+
 
 class TestDualBound:
+    def test_one_defining_set_per_call(self, capsys, monkeypatch):
+        # the dimensions come from bound_report's set, not a second one
+        import dualbch.bch as bch
+        import dualbch.dualtools as dualtools
+
+        calls = []
+        original = bch.defining_set
+
+        def counting(spec, table):
+            calls.append(spec.delta)
+            return original(spec, table)
+
+        for module in (bch, dualtools, cli):
+            monkeypatch.setattr(module, "defining_set", counting)
+        code, out, _ = run(capsys, "dual-bound", "--q", "2", "--m", "6",
+                           "--lambda", "1", "--delta", "15", "--format", "json")
+        assert code == 0 and calls == [15]
+        assert section(out, "parameters")["rows"] == [[63, 24, 39, 15]]
+
     def test_binary_delta3_certified(self, capsys):
         code, out, _ = run(capsys, "dual-bound", "--q", "2", "--m", "6",
                            "--lambda", "1", "--delta", "3", "--certify",

@@ -14,10 +14,12 @@ from dualbch.gf import (
     poly_eval_in_ext,
     prime_power,
     rref,
+    rref_gf2,
     scalar_field,
     subfield_embed,
     subfield_project,
 )
+from dualbch.mindist import _PackedWords
 
 
 def naive_order(ctx, x):
@@ -237,6 +239,62 @@ class TestRref:
         for i, c in enumerate(piv):
             col = R[:, c]
             assert col[i] == 1 and np.count_nonzero(col) == 1
+
+
+@st.composite
+def gf2_matrices(draw):
+    """GF(2) matrices at word-boundary lengths, with zero and duplicate rows."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 130]))
+    k = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.03, 0.5, 0.97]))
+    m = (rng.random((k, n)) < density).astype(np.int32)
+    rows = st.integers(0, k - 1)
+    for i in draw(st.lists(rows, max_size=3)):
+        m[i] = 0
+    for i, j in draw(st.lists(st.tuples(rows, rows), max_size=3)):
+        m[i] = m[j]
+    return m
+
+
+class TestRrefGf2:
+    """rref_gf2 on packed rows against the int32 rref over GF(2)."""
+
+    F2 = scalar_field(2)
+
+    def check(self, m):
+        k, n = m.shape
+        words = _PackedWords(n)
+        R, piv = rref(m, self.F2)
+        packed, packed_piv = rref_gf2(words.pack(m), n)
+        assert packed_piv == piv
+        assert packed.dtype == np.uint64
+        assert np.array_equal(packed, words.pack(R[:len(piv)]))
+        assert not R[len(piv):].any()
+        return len(piv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gf2_matrices())
+    def test_matches_int32_rref(self, m):
+        self.check(m)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_full_and_deficient_rank(self, n):
+        # a unit lower-triangular matrix has full rank; scrambling its rows
+        # and columns keeps that, and the XOR of two rows appended drops it
+        rng = np.random.default_rng(n)
+        m = np.tril(rng.integers(0, 2, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+        m = m[rng.permutation(n)][:, rng.permutation(n)].astype(np.int32)
+        assert self.check(m) == n
+        extra = m[:1] ^ m[-1:]
+        assert self.check(np.concatenate([m, extra, np.zeros_like(extra)])) == n
+
+    def test_input_is_not_modified(self):
+        words = _PackedWords(70)
+        rows = words.pack(np.random.default_rng(1).integers(0, 2, size=(6, 70)))
+        before = rows.copy()
+        rref_gf2(rows, 70)
+        assert np.array_equal(rows, before)
 
 
 class TestMinimalPolynomial:

@@ -195,9 +195,15 @@ class TestPackedKernel:
         assert all(np.array_equal(words.unpack(p), r) for p, r in zip(packed, rows))
         assert np.array_equal(words.weights(packed), np.count_nonzero(rows, axis=1))
 
-    @pytest.mark.parametrize("m,delta", [(8, 8), (9, 8), (10, 16), (10, 32)])
+    # the bench's binary ISD codes (q = 2, lambda = 1): (m, delta) -> k of the dual
+    BENCH_ISD_K = {(8, 8): 32, (9, 8): 36, (10, 16): 80, (10, 32): 160}
+
+    @pytest.mark.parametrize("m,delta", list(BENCH_ISD_K))
     def test_isd_on_bench_binary_codes(self, m, delta):
+        # the packed kernel reduces each trial with rref_gf2, the table kernel
+        # with the int32 rref: the same _Search means the same R and pivots
         _, _, _, params = dual_setup(2, m, delta, lam=1, p=2, k=m)
+        assert params.k == self.BENCH_ISD_K[m, delta]
         gen = generator_matrix(params)
         for seed in (0, 1, 2):
             # target 1 is never met, so every weight-2 pattern of both trials is weighed
@@ -205,6 +211,22 @@ class TestPackedKernel:
             table = _isd_best(gen, self.F2, 1, 2, seed, _TableWords(self.F2))
             assert same_search(packed, table)
             assert (packed.trials_run, packed.stop_reason) == (2, "trials_done")
+
+    @pytest.mark.parametrize("m,delta", [(6, 3), (6, 15), (8, 8), (10, 32)])
+    def test_in_row_space_matches_int32_route(self, m, delta):
+        _, _, _, params = dual_setup(2, m, delta, lam=1, p=2, k=m)
+        gen = generator_matrix(params)
+        k, n = gen.shape
+        oracle = _TableWords(self.F2)
+        R, piv = oracle.rref(gen)
+        rng = np.random.default_rng(m * delta)
+        for msg in rng.integers(0, 2, size=(8, k)):
+            cw = (msg @ gen % 2).astype(np.int32)
+            flipped = cw.copy()
+            flipped[rng.integers(n)] ^= 1
+            for v, member in ((cw, True), (flipped, False)):
+                assert oracle.reduce(v, R, piv).any() != member
+                assert in_row_space(v, gen, self.F2) == member
 
 
 class TestLowWeightSearch:

@@ -1,7 +1,9 @@
 """Property-suite checks: leader floors, dual-set memberships, grid runner."""
 
+import gc
 import json
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -194,6 +196,35 @@ class TestManifestAndRunner:
             ],
         }
         assert run_grid(manifest, threads=1) == run_grid(manifest, threads=4)
+
+    @pytest.mark.parametrize("manifest", [
+        load_grid_manifest(),
+        # the tables of the three cases are A, B, A: A's group runs first
+        {"schema": MANIFEST_SCHEMA, "grids": [
+            {"lemma_id": "leader_floor_power_form",
+             "cases": [{"q": 3, "s": 1, "m": 5}, {"q": 2, "s": 1, "m": 8}]},
+            {"lemma_id": "leader_floor_divisor_form",
+             "cases": [{"q": 3, "lam": 1, "m": 5}]}]},
+    ], ids=["packaged", "interleaved"])
+    def test_one_table_per_key_alive_one_at_a_time(self, monkeypatch, manifest):
+        import dualbch.propchecks as propchecks
+
+        plans = [_plan_case(g["lemma_id"], c)
+                 for g in manifest["grids"] for c in g["cases"]]
+        expected = [check(*args, table=coset_table(*key)) for check, args, key in plans]
+        built, keys = [], []
+
+        def counting(n, q):
+            gc.collect()
+            assert all(ref() is None for ref in built), "an earlier table is alive"
+            table = coset_table(n, q)
+            built.append(weakref.ref(table))
+            keys.append((n, q))
+            return table
+
+        monkeypatch.setattr(propchecks, "coset_table", counting)
+        assert run_grid(manifest) == expected
+        assert sorted(keys) == sorted({key for *_, key in plans})
 
     def test_bad_manifest_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
