@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .bch import DivisorOfQMinus1, PowerForm
-from .cyclotomic import MAX_N, CosetTable, coset_table, plainly_above_max_n
+from .cyclotomic import MAX_N, CosetTable, _reduce_mod, coset_table, plainly_above_max_n
 from .dualtools import validate_divisor_form, validate_power_form
 
 MANIFEST_SCHEMA = "dualbch-prop-grids/1"
@@ -62,6 +62,16 @@ def _own_table(order: int, q: int, table: CosetTable | None) -> CosetTable:
     return table
 
 
+def _progression_mod(c: int, step: int, u_hi: int, order: int) -> np.ndarray:
+    """(c + step u) mod order for u = 1..u_hi, as one int64 progression.
+
+    The floor checks' elements are such progressions in u.  Their raw values
+    stay below q^(m+1), under 2^37 for a table within MAX_N.
+    """
+    elems = np.arange(c + step, c + step * (u_hi + 1), step, dtype=np.int64)
+    return _reduce_mod(elems, order)
+
+
 def check_leader_floor_power_form(
     q: int, s: int, m: int, table: CosetTable | None = None
 ) -> PropResult:
@@ -83,11 +93,10 @@ def check_leader_floor_power_form(
             continue
         grid.append((t, 1, u_hi))
         floor = q ** (t * s + s) - 1
-        us = np.arange(1, u_hi + 1, dtype=np.int64)
-        elems = (q ** (t * s) - 1 + (q**s - 1) * us * q ** (t * s)) % order
+        elems = _progression_mod(q ** (t * s) - 1, (q**s - 1) * q ** (t * s), u_hi, order)
         leaders = lead[elems]
         for j in np.flatnonzero(leaders < floor):
-            failures.append((t, int(us[j]), int(elems[j]), int(leaders[j]), floor))
+            failures.append((t, int(j) + 1, int(elems[j]), int(leaders[j]), floor))
     return PropResult("leader_floor_power_form", tuple(grid), tuple(failures))
 
 
@@ -115,12 +124,12 @@ def check_leader_floor_divisor_form(
                 continue
             grid.append((s, t, 1, u_hi))
             floor = q ** (t + 1) - q + lam * s
-            us = np.arange(1, u_hi + 1, dtype=np.int64)
-            elems = ((lam * us + 1) * q ** (t + 1) - q + lam * s) % order
+            # the element (lam u + 1) q^(t+1) - q + lam s is floor + lam q^(t+1) u
+            elems = _progression_mod(floor, lam * q ** (t + 1), u_hi, order)
             leaders = lead[elems]
             for j in np.flatnonzero(leaders <= floor):
                 failures.append(
-                    (s, t, int(us[j]), int(elems[j]), int(leaders[j]), floor)
+                    (s, t, int(j) + 1, int(elems[j]), int(leaders[j]), floor)
                 )
     return PropResult("leader_floor_divisor_form", tuple(grid), tuple(failures))
 

@@ -1,6 +1,8 @@
 """Coset tables, leaders, and closed-form largest leaders."""
 
 import math
+import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from hypothesis import strategies as st
 from dualbch.bch import theorem_families
 from dualbch.cyclotomic import (
     MAX_N,
+    CosetTable,
+    _doubling_build,
+    _sieve_build,
     coset_leader,
     coset_table,
     largest_leaders,
@@ -30,7 +35,7 @@ def naive_coset(a, n, q):
 
 
 def reference_leader_of(n, q):
-    """The int64 pointer doubling that coset_table replaced: its test oracle."""
+    """Pointer doubling in int64 with numpy's %, apart from both builds: the test oracle."""
     if n == 1:
         return np.zeros(1, dtype=np.int64)
     m = multiplicative_order(q, n)
@@ -55,13 +60,33 @@ def burnside_cosets(n, q):
     return fixed // order
 
 
-def assert_table_matches_reference(n, q):
-    table = coset_table(n, q)
+def assert_table_matches_reference(n, q, build=coset_table):
+    """Check build(n, q) against the oracle; return its coset count.
+
+    The leaders are checked against the fixed points of the oracle's array
+    and against its distinct values.
+    """
+    table = build(n, q)
     reference = reference_leader_of(n, q)
     assert table.leader_of.dtype == np.int32
     assert np.array_equal(table.leader_of, reference)
+    fixed_points = np.flatnonzero(reference == np.arange(n))
+    assert np.array_equal(table.leaders, fixed_points)
     assert np.array_equal(table.leaders, np.unique(reference))
+    assert not table.leader_of.flags.writeable and not table.leaders.flags.writeable
     assert len(table.leaders) == burnside_cosets(n, q)
+    return len(table.leaders)
+
+
+def _built_by(builder):
+    def build(n, q):
+        return CosetTable(n, q, *builder(n, q, multiplicative_order(q, n)))
+    return build
+
+
+# coset_table and each of its two builds, which it picks by n and ord_n(q)
+BUILDS = {"coset_table": coset_table, "sieve": _built_by(_sieve_build),
+          "doubling": _built_by(_doubling_build)}
 
 
 # the large-n bench's tables: its five cosets/dual-bound moduli and the
@@ -142,10 +167,66 @@ class TestCosetTable:
         counts = {}
         for q, m, lam in BENCH_MODULI:
             n = (q**m - 1) // lam
-            counts[n, q] = len(coset_table(n, q).leaders)
-            assert counts[n, q] == burnside_cosets(n, q), (q, m, lam)
+            counts[n, q] = assert_table_matches_reference(n, q)
         assert counts[2**20 - 1, 2] == 52487
         assert counts[2**21 - 1, 2] == 99879
+
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize("n,q", [
+        (7, 8), (9, 10),  # q = 1 mod n: m = 1, every residue leads its coset
+        (2, 3),
+        (101, 2),  # ord = 100: one orbit holds every nonzero residue
+        (2**15 - 1, 2), (2**15 + 1, 2),  # one residue short of / past a sieve block
+        (2**16 - 1, 2), (2**16 + 1, 2),  # either side of coset_table's switch to the sieve
+    ])
+    def test_matches_int64_reference_on_edge_cases(self, n, q, build):
+        assert_table_matches_reference(n, q, BUILDS[build])
+        leaders = BUILDS[build](n, q).leaders
+        if multiplicative_order(q, n) == 1:
+            assert np.array_equal(leaders, np.arange(n))
+        if n == 101:
+            assert leaders.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("build", ["sieve", "doubling"])
+    @given(n=st.integers(2, 3000), q=st.integers(2, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_each_build_matches_int64_reference(self, build, n, q):
+        # coset_table uses the sieve only from n = 2^16, so small tables
+        # test each build on its own
+        assume(math.gcd(n, q) == 1)
+        assert_table_matches_reference(n, q, BUILDS[build])
+
+    def test_large_order_builds_within_a_time_limit(self):
+        # 2 is a primitive root mod the prime 1_000_003, so m = n - 1: the
+        # sieve would make a few million numpy calls (17 s on a 2-vCPU VM),
+        # the doubling makes 20 passes over Z_n (0.2 s)
+        n = 1_000_003
+        assert multiplicative_order(2, n) == n - 1
+
+        def too_slow(signum, frame):
+            raise TimeoutError(f"coset_table({n}, 2) took over 5 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(5)
+        try:
+            table = coset_table(n, 2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert np.array_equal(table.leader_of, reference_leader_of(n, 2))
+        assert table.leaders.tolist() == [0, 1]
+
+    def test_build_holds_no_int64_array_of_n_elements(self):
+        n = 2**20 - 1
+        coset_table(n, 2)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            table = coset_table(n, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.leader_of.nbytes == 4 * n
+        assert peak <= 8 * n, peak / n
 
     def test_oversized_n_refused_before_allocation(self, monkeypatch):
         def no_arange(*args, **kwargs):
@@ -204,6 +285,8 @@ class TestLargestLeaders:
 
     @pytest.mark.parametrize("n,q", [(63, 2), (312, 5), (364, 3), (1, 2)])
     def test_cached_leaders_match_unique_and_are_computed_once(self, n, q, monkeypatch):
+        # the build hands its leaders to the table, so no query scans
+        # leader_of for them again
         table = coset_table(n, q)
         reference = np.unique(table.leader_of)[::-1].tolist()
         calls = []
@@ -212,7 +295,7 @@ class TestLargestLeaders:
         for k in range(1, len(reference) + 2):
             assert largest_leaders(table, k) == reference[:k]
         assert table.leaders is table.leaders
-        assert len(calls) == 1
+        assert len(calls) == 0
         assert not table.leaders.flags.writeable
 
 

@@ -424,7 +424,7 @@ class TestBoundReport:
             random.Random(n * q).shuffle(deltas)
             for delta in deltas:
                 spec = bch_spec(q, m, delta, **kw)
-                fresh = CosetTable(n, q, table.leader_of)
+                fresh = CosetTable(n, q, table.leader_of, table.leaders)
                 assert bound_report(spec, table) == bound_report(spec, fresh), \
                     (q, m, kw, delta)
             pairs += n - 1

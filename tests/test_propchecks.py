@@ -15,7 +15,7 @@ from dualbch.bch import (
     defining_set,
     dual_defining_set,
 )
-from dualbch.cyclotomic import MAX_N, coset_table
+from dualbch.cyclotomic import MAX_N, CosetTable, coset_table
 from dualbch.propchecks import (
     MANIFEST_SCHEMA,
     PropResult,
@@ -81,6 +81,57 @@ class TestLeaderFloorDivisorForm:
             check_leader_floor_divisor_form(5, 3, 3)  # lam does not divide q-1
         with pytest.raises(ValueError):
             check_leader_floor_divisor_form(5, 2, 1)  # m < 2
+
+
+def reference_floor_failures(lemma_id, q, x, m, lead):
+    """Every failure the floor check must report, by the element expressions
+    that check_leader_floor_*_form evaluated per u before they became one
+    progression each: their test oracle."""
+    order = q**m - 1
+    out = []
+    if lemma_id == "leader_floor_power_form":
+        s = x
+        for t in range(1, m // s - 1):
+            u_hi = (q ** (m - t * s) - 1) // (q**s - 1) - 1
+            floor = q ** (t * s + s) - 1
+            us = np.arange(1, u_hi + 1, dtype=np.int64)
+            elems = (q ** (t * s) - 1 + (q**s - 1) * us * q ** (t * s)) % order
+            out += [(t, int(u), int(e), int(lead[e]), floor)
+                    for u, e in zip(us, elems) if lead[e] < floor]
+    else:
+        lam = x
+        for s in range(1, (q - 1) // lam):
+            for t in range(0, m - 1):
+                u_hi = (q ** (m - t) - 1) // lam - s * q ** (m - t - 1) - 1
+                floor = q ** (t + 1) - q + lam * s
+                us = np.arange(1, u_hi + 1, dtype=np.int64)
+                elems = ((lam * us + 1) * q ** (t + 1) - q + lam * s) % order
+                out += [(s, t, int(u), int(e), int(lead[e]), floor)
+                        for u, e in zip(us, elems) if lead[e] <= floor]
+    return tuple(out)
+
+
+class TestFloorElementsAgainstReference:
+    # a table of zeros fails every element, so the failure tuples list each
+    # (u, element) pair of the grid, and the real table pins the clean case
+    @pytest.mark.parametrize("lemma_id,check,q,x,m", [
+        ("leader_floor_power_form", check_leader_floor_power_form, *case)
+        for case in [(2, 1, 6), (2, 2, 6), (3, 1, 4), (2, 1, 12), (3, 2, 8), (2, 3, 12)]
+    ] + [
+        ("leader_floor_divisor_form", check_leader_floor_divisor_form, *case)
+        for case in [(5, 1, 3), (5, 2, 3), (7, 3, 2), (7, 1, 4), (9, 2, 4), (13, 4, 3)]
+    ])
+    def test_failures_match_per_u_expression(self, lemma_id, check, q, x, m):
+        order = q**m - 1
+        zeros = CosetTable(order, q, np.zeros(order, dtype=np.int32), np.zeros(1, dtype=np.int64))
+        result = check(q, x, m, table=zeros)
+        expected = reference_floor_failures(lemma_id, q, x, m, zeros.leader_of)
+        assert result.failures == expected
+        grid_size = sum(g[-1] - g[-2] + 1 for g in result.parameter_grid)
+        assert len(expected) == grid_size > 0
+        table = coset_table(order, q)
+        assert check(q, x, m, table=table).failures == ()
+        assert reference_floor_failures(lemma_id, q, x, m, table.leader_of) == ()
 
 
 class TestMembership:
