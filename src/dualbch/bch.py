@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import CosetTable
-from .gf import FieldCtx, Poly, minimal_polynomial, prime_power, scalar_field
+from .gf import FieldCtx, Poly, minimal_polynomial, prime_power
 
 
 @dataclass(frozen=True)
@@ -237,17 +237,18 @@ def generator_from_set(spec: BchSpec, ctx: FieldCtx, table: CosetTable,
     orbit l q^j mod n of its leader, so no coset map over all of Z_n is built.
     """
     q, n = spec.q, spec.n
-    if ctx.order != q**spec.m:
-        raise ValueError(f"ctx has order {ctx.order}, expected q^m = {q**spec.m}")
+    if (ctx.q, ctx.k) != (q, spec.m):
+        raise ValueError(f"ctx is GF({ctx.q}^{ctx.k}) over GF({ctx.q}), "
+                         f"expected GF({q}^{spec.m}) over GF({q})")
     lam = spec.lam
-    gen = Poly.one(scalar_field(q))
+    gen = Poly.one(ctx.field)
     leaders = table.leaders
     for l in leaders[dset.mask[leaders]]:
         coset = [int(l)]
         while (nxt := coset[-1] * q % n) != coset[0]:
             coset.append(nxt)
         beta_power = ctx.pow(ctx.generator, lam * coset[0])
-        gen = gen * minimal_polynomial(ctx, beta_power, coset, q)
+        gen = gen * minimal_polynomial(ctx, beta_power, coset)
     assert gen.degree == len(dset), "generator degree must equal |defining set|"
     return gen
 

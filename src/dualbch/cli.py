@@ -57,6 +57,8 @@ from .propchecks import load_grid_manifest, run_grid
 
 NO_CLOSED_FORM_S = "n/a (s>1: no closed form)"
 NO_CLOSED_FORM_M = "n/a (m<4: no closed form)"
+NO_CLOSED_FORM_LAMBDA = "n/a (lambda not computed: q^m too large)"
+MAX_LAMBDA_BITS = 4096  # cosets --n takes q^m, m = ord_n(q), only up to this size
 
 
 class CliError(Exception):
@@ -139,7 +141,15 @@ RENDERERS = {"table": render_table, "csv": render_csv, "json": render_json}
 
 
 def emit(report: Report, fmt: str) -> None:
-    print(RENDERERS[fmt](report))
+    try:
+        print(RENDERERS[fmt](report), flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe early (`| head`): exit 1 quietly, with
+        # stdout on /dev/null so the flush at interpreter exit cannot fail too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise SystemExit(1) from None
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +261,15 @@ def _closed_form_leaders(q, m, lam, s, count):
     A formula applies where a leader family's modulus is (q^m - 1)/lambda
     and its hypotheses hold, all needing m >= 4.  The lambda = 2, q = 3
     length is in both "q_minus_1" and "half"; they agree on the shared
-    leader, and the longer list wins.
+    leader, and the longer list wins.  lam is None where q^m was too large
+    to take.
     """
     if s is not None and s > 1:
         return NO_CLOSED_FORM_S
     if m < 4:
         return NO_CLOSED_FORM_M
+    if lam is None:
+        return NO_CLOSED_FORM_LAMBDA
     values = {}
     for family in LEADER_FAMILIES:
         if leader_family_modulus(q, m, family) != (q**m - 1) // lam:
@@ -284,7 +297,8 @@ def cmd_cosets(args) -> int:
             raise CliError(f"need n >= 1 and gcd(n, q) = 1, got n={n}, q={q}")
         _check_size(n)
         m = multiplicative_order(q, n)
-        lam = (q**m - 1) // n
+        # the order can be as large as n - 1, and q^m then has millions of digits
+        lam = (q**m - 1) // n if m * q.bit_length() <= MAX_LAMBDA_BITS else None
         s = None
     else:
         if args.m is None:
@@ -370,9 +384,8 @@ def cmd_dual_bound(args) -> int:
     )
 
     if args.certify:
-        p, e = prime_power(spec.q)
         try:
-            ctx = field_new(p, e * spec.m)
+            ctx = field_new(spec.q, spec.m)
         except ValueError as err:
             raise CliError(f"cannot build GF({spec.q}^{spec.m}): {err}") from None
         params = dual_code_params(spec, ctx, table)
@@ -494,8 +507,7 @@ def _verify_rows(only, grids_path, threads):
         for q, m, delta, lam, _, true_distance in BOUND_CASES:
             spec = bch_spec(q, m, delta, lam=lam)
             table = coset_table(spec.n, q)
-            p, e = prime_power(q)
-            params = dual_code_params(spec, field_new(p, e * m), table)
+            params = dual_code_params(spec, field_new(q, m), table)
             cert = certify(params, bound_report(spec, table))
             check("certify", f"true dual distance q={q} m={m} delta={delta}",
                   f"{true_distance} (exact)", f"{cert.upper} ({cert.status})")

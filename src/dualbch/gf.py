@@ -1,16 +1,16 @@
-"""Exact arithmetic in GF(p^k) and for polynomials over GF(q).
+"""Exact arithmetic in GF(q^k) and for polynomials over GF(q).
 
-The extension field GF(p^k) is realized as GF(p)[x]/(f) where f is the
-deterministically first primitive polynomial in lexicographic coefficient
-order, so every run (and every implementation following the same rule)
-picks the same primitive element alpha.  A prime-power subfield GF(q),
-q = p^e with e | k, is bridged to its own standalone representation by
-subfield_project / subfield_embed.
-
-Scalars of GF(q) are packed integers in [0, q): the value sum(c_i * p^i)
-of the polynomial-basis coordinates (c_0, ..., c_{e-1}).  For prime q the
+Scalars of GF(q) are packed integers in [0, q): for q = p^e, the value
+sum(c_i * p^i) of the coordinates (c_0, ..., c_{e-1}) in GF(p)[y]/(mu),
+mu the first primitive polynomial of degree e over GF(p).  For prime q the
 packed value is just the residue.  ScalarField carries lookup tables for
 packed-scalar arithmetic; Poly is a dense polynomial over such scalars.
+
+The extension field GF(q^k) is realized directly over GF(q), as
+GF(q)[x]/(f) where f is the first primitive polynomial in lexicographic
+order (see field_new), so every run (and every implementation following
+the same rule) picks the same primitive element alpha.  Its coordinates
+are packed GF(q) scalars, so GF(q) itself is the constants.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from sympy import factorint, isprime
+from sympy import factorint
 
 MAX_TABLE_ORDER = 1 << 16  # exp/log tables only below this field order
 
@@ -37,84 +37,87 @@ def prime_power(q: int):
 
 @dataclass(frozen=True)
 class FieldElem:
-    """Element of GF(p^k) in polynomial-basis coordinates, lowest degree first."""
+    """Element of GF(q^k): packed GF(q) coordinates, lowest degree first."""
 
     coeffs: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# tuple-level polynomial arithmetic over GF(p), used during field construction
+# tuple-level polynomial arithmetic over GF(q), used during field construction
 # ---------------------------------------------------------------------------
 
-def _poly_mulmod(a, b, modulus, p):
-    """(a * b) mod modulus over GF(p); a, b fixed-length coeff tuples."""
+def _poly_mulmod(a, b, modulus, f):
+    """(a * b) mod modulus over the ScalarField f; a, b fixed-length coeff tuples."""
+    add, sub, mul = f.lists
     k = len(modulus) - 1
     prod = [0] * (2 * k - 1)
     for i, ai in enumerate(a):
         if ai == 0:
             continue
+        row = mul[ai]
         for j, bj in enumerate(b):
-            prod[i + j] = (prod[i + j] + ai * bj) % p
+            prod[i + j] = add[prod[i + j]][row[bj]]
     # reduce: modulus is monic, so x^k = -modulus[:k]
     for i in range(2 * k - 2, k - 1, -1):
         c = prod[i]
         if c == 0:
             continue
         prod[i] = 0
+        row = mul[c]
         for j in range(k):
-            prod[i - k + j] = (prod[i - k + j] - c * modulus[j]) % p
+            prod[i - k + j] = sub[prod[i - k + j]][row[modulus[j]]]
     return tuple(prod[:k])
 
 
-def _poly_powmod(base, e, modulus, p):
+def _poly_powmod(base, e, modulus, f):
     k = len(modulus) - 1
     result = tuple([1] + [0] * (k - 1))
     acc = base
     while e:
         if e & 1:
-            result = _poly_mulmod(result, acc, modulus, p)
-        acc = _poly_mulmod(acc, acc, modulus, p)
+            result = _poly_mulmod(result, acc, modulus, f)
+        acc = _poly_mulmod(acc, acc, modulus, f)
         e >>= 1
     return result
 
 
 class FieldCtx:
-    """GF(p^k) with a fixed primitive modulus and primitive generator.
+    """GF(q^k) over GF(q), with a fixed primitive modulus and primitive generator.
 
     Immutable after construction; all operations are pure.  Internal exp/log
     tables are built lazily for orders up to MAX_TABLE_ORDER; beyond that,
     multiplication falls back to direct polynomial arithmetic.
     """
 
-    def __init__(self, p, k, modulus):
-        self.p = p
+    def __init__(self, q, k, modulus):
+        self.q = q
         self.k = k
-        self.order = p**k
-        self.modulus = modulus  # length k+1, lowest degree first, monic
+        self.order = q**k
+        self.field = scalar_field(q)
+        self.modulus = modulus  # length k+1, packed GF(q), lowest degree first, monic
         if k == 1:
-            gen = ((p - modulus[0]) % p,)  # root of x + c0
+            gen = (int(self.field.neg_t[modulus[0]]),)  # root of x + c0
         else:
             gen = tuple([0, 1] + [0] * (k - 2))
         self.generator = FieldElem(gen)
         self._exp = None
         self._log = None
-        self._subfields = {}
 
     def __repr__(self):
-        return f"FieldCtx(GF({self.p}^{self.k}), modulus={self.modulus})"
+        return f"FieldCtx(GF({self.q}^{self.k}), modulus={self.modulus})"
 
     # -- packing -----------------------------------------------------------
 
     def pack(self, x: FieldElem) -> int:
         v = 0
         for c in reversed(x.coeffs):
-            v = v * self.p + c
+            v = v * self.q + c
         return v
 
     def unpack(self, v: int) -> FieldElem:
         cs = []
         for _ in range(self.k):
-            v, c = divmod(v, self.p)
+            v, c = divmod(v, self.q)
             cs.append(c)
         return FieldElem(tuple(cs))
 
@@ -127,25 +130,28 @@ class FieldCtx:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, x: FieldElem, y: FieldElem) -> FieldElem:
-        p = self.p
-        return FieldElem(tuple((a + b) % p for a, b in zip(x.coeffs, y.coeffs)))
+        add = self.field.lists[0]
+        return FieldElem(tuple(add[a][b] for a, b in zip(x.coeffs, y.coeffs)))
 
     def sub(self, x: FieldElem, y: FieldElem) -> FieldElem:
-        p = self.p
-        return FieldElem(tuple((a - b) % p for a, b in zip(x.coeffs, y.coeffs)))
+        sub = self.field.lists[1]
+        return FieldElem(tuple(sub[a][b] for a, b in zip(x.coeffs, y.coeffs)))
 
     def neg(self, x: FieldElem) -> FieldElem:
-        p = self.p
-        return FieldElem(tuple((-a) % p for a in x.coeffs))
+        sub = self.field.lists[1]
+        return FieldElem(tuple(sub[0][a] for a in x.coeffs))
 
     def _ensure_tables(self):
         if self._exp is not None or self.order > MAX_TABLE_ORDER:
             return
-        p, k = self.p, self.k
+        q, k = self.q, self.k
+        add, sub, mul = self.field.lists
         # the generator is a root of the modulus (x itself when k > 1), so
         # multiplying by it shifts the coordinates up one degree and replaces
-        # the overflowing x^k term by its reduction mod the modulus
-        x_k = [(-c) % p for c in self.modulus[:k]]
+        # the overflowing top * x^k term by top times the reduction of x^k,
+        # one precomputed row per top coordinate
+        x_k = [sub[0][c] for c in self.modulus[:k]]
+        reduce_rows = [[mul[top][r] for r in x_k] for top in range(q)]
         cur = [1] + [0] * (k - 1)
         powers = []
         for _ in range(self.order - 1):
@@ -153,8 +159,8 @@ class FieldCtx:
             top = cur[-1]
             cur = [0] + cur[:-1]
             if top:
-                cur = [(c + top * r) % p for c, r in zip(cur, x_k)]
-        exp = np.array(powers, dtype=np.int64) @ (p ** np.arange(k, dtype=np.int64))
+                cur = [add[c][r] for c, r in zip(cur, reduce_rows[top])]
+        exp = np.array(powers, dtype=np.int64) @ (q ** np.arange(k, dtype=np.int64))
         log = np.full(self.order, -1, dtype=np.int64)
         log[exp] = np.arange(self.order - 1, dtype=np.int64)
         self._exp = exp
@@ -168,7 +174,7 @@ class FieldCtx:
                 return self.zero()
             n1 = self.order - 1
             return self.unpack(int(self._exp[(self._log[a] + self._log[b]) % n1]))
-        return FieldElem(_poly_mulmod(x.coeffs, y.coeffs, self.modulus, self.p))
+        return FieldElem(_poly_mulmod(x.coeffs, y.coeffs, self.modulus, self.field))
 
     def inv(self, x: FieldElem) -> FieldElem:
         if x == self.zero():
@@ -186,46 +192,43 @@ class FieldCtx:
                 return self.zero() if e else self.one()
             n1 = self.order - 1
             return self.unpack(int(self._exp[(int(self._log[v]) * e) % n1]))
-        return FieldElem(_poly_powmod(x.coeffs, e, self.modulus, self.p))
+        return FieldElem(_poly_powmod(x.coeffs, e, self.modulus, self.field))
 
 
-def field_new(p: int, k: int) -> FieldCtx:
-    """Construct GF(p^k) with the lexicographically first primitive modulus.
+def field_new(q: int, k: int) -> FieldCtx:
+    """Construct GF(q^k) over GF(q) with the lexicographically first primitive modulus.
 
-    The search runs over monic degree-k polynomials ordered by the integer
-    whose base-p digits are the non-leading coefficients (constant term as
+    q must be a prime power.  The search runs over monic degree-k
+    polynomials over GF(q) ordered by the integer whose base-q digits are
+    the non-leading coefficients as packed GF(q) scalars (constant term as
     least significant digit).  The generator is the residue class of x.
     """
-    if not isprime(p):
-        raise ValueError(f"p={p} is not prime")
+    f = scalar_field(q)  # raises ValueError unless q is a prime power
     if k < 1:
         raise ValueError(f"k={k} must be >= 1")
-    if p**k - 1 >= (1 << 63):
-        raise ValueError(f"p^k-1 = {p**k - 1} does not fit in 63 bits")
-    n1 = p**k - 1
+    if q**k - 1 >= (1 << 63):
+        raise ValueError(f"q^k-1 = {q**k - 1} does not fit in 63 bits")
+    n1 = q**k - 1
     prime_divisors = [int(r) for r in factorint(n1)] if n1 > 1 else []
     one = tuple([1] + [0] * (k - 1))
-    for j in range(p**k):
+    for j in range(q**k):
         digits = []
         v = j
         for _ in range(k):
-            v, d = divmod(v, p)
+            v, d = divmod(v, q)
             digits.append(d)
         if digits[0] == 0:
             continue  # x divides the modulus; x would not be a unit
-        modulus = tuple(digits) + (1,)
-        if k == 1:
-            x = ((p - digits[0]) % p,)
-        else:
-            x = tuple([0, 1] + [0] * (k - 2))
-        # x has order p^k - 1 iff <x> exhausts all nonzero residues, which
+        ctx = FieldCtx(q, k, tuple(digits) + (1,))
+        x, modulus = ctx.generator.coeffs, ctx.modulus
+        # x has order q^k - 1 iff <x> exhausts all nonzero residues, which
         # forces the quotient ring to be a field, i.e. modulus is primitive.
-        if _poly_powmod(x, n1, modulus, p) != one:
+        if _poly_powmod(x, n1, modulus, f) != one:
             continue
-        if any(_poly_powmod(x, n1 // r, modulus, p) == one for r in prime_divisors):
+        if any(_poly_powmod(x, n1 // r, modulus, f) == one for r in prime_divisors):
             continue
-        return FieldCtx(p, k, modulus)
-    raise RuntimeError(f"no primitive polynomial found for GF({p}^{k})")  # unreachable
+        return ctx
+    raise RuntimeError(f"no primitive polynomial found for GF({q}^{k})")  # unreachable
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +250,6 @@ class ScalarField:
         self.q = q
         self.p, self.e = pp
         if self.e == 1:
-            self.ctx = None
             idx = np.arange(q, dtype=np.int32)
             self.add_t = (idx[:, None] + idx[None, :]) % q
             self.sub_t = (idx[:, None] - idx[None, :]) % q
@@ -257,7 +259,6 @@ class ScalarField:
                                   dtype=np.int32)
         else:
             ctx = field_new(self.p, self.e)
-            self.ctx = ctx
             elems = [ctx.unpack(v) for v in range(q)]
             add_t = np.zeros((q, q), dtype=np.int32)
             mul_t = np.zeros((q, q), dtype=np.int32)
@@ -272,6 +273,16 @@ class ScalarField:
             self.sub_t = self.add_t[:, self.neg_t]
             self.inv_t = np.array([0] + [ctx.pack(ctx.inv(elems[a]))
                                          for a in range(1, q)], dtype=np.int32)
+
+    @functools.cached_property
+    def lists(self):
+        """(add, sub, mul) tables as nested lists, for scalar-at-a-time loops.
+
+        Every entry refers to one shared int per value, so a table costs one
+        pointer per entry, not one int object (above 256).
+        """
+        values = np.arange(self.q).astype(object)
+        return tuple(values[t].tolist() for t in (self.add_t, self.sub_t, self.mul_t))
 
     def __repr__(self):
         return f"ScalarField(GF({self.q}))"
@@ -494,104 +505,18 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# subfield bridge and minimal polynomials
+# minimal polynomials
 # ---------------------------------------------------------------------------
 
-def _subfield_data(ctx: FieldCtx, q: int):
-    """Cached embedding of GF(q)'s own representation into ctx.
-
-    The embedding sends the small field's generator gamma to r, where r is
-    g^j for the smallest j >= 1 with mu(g^j) = 0, mu the small modulus and
-    g = alpha^((order-1)/(q-1)).  This fixes the isomorphism deterministically.
-    """
-    if q in ctx._subfields:
-        return ctx._subfields[q]
-    pp = prime_power(q)
-    if pp is None or pp[0] != ctx.p or ctx.k % pp[1] != 0:
-        raise ValueError(f"GF({q}) is not a subfield of GF({ctx.p}^{ctx.k})")
-    p, e = pp
-    if e == 1:
-        data = (None, None, None, None)
-        ctx._subfields[q] = data
-        return data
-    small = scalar_field(q)
-    g = ctx.pow(ctx.generator, (ctx.order - 1) // (q - 1))
-    mu = small.ctx.modulus  # length e+1 over GF(p)
-    r = None
-    cand = g
-    for _ in range(1, q):
-        # evaluate mu at cand inside ctx (Horner with prime coefficients)
-        acc = ctx.zero()
-        for c in reversed(mu):
-            acc = ctx.add(ctx.mul(acc, cand), ctx.unpack(c % p))
-        if acc == ctx.zero():
-            r = cand
-            break
-        cand = ctx.mul(cand, g)
-    if r is None:
-        raise RuntimeError("no root of the subfield modulus found")  # unreachable
-    powers = [ctx.one()]
-    for _ in range(1, e):
-        powers.append(ctx.mul(powers[-1], r))
-    # left inverse P of the k x e matrix M whose columns are the r-powers:
-    # row-reduce [M | I_k]; the first e rows give [I_e | P].
-    M = np.array([pw.coeffs for pw in powers], dtype=np.int32).T  # k x e
-    aug = np.concatenate([M, np.eye(ctx.k, dtype=np.int32)], axis=1)
-    R, pivots = rref(aug, scalar_field(p))
-    if pivots[:e] != list(range(e)):
-        raise RuntimeError("subfield basis is singular")  # unreachable
-    P = R[:e, e:]  # e x k, P @ M = I_e over GF(p)
-    data = (small, r, powers, P)
-    ctx._subfields[q] = data
-    return data
-
-
-def subfield_project(ctx: FieldCtx, x: FieldElem, q: int) -> int:
-    """Coordinates of x in the order-q subfield, as a packed GF(q) scalar.
-
-    The map is a field isomorphism onto GF(q)'s standalone representation.
-    Raises if x is not in the subfield (x^q != x).
-    """
-    if ctx.pow(x, q) != x:
-        raise ValueError(f"element {x} is not in the order-{q} subfield")
-    _, _, _, P = _subfield_data(ctx, q)
-    if P is None:  # prime subfield: constants
-        return int(x.coeffs[0])
-    p, e = prime_power(q)
-    xv = np.array(x.coeffs, dtype=np.int64)
-    y = (P.astype(np.int64) @ xv) % p
-    v = 0
-    for c in reversed(y):
-        v = v * p + int(c)
-    return v
-
-
-def subfield_embed(ctx: FieldCtx, v: int, q: int) -> FieldElem:
-    """Inverse of subfield_project: lift a packed GF(q) scalar into ctx."""
-    if not 0 <= v < q:
-        raise ValueError(f"packed scalar {v} out of range for GF({q})")
-    _, _, powers, P = _subfield_data(ctx, q)
-    if P is None:
-        return FieldElem((v % ctx.p,) + (0,) * (ctx.k - 1))
-    p = ctx.p
-    acc = ctx.zero()
-    i = 0
-    while v:
-        v, d = divmod(v, p)
-        if d:
-            acc = ctx.add(acc, ctx.mul(ctx.unpack(d), powers[i]))
-        i += 1
-    return acc
-
-
-def minimal_polynomial(ctx: FieldCtx, beta_power: FieldElem, coset, q: int) -> Poly:
-    """prod_{j in coset} (x - beta^j) re-expressed over GF(q).
+def minimal_polynomial(ctx: FieldCtx, beta_power: FieldElem, coset) -> Poly:
+    """prod_{j in coset} (x - beta^j), a polynomial over ctx's base field GF(q).
 
     beta_power must be beta^i for the smallest exponent i of the coset; the
     remaining roots are its iterated q-th powers (Frobenius orbit).  Raises
     if the orbit size disagrees with the coset or a coefficient lands
-    outside GF(q).
+    outside GF(q), i.e. off the constants of ctx.
     """
+    q = ctx.q
     d = len(coset)
     roots = [beta_power]
     for _ in range(d - 1):
@@ -607,18 +532,17 @@ def minimal_polynomial(ctx: FieldCtx, beta_power: FieldElem, coset, q: int) -> P
             nxt[i + 1] = ctx.add(nxt[i + 1], c)
             nxt[i] = ctx.add(nxt[i], ctx.mul(c, nr))
         coeffs = nxt
-    packed = []
-    for c in coeffs:
-        if ctx.pow(c, q) != c:
-            raise ValueError("product coefficient falls outside GF(q); wrong coset?")
-        packed.append(subfield_project(ctx, c, q))
-    return Poly(packed, scalar_field(q))
+    if any(any(c.coeffs[1:]) for c in coeffs):
+        raise ValueError("product coefficient falls outside GF(q); wrong coset?")
+    return Poly([c.coeffs[0] for c in coeffs], ctx.field)
 
 
 def poly_eval_in_ext(ctx: FieldCtx, poly: Poly, point: FieldElem) -> FieldElem:
-    """Evaluate a GF(q) polynomial at an extension-field point."""
-    q = poly.field.q
+    """Evaluate a GF(q) polynomial at a point of ctx = GF(q^k)."""
+    if poly.field.q != ctx.q:
+        raise ValueError(f"polynomial over GF({poly.field.q}), field over GF({ctx.q})")
+    pad = (0,) * (ctx.k - 1)
     acc = ctx.zero()
     for c in reversed(poly.coeffs):
-        acc = ctx.add(ctx.mul(acc, point), subfield_embed(ctx, c, q))
+        acc = ctx.add(ctx.mul(acc, point), FieldElem((c,) + pad))
     return acc

@@ -52,11 +52,6 @@ SMALL_FAMILIES = list(theorem_families(100))
 LEADER_COUNTS = {"full": 3, "q_minus_1": 1, "half": 2}
 
 
-def ext_field(q, m):
-    p, e = prime_power(q)
-    return field_new(p, e * m)
-
-
 def test_criterion_1_largest_leader_anchors():
     t0 = time.perf_counter()
     for q, n, expected in LEADER_CASES:
@@ -100,7 +95,7 @@ def test_criterion_3_certified_dual_distances():
         table = coset_table(spec.n, q)
         report = bound_report(spec, table)
         assert report.lower_bound_closed == bound
-        params = dual_code_params(spec, ext_field(q, m), table)
+        params = dual_code_params(spec, field_new(q, m), table)
         cert = certify(params, report)
         assert cert.status == "exact", (q, m, delta)
         assert cert.upper == true_d, (q, m, delta, cert.upper)
@@ -164,7 +159,7 @@ def test_criterion_6_lower_bound_soundness():
         if n > 128:
             continue
         table = coset_table(n, q)
-        ctx = ext_field(q, m)
+        ctx = field_new(q, m)
         for delta in range(2, n + 1):
             spec = bch_spec(q, m, delta, **kw)
             t = defining_set(spec, table)
@@ -182,7 +177,7 @@ def test_criterion_6_lower_bound_soundness():
         spec = bch_spec(q, m, delta, lam=lam)
         table = coset_table(spec.n, q)
         report = bound_report(spec, table)
-        cert = certify(dual_code_params(spec, ext_field(q, m), table), report)
+        cert = certify(dual_code_params(spec, field_new(q, m), table), report)
         assert cert.status == "exact"
         assert report.lower_bound_closed <= cert.upper
         checked += 1
@@ -209,14 +204,14 @@ def test_criterion_8_algebraic_invariants():
     # (a) product of the minimal polynomials over all cosets equals x^n - 1
     products = 0
     for q, m, kw, n in SMALL_FAMILIES:
-        ctx = ext_field(q, m)
+        ctx = field_new(q, m)
         table = coset_table(n, q)
         lam_total = (q**m - 1) // n
         field = scalar_field(q)
         prod = Poly.one(field)
         for leader, members in table.cosets.items():
             beta_power = ctx.pow(ctx.generator, lam_total * leader)
-            prod = prod * minimal_polynomial(ctx, beta_power, members, q)
+            prod = prod * minimal_polynomial(ctx, beta_power, members)
         assert prod == Poly.x_pow_minus_one(n, field), (q, m, n)
         products += 1
 
@@ -224,7 +219,7 @@ def test_criterion_8_algebraic_invariants():
     #     h(x) = (x^n - 1)/g(x), for every instance with n <= 100
     reciprocal_checked = 0
     for q, m, kw, n in SMALL_FAMILIES:
-        ctx = ext_field(q, m)
+        ctx = field_new(q, m)
         table = coset_table(n, q)
         field = scalar_field(q)
         delta1 = int(largest_leaders(table, 1)[0])

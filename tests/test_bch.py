@@ -265,11 +265,20 @@ class TestCodeParams:
         assert (p.n, p.k) == (63, 39)
         assert p.delta is None
 
+    def test_rejects_field_over_another_base(self):
+        # GF(2^4) built over GF(2) has the order of GF(4^2), but its constants
+        # are GF(2), so it cannot carry the minimal polynomials of a q = 4 code
+        spec = bch_spec(4, 2, 3, lam=1)
+        table = coset_table(15, 4)
+        with pytest.raises(ValueError, match="over GF"):
+            code_params(spec, field_new(2, 4), table)
+        assert code_params(spec, field_new(4, 2), table).generator.field.q == 4
+
     def test_generator_divides_x_n_minus_1(self):
-        for q, m, lam, delta, p_, k_ in [(2, 6, 1, 3, 2, 6), (3, 3, 1, 5, 3, 3),
-                                         (5, 2, 1, 3, 5, 2)]:
+        for q, m, lam, delta in [(2, 6, 1, 3), (3, 3, 1, 5), (5, 2, 1, 3),
+                                 (4, 3, 1, 5), (9, 2, 2, 4)]:
             spec = bch_spec(q, m, delta, lam=lam)
-            params = code_params(spec, field_new(p_, k_), coset_table(spec.n, q))
+            params = code_params(spec, field_new(q, m), coset_table(spec.n, q))
             f = scalar_field(q)
             assert (Poly.x_pow_minus_one(spec.n, f) % params.generator).is_zero
 
@@ -344,15 +353,15 @@ class TestGeneratorMatrix:
 
 
 class TestDualGeneratorConsistency:
-    @pytest.mark.parametrize("q,m,lam,delta,p_,k_", [
-        (2, 6, 1, 5, 2, 6), (3, 3, 1, 5, 3, 3), (5, 2, 1, 3, 5, 2),
-        (3, 4, 2, 7, 3, 4), (7, 2, 2, 5, 7, 2), (2, 4, 1, 3, 2, 4),
+    @pytest.mark.parametrize("q,m,lam,delta", [
+        (2, 6, 1, 5), (3, 3, 1, 5), (5, 2, 1, 3), (3, 4, 2, 7), (7, 2, 2, 5),
+        (2, 4, 1, 3), (4, 3, 1, 5), (8, 2, 1, 4), (9, 2, 2, 6),
     ])
-    def test_tperp_equals_reciprocal_h_root_set(self, q, m, lam, delta, p_, k_):
+    def test_tperp_equals_reciprocal_h_root_set(self, q, m, lam, delta):
         # the dual's generator is the reciprocal of h = (x^n - 1)/g; its root
         # exponents must be exactly T_perp
         spec = bch_spec(q, m, delta, lam=lam)
-        ctx = field_new(p_, k_)
+        ctx = field_new(q, m)
         table = coset_table(spec.n, q)
         params = code_params(spec, ctx, table)
         t_perp = dual_defining_set(defining_set(spec, table))
@@ -369,8 +378,7 @@ class TestDualGeneratorConsistency:
         compared = 0
         for q, m, kw, n in theorem_families(255):
             table = coset_table(n, q)
-            p_, e = prime_power(q)
-            ctx = field_new(p_, e * m)
+            ctx = field_new(q, m)
             delta1 = largest_leaders(table, 1)[0]
             for delta in sorted({2, 3, n // 2, delta1, n} & set(range(2, n + 1))):
                 spec = bch_spec(q, m, delta, **kw)

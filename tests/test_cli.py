@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +78,19 @@ class TestCosets:
         assert code == 0
         rows = section(out, "largest_leaders")["rows"]
         assert all(r[2] == "n/a (m<4: no closed form)" for r in rows)
+
+    def test_modulus_of_vast_order_leaves_lambda_out(self, capsys):
+        # 2 has order 1000002 mod the prime 1000003, so q^m has 301,030
+        # digits; lambda is not taken and no closed form is looked up
+        code, out, err = run(capsys, "cosets", "--q", "2", "--n", "1000003",
+                             "--top", "3", "--format", "json")
+        assert (code, err) == (0, "")
+        rep = json.loads(out)
+        assert rep["inputs"] == {"q": 2, "n": 1000003, "m": 1000002, "lambda": None}
+        assert section(out, "summary")["rows"] == [[1000003, 2, 1000002, None, 2]]
+        rows = section(out, "largest_leaders")["rows"]
+        assert [r[1] for r in rows] == [1, 0]
+        assert all(r[2] == cli.NO_CLOSED_FORM_LAMBDA and r[3] is None for r in rows)
 
     def test_bad_modulus_exits_1(self, capsys):
         code, _, err = run(capsys, "cosets", "--q", "2", "--n", "6")
@@ -527,3 +544,18 @@ class TestFormats:
             ["dually-bch", "--q", "2", "--m", "6", "--lambda", "1",
              "--delta", "3"])
         assert args.threads == 3
+
+    def test_broken_pipe_exits_1_without_traceback(self):
+        # the reader takes 10 bytes of a ~200 kB report and closes the pipe
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "dualbch", "dually-bch", "--q", "2", "--m", "12",
+                "--lambda", "1", "--delta-range", "2:4095", "--format", "json"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert proc.stdout.read(10) == b'{\n  "comma'
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err

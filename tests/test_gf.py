@@ -16,8 +16,6 @@ from dualbch.gf import (
     rref,
     rref_gf2,
     scalar_field,
-    subfield_embed,
-    subfield_project,
 )
 from dualbch.mindist import _PackedWords
 
@@ -59,26 +57,85 @@ class TestFieldNew:
         ctx = field_new(p, k)
         assert naive_order(ctx, ctx.generator) == p**k - 1
 
-    def test_rejects_non_prime(self):
+    def test_rejects_non_prime_power(self):
         with pytest.raises(ValueError):
-            field_new(4, 2)
+            field_new(6, 2)
 
-    @pytest.mark.parametrize("p,k", [(2, 1), (2, 8), (2, 13), (3, 1), (3, 5),
-                                     (5, 1), (5, 3), (7, 2)])
-    def test_exp_log_tables_match_mulmod(self, p, k):
+    @pytest.mark.parametrize("q,k", [(2, 1), (2, 8), (2, 13), (3, 1), (3, 5),
+                                     (5, 1), (5, 3), (7, 2), (4, 1), (4, 5),
+                                     (8, 3), (9, 2), (16, 2)])
+    def test_exp_log_tables_match_mulmod(self, q, k):
         # reference: one general polynomial product per power of the generator
-        ctx = field_new(p, k)
+        ctx = field_new(q, k)
         exp = []
         cur = ctx.one().coeffs
         for _ in range(ctx.order - 1):
             exp.append(ctx.pack(FieldElem(cur)))
-            cur = _poly_mulmod(cur, ctx.generator.coeffs, ctx.modulus, p)
+            cur = _poly_mulmod(cur, ctx.generator.coeffs, ctx.modulus, scalar_field(q))
         log = [-1] * ctx.order
         for i, v in enumerate(exp):
             log[v] = i
         ctx._ensure_tables()
         assert ctx._exp.tolist() == exp
         assert ctx._log.tolist() == log
+
+
+# field_new(p, k).modulus for prime p, pinned: these moduli fix alpha, and so
+# every generator polynomial over a prime field
+PRIME_MODULI = {
+    (2, 1): (1, 1), (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1), (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1), (2, 8): (1, 0, 1, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 0, 0, 0, 1, 0, 0, 0, 0, 1), (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (3, 1): (1, 1), (3, 2): (2, 1, 1), (3, 3): (1, 2, 0, 1), (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1), (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (5, 1): (2, 1), (5, 2): (2, 1, 1), (5, 3): (2, 3, 0, 1), (5, 4): (2, 2, 1, 0, 1),
+    (7, 1): (2, 1), (7, 2): (3, 1, 1), (7, 3): (2, 3, 0, 1),
+}
+
+
+class TestFieldOverGFq:
+    """GF(q^k) is built directly over GF(q), for prime and prime-power q."""
+
+    @pytest.mark.parametrize("q,k", [(4, 1), (4, 2), (4, 3), (8, 2), (9, 2), (16, 2)])
+    def test_generator_order(self, q, k):
+        ctx = field_new(q, k)
+        assert ctx.order == q**k
+        assert naive_order(ctx, ctx.generator) == q**k - 1
+
+    @pytest.mark.parametrize("q,k", [(4, 3), (8, 2), (9, 2), (16, 2)])
+    def test_modulus_is_over_gfq(self, q, k):
+        # packed GF(q) coefficients, monic, and alpha is a root of it
+        ctx = field_new(q, k)
+        assert len(ctx.modulus) == k + 1 and ctx.modulus[-1] == 1
+        assert all(0 <= c < q for c in ctx.modulus)
+        assert any(c >= prime_power(q)[0] for c in ctx.modulus)  # not just GF(p)
+        f = Poly(ctx.modulus, scalar_field(q))
+        assert poly_eval_in_ext(ctx, f, ctx.generator) == ctx.zero()
+
+    def test_modulus_is_first_primitive_brute_force(self):
+        # candidates x^2 + d1 x + d0 in the order of d0 + 4 d1; x is primitive
+        # iff its powers, taken one multiplication by x at a time, first
+        # return to 1 after 15 steps
+        q, f = 4, scalar_field(4)
+
+        def x_order(d0, d1):
+            a, b = 1, 0  # a + b x
+            for step in range(1, q * q):
+                # x (a + b x) = a x + b x^2, and x^2 = -(d1 x + d0)
+                a, b = (int(f.neg_t[f.mul_t[b, d0]]),
+                        int(f.sub_t[a, f.mul_t[b, d1]]))
+                if (a, b) == (1, 0):
+                    return step
+            return None
+
+        first = next((j % q, j // q) for j in range(q * q)
+                     if x_order(j % q, j // q) == q * q - 1)
+        assert field_new(4, 2).modulus == first + (1,)
+
+    @pytest.mark.parametrize("p,k", sorted(PRIME_MODULI))
+    def test_prime_moduli_pinned(self, p, k):
+        assert field_new(p, k).modulus == PRIME_MODULI[p, k]
 
 
 class TestElemOps:
@@ -144,7 +201,7 @@ class TestScalarField:
 
     def test_prime_power_matches_ctx(self):
         f = scalar_field(4)
-        ctx = f.ctx
+        ctx = field_new(2, 2)
         for a in range(4):
             for b in range(4):
                 assert f.mul_t[a, b] == ctx.pack(ctx.mul(ctx.unpack(a), ctx.unpack(b)))
@@ -300,13 +357,13 @@ class TestRrefGf2:
 class TestMinimalPolynomial:
     def test_coset_zero_is_x_minus_one(self):
         ctx = field_new(2, 6)
-        mp = minimal_polynomial(ctx, ctx.one(), [0], 2)
+        mp = minimal_polynomial(ctx, ctx.one(), [0])
         assert mp.coeffs == (1, 1)  # x + 1 over GF(2)
 
     def test_coset_one_gf64(self):
         ctx = field_new(2, 6)
         beta = ctx.generator  # n = 63, lambda = 1
-        mp = minimal_polynomial(ctx, beta, [1, 2, 4, 8, 16, 32], 2)
+        mp = minimal_polynomial(ctx, beta, [1, 2, 4, 8, 16, 32])
         assert mp.degree == 6
         assert mp.is_monic
         # divides x^63 - 1
@@ -319,7 +376,7 @@ class TestMinimalPolynomial:
         # n = 26, q = 3, coset of 2 is {2, 6, 18}
         ctx = field_new(3, 3)
         beta2 = ctx.pow(ctx.generator, 2)
-        mp = minimal_polynomial(ctx, beta2, [2, 6, 18], 3)
+        mp = minimal_polynomial(ctx, beta2, [2, 6, 18])
         assert mp.degree == 3
         for i in (2, 6, 18):
             pt = ctx.pow(ctx.generator, i)
@@ -329,17 +386,14 @@ class TestMinimalPolynomial:
         ctx = field_new(2, 6)
         beta = ctx.generator
         with pytest.raises(ValueError):
-            minimal_polynomial(ctx, beta, [1, 2], 2)  # orbit has size 6, not 2
+            minimal_polynomial(ctx, beta, [1, 2])  # orbit has size 6, not 2
 
-    @pytest.mark.parametrize(
-        "p,k,q,lam",
-        [(2, 6, 2, 1), (3, 3, 3, 1), (5, 2, 5, 1), (2, 4, 4, 1)],
-    )
-    def test_product_over_cosets_is_x_n_minus_one(self, p, k, q, lam):
+    @pytest.mark.parametrize("q,m", [(2, 6), (3, 3), (5, 2), (4, 2), (4, 3), (8, 2),
+                                     (9, 2), (16, 2)])
+    def test_product_over_cosets_is_x_n_minus_one(self, q, m):
         # q-cyclotomic cosets mod n = q^m - 1 partition the roots of x^n - 1
-        ctx = field_new(p, k)
-        e = prime_power(q)[1]
-        m = k // e
+        ctx = field_new(q, m)
+        lam = 1
         n = q**m - 1
         seen = set()
         prod = Poly.one(scalar_field(q))
@@ -349,57 +403,43 @@ class TestMinimalPolynomial:
             coset = sorted(set((a * q**j) % n for j in range(m)))
             seen.update(coset)
             beta_power = ctx.pow(ctx.generator, lam * coset[0])
-            prod = prod * minimal_polynomial(ctx, beta_power, coset, q)
+            prod = prod * minimal_polynomial(ctx, beta_power, coset)
         assert prod == Poly.x_pow_minus_one(n, scalar_field(q))
 
     def test_distinct_cosets_give_coprime_factors(self):
         ctx = field_new(2, 4)
         f = scalar_field(2)
-        m1 = minimal_polynomial(ctx, ctx.generator, [1, 2, 4, 8], 2)
+        m1 = minimal_polynomial(ctx, ctx.generator, [1, 2, 4, 8])
         b3 = ctx.pow(ctx.generator, 3)
-        m3 = minimal_polynomial(ctx, b3, [3, 6, 12, 9], 2)
+        m3 = minimal_polynomial(ctx, b3, [3, 6, 12, 9])
         assert m1.gcd(m3) == Poly.one(f)
 
 
-class TestSubfield:
-    def test_prime_subfield_constants(self):
-        ctx = field_new(3, 2)
-        assert subfield_project(ctx, ctx.zero(), 3) == 0
-        assert subfield_project(ctx, ctx.one(), 3) == 1
-        two = ctx.add(ctx.one(), ctx.one())
-        assert subfield_project(ctx, two, 3) == 2
+class TestExtensionConstants:
+    """GF(q) is the constants of field_new(q, k); nothing is re-expressed."""
 
-    def test_non_member_raises(self):
-        ctx = field_new(2, 6)
+    def test_minimal_polynomial_over_gf9(self):
+        # n = 80, q = 9: the coset of 1 is {1, 9}; its minimal polynomial is
+        # alpha's, so over GF(9) it is the field's own modulus
+        ctx = field_new(9, 2)
+        mp = minimal_polynomial(ctx, ctx.generator, [1, 9])
+        assert mp.field.q == 9
+        assert mp.coeffs == ctx.modulus
+
+    def test_rejects_root_outside_base_field_orbit(self):
+        # alpha of GF(4^2) is not fixed by x -> x^4, so {1} is no coset
+        ctx = field_new(4, 2)
         with pytest.raises(ValueError):
-            subfield_project(ctx, ctx.generator, 2)  # alpha is not in GF(2)
+            minimal_polynomial(ctx, ctx.generator, [1])
 
-    def test_gf729_to_gf9_generator_image(self):
-        # the image of an order-8 element has order 8 in GF(9)'s own terms
-        ctx = field_new(3, 6)
-        g = ctx.pow(ctx.generator, (729 - 1) // 8)
-        img = subfield_project(ctx, g, 9)
-        f9 = scalar_field(9)
-        acc, order = img, 1
-        while acc != 1:
-            acc = int(f9.mul_t[acc, img])
-            order += 1
-            assert order <= 8
-        assert order == 8
+    def test_eval_embeds_scalars_as_constants(self):
+        ctx = field_new(8, 2)
+        f = scalar_field(8)
+        for c in range(8):
+            value = poly_eval_in_ext(ctx, Poly((c,), f), ctx.generator)
+            assert value.coeffs == (c, 0)
 
-    def test_projection_is_homomorphism(self):
-        ctx = field_new(2, 6)
-        q = 8
-        g = ctx.pow(ctx.generator, (64 - 1) // (q - 1))
-        elems = [ctx.zero()] + [ctx.pow(g, i) for i in range(q - 1)]
-        f = scalar_field(q)
-        for x in elems:
-            for y in elems:
-                px, py = subfield_project(ctx, x, q), subfield_project(ctx, y, q)
-                assert subfield_project(ctx, ctx.add(x, y), q) == f.add_t[px, py]
-                assert subfield_project(ctx, ctx.mul(x, y), q) == f.mul_t[px, py]
-
-    def test_embed_roundtrip(self):
-        ctx = field_new(3, 6)
-        for v in range(9):
-            assert subfield_project(ctx, subfield_embed(ctx, v, 9), 9) == v
+    def test_eval_rejects_polynomial_over_another_field(self):
+        ctx = field_new(2, 4)
+        with pytest.raises(ValueError):
+            poly_eval_in_ext(ctx, Poly((1, 1), scalar_field(4)), ctx.generator)

@@ -12,7 +12,7 @@ from dualbch.bch import (
 )
 from dualbch.cyclotomic import coset_table
 from dualbch.dualtools import bound_report
-from dualbch.gf import field_new, scalar_field, subfield_embed
+from dualbch.gf import FieldElem, field_new, scalar_field
 from dualbch.mindist import (
     _BLOCK_CAP,
     BudgetExceeded,
@@ -44,9 +44,9 @@ def naive_min_weight(gen, field):
     return best
 
 
-def dual_setup(q, m, delta, lam=None, s=None, p=None, k=None):
+def dual_setup(q, m, delta, lam=None, s=None):
     spec = bch_spec(q, m, delta, lam=lam, s=s)
-    ctx = field_new(p, k)
+    ctx = field_new(q, m)
     table = coset_table(spec.n, q)
     params = dual_code_params(spec, ctx, table)
     return spec, ctx, table, params
@@ -54,13 +54,13 @@ def dual_setup(q, m, delta, lam=None, s=None, p=None, k=None):
 
 class TestExhaustive:
     def test_dual_of_c3_is_32(self):
-        _, _, _, params = dual_setup(2, 6, 3, lam=1, p=2, k=6)
+        _, _, _, params = dual_setup(2, 6, 3, lam=1)
         assert params.k == 6
         gen = generator_matrix(params)
         assert exhaustive_min_weight(gen, scalar_field(2)) == 32
 
     def test_dual_of_ternary_c5_is_9(self):
-        _, _, _, params = dual_setup(3, 3, 5, lam=1, p=3, k=3)
+        _, _, _, params = dual_setup(3, 3, 5, lam=1)
         assert params.k == 9
         gen = generator_matrix(params)
         assert exhaustive_min_weight(gen, scalar_field(3)) == 9
@@ -110,7 +110,7 @@ class TestExhaustive:
 
     def test_invariant_under_row_transforms(self):
         # random invertible row operations preserve the row space
-        _, _, _, params = dual_setup(5, 2, 3, lam=1, p=5, k=2)
+        _, _, _, params = dual_setup(5, 2, 3, lam=1)
         gen = generator_matrix(params)
         field = scalar_field(5)
         base = exhaustive_min_weight(gen, field)
@@ -202,7 +202,7 @@ class TestPackedKernel:
     def test_isd_on_bench_binary_codes(self, m, delta):
         # the packed kernel reduces each trial with rref_gf2, the table kernel
         # with the int32 rref: the same _Search means the same R and pivots
-        _, _, _, params = dual_setup(2, m, delta, lam=1, p=2, k=m)
+        _, _, _, params = dual_setup(2, m, delta, lam=1)
         assert params.k == self.BENCH_ISD_K[m, delta]
         gen = generator_matrix(params)
         for seed in (0, 1, 2):
@@ -214,7 +214,7 @@ class TestPackedKernel:
 
     @pytest.mark.parametrize("m,delta", [(6, 3), (6, 15), (8, 8), (10, 32)])
     def test_in_row_space_matches_int32_route(self, m, delta):
-        _, _, _, params = dual_setup(2, m, delta, lam=1, p=2, k=m)
+        _, _, _, params = dual_setup(2, m, delta, lam=1)
         gen = generator_matrix(params)
         k, n = gen.shape
         oracle = _TableWords(self.F2)
@@ -236,7 +236,7 @@ class TestLowWeightSearch:
         assert w is not None
 
     def test_finds_weight_8_in_dual_of_c15(self):
-        _, _, _, params = dual_setup(2, 6, 15, lam=1, p=2, k=6)
+        _, _, _, params = dual_setup(2, 6, 15, lam=1)
         assert params.k == 39
         gen = generator_matrix(params)
         cw = low_weight_search(gen, scalar_field(2), target=8, trials=200, seed=0)
@@ -245,7 +245,7 @@ class TestLowWeightSearch:
         assert in_row_space(cw, gen, scalar_field(2))
 
     def test_finds_weight_16_over_gf5(self):
-        _, _, _, params = dual_setup(5, 2, 3, lam=1, p=5, k=2)
+        _, _, _, params = dual_setup(5, 2, 3, lam=1)
         gen = generator_matrix(params)
         cw = low_weight_search(gen, scalar_field(5), target=16, trials=200, seed=0)
         assert cw is not None
@@ -253,13 +253,13 @@ class TestLowWeightSearch:
 
     def test_unreachable_target_returns_none(self):
         # dual of C_3 has minimum distance 32
-        _, _, _, params = dual_setup(2, 6, 3, lam=1, p=2, k=6)
+        _, _, _, params = dual_setup(2, 6, 3, lam=1)
         gen = generator_matrix(params)
         assert low_weight_search(gen, scalar_field(2), target=31,
                                  trials=30, seed=0) is None
 
     def test_deterministic_given_seed(self):
-        _, _, _, params = dual_setup(2, 6, 15, lam=1, p=2, k=6)
+        _, _, _, params = dual_setup(2, 6, 15, lam=1)
         gen = generator_matrix(params)
         a = low_weight_search(gen, scalar_field(2), target=8, trials=50, seed=42)
         b = low_weight_search(gen, scalar_field(2), target=8, trials=50, seed=42)
@@ -267,24 +267,24 @@ class TestLowWeightSearch:
 
 
 class TestCertify:
-    def run(self, q, m, delta, lam, p, k, **kw):
-        spec, ctx, table, params = dual_setup(q, m, delta, lam=lam, p=p, k=k)
+    def run(self, q, m, delta, lam, **kw):
+        spec, ctx, table, params = dual_setup(q, m, delta, lam=lam)
         report = bound_report(spec, table)
         return spec, ctx, table, params, certify(params, report, **kw)
 
     def test_exact_32(self):
-        *_, cert = self.run(2, 6, 3, 1, 2, 6)
+        *_, cert = self.run(2, 6, 3, 1)
         assert (cert.lower, cert.upper, cert.status) == (32, 32, "exact")
         assert cert.method == "exhaustive"
         assert (cert.codewords_enumerated, cert.trials_run, cert.stop_reason) == (
             2**6 - 1, 0, "exhausted")
 
     def test_exact_9(self):
-        *_, cert = self.run(3, 3, 5, 1, 3, 3)
+        *_, cert = self.run(3, 3, 5, 1)
         assert (cert.lower, cert.upper, cert.status) == (9, 9, "exact")
 
     def test_exact_16_against_bound_15(self):
-        spec, *_, cert = self.run(5, 2, 3, 1, 5, 2)
+        spec, *_, cert = self.run(5, 2, 3, 1)
         assert (cert.lower, cert.upper, cert.status) == (16, 16, "exact")
         report = bound_report(spec)
         assert report.lower_bound_closed == 15  # strictly below the true value
@@ -292,7 +292,7 @@ class TestCertify:
     def test_bracket_meets_bound_weight_8(self):
         # [63, 39] dual: exhaustion is out of budget; the closed-form lower
         # bound 8 plus a weight-8 witness certify exactness
-        *_, cert = self.run(2, 6, 15, 1, 2, 6, budget=2**20, trials=500, seed=0)
+        *_, cert = self.run(2, 6, 15, 1, budget=2**20, trials=500, seed=0)
         assert cert.method == "information_set"
         assert (cert.lower, cert.upper, cert.status) == (8, 8, "exact")
         assert cert.lower_source == "closed_form_bound"
@@ -302,7 +302,7 @@ class TestCertify:
     def test_bracketed_when_bound_is_slack(self):
         # [24, 4] over GF(5): bound says 15, the true distance is 16, so a
         # search that cannot exhaust must report the gap honestly
-        *_, cert = self.run(5, 2, 3, 1, 5, 2, budget=64, trials=20, seed=0)
+        *_, cert = self.run(5, 2, 3, 1, budget=64, trials=20, seed=0)
         assert cert.method == "information_set"
         assert cert.status == "bracketed"
         assert (cert.lower, cert.upper) == (15, 16)
@@ -312,7 +312,7 @@ class TestCertify:
 
     def test_binary_bracket_carries_evidence(self):
         # [255, 32] dual, packed kernel: the bound stays below every witness found
-        *_, cert = self.run(2, 8, 8, 1, 2, 8, budget=2**20, trials=2, seed=0)
+        *_, cert = self.run(2, 8, 8, 1, budget=2**20, trials=2, seed=0)
         assert (cert.method, cert.status) == ("information_set", "bracketed")
         assert (cert.codewords_enumerated, cert.trials_run, cert.stop_reason) == (
             2 * (32 + 32 * 31 // 2), 2, "trials_done")
@@ -320,11 +320,11 @@ class TestCertify:
     def test_zero_trials_rejected(self):
         # out of budget, so the search would run zero trials and find no witness
         with pytest.raises(ValueError, match="trials"):
-            self.run(5, 2, 3, 1, 5, 2, budget=64, trials=0)
+            self.run(5, 2, 3, 1, budget=64, trials=0)
 
     def test_exact_reproduces_under_other_seed(self):
-        *_, a = self.run(2, 6, 15, 1, 2, 6, budget=2**20, trials=500, seed=1)
-        *_, b = self.run(2, 6, 15, 1, 2, 6, budget=2**20, trials=500, seed=99)
+        *_, a = self.run(2, 6, 15, 1, budget=2**20, trials=500, seed=1)
+        *_, b = self.run(2, 6, 15, 1, budget=2**20, trials=500, seed=99)
         assert a.status == b.status == "exact"
         assert (a.lower, a.upper) == (b.lower, b.upper)
 
@@ -332,7 +332,7 @@ class TestCertify:
         # every exponent in the dual's defining set must kill the witness
         from dualbch.bch import defining_set, dual_defining_set
 
-        spec, ctx, table, params, cert = self.run(3, 3, 5, 1, 3, 3)
+        spec, ctx, table, params, cert = self.run(3, 3, 5, 1)
         t_perp = dual_defining_set(defining_set(spec, table))
         f = scalar_field(3)
         beta = ctx.pow(ctx.generator, spec.lam)
@@ -341,12 +341,12 @@ class TestCertify:
             acc = ctx.zero()
             for j, c in enumerate(cert.witness):
                 if c:
-                    acc = ctx.add(acc, ctx.mul(subfield_embed(ctx, c, 3),
+                    acc = ctx.add(acc, ctx.mul(FieldElem((int(c), 0, 0)),
                                                ctx.pow(point, j)))
             assert acc == ctx.zero()
 
     def test_cyclic_shift_of_witness_still_in_code(self):
-        spec, ctx, table, params, cert = self.run(2, 6, 3, 1, 2, 6)
+        spec, ctx, table, params, cert = self.run(2, 6, 3, 1)
         f = scalar_field(2)
         gen = generator_matrix(params)
         w = np.array(cert.witness, dtype=np.int32)
