@@ -2,7 +2,8 @@
 
 The top-level namespace re-exports the working API:
 
-- field and polynomial arithmetic (:mod:`dualbch.gf`),
+- field and polynomial arithmetic (:mod:`dualbch.gf`); an element of
+  GF(q^k) is the int whose base-q digits are its coordinates,
 - q-cyclotomic coset tables and closed-form largest leaders
   (:mod:`dualbch.cyclotomic`),
 - BCH code specs, defining sets, generator matrices and the code
@@ -52,7 +53,6 @@ from .dualtools import (
 )
 from .gf import (
     FieldCtx,
-    FieldElem,
     Poly,
     ScalarField,
     field_new,
@@ -91,7 +91,6 @@ __all__ = [
     "DistanceCertificate",
     "DivisorOfQMinus1",
     "FieldCtx",
-    "FieldElem",
     "MANIFEST_SCHEMA",
     "Poly",
     "PowerForm",

@@ -9,19 +9,23 @@ packed-scalar arithmetic; Poly is a dense polynomial over such scalars.
 The extension field GF(q^k) is realized directly over GF(q), as
 GF(q)[x]/(f) where f is the first primitive polynomial in lexicographic
 order (see field_new), so every run (and every implementation following
-the same rule) picks the same primitive element alpha.  Its coordinates
-are packed GF(q) scalars, so GF(q) itself is the constants.
+the same rule) picks the same primitive element alpha.  An element is the
+int in [0, q^k) whose base-q digits are its coordinates, each a packed
+GF(q) scalar, constant term least significant.  So GF(q) is the ints
+below q, and 0 and 1 are the field's zero and one.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from sympy import factorint
 
 MAX_TABLE_ORDER = 1 << 16  # exp/log tables only below this field order
+# ScalarField keeps q x q int32 tables plus their list forms, about
+# 36 q^2 bytes: 151 MB at this q, so a larger q is refused before any of it
+MAX_SCALAR_Q = 1 << 11
 
 
 def prime_power(q: int):
@@ -35,16 +39,26 @@ def prime_power(q: int):
     return int(p), int(e)
 
 
-@dataclass(frozen=True)
-class FieldElem:
-    """Element of GF(q^k): packed GF(q) coordinates, lowest degree first."""
-
-    coeffs: tuple[int, ...]
-
-
 # ---------------------------------------------------------------------------
-# tuple-level polynomial arithmetic over GF(q), used during field construction
+# coordinate-level arithmetic over GF(q): field construction, the direct
+# path above MAX_TABLE_ORDER, and the tests' oracle
 # ---------------------------------------------------------------------------
+
+def _digits(v, q, k):
+    """The k base-q digits of v (coordinates of a GF(q^k) element), lowest first."""
+    ds = []
+    for _ in range(k):
+        v, d = divmod(v, q)
+        ds.append(d)
+    return tuple(ds)
+
+
+def _from_digits(ds, q):
+    v = 0
+    for d in reversed(ds):
+        v = v * q + d
+    return v
+
 
 def _poly_mulmod(a, b, modulus, f):
     """(a * b) mod modulus over the ScalarField f; a, b fixed-length coeff tuples."""
@@ -84,9 +98,12 @@ def _poly_powmod(base, e, modulus, f):
 class FieldCtx:
     """GF(q^k) over GF(q), with a fixed primitive modulus and primitive generator.
 
-    Immutable after construction; all operations are pure.  Internal exp/log
-    tables are built lazily for orders up to MAX_TABLE_ORDER; beyond that,
-    multiplication falls back to direct polynomial arithmetic.
+    Elements are ints in [0, q^k): the base-q digits of an element are its
+    coordinates, packed GF(q) scalars, lowest degree first.  Immutable
+    after construction; all operations are pure.  Exp/log tables (lists)
+    are built lazily for orders up to MAX_TABLE_ORDER, and mul, pow and inv
+    are then lookups; beyond that, they fall back to polynomial arithmetic
+    on the digits.
     """
 
     def __init__(self, q, k, modulus):
@@ -95,55 +112,29 @@ class FieldCtx:
         self.order = q**k
         self.field = scalar_field(q)
         self.modulus = modulus  # length k+1, packed GF(q), lowest degree first, monic
-        if k == 1:
-            gen = (int(self.field.neg_t[modulus[0]]),)  # root of x + c0
-        else:
-            gen = tuple([0, 1] + [0] * (k - 2))
-        self.generator = FieldElem(gen)
-        self._exp = None
-        self._log = None
+        # a root of the modulus: -c0 for x + c0, else the class of x
+        self.generator = int(self.field.neg_t[modulus[0]]) if k == 1 else q
 
     def __repr__(self):
         return f"FieldCtx(GF({self.q}^{self.k}), modulus={self.modulus})"
 
-    # -- packing -----------------------------------------------------------
-
-    def pack(self, x: FieldElem) -> int:
-        v = 0
-        for c in reversed(x.coeffs):
-            v = v * self.q + c
-        return v
-
-    def unpack(self, v: int) -> FieldElem:
-        cs = []
-        for _ in range(self.k):
-            v, c = divmod(v, self.q)
-            cs.append(c)
-        return FieldElem(tuple(cs))
-
-    def zero(self) -> FieldElem:
-        return FieldElem((0,) * self.k)
-
-    def one(self) -> FieldElem:
-        return FieldElem((1,) + (0,) * (self.k - 1))
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def add(self, x: FieldElem, y: FieldElem) -> FieldElem:
+    def add(self, x: int, y: int) -> int:
+        q, k = self.q, self.k
         add = self.field.lists[0]
-        return FieldElem(tuple(add[a][b] for a, b in zip(x.coeffs, y.coeffs)))
+        return _from_digits([add[a][b] for a, b in zip(_digits(x, q, k), _digits(y, q, k))], q)
 
-    def sub(self, x: FieldElem, y: FieldElem) -> FieldElem:
-        sub = self.field.lists[1]
-        return FieldElem(tuple(sub[a][b] for a, b in zip(x.coeffs, y.coeffs)))
+    def neg(self, x: int) -> int:
+        neg = self.field.lists[1][0]
+        return _from_digits([neg[a] for a in _digits(x, self.q, self.k)], self.q)
 
-    def neg(self, x: FieldElem) -> FieldElem:
-        sub = self.field.lists[1]
-        return FieldElem(tuple(sub[0][a] for a in x.coeffs))
+    @functools.cached_property
+    def _tables(self):
+        """(exp, log) lists, exp[i] = alpha^i and log[alpha^i] = i.
 
-    def _ensure_tables(self):
-        if self._exp is not None or self.order > MAX_TABLE_ORDER:
-            return
+        None above MAX_TABLE_ORDER, where mul and pow work on the digits.
+        """
+        if self.order > MAX_TABLE_ORDER:
+            return None
         q, k = self.q, self.k
         add, sub, mul = self.field.lists
         # the generator is a root of the modulus (x itself when k > 1), so
@@ -163,36 +154,34 @@ class FieldCtx:
         exp = np.array(powers, dtype=np.int64) @ (q ** np.arange(k, dtype=np.int64))
         log = np.full(self.order, -1, dtype=np.int64)
         log[exp] = np.arange(self.order - 1, dtype=np.int64)
-        self._exp = exp
-        self._log = log
+        return exp.tolist(), log.tolist()
 
-    def mul(self, x: FieldElem, y: FieldElem) -> FieldElem:
-        self._ensure_tables()
-        if self._exp is not None:
-            a, b = self.pack(x), self.pack(y)
-            if a == 0 or b == 0:
-                return self.zero()
-            n1 = self.order - 1
-            return self.unpack(int(self._exp[(self._log[a] + self._log[b]) % n1]))
-        return FieldElem(_poly_mulmod(x.coeffs, y.coeffs, self.modulus, self.field))
+    def mul(self, x: int, y: int) -> int:
+        if self._tables is None:
+            q, k = self.q, self.k
+            return _from_digits(_poly_mulmod(_digits(x, q, k), _digits(y, q, k),
+                                             self.modulus, self.field), q)
+        if x == 0 or y == 0:
+            return 0
+        exp, log = self._tables
+        return exp[(log[x] + log[y]) % (self.order - 1)]
 
-    def inv(self, x: FieldElem) -> FieldElem:
-        if x == self.zero():
+    def inv(self, x: int) -> int:
+        if x == 0:
             raise ZeroDivisionError("zero has no inverse")
         return self.pow(x, self.order - 2)
 
-    def pow(self, x: FieldElem, e: int) -> FieldElem:
+    def pow(self, x: int, e: int) -> int:
         """x^e for e >= 0; x^0 = 1."""
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        self._ensure_tables()
-        if self._exp is not None:
-            v = self.pack(x)
-            if v == 0:
-                return self.zero() if e else self.one()
-            n1 = self.order - 1
-            return self.unpack(int(self._exp[(int(self._log[v]) * e) % n1]))
-        return FieldElem(_poly_powmod(x.coeffs, e, self.modulus, self.field))
+        if self._tables is None:
+            return _from_digits(_poly_powmod(_digits(x, self.q, self.k), e, self.modulus,
+                                             self.field), self.q)
+        if x == 0:
+            return 0 if e else 1
+        exp, log = self._tables
+        return exp[log[x] * e % (self.order - 1)]
 
 
 def field_new(q: int, k: int) -> FieldCtx:
@@ -210,17 +199,12 @@ def field_new(q: int, k: int) -> FieldCtx:
         raise ValueError(f"q^k-1 = {q**k - 1} does not fit in 63 bits")
     n1 = q**k - 1
     prime_divisors = [int(r) for r in factorint(n1)] if n1 > 1 else []
-    one = tuple([1] + [0] * (k - 1))
+    one = _digits(1, q, k)
     for j in range(q**k):
-        digits = []
-        v = j
-        for _ in range(k):
-            v, d = divmod(v, q)
-            digits.append(d)
-        if digits[0] == 0:
+        if j % q == 0:
             continue  # x divides the modulus; x would not be a unit
-        ctx = FieldCtx(q, k, tuple(digits) + (1,))
-        x, modulus = ctx.generator.coeffs, ctx.modulus
+        ctx = FieldCtx(q, k, _digits(j, q, k) + (1,))
+        x, modulus = _digits(ctx.generator, q, k), ctx.modulus
         # x has order q^k - 1 iff <x> exhausts all nonzero residues, which
         # forces the quotient ring to be a field, i.e. modulus is primitive.
         if _poly_powmod(x, n1, modulus, f) != one:
@@ -240,10 +224,14 @@ class ScalarField:
 
     The add_t, sub_t, mul_t, neg_t and inv_t tables are small numpy arrays,
     indexed by ints or by numpy arrays.  inv_t[0] is 0 as a sentinel; zero
-    has no inverse.
+    has no inverse.  q above MAX_SCALAR_Q is refused with ValueError before
+    any table is allocated.
     """
 
     def __init__(self, q):
+        if q > MAX_SCALAR_Q:
+            raise ValueError(f"q={q} is above {MAX_SCALAR_Q}: the GF(q) tables "
+                             f"would take about {36 * q * q // 10**6} MB")
         pp = prime_power(q)
         if pp is None:
             raise ValueError(f"q={q} is not a prime power")
@@ -259,20 +247,12 @@ class ScalarField:
                                   dtype=np.int32)
         else:
             ctx = field_new(self.p, self.e)
-            elems = [ctx.unpack(v) for v in range(q)]
-            add_t = np.zeros((q, q), dtype=np.int32)
-            mul_t = np.zeros((q, q), dtype=np.int32)
-            for a in range(q):
-                for b in range(q):
-                    add_t[a, b] = ctx.pack(ctx.add(elems[a], elems[b]))
-                    mul_t[a, b] = ctx.pack(ctx.mul(elems[a], elems[b]))
-            self.add_t = add_t
-            self.mul_t = mul_t
-            self.neg_t = np.array([ctx.pack(ctx.neg(elems[a])) for a in range(q)],
-                                  dtype=np.int32)
+            r = range(q)
+            self.add_t = np.array([[ctx.add(a, b) for b in r] for a in r], dtype=np.int32)
+            self.mul_t = np.array([[ctx.mul(a, b) for b in r] for a in r], dtype=np.int32)
+            self.neg_t = np.array([ctx.neg(a) for a in r], dtype=np.int32)
             self.sub_t = self.add_t[:, self.neg_t]
-            self.inv_t = np.array([0] + [ctx.pack(ctx.inv(elems[a]))
-                                         for a in range(1, q)], dtype=np.int32)
+            self.inv_t = np.array([0] + [ctx.inv(a) for a in range(1, q)], dtype=np.int32)
 
     @functools.cached_property
     def lists(self):
@@ -508,13 +488,13 @@ class Poly:
 # minimal polynomials
 # ---------------------------------------------------------------------------
 
-def minimal_polynomial(ctx: FieldCtx, beta_power: FieldElem, coset) -> Poly:
+def minimal_polynomial(ctx: FieldCtx, beta_power: int, coset) -> Poly:
     """prod_{j in coset} (x - beta^j), a polynomial over ctx's base field GF(q).
 
     beta_power must be beta^i for the smallest exponent i of the coset; the
     remaining roots are its iterated q-th powers (Frobenius orbit).  Raises
     if the orbit size disagrees with the coset or a coefficient lands
-    outside GF(q), i.e. off the constants of ctx.
+    outside GF(q), i.e. is not below q.
     """
     q = ctx.q
     d = len(coset)
@@ -523,26 +503,24 @@ def minimal_polynomial(ctx: FieldCtx, beta_power: FieldElem, coset) -> Poly:
         roots.append(ctx.pow(roots[-1], q))
     if ctx.pow(roots[-1], q) != beta_power:
         raise ValueError("coset is not Frobenius-closed for base q")
-    # expand the product over the big field
-    coeffs = [ctx.one()]
+    # expand the product over the big field: (x - r) P = x P + (-r) P
+    coeffs = [1]
     for r in roots:
         nr = ctx.neg(r)
-        nxt = [ctx.zero()] * (len(coeffs) + 1)
+        nxt = [0] + coeffs
         for i, c in enumerate(coeffs):
-            nxt[i + 1] = ctx.add(nxt[i + 1], c)
             nxt[i] = ctx.add(nxt[i], ctx.mul(c, nr))
         coeffs = nxt
-    if any(any(c.coeffs[1:]) for c in coeffs):
+    if any(c >= q for c in coeffs):
         raise ValueError("product coefficient falls outside GF(q); wrong coset?")
-    return Poly([c.coeffs[0] for c in coeffs], ctx.field)
+    return Poly(coeffs, ctx.field)
 
 
-def poly_eval_in_ext(ctx: FieldCtx, poly: Poly, point: FieldElem) -> FieldElem:
+def poly_eval_in_ext(ctx: FieldCtx, poly: Poly, point: int) -> int:
     """Evaluate a GF(q) polynomial at a point of ctx = GF(q^k)."""
     if poly.field.q != ctx.q:
         raise ValueError(f"polynomial over GF({poly.field.q}), field over GF({ctx.q})")
-    pad = (0,) * (ctx.k - 1)
-    acc = ctx.zero()
+    acc = 0
     for c in reversed(poly.coeffs):
-        acc = ctx.add(ctx.mul(acc, point), FieldElem((c,) + pad))
+        acc = ctx.add(ctx.mul(acc, point), c)
     return acc

@@ -235,7 +235,7 @@ def test_criterion_8_algebraic_invariants():
             h_rev = h.reciprocal().monic()
             roots = {i for i in range(n)
                      if poly_eval_in_ext(ctx, h_rev, ctx.pow(beta, i))
-                     == ctx.zero()}
+                     == 0}
             t_perp = dual_defining_set(defining_set(spec, table))
             assert roots == set(t_perp.members), (q, m, n, delta)
             reciprocal_checked += 1

@@ -286,6 +286,18 @@ class TestDualBound:
         assert (code, out) == (1, "")
         assert "dualbch dual-bound: error: argument --seed: must be >= 0, got -1" in err
 
+    def test_certify_refuses_oversized_base_field(self, capsys):
+        # n = 65522 is within MAX_N, but GF(65521)'s q x q tables would take
+        # about 150 GB; they are refused before anything is allocated
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "dual-bound", "--q", "65521", "--m", "2",
+                             "--lambda", "65520", "--delta", "3", "--certify",
+                             "--force-direct")
+        assert time.perf_counter() - t0 < 2.0
+        assert (code, out) == (1, "")
+        assert err.startswith("dualbch dual-bound: error: cannot build GF(65521^2): "
+                              "q=65521 is above 2048")
+
     def test_lambda_and_s_conflict(self, capsys):
         code, _, _ = run(capsys, "dual-bound", "--q", "2", "--m", "6",
                          "--lambda", "1", "--s", "1", "--delta", "3")

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dualbch.gf as gf
 from dualbch.gf import (
-    FieldElem,
+    MAX_SCALAR_Q,
     Poly,
     _poly_mulmod,
     field_new,
@@ -20,10 +21,18 @@ from dualbch.gf import (
 from dualbch.mindist import _PackedWords
 
 
+def to_digits(v, q, k):
+    return tuple(v // q**i % q for i in range(k))
+
+
+def from_digits(ds, q):
+    return sum(int(d) * q**i for i, d in enumerate(ds))
+
+
 def naive_order(ctx, x):
     acc = x
     for d in range(1, ctx.order):
-        if acc == ctx.one():
+        if acc == 1:
             return d
         acc = ctx.mul(acc, x)
     raise AssertionError("no order found")
@@ -34,7 +43,7 @@ class TestFieldNew:
         ctx = field_new(2, 1)
         assert ctx.order == 2
         assert ctx.modulus == (1, 1)  # x + 1
-        assert ctx.generator == FieldElem((1,))
+        assert ctx.generator == 1
 
     def test_gf64_modulus_is_first_primitive(self):
         # lexicographic-first primitive polynomial of degree 6 over GF(2)
@@ -43,10 +52,9 @@ class TestFieldNew:
 
     def test_gf64_generator_is_primitive(self):
         ctx = field_new(2, 6)
-        one = ctx.one()
         for d in (1, 3, 7, 9, 21):  # proper divisors of 63
-            assert ctx.pow(ctx.generator, d) != one
-        assert ctx.pow(ctx.generator, 63) == one
+            assert ctx.pow(ctx.generator, d) != 1
+        assert ctx.pow(ctx.generator, 63) == 1
 
     def test_gf729_generator_order(self):
         ctx = field_new(3, 6)
@@ -68,16 +76,14 @@ class TestFieldNew:
         # reference: one general polynomial product per power of the generator
         ctx = field_new(q, k)
         exp = []
-        cur = ctx.one().coeffs
+        cur, x = to_digits(1, q, k), to_digits(ctx.generator, q, k)
         for _ in range(ctx.order - 1):
-            exp.append(ctx.pack(FieldElem(cur)))
-            cur = _poly_mulmod(cur, ctx.generator.coeffs, ctx.modulus, scalar_field(q))
+            exp.append(from_digits(cur, q))
+            cur = _poly_mulmod(cur, x, ctx.modulus, scalar_field(q))
         log = [-1] * ctx.order
         for i, v in enumerate(exp):
             log[v] = i
-        ctx._ensure_tables()
-        assert ctx._exp.tolist() == exp
-        assert ctx._log.tolist() == log
+        assert ctx._tables == (exp, log)
 
 
 # field_new(p, k).modulus for prime p, pinned: these moduli fix alpha, and so
@@ -111,7 +117,7 @@ class TestFieldOverGFq:
         assert all(0 <= c < q for c in ctx.modulus)
         assert any(c >= prime_power(q)[0] for c in ctx.modulus)  # not just GF(p)
         f = Poly(ctx.modulus, scalar_field(q))
-        assert poly_eval_in_ext(ctx, f, ctx.generator) == ctx.zero()
+        assert poly_eval_in_ext(ctx, f, ctx.generator) == 0
 
     def test_modulus_is_first_primitive_brute_force(self):
         # candidates x^2 + d1 x + d0 in the order of d0 + 4 d1; x is primitive
@@ -142,43 +148,45 @@ class TestElemOps:
     def test_pow_edges(self):
         ctx = field_new(2, 6)
         g = ctx.generator
-        assert ctx.pow(g, 0) == ctx.one()
-        assert ctx.pow(g, ctx.order - 1) == ctx.one()
+        assert ctx.pow(g, 0) == 1
+        assert ctx.pow(g, ctx.order - 1) == 1
         g9 = ctx.pow(g, 9)
         assert naive_order(ctx, g9) == 7  # 63 / gcd(63, 9)
-
-    def test_pack_roundtrip(self):
-        ctx = field_new(3, 3)
-        for v in range(ctx.order):
-            assert ctx.pack(ctx.unpack(v)) == v
 
     @given(st.integers(0, 63), st.integers(0, 63))
     def test_gf64_field_laws(self, a, b):
         ctx = field_new(2, 6)
-        x, y = ctx.unpack(a), ctx.unpack(b)
-        assert ctx.add(x, y) == ctx.add(y, x)
-        assert ctx.mul(x, y) == ctx.mul(y, x)
-        assert ctx.sub(ctx.add(x, y), y) == x
+        assert ctx.add(a, b) == ctx.add(b, a)
+        assert ctx.mul(a, b) == ctx.mul(b, a)
+        assert ctx.add(ctx.add(a, b), ctx.neg(b)) == a
         if a != 0:
-            assert ctx.mul(x, ctx.inv(x)) == ctx.one()
+            assert ctx.mul(a, ctx.inv(a)) == 1
 
-    def test_mul_matches_table_free_path(self):
-        # same arithmetic with and without exp/log tables
-        ctx_a = field_new(3, 4)
-        ctx_b = field_new(3, 4)
-        ctx_b._ensure_tables()
-        import dualbch.gf as gf
-
-        old = gf.MAX_TABLE_ORDER
-        gf.MAX_TABLE_ORDER = 1  # force the direct path on ctx_a
-        try:
-            rng = np.random.default_rng(7)
-            for _ in range(50):
-                a, b = rng.integers(0, 81, size=2)
-                x, y = ctx_a.unpack(int(a)), ctx_a.unpack(int(b))
-                assert ctx_a.mul(x, y) == ctx_b.mul(x, y)
-        finally:
-            gf.MAX_TABLE_ORDER = old
+    @pytest.mark.parametrize("tables", [True, False], ids=["tables", "direct"])
+    @pytest.mark.parametrize("q,k", [(q, k) for q in (2, 3, 4, 5, 8, 9) for k in (1, 2, 3)])
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_ops_match_digit_oracle(self, q, k, tables, monkeypatch, data):
+        # elements are ints whose base-q digits are coordinates: add is
+        # add_t digit by digit, mul is _poly_mulmod on the digits, and pow
+        # is repeated mul, with and without the exp/log tables
+        if not tables:
+            monkeypatch.setattr(gf, "MAX_TABLE_ORDER", 1)
+        ctx = field_new(q, k)
+        assert (ctx._tables is not None) == tables
+        f = scalar_field(q)
+        a, b = (data.draw(st.integers(0, q**k - 1)) for _ in range(2))
+        e = data.draw(st.integers(0, 2 * q**k))
+        da, db = to_digits(a, q, k), to_digits(b, q, k)
+        assert ctx.add(a, b) == from_digits([f.add_t[x, y] for x, y in zip(da, db)], q)
+        assert ctx.mul(a, b) == from_digits(_poly_mulmod(da, db, ctx.modulus, f), q)
+        acc = to_digits(1, q, k)
+        for _ in range(e):
+            acc = _poly_mulmod(acc, da, ctx.modulus, f)
+        assert ctx.pow(a, e) == from_digits(acc, q)
+        if a:
+            assert ctx.mul(a, ctx.inv(a)) == 1
 
 
 class TestScalarField:
@@ -204,7 +212,8 @@ class TestScalarField:
         ctx = field_new(2, 2)
         for a in range(4):
             for b in range(4):
-                assert f.mul_t[a, b] == ctx.pack(ctx.mul(ctx.unpack(a), ctx.unpack(b)))
+                assert f.add_t[a, b] == ctx.add(a, b)
+                assert f.mul_t[a, b] == ctx.mul(a, b)
 
     def test_not_prime_power(self):
         with pytest.raises(ValueError):
@@ -212,6 +221,12 @@ class TestScalarField:
         assert prime_power(12) is None
         assert prime_power(8) == (2, 3)
         assert prime_power(9) == (3, 2)
+
+    @pytest.mark.parametrize("q", [MAX_SCALAR_Q + 1, 4093, 65521])
+    def test_refuses_large_q(self, q):
+        # the q x q tables take about 36 q^2 bytes; the refusal comes first
+        with pytest.raises(ValueError, match=f"q={q} is above {MAX_SCALAR_Q}"):
+            scalar_field(q)
 
 
 class TestPoly:
@@ -357,7 +372,7 @@ class TestRrefGf2:
 class TestMinimalPolynomial:
     def test_coset_zero_is_x_minus_one(self):
         ctx = field_new(2, 6)
-        mp = minimal_polynomial(ctx, ctx.one(), [0])
+        mp = minimal_polynomial(ctx, 1, [0])
         assert mp.coeffs == (1, 1)  # x + 1 over GF(2)
 
     def test_coset_one_gf64(self):
@@ -380,7 +395,7 @@ class TestMinimalPolynomial:
         assert mp.degree == 3
         for i in (2, 6, 18):
             pt = ctx.pow(ctx.generator, i)
-            assert poly_eval_in_ext(ctx, mp, pt) == ctx.zero()
+            assert poly_eval_in_ext(ctx, mp, pt) == 0
 
     def test_wrong_coset_raises(self):
         ctx = field_new(2, 6)
@@ -436,8 +451,7 @@ class TestExtensionConstants:
         ctx = field_new(8, 2)
         f = scalar_field(8)
         for c in range(8):
-            value = poly_eval_in_ext(ctx, Poly((c,), f), ctx.generator)
-            assert value.coeffs == (c, 0)
+            assert poly_eval_in_ext(ctx, Poly((c,), f), ctx.generator) == c
 
     def test_eval_rejects_polynomial_over_another_field(self):
         ctx = field_new(2, 4)
