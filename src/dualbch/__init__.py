@@ -6,8 +6,8 @@ The top-level namespace re-exports the working API:
   GF(q^k) is the int whose base-q digits are its coordinates,
 - q-cyclotomic coset tables and closed-form largest leaders
   (:mod:`dualbch.cyclotomic`),
-- BCH code specs, defining sets, generator matrices and the code
-  families of the closed forms (:mod:`dualbch.bch`),
+- BCH code specs, defining sets as bool masks over Z_n, generator
+  matrices and the code families of the closed forms (:mod:`dualbch.bch`),
 - dual-distance lower bounds, dually-BCH tests and the one-pass delta
   sweep (:mod:`dualbch.dualtools`),
 - minimum-distance certification (:mod:`dualbch.mindist`),
@@ -17,7 +17,6 @@ The top-level namespace re-exports the working API:
 from .bch import (
     BchSpec,
     CodeParams,
-    DefiningSet,
     DivisorOfQMinus1,
     PowerForm,
     bch_bound_from_set,
@@ -87,7 +86,6 @@ __all__ = [
     "BudgetExceeded",
     "CodeParams",
     "CosetTable",
-    "DefiningSet",
     "DistanceCertificate",
     "DivisorOfQMinus1",
     "FieldCtx",

@@ -11,11 +11,14 @@ PowerForm(1) by the bch_spec factory (for q = 2 that is lambda = 1).
 
 The defining set of C_delta with respect to beta = alpha^lambda is
 T = C_1 u ... u C_{delta-1}; the generator polynomial g is the product of
-the minimal polynomials of beta^l over the distinct coset leaders l in T.
-The dual's defining set is T_perp, the complement in Z_n of
-T^{-1} = {n - i : i in T}.  The dual's generator is the monic reciprocal
-of (x^n - 1)/g, so it takes one polynomial division rather than one
-minimal polynomial per coset of the (usually much larger) T_perp.
+the minimal polynomials of beta^l over the distinct coset leaders l in T,
+which are the leaders in [1, delta-1], a prefix of the table's ascending
+leaders.  The dual's defining set is T_perp, the complement in Z_n of
+T^{-1} = {n - i : i in T}.  defining_set and dual_defining_set return T and
+T_perp as read-only bool masks of length n.  The dual's generator is the
+monic reciprocal of (x^n - 1)/g, so it takes one polynomial division rather
+than one minimal polynomial per coset of the (usually much larger) T_perp,
+and neither generator needs a mask.
 """
 
 from __future__ import annotations
@@ -99,6 +102,12 @@ def bch_spec(q: int, m: int, delta: int, lam: int | None = None,
     return BchSpec(q, m, DivisorOfQMinus1(lam), delta)
 
 
+def _divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, ascending, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
 def theorem_families(max_n: int):
     """Yield (q, m, kw, n) for every code family of the closed forms with n <= max_n.
 
@@ -121,61 +130,11 @@ def theorem_families(max_n: int):
     for q in range(3, max_n // 2 + 1):
         if prime_power(q) is None:
             continue
-        for lam in range(1, q - 1):
-            if (q - 1) % lam:
-                continue
+        for lam in _divisors(q - 1)[:-1]:  # lam < q - 1
             m = 2
             while (n := (q**m - 1) // lam) <= max_n:
                 yield q, m, {"lam": lam}, n
                 m += 1
-
-
-class DefiningSet:
-    """Subset of Z_n closed under multiplication by q, stored as a mask."""
-
-    def __init__(self, n, q, mask, validate=True):
-        self.n = n
-        self.q = q
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (n,):
-            raise ValueError("mask length must equal n")
-        mask.setflags(write=False)
-        self.mask = mask
-        self._members = None
-        if validate and not self.is_q_closed():
-            raise ValueError("set is not closed under multiplication by q mod n")
-
-    @classmethod
-    def from_members(cls, n, q, members, validate=True):
-        mask = np.zeros(n, dtype=bool)
-        for a in members:
-            if not 0 <= a < n:
-                raise ValueError(f"member {a} out of range [0, {n})")
-            mask[a] = True
-        return cls(n, q, mask, validate=validate)
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        if self._members is None:
-            self._members = tuple(int(v) for v in np.flatnonzero(self.mask))
-        return self._members
-
-    def is_q_closed(self) -> bool:
-        idx = (np.arange(self.n, dtype=np.int64) * self.q) % self.n
-        return bool(np.all(self.mask[idx] == self.mask))
-
-    def __contains__(self, a):
-        return bool(self.mask[a % self.n])
-
-    def __len__(self):
-        return int(np.count_nonzero(self.mask))
-
-    def __eq__(self, other):
-        return (isinstance(other, DefiningSet) and self.n == other.n
-                and self.q == other.q and bool(np.array_equal(self.mask, other.mask)))
-
-    def __repr__(self):
-        return f"DefiningSet(n={self.n}, q={self.q}, size={len(self)})"
 
 
 def check_table(spec: BchSpec, table: CosetTable) -> None:
@@ -185,56 +144,65 @@ def check_table(spec: BchSpec, table: CosetTable) -> None:
                          f"spec needs (n={spec.n}, q={spec.q})")
 
 
-def defining_set(spec: BchSpec, table: CosetTable) -> DefiningSet:
-    """T = C_1 u ... u C_{delta-1}: residues whose leader is in [1, delta-1]."""
+def defining_set(spec: BchSpec, table: CosetTable) -> np.ndarray:
+    """T = C_1 u ... u C_{delta-1} as a read-only bool mask over Z_n.
+
+    Position a is set iff the leader of a is in [1, delta-1].
+    """
     check_table(spec, table)
     lead = table.leader_of
     mask = (lead >= 1) & (lead <= spec.delta - 1)
-    return DefiningSet(spec.n, spec.q, mask, validate=False)
+    mask.setflags(write=False)
+    return mask
 
 
-def dual_defining_set(t: DefiningSet) -> DefiningSet:
-    """T_perp = Z_n \\ T^{-1} where T^{-1} = {n - i mod n : i in T}.
+def dual_defining_set(t: np.ndarray) -> np.ndarray:
+    """T_perp = Z_n \\ T^{-1} where T^{-1} = {n - i mod n : i in T}, as a mask.
 
     Position i of T^{-1} reads position n - i of T, so its mask is T's mask
     with positions 1 .. n-1 reversed.
     """
-    mask = t.mask
-    return DefiningSet(t.n, t.q, ~np.concatenate([mask[:1], mask[:0:-1]]),
-                       validate=False)
+    mask = ~np.concatenate([t[:1], t[:0:-1]])
+    mask.setflags(write=False)
+    return mask
 
 
-def bch_bound_from_set(s: DefiningSet) -> int:
-    """1 + length of the longest cyclic run of consecutive residues in s.
+def bch_bound_from_set(s: np.ndarray) -> int:
+    """1 + length of the longest cyclic run of consecutive residues in mask s.
 
     A run lies strictly between two cyclically consecutive non-members, so
     1 + the longest run is the largest gap between them, counting the gap
     that wraps from the last non-member to the first.
     """
-    zeros = np.flatnonzero(~s.mask)
+    zeros = np.flatnonzero(~s)
     if zeros.size == 0:
-        return s.n + 1
-    return int(np.diff(zeros, append=zeros[0] + s.n).max())
+        return len(s) + 1
+    return int(np.diff(zeros, append=zeros[0] + len(s)).max())
 
 
 @dataclass(frozen=True)
 class CodeParams:
-    """Length, dimension, generator polynomial, and BCH bound of a cyclic code."""
+    """Length, dimension and generator polynomial of a cyclic code."""
 
     n: int
     k: int
     delta: int | None
     generator: Poly
-    bch_bound: int
 
 
-def generator_from_set(spec: BchSpec, ctx: FieldCtx, table: CosetTable,
-                       dset: DefiningSet) -> Poly:
-    """Product of the minimal polynomials of beta^l over the coset leaders l in dset.
+def defining_leaders(spec: BchSpec, table: CosetTable) -> np.ndarray:
+    """The coset leaders of T, those in [1, delta-1]: a prefix of table.leaders[1:]."""
+    check_table(spec, table)
+    return table.leaders[1:int(np.searchsorted(table.leaders, spec.delta))]
 
-    This is the monic generator of the cyclic code with defining set dset;
-    it costs one minimal polynomial per coset in dset.  Each coset is the
-    orbit l q^j mod n of its leader, so no coset map over all of Z_n is built.
+
+def generator_from_leaders(spec: BchSpec, ctx: FieldCtx, leaders: np.ndarray) -> Poly:
+    """Product of the minimal polynomials of beta^l over the coset leaders l.
+
+    For distinct cosets this is the monic generator of the cyclic code whose
+    defining set is their union; it costs one minimal polynomial per coset.
+    Each coset is the orbit l q^j mod n of its leader, so no coset map over
+    all of Z_n is built.
     """
     q, n = spec.q, spec.n
     if (ctx.q, ctx.k) != (q, spec.m):
@@ -242,23 +210,19 @@ def generator_from_set(spec: BchSpec, ctx: FieldCtx, table: CosetTable,
                          f"expected GF({q}^{spec.m}) over GF({q})")
     lam = spec.lam
     gen = Poly.one(ctx.field)
-    leaders = table.leaders
-    for l in leaders[dset.mask[leaders]]:
+    for l in leaders:
         coset = [int(l)]
         while (nxt := coset[-1] * q % n) != coset[0]:
             coset.append(nxt)
         beta_power = ctx.pow(ctx.generator, lam * coset[0])
         gen = gen * minimal_polynomial(ctx, beta_power, coset)
-    assert gen.degree == len(dset), "generator degree must equal |defining set|"
     return gen
 
 
 def code_params(spec: BchSpec, ctx: FieldCtx, table: CosetTable) -> CodeParams:
     """Generator polynomial and dimensions of C_delta."""
-    t = defining_set(spec, table)
-    return CodeParams(n=spec.n, k=spec.n - len(t), delta=spec.delta,
-                      generator=generator_from_set(spec, ctx, table, t),
-                      bch_bound=bch_bound_from_set(t))
+    g = generator_from_leaders(spec, ctx, defining_leaders(spec, table))
+    return CodeParams(n=spec.n, k=spec.n - g.degree, delta=spec.delta, generator=g)
 
 
 def dual_code_params(spec: BchSpec, ctx: FieldCtx, table: CosetTable) -> CodeParams:
@@ -268,16 +232,16 @@ def dual_code_params(spec: BchSpec, ctx: FieldCtx, table: CosetTable) -> CodePar
     generator of C_delta: h has the roots beta^i for i outside T, so its
     reciprocal has the roots beta^-i, whose exponents make up T_perp.  So
     only the cosets in T need minimal polynomials, and |T| is the dual's
-    dimension, which is small wherever the dual can be enumerated.
+    dimension, which is small wherever the dual can be enumerated.  Raises
+    ValueError if g does not divide x^n - 1, as when the table's leaders
+    repeat a coset: x^n - 1 is squarefree for gcd(n, q) = 1.
     """
-    t = defining_set(spec, table)
-    t_perp = dual_defining_set(t)
-    g = generator_from_set(spec, ctx, table, t)
-    h = Poly.x_pow_minus_one(spec.n, g.field) // g
+    g = generator_from_leaders(spec, ctx, defining_leaders(spec, table))
+    h, rem = divmod(Poly.x_pow_minus_one(spec.n, g.field), g)
+    if not rem.is_zero:
+        raise ValueError("the generator of C_delta does not divide x^n - 1")
     gen = h.reciprocal().monic()
-    assert gen.degree == len(t_perp), "generator degree must equal |T_perp|"
-    return CodeParams(n=spec.n, k=spec.n - len(t_perp), delta=None, generator=gen,
-                      bch_bound=bch_bound_from_set(t_perp))
+    return CodeParams(n=spec.n, k=spec.n - gen.degree, delta=None, generator=gen)
 
 
 def generator_matrix(params: CodeParams) -> np.ndarray:

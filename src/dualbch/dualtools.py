@@ -34,7 +34,6 @@ import numpy as np
 
 from .bch import (
     BchSpec,
-    DefiningSet,
     DivisorOfQMinus1,
     PowerForm,
     bch_bound_from_set,
@@ -76,16 +75,15 @@ class BoundReport:
 # I(delta): direct scan
 # ---------------------------------------------------------------------------
 
-def i_delta_direct(t_perp: DefiningSet) -> int:
-    """Smallest positive integer not in T_perp.
+def i_delta_direct(t_perp: np.ndarray) -> int:
+    """Smallest positive integer not in T_perp, given as a bool mask over Z_n.
 
     Requires 0 in T_perp, which holds for every dual defining set with
     delta <= n; its absence signals corrupted input.
     """
-    mask = t_perp.mask
-    if not mask[0]:
+    if not t_perp[0]:
         raise ValueError("0 not in T_perp; not a dual defining set")
-    missing = np.flatnonzero(~mask[1:])
+    missing = np.flatnonzero(~t_perp[1:])
     if missing.size == 0:
         raise ValueError("T_perp is all of Z_n; I(delta) undefined")
     return int(missing[0]) + 1
@@ -268,14 +266,14 @@ def prior_bounds(spec: BchSpec) -> tuple[PriorBound, ...]:
 # dually-BCH criterion
 # ---------------------------------------------------------------------------
 
-def dually_bch_direct(t_perp: DefiningSet, table: CosetTable) -> tuple[bool, int]:
-    """Whether T_perp is the union of the cosets of 0 .. J-1, J = I(delta).
+def dually_bch_direct(t_perp: np.ndarray, table: CosetTable) -> tuple[bool, int]:
+    """Whether the mask T_perp is the union of the cosets of 0 .. J-1, J = I(delta).
 
     Returns (verdict, witness): witness is J itself when true, else the
     least coset leader inside T_perp that is >= J.
     """
     j = i_delta_direct(t_perp)
-    leaders = table.leader_of[t_perp.mask]
+    leaders = table.leader_of[t_perp]
     offenders = leaders[leaders >= j]
     if offenders.size == 0:
         return True, j
@@ -397,8 +395,8 @@ def bound_report(spec: BchSpec, table: CosetTable | None = None) -> BoundReport:
     if row is None:
         t = defining_set(spec, table)
         t_perp = dual_defining_set(t)
-        row = (len(t), i_delta_direct(t_perp), *dually_bch_direct(t_perp, table),
-               bch_bound_from_set(t_perp))
+        row = (int(np.count_nonzero(t)), i_delta_direct(t_perp),
+               *dually_bch_direct(t_perp, table), bch_bound_from_set(t_perp))
         table.direct_rows[k] = row
     dual_dim, i_direct, direct_verdict, witness, lower_direct = row
     try:

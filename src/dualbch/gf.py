@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from sympy import factorint
+from sympy import factorint, isprime, perfect_power
 
 MAX_TABLE_ORDER = 1 << 16  # exp/log tables only below this field order
 # ScalarField keeps q x q int32 tables plus their list forms, about
@@ -29,14 +29,15 @@ MAX_SCALAR_Q = 1 << 11
 
 
 def prime_power(q: int):
-    """Return (p, e) with q = p^e, or None if q is not a prime power."""
+    """Return (p, e) with q = p^e, or None if q is not a prime power.
+
+    q = b^e with e largest is a prime power iff b is prime, so this never
+    factorises q: a large composite q is answered as fast as a prime.
+    """
     if q < 2:
         return None
-    fac = factorint(q)
-    if len(fac) != 1:
-        return None
-    (p, e), = fac.items()
-    return int(p), int(e)
+    p, e = perfect_power(q) or (q, 1)
+    return (int(p), int(e)) if isprime(p) else None
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +247,23 @@ class ScalarField:
             self.inv_t = np.array([0] + [pow(int(a), q - 2, q) for a in range(1, q)],
                                   dtype=np.int32)
         else:
-            ctx = field_new(self.p, self.e)
-            r = range(q)
-            self.add_t = np.array([[ctx.add(a, b) for b in r] for a in r], dtype=np.int32)
-            self.mul_t = np.array([[ctx.mul(a, b) for b in r] for a in r], dtype=np.int32)
-            self.neg_t = np.array([ctx.neg(a) for a in r], dtype=np.int32)
+            # q = p^e is GF(p^e) over GF(p): add digit by digit in base p,
+            # multiply through the exp/log tables (q <= MAX_SCALAR_Q keeps
+            # the order below MAX_TABLE_ORDER)
+            p = self.p
+            idx = np.arange(q, dtype=np.int32)
+            self.add_t = np.zeros((q, q), dtype=np.int32)
+            self.neg_t = np.zeros(q, dtype=np.int32)
+            for j in range(self.e):
+                d = idx // p**j % p
+                self.add_t += (d[:, None] + d[None, :]) % p * p**j
+                self.neg_t += -d % p * p**j
             self.sub_t = self.add_t[:, self.neg_t]
-            self.inv_t = np.array([0] + [ctx.inv(a) for a in range(1, q)], dtype=np.int32)
+            exp, log = (np.array(t, dtype=np.int32) for t in field_new(p, self.e)._tables)
+            logs = log[1:]
+            self.mul_t = np.zeros((q, q), dtype=np.int32)
+            self.mul_t[1:, 1:] = exp[(logs[:, None] + logs[None, :]) % (q - 1)]
+            self.inv_t = np.concatenate([[0], exp[-logs % (q - 1)]]).astype(np.int32)
 
     @functools.cached_property
     def lists(self):

@@ -4,7 +4,7 @@ import functools
 
 import pytest
 
-from dualbch.bch import DefiningSet, dual_defining_set
+from dualbch.bch import dual_defining_set
 from dualbch.cyclotomic import coset_table
 from dualbch.dualtools import dually_bch_direct, i_delta_direct
 
@@ -14,9 +14,7 @@ def per_delta_oracle(table):
     lead = table.leader_of
     out = []
     for delta in range(2, table.n + 1):
-        t = DefiningSet(table.n, table.q, (lead >= 1) & (lead <= delta - 1),
-                        validate=False)
-        t_perp = dual_defining_set(t)
+        t_perp = dual_defining_set((lead >= 1) & (lead <= delta - 1))
         out.append((i_delta_direct(t_perp), *dually_bch_direct(t_perp, table)))
     return out
 

@@ -1,6 +1,7 @@
 """Defining sets, dual defining sets, generators, and code dimensions."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,20 +10,21 @@ from hypothesis import strategies as st
 
 from dualbch.bch import (
     BchSpec,
-    DefiningSet,
     DivisorOfQMinus1,
     PowerForm,
+    _divisors,
     bch_bound_from_set,
     bch_spec,
     code_params,
+    defining_leaders,
     defining_set,
     dual_code_params,
     dual_defining_set,
-    generator_from_set,
+    generator_from_leaders,
     generator_matrix,
     theorem_families,
 )
-from dualbch.cyclotomic import coset_table, largest_leaders
+from dualbch.cyclotomic import CosetTable, coset_table, largest_leaders
 from dualbch.dualtools import dual_lower_bound
 from dualbch.gf import (
     Poly,
@@ -99,34 +101,80 @@ class TestTheoremFamilies:
         assert list(theorem_families(cap)) == [(q, m, kw, n) for _, q, _, m, n, kw in found]
         assert len(found) == 128
 
+    def test_divisors_ascending(self):
+        # the divisor forms walk the divisors of q - 1 in this order
+        for n in range(1, 1000):
+            assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def members(mask):
+    return tuple(np.flatnonzero(mask).tolist())
+
+
+def mask_of(n, members):
+    mask = np.zeros(n, dtype=bool)
+    mask[list(members)] = True
+    return mask
+
+
+def is_q_closed(mask, q):
+    """Whether the mask over Z_n is closed under multiplication by q mod n."""
+    idx = (np.arange(len(mask), dtype=np.int64) * q) % len(mask)
+    return bool(np.all(mask[idx] == mask))
+
 
 class TestDefiningSet:
     def test_binary_delta3(self):
         spec = bch_spec(2, 6, 3, lam=1)
         t = defining_set(spec, coset_table(63, 2))
-        assert t.members == (1, 2, 4, 8, 16, 32)
-        assert len(t) == 6
+        assert members(t) == (1, 2, 4, 8, 16, 32)
+        assert np.count_nonzero(t) == 6
 
     def test_ternary_delta5(self):
         spec = bch_spec(3, 3, 5, lam=1)
         t = defining_set(spec, coset_table(26, 3))
-        assert len(t) == 9  # cosets of 1, 2, 4 (C_3 sits inside C_1)
+        assert np.count_nonzero(t) == 9  # cosets of 1, 2, 4 (C_3 sits inside C_1)
 
     def test_delta2_single_coset(self):
         spec = bch_spec(3, 3, 2, lam=1)
         t = defining_set(spec, coset_table(26, 3))
-        assert t.members == (1, 3, 9)
+        assert members(t) == (1, 3, 9)
 
-    def test_q_closure_enforced(self):
-        with pytest.raises(ValueError):
-            DefiningSet.from_members(63, 2, [1, 2])  # 4 missing
-        s = DefiningSet.from_members(63, 2, [1, 2, 4, 8, 16, 32])
-        assert s.is_q_closed()
+    def test_masks_are_read_only(self):
+        t = defining_set(bch_spec(2, 6, 3, lam=1), coset_table(63, 2))
+        for mask in (t, dual_defining_set(t)):
+            assert mask.dtype == bool and mask.shape == (63,)
+            with pytest.raises(ValueError):
+                mask[0] = True
+
+    def test_q_closed_on_theorem_families(self):
+        assert not is_q_closed(mask_of(63, [1, 2]), 2)  # 4 missing
+        assert is_q_closed(mask_of(63, [1, 2, 4, 8, 16, 32]), 2)
+        for q, m, kw, n in theorem_families(300):
+            table = coset_table(n, q)
+            for delta in sorted({2, 3, n // 2, n} & set(range(2, n + 1))):
+                t = defining_set(bch_spec(q, m, delta, **kw), table)
+                assert is_q_closed(t, q), (q, m, kw, delta)
+                assert is_q_closed(dual_defining_set(t), q), (q, m, kw, delta)
+
+    @given(st.integers(1, 5000), st.integers(2, 64), st.integers(2, 5000))
+    @settings(max_examples=100, deadline=None)
+    def test_leaders_are_the_table_prefix(self, n, q, delta):
+        # the generators take T's leaders as a prefix of table.leaders; any
+        # (n, q, delta) will do, so the spec is a stand-in with those fields
+        assume(math.gcd(n, q) == 1)
+        table = coset_table(n, q)
+        spec = SimpleNamespace(n=n, q=q, delta=min(delta, n))
+        mask = defining_set(spec, table)
+        assert np.array_equal(defining_leaders(spec, table),
+                              table.leaders[mask[table.leaders]])
 
     def test_table_mismatch(self):
         spec = bch_spec(2, 6, 3, lam=1)
         with pytest.raises(ValueError):
             defining_set(spec, coset_table(26, 3))
+        with pytest.raises(ValueError):
+            defining_leaders(spec, coset_table(26, 3))
 
 
 def reference_dual_mask(mask):
@@ -146,10 +194,9 @@ def reference_bch_bound(mask):
     return int((np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)).max()) + 1
 
 
-def assert_scans_match_reference(mask, q=2):
-    s = DefiningSet(len(mask), q, mask, validate=False)
-    assert np.array_equal(dual_defining_set(s).mask, reference_dual_mask(s.mask))
-    assert bch_bound_from_set(s) == reference_bch_bound(s.mask)
+def assert_scans_match_reference(mask):
+    assert np.array_equal(dual_defining_set(mask), reference_dual_mask(mask))
+    assert bch_bound_from_set(mask) == reference_bch_bound(mask)
 
 
 # all true, all false, single zeros, runs that wrap past position 0 (the
@@ -172,8 +219,8 @@ class TestScanOracles:
                 if delta > n:
                     continue
                 mask = (table.leader_of >= 1) & (table.leader_of <= delta - 1)
-                assert_scans_match_reference(mask, q)
-                assert_scans_match_reference(reference_dual_mask(mask), q)
+                assert_scans_match_reference(mask)
+                assert_scans_match_reference(reference_dual_mask(mask))
 
     @given(st.integers(1, 5000), st.integers(2, 64), st.integers(0, 5000))
     @settings(max_examples=100, deadline=None)
@@ -181,8 +228,8 @@ class TestScanOracles:
         assume(math.gcd(n, q) == 1)
         table = coset_table(n, q)
         mask = (table.leader_of >= 1) & (table.leader_of <= min(delta, n) - 1)
-        assert_scans_match_reference(mask, q)
-        assert_scans_match_reference(reference_dual_mask(mask), q)
+        assert_scans_match_reference(mask)
+        assert_scans_match_reference(reference_dual_mask(mask))
 
     @given(st.lists(st.booleans(), min_size=1, max_size=200))
     @settings(max_examples=100, deadline=None)
@@ -192,41 +239,37 @@ class TestScanOracles:
 
 class TestDualDefiningSet:
     def test_empty_and_full(self):
-        empty = DefiningSet.from_members(10, 3, [])
-        assert dual_defining_set(empty).members == tuple(range(10))
-        full = DefiningSet.from_members(10, 3, range(10))
-        assert dual_defining_set(full).members == ()
+        assert members(dual_defining_set(mask_of(10, []))) == tuple(range(10))
+        assert members(dual_defining_set(mask_of(10, range(10)))) == ()
 
     def test_binary_delta3(self):
         spec = bch_spec(2, 6, 3, lam=1)
         tp = dual_defining_set(defining_set(spec, coset_table(63, 2)))
-        assert len(tp) == 57
+        assert np.count_nonzero(tp) == 57
         removed = {62, 61, 59, 55, 47, 31}
-        assert set(tp.members) == set(range(63)) - removed
-        assert all(i in tp for i in range(31))
+        assert set(members(tp)) == set(range(63)) - removed
+        assert tp[:31].all()
 
     def test_result_is_q_closed(self):
         for q, m, lam, delta in [(2, 6, 1, 5), (3, 3, 1, 7), (5, 2, 1, 9), (3, 4, 2, 11)]:
             spec = bch_spec(q, m, delta, lam=lam)
             t = defining_set(spec, coset_table(spec.n, q))
-            assert dual_defining_set(t).is_q_closed()
+            assert is_q_closed(dual_defining_set(t), q)
 
     def test_involution(self):
         spec = bch_spec(3, 3, 7, lam=1)
         t = defining_set(spec, coset_table(26, 3))
-        assert dual_defining_set(dual_defining_set(t)) == t
+        assert np.array_equal(dual_defining_set(dual_defining_set(t)), t)
 
 
 class TestBchBound:
     def test_edge_sets(self):
-        assert bch_bound_from_set(DefiningSet.from_members(7, 2, [])) == 1
-        assert bch_bound_from_set(DefiningSet.from_members(7, 2, range(7))) == 8
+        assert bch_bound_from_set(mask_of(7, [])) == 1
+        assert bch_bound_from_set(mask_of(7, range(7))) == 8
 
     def test_wrapping_run(self):
         # members {5, 6, 0, 1} wrap across n-1 -> 0: run of 4
-        s = DefiningSet(7, 2, np.array([1, 1, 0, 0, 0, 1, 1], dtype=bool),
-                        validate=False)
-        assert bch_bound_from_set(s) == 5
+        assert bch_bound_from_set(mask_of(7, [5, 6, 0, 1])) == 5
 
     @given(st.integers(2, 60), st.integers(2, 7))
     @settings(max_examples=60)
@@ -236,8 +279,7 @@ class TestBchBound:
         table = coset_table(n, q)
         for delta in range(2, n + 1):
             mask = (table.leader_of >= 1) & (table.leader_of <= delta - 1)
-            s = DefiningSet(n, q, mask, validate=False)
-            assert bch_bound_from_set(s) >= delta  # run 1..delta-1 is in T
+            assert bch_bound_from_set(mask) >= delta  # run 1..delta-1 is in T
 
 
 class TestCodeParams:
@@ -247,7 +289,6 @@ class TestCodeParams:
         assert (p.n, p.k) == (63, 57)
         assert p.generator.degree == 6
         assert p.generator.is_monic
-        assert p.bch_bound >= 3
 
     def test_26_17(self):
         spec = bch_spec(3, 3, 5, lam=1)
@@ -291,7 +332,7 @@ class TestCodeParams:
         for i in range(26):
             val = poly_eval_in_ext(ctx, params.generator,
                                    ctx.pow(ctx.generator, i))
-            assert (val == 0) == (i in t)
+            assert (val == 0) == t[i]
 
     def test_power_form_beta_exponent(self):
         # lambda = 8: beta = alpha^8, n = 91 over GF(3^6)
@@ -314,6 +355,18 @@ class TestCodeParams:
         primal = code_params(spec, ctx, table)
         assert table._cosets is None
         assert (dual.k, primal.k) == (40, 983)
+
+    def test_dual_refuses_leaders_that_repeat_a_coset(self):
+        # 2 lies in the coset of 1 mod 63, so g = m_1^2 has a square factor
+        # and cannot divide the squarefree x^63 - 1
+        spec = bch_spec(2, 6, 3, lam=1)
+        good = coset_table(63, 2)
+        tampered = CosetTable(63, 2, good.leader_of, np.array([0, 1, 2, 3]))
+        ctx = field_new(2, 6)
+        assert code_params(spec, ctx, tampered).generator.degree == 12
+        with pytest.raises(ValueError, match="does not divide"):
+            dual_code_params(spec, ctx, tampered)
+        assert dual_code_params(spec, ctx, good).k == 6
 
 
 class TestGeneratorMatrix:
@@ -371,7 +424,7 @@ class TestDualGeneratorConsistency:
         beta = ctx.pow(ctx.generator, spec.lam)
         for i in range(spec.n):
             val = poly_eval_in_ext(ctx, h_rev, ctx.pow(beta, i))
-            assert (val == 0) == (i in t_perp)
+            assert (val == 0) == t_perp[i]
 
     def test_division_matches_coset_product_on_theorem_families(self):
         # reference: the per-coset minimal-polynomial product over T_perp
@@ -383,12 +436,14 @@ class TestDualGeneratorConsistency:
             for delta in sorted({2, 3, n // 2, delta1, n} & set(range(2, n + 1))):
                 spec = bch_spec(q, m, delta, **kw)
                 t = defining_set(spec, table)
-                if q ** len(t) > DEFAULT_BUDGET:
+                dim = int(np.count_nonzero(t))
+                if q ** dim > DEFAULT_BUDGET:
                     continue
                 t_perp = dual_defining_set(t)
                 params = dual_code_params(spec, ctx, table)
-                assert params.generator == generator_from_set(spec, ctx, table, t_perp), \
+                leaders = table.leaders[t_perp[table.leaders]]
+                assert params.generator == generator_from_leaders(spec, ctx, leaders), \
                     (q, m, kw, delta)
-                assert (params.k, params.bch_bound) == (len(t), bch_bound_from_set(t_perp))
+                assert params.k == dim
                 compared += 1
         assert compared >= 200

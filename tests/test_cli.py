@@ -117,6 +117,18 @@ class TestCosets:
         assert (code, out) == (1, "")
         assert "dualbch cosets: error: q=6 is not a prime power" in err
 
+    def test_large_composite_q_exits_1_at_once(self):
+        # a 60-digit product of two primes: factorising it would take minutes,
+        # but a prime power is a perfect power of a prime, which is quick to test
+        q = "100000000000000000000000000324700000000000000000000000018183"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "dualbch", "cosets", "--q", q, "--n", "7"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=5)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"dualbch cosets: error: q={q} is not a prime power\n"
+
     @pytest.mark.parametrize("flag,value,rest", [
         ("--s", "0", ["--m", "4"]),
         ("--s", "-2", ["--m", "6"]),
@@ -181,8 +193,11 @@ class TestSizeGuard:
 
 
 class TestDualBound:
-    def test_one_defining_set_per_call(self, capsys, monkeypatch):
-        # the dimensions come from bound_report's set, not a second one
+    @pytest.mark.parametrize("extra", [[], ["--certify", "--trials", "2", "--seed", "0"]],
+                             ids=["plain", "certify"])
+    def test_one_defining_set_per_call(self, capsys, monkeypatch, extra):
+        # the dimensions come from bound_report's set, and the certificate's
+        # generator from the table's leaders, not from a second set
         import dualbch.bch as bch
         import dualbch.dualtools as dualtools
 
@@ -195,8 +210,8 @@ class TestDualBound:
 
         for module in (bch, dualtools, cli):
             monkeypatch.setattr(module, "defining_set", counting)
-        code, out, _ = run(capsys, "dual-bound", "--q", "2", "--m", "6",
-                           "--lambda", "1", "--delta", "15", "--format", "json")
+        code, out, _ = run(capsys, "dual-bound", "--q", "2", "--m", "6", "--lambda", "1",
+                           "--delta", "15", "--format", "json", *extra)
         assert code == 0 and calls == [15]
         assert section(out, "parameters")["rows"] == [[63, 24, 39, 15]]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
 import dualbch.gf as gf
 from dualbch.gf import (
@@ -27,6 +28,20 @@ def to_digits(v, q, k):
 
 def from_digits(ds, q):
     return sum(int(d) * q**i for i, d in enumerate(ds))
+
+
+def prime_power_by_factorint(q):
+    """The factorisation route that prime_power replaced, kept as its oracle."""
+    if q < 2:
+        return None
+    fac = factorint(q)
+    if len(fac) != 1:
+        return None
+    (p, e), = fac.items()
+    return int(p), int(e)
+
+
+NON_PRIME_Q = [q for q in range(4, 257) if (prime_power_by_factorint(q) or (0, 1))[1] > 1]
 
 
 def naive_order(ctx, x):
@@ -222,11 +237,43 @@ class TestScalarField:
         assert prime_power(8) == (2, 3)
         assert prime_power(9) == (3, 2)
 
+    @pytest.mark.parametrize("q", NON_PRIME_Q)
+    def test_tables_match_per_pair_build(self, q):
+        # the per-pair build through GF(p^e)'s own ops that the digit sums
+        # and the exp/log gathers replaced
+        f, ctx, r = scalar_field(q), field_new(*prime_power(q)), range(q)
+        want = {"add_t": [[ctx.add(a, b) for b in r] for a in r],
+                "mul_t": [[ctx.mul(a, b) for b in r] for a in r],
+                "neg_t": [ctx.neg(a) for a in r],
+                "inv_t": [0] + [ctx.inv(a) for a in range(1, q)]}
+        want["sub_t"] = np.array(want["add_t"])[:, want["neg_t"]]
+        for name, table in want.items():
+            got = getattr(f, name)
+            assert got.dtype == np.int32 and np.array_equal(got, table), name
+
     @pytest.mark.parametrize("q", [MAX_SCALAR_Q + 1, 4093, 65521])
     def test_refuses_large_q(self, q):
         # the q x q tables take about 36 q^2 bytes; the refusal comes first
         with pytest.raises(ValueError, match=f"q={q} is above {MAX_SCALAR_Q}"):
             scalar_field(q)
+
+
+class TestPrimePower:
+    def test_matches_factorint_below_30000(self):
+        assert all(prime_power(q) == prime_power_by_factorint(q) for q in range(-1, 30000))
+
+    @given(st.integers(2, 10**6), st.integers(1, 12), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_factorint_on_powers(self, b, e, c):
+        # prime powers, powers of composites and their small multiples
+        q = b**e * c
+        assert prime_power(q) == prime_power_by_factorint(q)
+
+    def test_large_q(self):
+        # a 60-digit product of two primes, which factorint takes minutes
+        # to split, and the square of the 31-digit prime 10^30 + 57
+        assert prime_power(100000000000000000000000000324700000000000000000000000018183) is None
+        assert prime_power((10**30 + 57) ** 2) == (10**30 + 57, 2)
 
 
 class TestPoly:

@@ -143,10 +143,10 @@ def binary_theorem_duals(max_n, max_k):
         for delta in range(2, n + 1):
             spec = bch_spec(2, m, delta, **kw)
             t = defining_set(spec, table)
-            if len(t) > max_k:
+            if np.count_nonzero(t) > max_k:
                 break  # T only grows with delta
-            if t.members not in seen:
-                seen.add(t.members)
+            if t.tobytes() not in seen:
+                seen.add(t.tobytes())
                 yield (m, kw, delta), generator_matrix(dual_code_params(spec, ctx, table))
 
 
@@ -336,7 +336,7 @@ class TestCertify:
         t_perp = dual_defining_set(defining_set(spec, table))
         f = scalar_field(3)
         beta = ctx.pow(ctx.generator, spec.lam)
-        for i in t_perp.members:
+        for i in np.flatnonzero(t_perp).tolist():
             point = ctx.pow(beta, i)
             acc = 0
             for j, c in enumerate(cert.witness):

@@ -141,12 +141,12 @@ class TestMembership:
         assert result.parameter_grid == (("t=1", 2, 10, 13),)
 
     def test_power_form_matches_defining_sets(self):
-        # unfold the same claim through the DefiningSet machinery
+        # unfold the same claim through the defining-set masks
         table = coset_table(91, 3)
         for delta in range(2, 11):
             spec = bch_spec(3, 6, delta, s=2)
             t_perp = dual_defining_set(defining_set(spec, table))
-            assert 13 in t_perp
+            assert t_perp[13]
         assert int(table.leader_of[13]) == 13
 
     def test_divisor_form_three_sections(self):
@@ -163,7 +163,7 @@ class TestMembership:
         for delta, x in [(2, 237), (3, 237), (4, 78), (62, 78), (63, 3), (187, 3)]:
             spec = bch_spec(5, 4, delta, lam=2)
             t_perp = dual_defining_set(defining_set(spec, table))
-            assert x in t_perp
+            assert t_perp[x]
             assert int(table.leader_of[x]) == x
 
     def test_detects_non_member(self):
