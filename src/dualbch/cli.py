@@ -166,13 +166,6 @@ class Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("DUALBCH_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _int_at_least(lo):
     """argparse type for ints that must be at least lo."""
     def parse(text):
@@ -192,9 +185,9 @@ _positive_int = _int_at_least(1)
 def _add_common(parser):
     parser.add_argument("--format", choices=("table", "csv", "json"),
                         default="table", help="output format")
-    parser.add_argument("--threads", type=_positive_int, default=_default_threads(),
-                        help="worker cap for verify's property grids "
-                             "(default: DUALBCH_THREADS or 1)")
+    # read by nothing, since the property grids run serially; kept so that
+    # command lines passing it still parse
+    parser.add_argument("--threads", type=_positive_int, help=argparse.SUPPRESS)
 
 
 def _add_family(parser):
@@ -478,7 +471,7 @@ DUALLY_BCH_CASES = [
     (7, 3, {"lam": 3}, 95),
 ]
 
-def _verify_rows(only, grids_path, threads):
+def _verify_rows(only, grids_path):
     rows = []
 
     def check(section, name, expected, computed):
@@ -528,10 +521,10 @@ def _verify_rows(only, grids_path, threads):
     if "grids" in only:
         try:
             manifest = load_grid_manifest(grids_path)
-            results = run_grid(manifest, threads=threads)
+            results = run_grid(manifest)
         except (OSError, ValueError) as e:
             if grids_path is None:
-                raise  # the packaged manifest is tested; this is a defect
+                raise  # the default grid is tested; this is a defect
             raise CliError(f"grid manifest {grids_path}: {e}") from None
         cases = [(g["lemma_id"], c) for g in manifest["grids"] for c in g["cases"]]
         for (lemma_id, case), result in zip(cases, results):
@@ -547,7 +540,7 @@ def cmd_verify(args) -> int:
         if section not in VERIFY_SECTIONS:
             raise CliError(f"unknown section {section!r}; "
                            f"choose from {', '.join(VERIFY_SECTIONS)}")
-    rows = _verify_rows(set(only), args.grids, args.threads)
+    rows = _verify_rows(set(only), args.grids)
     report = Report("verify", {"only": list(only)})
     report.add("checks", ["section", "name", "expected", "computed", "status"], rows)
     failures = sum(1 for r in rows if r[-1] != "OK")
@@ -610,7 +603,7 @@ def build_parser() -> Parser:
                    help=f"restrict to a section (repeatable): "
                         f"{', '.join(VERIFY_SECTIONS)}")
     p.add_argument("--grids", help="path to a property-grid manifest "
-                                   "(default: packaged grids)")
+                                   "(default: the built-in grids)")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

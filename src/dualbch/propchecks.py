@@ -9,27 +9,31 @@ full hypothesis grids, so a formula bug or a transcription slip shows up as a
 concrete counterexample rather than a silently wrong bound.
 
 Each check returns a :class:`PropResult` whose ``failures`` tuple is expected
-to be empty.  The default parameter grids are pinned in
-``data/prop_grids.json`` (see :func:`load_grid_manifest`), keeping experiment
-scale a configuration concern: extending coverage means editing the manifest,
-not the checking code.
+to be empty.  :func:`run_grid` runs a manifest of cases, one coset table at a
+time.  The default manifest is built here from every parameter tuple inside
+the checks' hypotheses up to fixed size cutoffs (see
+:func:`load_grid_manifest`); other grids are JSON files in the same schema.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .bch import DivisorOfQMinus1, PowerForm
+from .bch import DivisorOfQMinus1, PowerForm, _divisors, theorem_families
 from .cyclotomic import MAX_N, CosetTable, _reduce_mod, coset_table, plainly_above_max_n
 from .dualtools import validate_divisor_form, validate_power_form
 
 MANIFEST_SCHEMA = "dualbch-prop-grids/1"
+
+# the default grid: these q, floor checks up to q^m - 1 <= _MAX_FLOOR_MODULUS,
+# membership checks up to code length n <= _MAX_MEMBERSHIP_LENGTH
+_GRID_QS = (2, 3, 5, 7)
+_MAX_FLOOR_MODULUS = 10**6
+_MAX_MEMBERSHIP_LENGTH = 10**4
 
 
 @dataclass(frozen=True)
@@ -222,11 +226,45 @@ def check_tperp_leader_membership(
     return PropResult(lemma_id, tuple(grid), tuple(failures))
 
 
+def _power_floor_cases(max_order: int) -> list[dict]:
+    cases = []
+    for q in _GRID_QS:
+        m = 3
+        while q**m - 1 <= max_order:
+            cases += [{"q": q, "s": s, "m": m} for s in _divisors(m) if m // s >= 3]
+            m += 1
+    return cases
+
+
+def _divisor_floor_cases(max_order: int) -> list[dict]:
+    cases = []
+    for q in _GRID_QS:
+        for lam in _divisors(q - 1)[:-1]:  # every divisor but q - 1
+            m = 2
+            while q**m - 1 <= max_order:
+                cases.append({"q": q, "lam": lam, "m": m})
+                m += 1
+    return cases
+
+
+def _membership_cases(max_n: int) -> list[dict]:
+    cases = []
+    for q, m, kw, _ in theorem_families(max_n):
+        if q not in _GRID_QS:
+            continue
+        if kw.get("s", 0) >= 2:
+            cases.append({"q": q, "kind": "power", "s": kw["s"], "m": m})
+        elif kw.get("lam", 0) > 1:
+            cases.append({"q": q, "kind": "divisor", "lam": kw["lam"], "m": m})
+    return cases
+
+
 def load_grid_manifest(path: str | Path | None = None) -> dict:
     """Load a parameter-grid manifest.
 
-    With no argument, loads the packaged default (``data/prop_grids.json``).
-    The manifest is a JSON object::
+    With no argument, returns the default grid, built in code: for q in
+    2, 3, 5, 7, every floor case with q^m - 1 <= 10^6 and every membership
+    case of a theorem family with n <= 10^4.  The manifest is a JSON object::
 
         {"schema": "dualbch-prop-grids/1",
          "grids": [{"lemma_id": "<check name>", "cases": [{...}, ...]}, ...]}
@@ -235,13 +273,25 @@ def load_grid_manifest(path: str | Path | None = None) -> dict:
     ``{"q", "s", "m"}`` for ``leader_floor_power_form``, ``{"q", "lam", "m"}``
     for ``leader_floor_divisor_form``, and ``{"q", "kind", "s"|"lam", "m"}``
     (``kind`` one of ``"power"``/``"divisor"``) for the membership checks.
-    Raises ValueError for another schema or a malformed grid list.
+    The default grid also records its cutoffs as ``max_floor_modulus`` and
+    ``max_membership_length``.  Raises ValueError for a file with another
+    schema or a malformed grid list.
     """
     if path is None:
-        text = resources.files("dualbch").joinpath("data/prop_grids.json").read_text()
-    else:
-        text = Path(path).read_text()
-    manifest = json.loads(text)
+        return {
+            "schema": MANIFEST_SCHEMA,
+            "max_floor_modulus": _MAX_FLOOR_MODULUS,
+            "max_membership_length": _MAX_MEMBERSHIP_LENGTH,
+            "grids": [
+                {"lemma_id": "leader_floor_power_form",
+                 "cases": _power_floor_cases(_MAX_FLOOR_MODULUS)},
+                {"lemma_id": "leader_floor_divisor_form",
+                 "cases": _divisor_floor_cases(_MAX_FLOOR_MODULUS)},
+                {"lemma_id": "tperp_leader_membership",
+                 "cases": _membership_cases(_MAX_MEMBERSHIP_LENGTH)},
+            ],
+        }
+    manifest = json.loads(Path(path).read_text())
     schema = manifest.get("schema") if isinstance(manifest, dict) else None
     if schema != MANIFEST_SCHEMA:
         raise ValueError(f"unrecognised manifest schema: {schema!r}")
@@ -294,19 +344,16 @@ def _plan_case(lemma_id: str, case: dict) -> tuple:
     return *plan, (n, q)
 
 
-def run_grid(manifest: dict | None = None, threads: int = 1) -> list[PropResult]:
+def run_grid(manifest: dict | None = None) -> list[PropResult]:
     """Run every check in the manifest and return results in manifest order.
 
     Cases with the same modulus/base share one coset table.  The cases are
     run in groups, one per table, in order of each table's first case; a
     table is built just before its group and dropped after it, so only one
-    table is alive at a time.  With ``threads > 1`` the checks of a group are
-    fanned out to a thread pool; the result ordering is unaffected.
+    table is alive at a time.  With no manifest, runs the default grid.
     """
     if manifest is None:
         manifest = load_grid_manifest()
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     jobs = [
         _plan_case(grid["lemma_id"], case)
         for grid in manifest["grids"]
@@ -316,22 +363,10 @@ def run_grid(manifest: dict | None = None, threads: int = 1) -> list[PropResult]
     for i, (_, _, key) in enumerate(jobs):
         groups.setdefault(key, []).append(i)
     results: list[PropResult | None] = [None] * len(jobs)
-
-    def run_group(key, indices, map_fn):
+    for key, indices in groups.items():
         table = coset_table(*key)
-
-        def run(i):
+        for i in indices:
             check, args, _ = jobs[i]
-            return check(*args, table=table)
-
-        for i, result in zip(indices, map_fn(run, indices)):
-            results[i] = result
-
-    if threads == 1:
-        for key, indices in groups.items():
-            run_group(key, indices, map)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for key, indices in groups.items():
-                run_group(key, indices, pool.map)
+            results[i] = check(*args, table=table)
+        del table  # before the next group's table is built
     return results

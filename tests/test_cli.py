@@ -467,6 +467,11 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert "dualbch verify: error: argument --threads: must be >= 1" in err
 
+    def test_threads_flag_is_ignored(self, capsys):
+        serial = run(capsys, "verify", "--only", "grids")
+        assert serial[0] == 0
+        assert run(capsys, "verify", "--only", "grids", "--threads", "4") == serial
+
     @pytest.mark.parametrize("text,message", [
         (None, "No such file or directory"),
         ("{", "Expecting property name"),
@@ -495,10 +500,10 @@ class TestVerify:
         assert message in err
 
     def test_packaged_grid_error_is_not_a_usage_error(self, monkeypatch):
-        # the packaged manifest is tested, so an error on it is a library defect
+        # the default grid is tested, so an error on it is a library defect
         import dualbch.cli as cli
 
-        monkeypatch.setattr(cli, "run_grid", lambda manifest, threads: int("defect"))
+        monkeypatch.setattr(cli, "run_grid", lambda manifest: int("defect"))
         with pytest.raises(ValueError, match="defect"):
             main(["verify", "--only", "grids"])
 
@@ -562,15 +567,6 @@ class TestFormats:
         assert "== largest_leaders ==" in out
         header = [l for l in out.splitlines() if l.startswith("rank")][0]
         assert header.split() == ["rank", "leader", "closed_form", "agree"]
-
-    def test_env_var_sets_default_threads(self, capsys, monkeypatch):
-        monkeypatch.setenv("DUALBCH_THREADS", "3")
-        from dualbch.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["dually-bch", "--q", "2", "--m", "6", "--lambda", "1",
-             "--delta", "3"])
-        assert args.threads == 3
 
     def test_broken_pipe_exits_1_without_traceback(self):
         # the reader takes 10 bytes of a ~200 kB report and closes the pipe
