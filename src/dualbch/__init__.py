@@ -10,7 +10,8 @@ The top-level namespace re-exports the working API:
   matrices and the code families of the closed forms (:mod:`dualbch.bch`),
 - dual-distance lower bounds, dually-BCH tests and the one-pass delta
   sweep (:mod:`dualbch.dualtools`),
-- minimum-distance certification (:mod:`dualbch.mindist`),
+- minimum-distance certification (:mod:`dualbch.mindist`): ``certify`` is
+  the one distance search, exhaustive or information-set,
 - grid-based property sweeps (:mod:`dualbch.propchecks`).
 """
 
@@ -30,7 +31,6 @@ from .bch import (
 )
 from .cyclotomic import (
     CosetTable,
-    coset_leader,
     coset_table,
     largest_leaders,
     largest_leaders_closed_form,
@@ -64,9 +64,7 @@ from .mindist import (
     BudgetExceeded,
     DistanceCertificate,
     certify,
-    exhaustive_min_weight,
     in_row_space,
-    low_weight_search,
 )
 from .propchecks import (
     MANIFEST_SCHEMA,
@@ -104,7 +102,6 @@ __all__ = [
     "check_leader_floor_power_form",
     "check_tperp_leader_membership",
     "code_params",
-    "coset_leader",
     "coset_table",
     "defining_set",
     "delta_sweep",
@@ -113,7 +110,6 @@ __all__ = [
     "dual_lower_bound",
     "dually_bch_closed",
     "dually_bch_direct",
-    "exhaustive_min_weight",
     "field_new",
     "generator_matrix",
     "i_delta_closed_divisor_form",
@@ -124,7 +120,6 @@ __all__ = [
     "largest_leaders_closed_form",
     "leader_family_modulus",
     "load_grid_manifest",
-    "low_weight_search",
     "minimal_polynomial",
     "multiplicative_order",
     "poly_eval_in_ext",

@@ -563,9 +563,10 @@ def build_parser() -> Parser:
     p.add_argument("--n", type=int, help="modulus (must be coprime to q)")
     p.add_argument("--m", type=_positive_int,
                    help="extension degree, with --lambda or --s")
-    p.add_argument("--lambda", dest="lam", type=int,
-                   help="modulus n = (q^m-1)/lambda")
-    p.add_argument("--s", type=_positive_int, help="modulus n = (q^m-1)/(q^s-1)")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--lambda", dest="lam", type=int,
+                       help="modulus n = (q^m-1)/lambda")
+    group.add_argument("--s", type=_positive_int, help="modulus n = (q^m-1)/(q^s-1)")
     p.add_argument("--top", type=_positive_int, default=3, help="how many largest leaders")
     p.add_argument("--closed-form", action=argparse.BooleanOptionalAction,
                    default=True,

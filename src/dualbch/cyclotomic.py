@@ -183,13 +183,6 @@ def _doubling_build(n: int, q: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return lead, np.flatnonzero(lead == np.arange(n, dtype=lead.dtype))
 
 
-def coset_leader(table: CosetTable, a: int) -> int:
-    """Smallest element of the coset of a modulo table.n."""
-    if not 0 <= a < table.n:
-        raise ValueError(f"a={a} out of range [0, {table.n})")
-    return int(table.leader_of[a])
-
-
 def largest_leaders(table: CosetTable, count: int) -> list[int]:
     """The count largest coset leaders modulo n, descending."""
     if count < 1:

@@ -396,9 +396,6 @@ class Poly:
         return (isinstance(other, Poly) and self.coeffs == other.coeffs
                 and self.field.q == other.field.q)
 
-    def __hash__(self):
-        return hash((self.coeffs, self.field.q))
-
     def __repr__(self):
         return f"Poly({list(self.coeffs)}, GF({self.field.q}))"
 
@@ -415,11 +412,6 @@ class Poly:
         a[:la] = self.coeffs
         b[:lb] = other.coeffs
         return Poly(f.add_t[a, b], f)
-
-    def __sub__(self, other):
-        self._check(other)
-        return self + Poly(self.field.neg_t[np.array(other.coeffs, dtype=np.int32)],
-                           self.field)
 
     def __mul__(self, other):
         self._check(other)
@@ -485,14 +477,6 @@ class Poly:
     def reciprocal(self):
         """x^deg * p(1/x): the coefficient sequence reversed."""
         return Poly(tuple(reversed(self.coeffs)), self.field)
-
-    def eval(self, x):
-        """Evaluate at a packed GF(q) scalar via Horner."""
-        f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = int(f.add_t[f.mul_t[acc, int(x)], c])
-        return acc
 
 
 # ---------------------------------------------------------------------------

@@ -1,39 +1,38 @@
-"""Minimum-distance oracles: exhaustive enumeration and information-set search.
+"""Minimum-distance certificates: exhaustive enumeration or information-set search.
 
-exhaustive_min_weight walks all q^k messages of a k-dimensional code in
-mixed-radix Gray order, so each step updates the running codeword by a
-single scalar multiple of one generator row.  A block of low-order message
-digits is materialized as a matrix once, making the inner loop one
+certify is the one public search.  When q^k fits the budget it exhausts the
+row space (_exhaustive_best): all q^k messages of a k-dimensional code are
+walked in mixed-radix Gray order, so each step updates the running codeword
+by a single scalar multiple of one generator row.  A block of low-order
+message digits is materialized as a matrix once, making the inner loop one
 vectorized sum of the running word and every block row; this keeps 2^26
 codewords in the few-minutes range and the acceptance-scale instances in
 seconds.  The block is capped both in rows and in elements (rows * n), so
 long codes walk more Gray steps over a smaller block instead of building
 matrices of hundreds of megabytes.
 
-low_weight_search is a randomized information-set decoder (Lee-Brickell):
-permute columns, row-reduce to a systematic basis, and enumerate all
-information patterns of weight <= 2.  It returns the lightest codeword
-seen, which upper-bounds the minimum distance; meeting a proven lower bound
+Otherwise it runs a randomized information-set decoder (Lee-Brickell,
+_isd_best): permute columns, row-reduce to a systematic basis, and
+enumerate all information patterns of weight <= 2.  The lightest codeword
+seen upper-bounds the minimum distance; meeting a proven lower bound
 certifies exactness.  Each trial's row reduction is the kernel's: over
 GF(2) it runs on the packed rows (gf.rref_gf2), XORing 64 positions per
 word, and gives the same reduced rows and pivots as the int32 gf.rref,
 which serves q > 2.  The witness's row-space check uses the same kernel.
 
-Both searches do their codeword arithmetic through one of two kernels.  Over
-GF(q) with q > 2, codewords are int32 rows of field elements, summed by
-gathers from the field's addition table and weighed by count_nonzero.  Over
-GF(2), codewords are bit-packed: 64 positions per uint64 word, a sum is an
-XOR and a weight is a popcount (np.bitwise_count), which moves 32 times
-fewer bytes than int32 rows.  The packing relies on GF(2) having one
-nonzero scalar and addition being XOR, so it is binary only; a GF(q)
-element needs several bits and its sum is no bitwise operation.  The
-kernels share the block split (_block_digits), the Gray digit order and the
-information-pattern order, and both keep the first lightest codeword, so
-both return the same (weight, witness); the table kernel is the packed
-kernel's test oracle.
-
-certify combines both searches with the closed-form/BCH lower bounds into a
-DistanceCertificate.
+Both searches keep their best through one step, _lighter: the first
+lightest candidate of each batch replaces the best so far only when it is
+strictly lighter.  Their codeword arithmetic runs through one of two
+kernels.  Over GF(q) with q > 2, codewords are int32 rows of field
+elements, summed by gathers from the field's addition table and weighed by
+count_nonzero.  Over GF(2), codewords are bit-packed: 64 positions per
+uint64 word, a sum is an XOR and a weight is a popcount (np.bitwise_count),
+which moves 32 times fewer bytes than int32 rows.  The packing relies on
+GF(2) having one nonzero scalar and addition being XOR, so it is binary
+only; a GF(q) element needs several bits and its sum is no bitwise
+operation.  The kernels share the block split (_block_digits), the Gray
+digit order and the information-pattern order, so both return the same
+(weight, witness); the table kernel is the packed kernel's test oracle.
 """
 
 from __future__ import annotations
@@ -180,16 +179,16 @@ def _words_for(field: ScalarField, n: int):
     return _PackedWords(n) if field.q == 2 else _TableWords(field)
 
 
-def _weight_min_update(words, c_hi, block, best):
-    """Min weight over {c_hi + b : b in block}, excluding nothing."""
-    cands = words.add(c_hi, block)
+def _lighter(words, cands, best_w: int):
+    """(weight, unpacked word) of the first lightest of cands, if lighter than best_w.
+
+    Else None.  So a tie within a batch goes to the first index, and a tie
+    across batches to the earlier batch.
+    """
     weights = words.weights(cands)
     j = int(np.argmin(weights))
     w = int(weights[j])
-    if w < best[0]:
-        best[0] = w
-        best[1] = words.unpack(cands[j])
-    return best
+    return (w, words.unpack(cands[j])) if w < best_w else None
 
 
 def _block_digits(q: int, k: int, n: int) -> int:
@@ -226,46 +225,29 @@ def _exhaustive_best(gen: np.ndarray, field: ScalarField, budget: int,
     k_hi = k - k_lo
     steps = [words.multiples(rows[i:i + 1]) for i in range(k_lo, k)]
 
-    best = [n + 1, None]
-    # zero high part: exclude the all-zero low word (block row 0)
-    if block.shape[0] > 1:
-        weights = words.weights(block[1:])
-        j = int(np.argmin(weights))
-        best = [int(weights[j]), words.unpack(block[1 + j])]
+    # zero high part: skip the all-zero low word (block row 0).  The block
+    # has q^k_lo >= q rows, since q <= MAX_SCALAR_Q < _BLOCK_CAP gives k_lo >= 1.
+    best = _lighter(words, block[1:], n + 1)
 
+    # reflected Gray order: each high digit pattern once, the all-zero one first
     digits = [0] * k_hi
     dirs = [1] * k_hi
-    nonzero_digits = 0
     c_hi = np.zeros_like(block[0])
     while True:
         i = 0
         while i < k_hi:
             nd = digits[i] + dirs[i]
             if 0 <= nd < q:
-                old = digits[i]
+                delta = int(field.sub_t[nd, digits[i]])
                 digits[i] = nd
-                nonzero_digits += (nd != 0) - (old != 0)
-                delta = int(field.sub_t[nd, old])
                 c_hi = words.add(c_hi, steps[i][delta - 1])
                 break
             dirs[i] = -dirs[i]
             i += 1
         else:
             break  # every high digit pattern visited
-        if nonzero_digits == 0:
-            continue  # only the zero-high slice, already handled
-        best = _weight_min_update(words, c_hi, block, best)
-    return _Search(best[0], best[1], q**k - 1, 0, "exhausted")
-
-
-def exhaustive_min_weight(gen: np.ndarray, field: ScalarField,
-                          budget: int = DEFAULT_BUDGET) -> int:
-    """Exact minimum Hamming weight of the row space of gen.
-
-    Enumerates all q^k - 1 nonzero codewords; raises BudgetExceeded when
-    q^k > budget and ValueError for a zero-dimensional code.
-    """
-    return _exhaustive_best(gen, field, budget).weight
+        best = _lighter(words, words.add(c_hi, block), best[0]) or best
+    return _Search(*best, q**k - 1, 0, "exhausted")
 
 
 def in_row_space(v: np.ndarray, gen: np.ndarray, field: ScalarField) -> bool:
@@ -273,6 +255,18 @@ def in_row_space(v: np.ndarray, gen: np.ndarray, field: ScalarField) -> bool:
     words = _words_for(field, gen.shape[1])
     R, piv = words.rref(gen)
     return not words.reduce(words.pack(v[None])[0], R, piv).any()
+
+
+def _information_patterns(words, rows):
+    """The codewords of weight-1 then weight-2 information patterns, in batches.
+
+    rows is a reduced basis.  The first batch is the rows themselves; batch
+    i + 1 is rows[i] + c * rows[j] for every j > i and nonzero c, the first
+    coefficient fixed to 1 because scalar multiples weigh the same.
+    """
+    yield rows
+    for i in range(len(rows) - 1):
+        yield words.add(rows[i], words.multiples(rows[i + 1:]))
 
 
 def _isd_best(gen: np.ndarray, field: ScalarField, target: int,
@@ -288,47 +282,20 @@ def _isd_best(gen: np.ndarray, field: ScalarField, target: int,
         raise ValueError("trials must be >= 1")
     words = words or _words_for(field, n)
     rng = np.random.Generator(np.random.PCG64(seed))
-    best_w = n + 1
-    best_cw = None
+    best_w, best_cw = n + 1, None
     seen = 0
     for trial in range(1, trials + 1):
         perm = rng.permutation(n)
-        rows, piv = words.rref(gen[:, perm])
-        r = len(piv)
+        rows, _ = words.rref(gen[:, perm])
         inv = perm.argsort()
-        # weight-1 information patterns: the reduced rows themselves
-        weights = words.weights(rows)
-        seen += r
-        j = int(np.argmin(weights))
-        if int(weights[j]) < best_w:
-            best_w = int(weights[j])
-            best_cw = words.unpack(rows[j])[inv]
-            if best_w <= target:
-                return _Search(best_w, best_cw, seen, trial, "target_met")
-        # weight-2 patterns: row_i + c*row_j, first coefficient fixed to 1
-        for i in range(r - 1):
-            combos = words.add(rows[i], words.multiples(rows[i + 1:]))
-            weights = words.weights(combos)
-            seen += len(combos)
-            j = int(np.argmin(weights))
-            if int(weights[j]) < best_w:
-                best_w = int(weights[j])
-                best_cw = words.unpack(combos[j])[inv]
+        for cands in _information_patterns(words, rows):
+            seen += len(cands)
+            found = _lighter(words, cands, best_w)
+            if found is not None:
+                best_w, best_cw = found[0], found[1][inv]
                 if best_w <= target:
                     return _Search(best_w, best_cw, seen, trial, "target_met")
     return _Search(best_w, best_cw, seen, trials, "trials_done")
-
-
-def low_weight_search(gen: np.ndarray, field: ScalarField, target: int,
-                      trials: int = DEFAULT_TRIALS, seed: int = 0):
-    """Find a codeword of weight <= target, or None.
-
-    Deterministic for a given seed.  The search enumerates weight-<=2
-    information patterns over `trials` random information sets and stops as
-    soon as the target is met.
-    """
-    found = _isd_best(gen, field, target, trials, seed)
-    return found.witness if found.weight <= target else None
 
 
 def certify(params: CodeParams, bounds: BoundReport,

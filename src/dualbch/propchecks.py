@@ -26,6 +26,7 @@ import numpy as np
 from .bch import DivisorOfQMinus1, PowerForm, _divisors, theorem_families
 from .cyclotomic import MAX_N, CosetTable, _reduce_mod, coset_table, plainly_above_max_n
 from .dualtools import validate_divisor_form, validate_power_form
+from .gf import prime_power
 
 MANIFEST_SCHEMA = "dualbch-prop-grids/1"
 
@@ -161,6 +162,24 @@ def _membership_failures(
     return out
 
 
+def _check_membership_hypotheses(q: int, lambda_kind, m: int) -> None:
+    """Raise unless the membership claims cover (q, lambda_kind, m).
+
+    ValueError for parameters outside the hypotheses, TypeError for a length
+    family that is neither PowerForm nor DivisorOfQMinus1.
+    """
+    if isinstance(lambda_kind, PowerForm):
+        if lambda_kind.s <= 1:
+            raise ValueError("power-form membership claims need s > 1")
+        validate_power_form(q, lambda_kind.s, m)
+    elif isinstance(lambda_kind, DivisorOfQMinus1):
+        if not (q > 3 and 1 < lambda_kind.lam < q - 1):
+            raise ValueError("divisor-form membership claims need q > 3 and 1 < lam < q-1")
+        validate_divisor_form(q, lambda_kind.lam, m)
+    else:
+        raise TypeError(f"unsupported length family: {lambda_kind!r}")
+
+
 def check_tperp_leader_membership(
     q: int, lambda_kind, m: int, table: CosetTable | None = None
 ) -> PropResult:
@@ -175,13 +194,11 @@ def check_tperp_leader_membership(
     Divisor form (requires q > 3 and 1 < lam < q-1): three range/element
     pairs covering delta from 2 up to n - q^{m-1}.
     """
+    _check_membership_hypotheses(q, lambda_kind, m)
     grid: list[tuple] = []
     failures: list[tuple] = []
     if isinstance(lambda_kind, PowerForm):
         s = lambda_kind.s
-        if s <= 1:
-            raise ValueError("power-form membership claims need s > 1")
-        validate_power_form(q, s, m)
         n = (q**m - 1) // (q**s - 1)
         table = _own_table(n, q, table)
         for t in range(1, m // s - 1):
@@ -195,11 +212,8 @@ def check_tperp_leader_membership(
                 _membership_failures(table.leader_of, n, f"t={t}", d_lo, d_hi, x)
             )
         lemma_id = "tperp_leader_membership_power_form"
-    elif isinstance(lambda_kind, DivisorOfQMinus1):
+    else:
         lam = lambda_kind.lam
-        if not (q > 3 and 1 < lam < q - 1):
-            raise ValueError("divisor-form membership claims need q > 3 and 1 < lam < q-1")
-        validate_divisor_form(q, lam, m)
         n = (q**m - 1) // lam
         table = _own_table(n, q, table)
         num1 = q**m - ((lam - 1) * q + 1) * q ** (m - 2) - 1
@@ -221,8 +235,6 @@ def check_tperp_leader_membership(
                 _membership_failures(table.leader_of, n, label, d_lo, d_hi, x)
             )
         lemma_id = "tperp_leader_membership_divisor_form"
-    else:
-        raise TypeError(f"unsupported length family: {lambda_kind!r}")
     return PropResult(lemma_id, tuple(grid), tuple(failures))
 
 
@@ -307,7 +319,9 @@ def load_grid_manifest(path: str | Path | None = None) -> dict:
 def _plan_case(lemma_id: str, case: dict) -> tuple:
     """(check, arguments, (modulus, base) of its coset table) for one case.
 
-    Refuses a case whose table modulus exceeds MAX_N, before any table exists.
+    Refuses, before any table exists, a case whose table modulus exceeds
+    MAX_N, whose q is not a prime power, or that lies outside its check's
+    hypotheses.
     """
     if not isinstance(case, dict):
         raise ValueError(f"{lemma_id} case {case!r} is not an object")
@@ -319,9 +333,11 @@ def _plan_case(lemma_id: str, case: dict) -> tuple:
     try:
         q, m = case["q"], case["m"]
         if lemma_id == "leader_floor_power_form":
-            plan = check_leader_floor_power_form, (q, case["s"], m)
+            check, rules, args = (check_leader_floor_power_form, validate_power_form,
+                                  (q, case["s"], m))
         elif lemma_id == "leader_floor_divisor_form":
-            plan = check_leader_floor_divisor_form, (q, case["lam"], m)
+            check, rules, args = (check_leader_floor_divisor_form, validate_divisor_form,
+                                  (q, case["lam"], m))
         elif lemma_id == "tperp_leader_membership":
             if case["kind"] == "power":
                 s = case["s"]
@@ -331,7 +347,8 @@ def _plan_case(lemma_id: str, case: dict) -> tuple:
                 kind = DivisorOfQMinus1(lam)
             else:
                 raise ValueError(f"unknown membership kind: {case['kind']!r}")
-            plan = check_tperp_leader_membership, (q, kind, m)
+            check, rules, args = (check_tperp_leader_membership,
+                                  _check_membership_hypotheses, (q, kind, m))
         else:
             raise ValueError(f"unknown lemma_id in manifest: {lemma_id!r}")
     except KeyError as e:
@@ -341,7 +358,13 @@ def _plan_case(lemma_id: str, case: dict) -> tuple:
         # the modulus itself may have too many digits to print
         raise ValueError(f"{lemma_id} case {case}: table modulus exceeds "
                          f"the size cap {MAX_N}")
-    return *plan, (n, q)
+    try:
+        if prime_power(q) is None:
+            raise ValueError(f"q={q} is not a prime power")
+        rules(*args)
+    except ValueError as e:
+        raise ValueError(f"{lemma_id} case {case}: {e}") from None
+    return check, args, (n, q)
 
 
 def run_grid(manifest: dict | None = None) -> list[PropResult]:

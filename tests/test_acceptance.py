@@ -40,7 +40,7 @@ from dualbch.gf import (
     prime_power,
     scalar_field,
 )
-from dualbch.mindist import certify, exhaustive_min_weight
+from dualbch.mindist import DEFAULT_BUDGET, _exhaustive_best, certify
 from dualbch.propchecks import run_grid
 
 # Every code family inside either closed form's hypotheses with n <= 1000.
@@ -247,7 +247,7 @@ def test_criterion_8_algebraic_invariants():
                     (5, 4, 10), (7, 3, 9), (8, 3, 8), (9, 3, 7), (2, 12, 18)]:
         gen = rng.integers(0, q, size=(k, n)).astype(np.int32)
         field = scalar_field(q)
-        fast = exhaustive_min_weight(gen, field)
+        fast = _exhaustive_best(gen, field, DEFAULT_BUDGET).weight
         best = n + 1
         for msg in range(1, q**k):
             cw = np.zeros(n, dtype=np.int32)

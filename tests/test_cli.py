@@ -101,6 +101,14 @@ class TestCosets:
         code, _, err = run(capsys, "cosets", "--q", "2", "--n", "7", "--m", "3")
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [("--s", "2", "--lambda", "7"),
+                                       ("--lambda", "7", "--s", "2")])
+    def test_lambda_and_s_conflict(self, capsys, flags):
+        # --s used to win silently: n = 21 instead of an error
+        code, out, err = run(capsys, "cosets", "--q", "2", "--m", "6", *flags)
+        assert (code, out) == (1, "")
+        assert "not allowed with argument" in err
+
     def test_lambda_must_divide(self, capsys):
         code, _, err = run(capsys, "cosets", "--q", "2", "--m", "4", "--lambda", "7")
         assert code == 1

@@ -15,7 +15,6 @@ from dualbch.cyclotomic import (
     CosetTable,
     _doubling_build,
     _sieve_build,
-    coset_leader,
     coset_table,
     largest_leaders,
     largest_leaders_closed_form,
@@ -99,8 +98,8 @@ class TestCosetTable:
     def test_binary_n63(self):
         t = coset_table(63, 2)
         assert t.cosets[1] == [1, 2, 4, 8, 16, 32]
-        assert coset_leader(t, 32) == 1
-        assert coset_leader(t, 0) == 0
+        assert int(t.leader_of[32]) == 1
+        assert int(t.leader_of[0]) == 0
 
     def test_ternary_n26(self):
         t = coset_table(26, 3)
@@ -108,16 +107,11 @@ class TestCosetTable:
 
     def test_n1(self):
         t = coset_table(1, 5)
-        assert coset_leader(t, 0) == 0
+        assert int(t.leader_of[0]) == 0
 
     def test_gcd_rejected(self):
         with pytest.raises(ValueError):
             coset_table(12, 2)
-
-    def test_out_of_range(self):
-        t = coset_table(7, 2)
-        with pytest.raises(ValueError):
-            coset_leader(t, 7)
 
     def test_partition_and_leaders_small(self):
         for n, q in [(63, 2), (26, 3), (91, 3), (24, 5), (40, 3), (31, 5), (11, 3)]:
@@ -137,13 +131,13 @@ class TestCosetTable:
             return
         t = coset_table(n, q)
         a = n // 2
-        assert coset_leader(t, a) == min(naive_coset(a, n, q))
+        assert int(t.leader_of[a]) == min(naive_coset(a, n, q))
 
     def test_leader_idempotent(self):
         t = coset_table(91, 3)
         for a in range(91):
-            lead = coset_leader(t, a)
-            assert coset_leader(t, lead) == lead
+            lead = int(t.leader_of[a])
+            assert int(t.leader_of[lead]) == lead
             assert lead <= a
 
     def test_matches_int64_reference_on_theorem_families(self):
@@ -277,7 +271,7 @@ class TestLargestLeaders:
 
     def test_leader_of_47_mod_63(self):
         # orbit of 47: {47, 31, 62, 61, 59, 55}; minimum is 31
-        assert coset_leader(coset_table(63, 2), 47) == 31
+        assert int(coset_table(63, 2).leader_of[47]) == 31
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
@@ -366,13 +360,13 @@ class TestLeaderLifting:
             if mu > 1 and math.gcd(n // mu, q) == 1 and n // mu >= 1:
                 small[mu] = coset_table(n // mu, q)
         for t in range(1, n):
-            is_lead = coset_leader(big, t) == t
+            is_lead = int(big.leader_of[t]) == t
             g = math.gcd(t, n)
             for mu in divisors(g):
                 if mu == 1 or mu not in small:
                     continue
                 sub = small[mu]
-                assert (coset_leader(sub, t // mu) == t // mu) == is_lead
+                assert (int(sub.leader_of[t // mu]) == t // mu) == is_lead
 
 
 class TestCosetCompatibility:
@@ -387,10 +381,10 @@ class TestCosetCompatibility:
                 continue
             sub = coset_table(n // lam, q)
             for a in range(lam, n, lam):
-                ref = coset_leader(sub, a // lam)
-                for b in big.cosets[coset_leader(big, a)]:
+                ref = int(sub.leader_of[a // lam])
+                for b in big.cosets[int(big.leader_of[a])]:
                     if b % lam == 0:
-                        assert coset_leader(sub, b // lam) == ref
+                        assert int(sub.leader_of[b // lam]) == ref
 
 
 class TestMultiplicativeOrder:

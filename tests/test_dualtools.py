@@ -20,7 +20,7 @@ from dualbch.bch import (
     theorem_families,
 )
 from dualbch import dualtools
-from dualbch.cyclotomic import CosetTable, coset_leader, coset_table, largest_leaders
+from dualbch.cyclotomic import CosetTable, coset_table, largest_leaders
 from dualbch.dualtools import (
     bound_report,
     delta_sweep,
@@ -279,7 +279,7 @@ class TestDuallyBchDirect:
         spec = bch_spec(5, 4, 247, lam=2)
         verdict, witness = dually_bch_direct(t_perp_of(spec, t), t)
         assert verdict is False
-        assert coset_leader(t, witness) == witness  # witness is a leader in T_perp
+        assert int(t.leader_of[witness]) == witness  # witness is a leader in T_perp
         spec = bch_spec(5, 4, 248, lam=2)
         assert dually_bch_direct(t_perp_of(spec, t), t) == (True, 1)
 
@@ -372,16 +372,16 @@ class TestDeltaPrimeLemma:
         n = bch_spec(q, m, 2, **kw).n
         table = coset_table(n, q)
         d1 = largest_leaders(table, 1)[0]
-        dprime = coset_leader(table, n - d1)
+        dprime = int(table.leader_of[n - d1])
         for delta in range(2, d1 + 1):
             spec = bch_spec(q, m, delta, **kw)
             tp = t_perp_of(spec, table)
             if delta <= dprime:
                 assert tp[d1]
-                assert coset_leader(table, d1) == d1
+                assert int(table.leader_of[d1]) == d1
             else:
                 assert tp[dprime]
-                assert coset_leader(table, dprime) == dprime
+                assert int(table.leader_of[dprime]) == dprime
 
 
 class TestBoundReport:

@@ -327,12 +327,6 @@ class TestPoly:
         p = Poly((1, 0, 2), f)
         assert p.reciprocal().coeffs == (2, 0, 1)
 
-    def test_eval(self):
-        f = scalar_field(5)
-        p = Poly((1, 2, 3), f)  # 1 + 2x + 3x^2
-        assert p.eval(0) == 1
-        assert p.eval(2) == (1 + 4 + 12) % 5
-
 
 class TestRref:
     def test_singular_over_gf3(self):

@@ -15,17 +15,22 @@ from dualbch.dualtools import bound_report
 from dualbch.gf import field_new, scalar_field
 from dualbch.mindist import (
     _BLOCK_CAP,
+    DEFAULT_BUDGET,
     BudgetExceeded,
     _block_digits,
     _exhaustive_best,
     _isd_best,
+    _lighter,
     _PackedWords,
     _TableWords,
     certify,
-    exhaustive_min_weight,
     in_row_space,
-    low_weight_search,
 )
+
+
+def min_weight(gen, field, budget=DEFAULT_BUDGET):
+    """Exact minimum weight of gen's row space, from the Gray walk."""
+    return _exhaustive_best(gen, field, budget).weight
 
 
 def naive_min_weight(gen, field):
@@ -57,23 +62,23 @@ class TestExhaustive:
         _, _, _, params = dual_setup(2, 6, 3, lam=1)
         assert params.k == 6
         gen = generator_matrix(params)
-        assert exhaustive_min_weight(gen, scalar_field(2)) == 32
+        assert min_weight(gen, scalar_field(2)) == 32
 
     def test_dual_of_ternary_c5_is_9(self):
         _, _, _, params = dual_setup(3, 3, 5, lam=1)
         assert params.k == 9
         gen = generator_matrix(params)
-        assert exhaustive_min_weight(gen, scalar_field(3)) == 9
+        assert min_weight(gen, scalar_field(3)) == 9
 
     def test_empty_code_rejected(self):
         gen = np.zeros((0, 7), dtype=np.int32)
         with pytest.raises(ValueError):
-            exhaustive_min_weight(gen, scalar_field(2))
+            min_weight(gen, scalar_field(2))
 
     def test_budget_exceeded(self):
         gen = np.eye(30, dtype=np.int32)
         with pytest.raises(BudgetExceeded):
-            exhaustive_min_weight(gen, scalar_field(2), budget=2**20)
+            min_weight(gen, scalar_field(2), budget=2**20)
 
     @pytest.mark.parametrize("q,k,n,seed", [
         (2, 5, 12, 0), (2, 8, 15, 1), (3, 4, 11, 2), (3, 6, 9, 3), (4, 4, 10, 4),
@@ -83,7 +88,7 @@ class TestExhaustive:
         rng = np.random.default_rng(seed)
         gen = rng.integers(0, q, size=(k, n)).astype(np.int32)
         field = scalar_field(q)
-        got = exhaustive_min_weight(gen, field)
+        got = min_weight(gen, field)
         assert got == naive_min_weight(gen, field)
 
     @pytest.mark.parametrize("q,k,n,seed", [(2, 10, 5000, 10), (3, 6, 6000, 11)])
@@ -97,7 +102,7 @@ class TestExhaustive:
         e = np.zeros(n, dtype=np.int32)
         e[rng.choice(n, size=3, replace=False)] = rng.integers(1, q, size=3)
         gen[-1] = field.add_t[gen[0], e]
-        got = exhaustive_min_weight(gen, field)
+        got = min_weight(gen, field)
         assert got == naive_min_weight(gen, field)
         assert got <= 3
 
@@ -113,7 +118,7 @@ class TestExhaustive:
         _, _, _, params = dual_setup(5, 2, 3, lam=1)
         gen = generator_matrix(params)
         field = scalar_field(5)
-        base = exhaustive_min_weight(gen, field)
+        base = min_weight(gen, field)
         rng = np.random.default_rng(11)
         g2 = gen.copy()
         for _ in range(25):
@@ -123,7 +128,7 @@ class TestExhaustive:
                 g2[i] = field.add_t[g2[i], field.mul_t[c, g2[j]]]
             else:
                 g2[i] = field.mul_t[c, g2[i]]
-        assert exhaustive_min_weight(g2, field) == base
+        assert min_weight(g2, field) == base
 
 
 def same_search(a, b):
@@ -187,6 +192,23 @@ class TestPackedKernel:
         assert found.weight == weight
         assert np.array_equal(found.witness, e)
 
+    @pytest.mark.parametrize("words", [_PackedWords(5), _TableWords(F2)], ids=["packed", "table"])
+    def test_lighter_keeps_first_lightest(self, words):
+        rows = np.array([[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]], dtype=np.int32)
+        w, word = _lighter(words, words.pack(rows), 6)
+        assert w == 1 and np.array_equal(word, rows[1])  # first index of a tie
+        assert _lighter(words, words.pack(rows), 1) is None  # a tie keeps the best so far
+
+    def test_walk_keeps_first_of_tied_words(self):
+        # every nonzero word of the [2^k - 1, k] simplex code weighs 2^(k-1), so
+        # the walk keeps its first word, block row 1: generator row 0
+        k = 13
+        gen = ((np.arange(1, 2**k) >> np.arange(k)[:, None]) & 1).astype(np.int32)
+        assert _block_digits(2, k, 2**k - 1) < k  # the Gray walk takes steps too
+        found = self.walk_both(gen)
+        assert found.weight == 2 ** (k - 1)
+        assert np.array_equal(found.witness, gen[0])
+
     def test_pack_round_trip(self):
         words = _PackedWords(130)
         rows = np.random.default_rng(3).integers(0, 2, size=(5, 130)).astype(np.int32)
@@ -229,41 +251,41 @@ class TestPackedKernel:
                 assert in_row_space(v, gen, self.F2) == member
 
 
-class TestLowWeightSearch:
+class TestIsdSearch:
     def test_target_n_trivial(self):
         gen = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.int32)
-        w = low_weight_search(gen, scalar_field(2), target=3, trials=1, seed=0)
-        assert w is not None
+        found = _isd_best(gen, scalar_field(2), target=3, trials=1, seed=0)
+        assert found.weight <= 3
 
     def test_finds_weight_8_in_dual_of_c15(self):
         _, _, _, params = dual_setup(2, 6, 15, lam=1)
         assert params.k == 39
         gen = generator_matrix(params)
-        cw = low_weight_search(gen, scalar_field(2), target=8, trials=200, seed=0)
-        assert cw is not None
-        assert int(np.count_nonzero(cw)) == 8
-        assert in_row_space(cw, gen, scalar_field(2))
+        found = _isd_best(gen, scalar_field(2), target=8, trials=200, seed=0)
+        assert found.weight <= 8
+        assert int(np.count_nonzero(found.witness)) == 8
+        assert in_row_space(found.witness, gen, scalar_field(2))
 
     def test_finds_weight_16_over_gf5(self):
         _, _, _, params = dual_setup(5, 2, 3, lam=1)
         gen = generator_matrix(params)
-        cw = low_weight_search(gen, scalar_field(5), target=16, trials=200, seed=0)
-        assert cw is not None
-        assert int(np.count_nonzero(cw)) == 16
+        found = _isd_best(gen, scalar_field(5), target=16, trials=200, seed=0)
+        assert found.weight <= 16
+        assert int(np.count_nonzero(found.witness)) == 16
 
-    def test_unreachable_target_returns_none(self):
+    def test_unreachable_target_not_met(self):
         # dual of C_3 has minimum distance 32
         _, _, _, params = dual_setup(2, 6, 3, lam=1)
         gen = generator_matrix(params)
-        assert low_weight_search(gen, scalar_field(2), target=31,
-                                 trials=30, seed=0) is None
+        found = _isd_best(gen, scalar_field(2), target=31, trials=30, seed=0)
+        assert found.weight > 31
 
     def test_deterministic_given_seed(self):
         _, _, _, params = dual_setup(2, 6, 15, lam=1)
         gen = generator_matrix(params)
-        a = low_weight_search(gen, scalar_field(2), target=8, trials=50, seed=42)
-        b = low_weight_search(gen, scalar_field(2), target=8, trials=50, seed=42)
-        assert np.array_equal(a, b)
+        a = _isd_best(gen, scalar_field(2), target=8, trials=50, seed=42)
+        b = _isd_best(gen, scalar_field(2), target=8, trials=50, seed=42)
+        assert same_search(a, b)
 
 
 class TestCertify:

@@ -321,6 +321,37 @@ class TestManifestAndRunner:
             run_grid(manifest)
         assert time.perf_counter() - t0 < 0.1
 
+    @pytest.mark.parametrize("lemma_id,case,rule", [
+        ("leader_floor_divisor_form", {"q": 5, "lam": 3, "m": 9},
+         r"lambda=3 must divide q-1=4"),
+        # (7^7 - 1)/4 is no integer: the table would be modulo its floor
+        ("tperp_leader_membership", {"q": 7, "kind": "divisor", "lam": 4, "m": 7},
+         r"lambda=4 must divide q-1=6"),
+        ("tperp_leader_membership", {"q": 2, "kind": "power", "s": 2, "m": 5},
+         r"s=2 must be a positive divisor of m=5"),
+        ("tperp_leader_membership", {"q": 3, "kind": "power", "s": 1, "m": 6},
+         r"need s > 1"),
+        ("tperp_leader_membership", {"q": 5, "kind": "divisor", "lam": 4, "m": 4},
+         r"need q > 3 and 1 < lam < q-1"),
+        ("leader_floor_power_form", {"q": 2, "s": 2, "m": 4}, r"m/s = 4/2 < 3"),
+        ("leader_floor_power_form", {"q": 6, "s": 1, "m": 3}, r"q=6 is not a prime power"),
+        ("leader_floor_divisor_form", {"q": 10, "lam": 3, "m": 3},
+         r"q=10 is not a prime power"),
+    ])
+    def test_case_outside_hypotheses_refused_before_any_table(
+            self, monkeypatch, lemma_id, case, rule):
+        import dualbch.propchecks as propchecks
+
+        def no_table(n, q):
+            raise AssertionError(f"coset table modulo {n} built")
+
+        monkeypatch.setattr(propchecks, "coset_table", no_table)
+        manifest = {"schema": MANIFEST_SCHEMA, "grids": [
+            {"lemma_id": "leader_floor_power_form", "cases": [{"q": 2, "s": 1, "m": 6}]},
+            {"lemma_id": lemma_id, "cases": [case]}]}
+        with pytest.raises(ValueError, match=rule):
+            run_grid(manifest)
+
     @pytest.mark.parametrize("lemma_id,case,modulus", [
         ("leader_floor_power_form", {"q": 2, "s": 1, "m": 24}, 2**24 - 1),
         ("tperp_leader_membership", {"q": 2, "kind": "power", "s": 10, "m": 30},
