@@ -12,7 +12,7 @@ iff-characterizations where their hypotheses hold.
 
 import argparse
 
-from dualbch.bch import bch_spec, theorem_families
+from dualbch.bch import theorem_families
 from dualbch.cyclotomic import coset_table
 from dualbch.dualtools import delta_sweep, dually_bch_closed_intervals
 
@@ -26,16 +26,16 @@ def main():
     print(f"{'q':>3} {'m':>3} {'family':<10} {'n':>6} {'direct':>7} "
           f"{'closed':>7} agree")
     disagreements = 0
-    for q, m, kw, n in theorem_families(args.max_n):
+    for family in theorem_families(args.max_n):
+        q, m, n = family.q, family.m, family.n
         table = coset_table(n, q)
         sweep = enumerate(delta_sweep(table), 2)
         direct = max((d for d, (_, v, _) in sweep if not v), default=1)
         try:  # the last interval ends at n, and the threshold is just below it
-            closed = dually_bch_closed_intervals(
-                q, m, bch_spec(q, m, 2, **kw).lambda_kind, table)[-1][0] - 1
+            closed = dually_bch_closed_intervals(family, table)[-1][0] - 1
         except ValueError:  # outside the closed form's hypotheses
             closed = None
-        fam = f"s={kw['s']}" if "s" in kw else f"lam={kw['lam']}"
+        fam = f"lam={family.lam}" if family.s is None else f"s={family.s}"
         if closed is None:
             agree = "n/a"
         elif closed == direct:

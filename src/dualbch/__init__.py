@@ -6,8 +6,9 @@ The top-level namespace re-exports the working API:
   GF(q^k) is the int whose base-q digits are its coordinates,
 - q-cyclotomic coset tables and closed-form largest leaders
   (:mod:`dualbch.cyclotomic`),
-- BCH code specs, defining sets as bool masks over Z_n, generator
-  matrices and the code families of the closed forms (:mod:`dualbch.bch`),
+- code families ``Family(q, m, lam | s)``, validated once, BCH code specs
+  (a family and a delta), defining sets as bool masks over Z_n, generator
+  matrices and the families of the closed forms (:mod:`dualbch.bch`),
 - dual-distance lower bounds, dually-BCH tests and the one-pass delta
   sweep (:mod:`dualbch.dualtools`),
 - minimum-distance certification (:mod:`dualbch.mindist`): ``certify`` is
@@ -18,8 +19,7 @@ The top-level namespace re-exports the working API:
 from .bch import (
     BchSpec,
     CodeParams,
-    DivisorOfQMinus1,
-    PowerForm,
+    Family,
     bch_bound_from_set,
     bch_spec,
     code_params,
@@ -85,11 +85,10 @@ __all__ = [
     "CodeParams",
     "CosetTable",
     "DistanceCertificate",
-    "DivisorOfQMinus1",
+    "Family",
     "FieldCtx",
     "MANIFEST_SCHEMA",
     "Poly",
-    "PowerForm",
     "PriorBound",
     "PropResult",
     "ScalarField",

@@ -1,13 +1,15 @@
 """Narrow-sense BCH codes of length n = (q^m - 1)/lambda over GF(q).
 
-A code is specified by (q, m, lambda_kind, delta).  The multiplier lambda
-is carried in one of two shapes that the closed-form results distinguish:
+A code is a Family (q, m, lambda) and a designed distance delta.  The
+multiplier lambda comes in one of the two forms the closed-form results
+distinguish:
 
-  PowerForm(s)         lambda = q^s - 1 with s | m
-  DivisorOfQMinus1(l)  lambda = l with l | q - 1 and l != q - 1
+  s given    lambda = q^s - 1 with s | m and s < m
+  s = None   lambda = lam with lam | q - 1 and lam != q - 1
 
-The two overlap exactly at lambda = q - 1, which is always normalized to
-PowerForm(1) by the bch_spec factory (for q = 2 that is lambda = 1).
+The two overlap exactly at lambda = q - 1, which the Family constructor
+always makes s = 1 (for q = 2 that is lambda = 1).  The constructor is the
+one place where (q, m, lambda) is validated.
 
 The defining set of C_delta with respect to beta = alpha^lambda is
 T = C_1 u ... u C_{delta-1}; the generator polynomial g is the product of
@@ -25,81 +27,88 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cyclotomic import CosetTable
+from .cyclotomic import CosetTable, plainly_above_max_n
 from .gf import FieldCtx, Poly, minimal_polynomial, prime_power
 
 
-@dataclass(frozen=True)
-class PowerForm:
-    """lambda = q^s - 1 for a divisor s of m."""
+@dataclass(frozen=True, init=False)
+class Family:
+    """The code length n = (q^m - 1)/lambda over GF(q), validated once.
 
-    s: int
+    lambda is q^s - 1 for a divisor s < m of m (the power form), or a
+    divisor lam of q - 1 other than q - 1 (the divisor form, s = None).
+    Give exactly one of lam and s; lam = q - 1 becomes s = 1.  The
+    constructor takes no power of q, so a vast family can be refused by
+    plainly_above_max_n before n, worked out on first use, is.
+    """
 
+    q: int
+    m: int
+    s: int | None
+    _lam: int | None  # the divisor form's lambda
 
-@dataclass(frozen=True)
-class DivisorOfQMinus1:
-    """lambda dividing q - 1, strictly smaller than q - 1."""
+    def __init__(self, q: int, m: int, lam: int | None = None, s: int | None = None):
+        if (lam is None) == (s is None):
+            raise ValueError("give exactly one of lam and s")
+        if lam == q - 1:
+            lam, s = None, 1
+        if s is not None and (s < 1 or m % s):
+            raise ValueError(f"s={s} must be a positive divisor of m={m}")
+        if s == m:
+            raise ValueError(f"s={s} equals m, so n = (q^m-1)/(q^s-1) = 1; need s < m")
+        if prime_power(q) is None:
+            raise ValueError(f"q={q} is not a prime power")
+        if m < 1:
+            raise ValueError(f"m={m} must be >= 1")
+        if lam is not None and (lam < 1 or (q - 1) % lam):
+            raise ValueError(f"lambda={lam} must divide q-1={q - 1}")
+        self.__dict__.update(q=q, m=m, s=s, _lam=lam)  # frozen: no __setattr__
 
-    lam: int
+    def __repr__(self):
+        form = f"lam={self._lam}" if self.s is None else f"s={self.s}"
+        return f"Family(q={self.q}, m={self.m}, {form})"
+
+    @property
+    def lam(self) -> int:
+        return self._lam if self.s is None else self.q**self.s - 1
+
+    @cached_property
+    def n(self) -> int:
+        return (self.q**self.m - 1) // self.lam
+
+    def plainly_above_max_n(self) -> bool:
+        """Whether n surely exceeds MAX_N, from bit lengths alone."""
+        return plainly_above_max_n(self.q, self.m, self._lam or 1, self.s)
 
 
 @dataclass(frozen=True)
 class BchSpec:
-    """Parameters of a narrow-sense BCH code of length (q^m - 1)/lambda."""
+    """A narrow-sense BCH code: a length family and a designed distance."""
 
-    q: int
-    m: int
-    lambda_kind: PowerForm | DivisorOfQMinus1
+    family: Family
     delta: int
 
     def __post_init__(self):
-        if prime_power(self.q) is None:
-            raise ValueError(f"q={self.q} is not a prime power")
-        if self.m < 1:
-            raise ValueError(f"m={self.m} must be >= 1")
-        lk = self.lambda_kind
-        if isinstance(lk, PowerForm):
-            if lk.s < 1 or self.m % lk.s:
-                raise ValueError(f"s={lk.s} must be a positive divisor of m={self.m}")
-        elif isinstance(lk, DivisorOfQMinus1):
-            if lk.lam < 1 or (self.q - 1) % lk.lam:
-                raise ValueError(f"lambda={lk.lam} must divide q-1={self.q - 1}")
-            if lk.lam == self.q - 1:
-                raise ValueError(
-                    "lambda = q-1 must be expressed as PowerForm(1); "
-                    "use the bch_spec factory to normalize")
-        else:
-            raise TypeError("lambda_kind must be PowerForm or DivisorOfQMinus1")
-        if not 2 <= self.delta <= self.n:
-            raise ValueError(f"delta={self.delta} out of range [2, {self.n}]")
+        if not 2 <= self.delta <= self.family.n:
+            raise ValueError(f"delta={self.delta} out of range [2, {self.family.n}]")
 
-    @property
-    def lam(self) -> int:
-        lk = self.lambda_kind
-        return self.q**lk.s - 1 if isinstance(lk, PowerForm) else lk.lam
+    q = property(lambda self: self.family.q)
+    m = property(lambda self: self.family.m)
+    lam = property(lambda self: self.family.lam)
+    n = property(lambda self: self.family.n)
 
-    @property
-    def n(self) -> int:
-        return (self.q**self.m - 1) // self.lam
+
+_family = lru_cache(maxsize=256)(Family)  # a sweep asks for one family per delta
 
 
 def bch_spec(q: int, m: int, delta: int, lam: int | None = None,
              s: int | None = None) -> BchSpec:
-    """Build a BchSpec from either a lambda divisor or a power-form s.
-
-    Exactly one of lam and s must be given.  lam = q - 1 (including q = 2,
-    lam = 1) is normalized to PowerForm(1).
-    """
-    if (lam is None) == (s is None):
-        raise ValueError("give exactly one of lam and s")
-    if s is not None:
-        return BchSpec(q, m, PowerForm(s), delta)
-    if lam == q - 1:
-        return BchSpec(q, m, PowerForm(1), delta)
-    return BchSpec(q, m, DivisorOfQMinus1(lam), delta)
+    """C_delta of the family Family(q, m, lam, s)."""
+    return BchSpec(_family(q, m, lam, s), delta)
 
 
 def _divisors(n: int) -> list[int]:
@@ -109,12 +118,11 @@ def _divisors(n: int) -> list[int]:
 
 
 def theorem_families(max_n: int):
-    """Yield (q, m, kw, n) for every code family of the closed forms with n <= max_n.
+    """Yield every Family of the closed forms with n <= max_n.
 
-    kw is {"s": s} for lambda = q^s - 1 with s | m and m/s >= 3, or
-    {"lam": lam} for lam | q - 1, lam < q - 1 and m >= 2, so that
-    bch_spec(q, m, delta, **kw) builds a code of the family.  Power forms
-    come first, by q, then s, then m; then divisor forms by q, lam, m.
+    That is s | m with m/s >= 3, or lam | q - 1, lam < q - 1 and m >= 2.
+    Power forms come first, by q, then s, then m; then divisor forms by q,
+    lam, m.
     """
     for q in range(2, math.isqrt(max_n) + 2):
         if prime_power(q) is None:
@@ -122,8 +130,8 @@ def theorem_families(max_n: int):
         s = 1
         while (q ** (3 * s) - 1) // (q**s - 1) <= max_n:
             m = 3 * s
-            while (n := (q**m - 1) // (q**s - 1)) <= max_n:
-                yield q, m, {"s": s}, n
+            while (q**m - 1) // (q**s - 1) <= max_n:
+                yield Family(q, m, s=s)
                 m += s
             s += 1
     # a divisor form has lam <= (q - 1)/2, so n >= 2(q + 1)
@@ -132,12 +140,12 @@ def theorem_families(max_n: int):
             continue
         for lam in _divisors(q - 1)[:-1]:  # lam < q - 1
             m = 2
-            while (n := (q**m - 1) // lam) <= max_n:
-                yield q, m, {"lam": lam}, n
+            while (q**m - 1) // lam <= max_n:
+                yield Family(q, m, lam=lam)
                 m += 1
 
 
-def check_table(spec: BchSpec, table: CosetTable) -> None:
+def check_table(spec: BchSpec | Family, table: CosetTable) -> None:
     """Raise ValueError unless table is the coset table modulo spec.n for spec.q."""
     if (table.n, table.q) != (spec.n, spec.q):
         raise ValueError(f"table is for (n={table.n}, q={table.q}), "

@@ -32,7 +32,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .bch import bch_spec, defining_set, dual_code_params, dual_defining_set
+from .bch import BchSpec, Family, bch_spec, defining_set, dual_code_params, dual_defining_set
 from .cyclotomic import (
     LEADER_FAMILIES,
     MAX_N,
@@ -207,26 +207,25 @@ def _check_size(n):
         raise CliError(f"n={n} exceeds the size cap {MAX_N}")
 
 
-def _check_family_size(q, m, lam, s):
-    """Refuse a vast (q^m-1)/lambda from bit lengths, before q^m is taken."""
-    if plainly_above_max_n(q, m, 1 if lam is None else lam, s):
-        raise CliError(f"n=(q^m-1)/lambda with q={q}, m={m} exceeds "
-                       f"the size cap {MAX_N}")
+def _vast(q, m):
+    """The refusal of an n = (q^m-1)/lambda judged too large from bit lengths."""
+    return CliError(f"n=(q^m-1)/lambda with q={q}, m={m} exceeds the size cap {MAX_N}")
 
 
-def _check_s(m, s):
-    """Refuse an s that does not divide m, or s = m (n = 1), before q^m."""
-    if s is not None and m % s:
-        raise CliError(f"s={s} does not divide m={m}")
-    if s == m:
-        raise CliError(f"s={s} equals m, so n = (q^m-1)/(q^s-1) = 1; need s < m")
+def _family(q, m, lam, s):
+    """Family(q, m, lam, s), refused before q^m is taken if n plainly exceeds MAX_N."""
+    try:
+        family = Family(q, m, lam, s)
+    except ValueError as e:
+        raise CliError(str(e)) from None
+    if family.plainly_above_max_n():
+        raise _vast(q, m)
+    return family
 
 
 def _spec_from_args(args, delta):
-    _check_s(args.m, args.s)
-    _check_family_size(args.q, args.m, args.lam, args.s)
     try:
-        spec = bch_spec(args.q, args.m, delta, lam=args.lam, s=args.s)
+        spec = BchSpec(_family(args.q, args.m, args.lam, args.s), delta)
     except ValueError as e:
         raise CliError(str(e)) from None
     _check_size(spec.n)
@@ -297,14 +296,18 @@ def cmd_cosets(args) -> int:
         if args.m is None:
             raise CliError("need --n, or --m with --lambda or --s")
         m, s = args.m, args.s
-        if s is None and args.lam is None:
+        if s is not None:
+            family = _family(q, m, None, s)
+            lam, n = family.lam, family.n
+        elif args.lam is None:
             raise CliError("need --lambda or --s alongside --m")
-        _check_s(m, s)
-        _check_family_size(q, m, args.lam, s)
-        lam = q**s - 1 if s is not None else args.lam
-        if lam < 1 or (q**m - 1) % lam:
-            raise CliError(f"lambda={lam} does not divide q^m-1={q**m - 1}")
-        n = (q**m - 1) // lam
+        else:  # any divisor of q^m - 1, not only of q - 1
+            lam = args.lam
+            if plainly_above_max_n(q, m, lam):
+                raise _vast(q, m)
+            if lam < 1 or (q**m - 1) % lam:
+                raise CliError(f"lambda={lam} does not divide q^m-1={q**m - 1}")
+            n = (q**m - 1) // lam
         _check_size(n)
     try:
         table = coset_table(n, q)
@@ -415,7 +418,7 @@ def cmd_dually_bch(args) -> int:
 
     table = coset_table(n, args.q)
     try:
-        closed = dually_bch_closed_intervals(args.q, args.m, spec.lambda_kind, table)
+        closed = dually_bch_closed_intervals(spec.family, table)
     except ValueError:
         closed = None  # outside the threshold theorems' hypotheses
     rows = [[delta, verdict, witness,

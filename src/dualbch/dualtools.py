@@ -5,9 +5,10 @@ defining set of the dual contains the full run {0, 1, ..., I(delta) - 1},
 where I(delta) is the smallest positive integer outside T_perp.  The BCH
 bound then gives d_perp >= I(delta) + 1.  This module computes
 
-  * I(delta) directly from T_perp and from the closed-form case analyses
-    (one for lambda = q^s - 1 with m/s >= 3, one for lambda | q - 1 with
-    lambda != q - 1),
+  * I(delta) directly from T_perp and from the closed-form case analyses,
+    one per form of the code's Family: lambda = q^s - 1 with m/s >= 3, and
+    lambda | q - 1 with m >= 2.  The Family is valid by construction, so
+    each closed form checks only that extra hypothesis,
   * the resulting closed-form lower bounds on the dual distance,
   * earlier published bounds that apply to the same lengths (for
     comparison, reported with their raw values even when vacuous),
@@ -34,8 +35,7 @@ import numpy as np
 
 from .bch import (
     BchSpec,
-    DivisorOfQMinus1,
-    PowerForm,
+    Family,
     bch_bound_from_set,
     check_table,
     defining_set,
@@ -93,14 +93,12 @@ def i_delta_direct(t_perp: np.ndarray) -> int:
 # I(delta): closed forms
 # ---------------------------------------------------------------------------
 
-def validate_power_form(q, s, m):
-    """Raise ValueError unless the power-form analysis covers (q, s, m)."""
-    if q < 2:
-        raise ValueError(f"q={q} must be >= 2")
-    if s < 1 or m % s:
-        raise ValueError(f"s={s} must be a positive divisor of m={m}")
-    if m // s < 3:
-        raise ValueError(f"m/s = {m}/{s} < 3: closed form not applicable")
+def validate_power_form(family: Family) -> None:
+    """Raise ValueError unless the power-form analysis covers family: m/s >= 3."""
+    if family.s is None:
+        raise ValueError(f"lambda={family.lam} is not of the form q^s - 1")
+    if family.m // family.s < 3:
+        raise ValueError(f"m/s = {family.m}/{family.s} < 3: closed form not applicable")
 
 
 def _power_case(q, s, m, delta):
@@ -115,28 +113,22 @@ def _power_case(q, s, m, delta):
     raise ValueError(f"delta={delta} matched no case")  # intervals tile [2, n]
 
 
-def i_delta_closed_power_form(q: int, s: int, m: int, delta: int) -> int:
+def i_delta_closed_power_form(spec: BchSpec) -> int:
     """I(delta) for length (q^m - 1)/(q^s - 1), valid for m/s >= 3."""
-    validate_power_form(q, s, m)
-    n = (q**m - 1) // (q**s - 1)
-    if not 2 <= delta <= n:
-        raise ValueError(f"delta={delta} out of range [2, {n}]")
-    t = _power_case(q, s, m, delta)
+    validate_power_form(spec.family)
+    q, s, m = spec.q, spec.family.s, spec.m
+    t = _power_case(q, s, m, spec.delta)
     if t == 0:
         return 1
     return (q**(m - t * s) - 1) // (q**s - 1)
 
 
-def validate_divisor_form(q, lam, m):
-    """Raise ValueError unless the divisor-form analysis covers (q, lam, m)."""
-    if q < 3:
-        raise ValueError(f"q={q} must be >= 3 for the divisor-form analysis")
-    if lam < 1 or (q - 1) % lam:
-        raise ValueError(f"lambda={lam} must divide q-1={q - 1}")
-    if lam == q - 1:
-        raise ValueError("lambda = q-1 is served by the power form with s = 1")
-    if m < 2:
-        raise ValueError(f"m={m} must be >= 2")
+def validate_divisor_form(family: Family) -> None:
+    """Raise ValueError unless the divisor-form analysis covers family: m >= 2."""
+    if family.s is not None:
+        raise ValueError(f"lambda = q^{family.s} - 1 is served by the power form")
+    if family.m < 2:
+        raise ValueError(f"m={family.m} must be >= 2")
 
 
 def _divisor_case(q, lam, m, delta):
@@ -165,13 +157,11 @@ def _divisor_case(q, lam, m, delta):
         f"no I(delta) case matched for q={q}, lambda={lam}, m={m}, delta={delta}")
 
 
-def i_delta_closed_divisor_form(q: int, lam: int, m: int, delta: int) -> int:
+def i_delta_closed_divisor_form(spec: BchSpec) -> int:
     """I(delta) for length (q^m - 1)/lambda with lambda | q-1, lambda != q-1."""
-    validate_divisor_form(q, lam, m)
-    n = (q**m - 1) // lam
-    if not 2 <= delta <= n:
-        raise ValueError(f"delta={delta} out of range [2, {n}]")
-    case, t, s = _divisor_case(q, lam, m, delta)
+    validate_divisor_form(spec.family)
+    q, lam, m = spec.q, spec.lam, spec.m
+    case, t, s = _divisor_case(q, lam, m, spec.delta)
     if case == 1:
         return (q**(m - t) - 1) // lam - s * q**(m - t - 1)
     if case == 2:
@@ -188,14 +178,11 @@ def i_delta_closed_divisor_form(q: int, lam: int, m: int, delta: int) -> int:
 def dual_lower_bound(spec: BchSpec) -> int:
     """Closed-form lower bound I(delta) + 1 on the dual distance of C_delta.
 
-    Raises ValueError where neither closed form for I(delta) applies:
-    the power form needs m/s >= 3, the divisor form lambda | q-1,
-    lambda != q-1 and m >= 2.
+    Raises ValueError where the family's closed form for I(delta) does not
+    apply: the power form needs m/s >= 3, the divisor form m >= 2.
     """
-    lk = spec.lambda_kind
-    if isinstance(lk, PowerForm):
-        return i_delta_closed_power_form(spec.q, lk.s, spec.m, spec.delta) + 1
-    return i_delta_closed_divisor_form(spec.q, lk.lam, spec.m, spec.delta) + 1
+    closed = i_delta_closed_divisor_form if spec.family.s is None else i_delta_closed_power_form
+    return closed(spec) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -333,42 +320,40 @@ def delta_sweep(table: CosetTable, lo: int = 2,
     return list(zip(i_delta.tolist(), verdict.tolist(), witness.tolist()))
 
 
-def dually_bch_closed_intervals(q: int, m: int, lambda_kind: PowerForm | DivisorOfQMinus1,
+def dually_bch_closed_intervals(family: Family,
                                 table: CosetTable) -> tuple[tuple[int, int], ...]:
     """The deltas whose C_delta is dually-BCH, as ascending inclusive (lo, hi).
 
     Power form (m/s >= 3; m >= 4 when q >= 3, m >= 6 when q = 2):
     delta1 < delta <= n, except q = 2, s = 1: delta in {2, 3} or
-    delta > delta2.  Divisor form (q >= 3, m >= 2, lambda | q-1,
-    lambda != q-1): delta1 < delta <= n, except lambda = 1: delta = 2 or
-    delta > delta2.  delta1/delta2 are the largest coset leaders mod n, from
-    the table (brute force), never from the closed-form leader expressions.
-    Raises ValueError outside these hypotheses or on a table of another (n, q).
+    delta > delta2.  Divisor form (m >= 2): delta1 < delta <= n, except
+    lambda = 1: delta = 2 or delta > delta2.  delta1/delta2 are the largest
+    coset leaders mod n, from the table (brute force), never from the
+    closed-form leader expressions.  Raises ValueError outside these
+    hypotheses or on a table of another (n, q).
     """
-    if isinstance(lambda_kind, PowerForm):
-        validate_power_form(q, lambda_kind.s, m)
+    q, m, s = family.q, family.m, family.s
+    if s is not None:
+        validate_power_form(family)
         if q == 2 and m < 6:
             raise ValueError(f"m={m} < 6: criterion not applicable for q = 2")
         if q >= 3 and m < 4:
             raise ValueError(f"m={m} < 4: criterion not applicable for q >= 3")
-        n = (q**m - 1) // (q**lambda_kind.s - 1)
-        isolated = (2, 3) if q == 2 and lambda_kind.s == 1 else None
+        isolated = (2, 3) if q == 2 and s == 1 else None
     else:
-        validate_divisor_form(q, lambda_kind.lam, m)
-        n = (q**m - 1) // lambda_kind.lam
-        isolated = (2, 2) if lambda_kind.lam == 1 else None
-    if (table.n, table.q) != (n, q):
-        raise ValueError("table does not match spec")
+        validate_divisor_form(family)
+        isolated = (2, 2) if family.lam == 1 else None
+    check_table(family, table)
     if isolated is None:
-        return ((largest_leaders(table, 1)[0] + 1, n),)
-    return (isolated, (largest_leaders(table, 2)[1] + 1, n))
+        return ((largest_leaders(table, 1)[0] + 1, family.n),)
+    return (isolated, (largest_leaders(table, 2)[1] + 1, family.n))
 
 
 def dually_bch_closed(spec: BchSpec, table: CosetTable | None = None) -> bool:
     """Whether delta lies in its family's dually_bch_closed_intervals."""
     if table is None:
         table = coset_table(spec.n, spec.q)
-    intervals = dually_bch_closed_intervals(spec.q, spec.m, spec.lambda_kind, table)
+    intervals = dually_bch_closed_intervals(spec.family, table)
     return any(lo <= spec.delta <= hi for lo, hi in intervals)
 
 

@@ -8,11 +8,14 @@ leader").  This module re-checks those claims by direct enumeration over their
 full hypothesis grids, so a formula bug or a transcription slip shows up as a
 concrete counterexample rather than a silently wrong bound.
 
-Each check returns a :class:`PropResult` whose ``failures`` tuple is expected
-to be empty.  :func:`run_grid` runs a manifest of cases, one coset table at a
-time.  The default manifest is built here from every parameter tuple inside
-the checks' hypotheses up to fixed size cutoffs (see
-:func:`load_grid_manifest`); other grids are JSON files in the same schema.
+Each check takes a valid :class:`~dualbch.bch.Family` or builds one from its
+(q, s|lam, m), so a q that is not a prime power is refused, and then checks
+only its own hypotheses.  Each returns a :class:`PropResult` whose
+``failures`` tuple is expected to be empty.  :func:`run_grid` runs a
+manifest of cases, one coset table at a time.  The default manifest is built
+here from every parameter tuple inside the checks' hypotheses up to fixed
+size cutoffs (see :func:`load_grid_manifest`); other grids are JSON files in
+the same schema.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bch import DivisorOfQMinus1, PowerForm, _divisors, theorem_families
-from .cyclotomic import MAX_N, CosetTable, _reduce_mod, coset_table, plainly_above_max_n
+from .bch import Family, _divisors, theorem_families
+from .cyclotomic import MAX_N, CosetTable, _reduce_mod, coset_table
 from .dualtools import validate_divisor_form, validate_power_form
-from .gf import prime_power
 
 MANIFEST_SCHEMA = "dualbch-prop-grids/1"
 
@@ -86,7 +88,7 @@ def check_leader_floor_power_form(
     These floors pin the large coset leaders that make the dual defining set
     of a power-form code start with a long run of consecutive elements.
     """
-    validate_power_form(q, s, m)
+    validate_power_form(Family(q, m, s=s))
     order = q**m - 1
     table = _own_table(order, q, table)
     lead = table.leader_of
@@ -116,7 +118,7 @@ def check_leader_floor_divisor_form(
     modulo q^m-1 before the coset lookup since the raw value can exceed the
     modulus.
     """
-    validate_divisor_form(q, lam, m)
+    validate_divisor_form(Family(q, m, lam=lam))
     order = q**m - 1
     table = _own_table(order, q, table)
     lead = table.leader_of
@@ -162,26 +164,20 @@ def _membership_failures(
     return out
 
 
-def _check_membership_hypotheses(q: int, lambda_kind, m: int) -> None:
-    """Raise unless the membership claims cover (q, lambda_kind, m).
-
-    ValueError for parameters outside the hypotheses, TypeError for a length
-    family that is neither PowerForm nor DivisorOfQMinus1.
-    """
-    if isinstance(lambda_kind, PowerForm):
-        if lambda_kind.s <= 1:
-            raise ValueError("power-form membership claims need s > 1")
-        validate_power_form(q, lambda_kind.s, m)
-    elif isinstance(lambda_kind, DivisorOfQMinus1):
-        if not (q > 3 and 1 < lambda_kind.lam < q - 1):
+def _membership_hypotheses(family: Family) -> None:
+    """Raise ValueError unless the membership claims cover family."""
+    if family.s is None:
+        if not (family.q > 3 and family.lam > 1):
             raise ValueError("divisor-form membership claims need q > 3 and 1 < lam < q-1")
-        validate_divisor_form(q, lambda_kind.lam, m)
+        validate_divisor_form(family)
     else:
-        raise TypeError(f"unsupported length family: {lambda_kind!r}")
+        if family.s == 1:
+            raise ValueError("power-form membership claims need s > 1")
+        validate_power_form(family)
 
 
 def check_tperp_leader_membership(
-    q: int, lambda_kind, m: int, table: CosetTable | None = None
+    family: Family, table: CosetTable | None = None
 ) -> PropResult:
     """Check the explicit dual-defining-set members used by the dually-BCH
     arguments: each claimed element is a coset leader modulo n and belongs to
@@ -194,13 +190,13 @@ def check_tperp_leader_membership(
     Divisor form (requires q > 3 and 1 < lam < q-1): three range/element
     pairs covering delta from 2 up to n - q^{m-1}.
     """
-    _check_membership_hypotheses(q, lambda_kind, m)
+    _membership_hypotheses(family)
+    q, m, n = family.q, family.m, family.n
+    table = _own_table(n, q, table)
     grid: list[tuple] = []
     failures: list[tuple] = []
-    if isinstance(lambda_kind, PowerForm):
-        s = lambda_kind.s
-        n = (q**m - 1) // (q**s - 1)
-        table = _own_table(n, q, table)
+    if family.s is not None:
+        s = family.s
         for t in range(1, m // s - 1):
             num = q ** (m - t * s) + q ** (m - t * s - 1) - q ** (m - (t + 1) * s - 1) - 1
             assert num % (q**s - 1) == 0
@@ -213,9 +209,7 @@ def check_tperp_leader_membership(
             )
         lemma_id = "tperp_leader_membership_power_form"
     else:
-        lam = lambda_kind.lam
-        n = (q**m - 1) // lam
-        table = _own_table(n, q, table)
+        lam = family.lam
         num1 = q**m - ((lam - 1) * q + 1) * q ** (m - 2) - 1
         assert num1 % lam == 0
         b = (-m) % lam
@@ -261,13 +255,13 @@ def _divisor_floor_cases(max_order: int) -> list[dict]:
 
 def _membership_cases(max_n: int) -> list[dict]:
     cases = []
-    for q, m, kw, _ in theorem_families(max_n):
-        if q not in _GRID_QS:
+    for fam in theorem_families(max_n):
+        if fam.q not in _GRID_QS:
             continue
-        if kw.get("s", 0) >= 2:
-            cases.append({"q": q, "kind": "power", "s": kw["s"], "m": m})
-        elif kw.get("lam", 0) > 1:
-            cases.append({"q": q, "kind": "divisor", "lam": kw["lam"], "m": m})
+        if fam.s is not None and fam.s >= 2:
+            cases.append({"q": fam.q, "kind": "power", "s": fam.s, "m": fam.m})
+        elif fam.s is None and fam.lam > 1:
+            cases.append({"q": fam.q, "kind": "divisor", "lam": fam.lam, "m": fam.m})
     return cases
 
 
@@ -319,52 +313,41 @@ def load_grid_manifest(path: str | Path | None = None) -> dict:
 def _plan_case(lemma_id: str, case: dict) -> tuple:
     """(check, arguments, (modulus, base) of its coset table) for one case.
 
-    Refuses, before any table exists, a case whose table modulus exceeds
-    MAX_N, whose q is not a prime power, or that lies outside its check's
-    hypotheses.
+    Refuses, before any table exists, a case that is no valid Family, whose
+    table modulus exceeds MAX_N, or that lies outside its check's hypotheses.
+    The floor checks' table is modulo q^m - 1, the length of lambda = 1.
     """
     if not isinstance(case, dict):
         raise ValueError(f"{lemma_id} case {case!r} is not an object")
-    for key, lo in (("q", 2), ("m", 1), ("s", 1), ("lam", 1)):
-        if key in case and not (type(case[key]) is int and case[key] >= lo):
-            raise ValueError(f"{lemma_id} case {case}: {key} must be an integer >= {lo}")
-    # the table modulus is (q^m - 1)/lam, with lam = q^s - 1 when s is set
-    s, lam = None, 1
+    for key in ("q", "m", "s", "lam"):
+        if key in case and type(case[key]) is not int:
+            raise ValueError(f"{lemma_id} case {case}: {key} must be an integer")
+    membership = lemma_id == "tperp_leader_membership"
     try:
-        q, m = case["q"], case["m"]
         if lemma_id == "leader_floor_power_form":
-            check, rules, args = (check_leader_floor_power_form, validate_power_form,
-                                  (q, case["s"], m))
+            check, key, rules = check_leader_floor_power_form, "s", validate_power_form
         elif lemma_id == "leader_floor_divisor_form":
-            check, rules, args = (check_leader_floor_divisor_form, validate_divisor_form,
-                                  (q, case["lam"], m))
-        elif lemma_id == "tperp_leader_membership":
-            if case["kind"] == "power":
-                s = case["s"]
-                kind = PowerForm(s)
-            elif case["kind"] == "divisor":
-                lam = case["lam"]
-                kind = DivisorOfQMinus1(lam)
-            else:
+            check, key, rules = check_leader_floor_divisor_form, "lam", validate_divisor_form
+        elif membership:
+            if case["kind"] not in ("power", "divisor"):
                 raise ValueError(f"unknown membership kind: {case['kind']!r}")
-            check, rules, args = (check_tperp_leader_membership,
-                                  _check_membership_hypotheses, (q, kind, m))
+            check, rules = check_tperp_leader_membership, _membership_hypotheses
+            key = "s" if case["kind"] == "power" else "lam"
         else:
             raise ValueError(f"unknown lemma_id in manifest: {lemma_id!r}")
+        q, m, value = case["q"], case["m"], case[key]
     except KeyError as e:
         raise ValueError(f"{lemma_id} case {case} lacks {e}") from None
-    if (plainly_above_max_n(q, m, lam, s)
-            or (n := (q**m - 1) // (lam if s is None else q**s - 1)) > MAX_N):
-        # the modulus itself may have too many digits to print
-        raise ValueError(f"{lemma_id} case {case}: table modulus exceeds "
-                         f"the size cap {MAX_N}")
     try:
-        if prime_power(q) is None:
-            raise ValueError(f"q={q} is not a prime power")
-        rules(*args)
+        family = Family(q, m, **{key: value})
+        table_family = family if membership else Family(q, m, lam=1)
+        if table_family.plainly_above_max_n() or table_family.n > MAX_N:
+            # the modulus itself may have too many digits to print
+            raise ValueError(f"table modulus exceeds the size cap {MAX_N}")
+        rules(family)
     except ValueError as e:
         raise ValueError(f"{lemma_id} case {case}: {e}") from None
-    return check, args, (n, q)
+    return check, (family,) if membership else (q, value, m), (table_family.n, q)
 
 
 def run_grid(manifest: dict | None = None) -> list[PropResult]:

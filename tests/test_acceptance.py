@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from dualbch.bch import (
+    BchSpec,
     bch_spec,
     code_params,
     defining_set,
@@ -110,10 +111,11 @@ def test_criterion_4_i_delta_closed_equals_direct(direct_oracle):
     t0 = time.perf_counter()
     assert len(THEOREM_SWEEP) >= 100
     checked = 0
-    for q, m, kw, n in THEOREM_SWEEP:
+    for family in THEOREM_SWEEP:
+        q, m, n = family.q, family.m, family.n
         for delta, (direct, _, _) in enumerate(direct_oracle(q, n), 2):
-            closed = dual_lower_bound(bch_spec(q, m, delta, **kw)) - 1
-            assert closed == direct, (q, m, kw, delta, closed, direct)
+            closed = dual_lower_bound(BchSpec(family, delta)) - 1
+            assert closed == direct, (family, delta, closed, direct)
             checked += 1
     assert checked == 149_339
     elapsed = time.perf_counter() - t0
@@ -126,16 +128,16 @@ def test_criterion_5_dually_bch_closed_equals_direct(direct_oracle):
     t0 = time.perf_counter()
     compared = 0
     skipped_families = 0
-    for q, m, kw, n in THEOREM_SWEEP:
+    for family in THEOREM_SWEEP:
+        q, m, n = family.q, family.m, family.n
         try:
-            intervals = dually_bch_closed_intervals(
-                q, m, bch_spec(q, m, 2, **kw).lambda_kind, coset_table(n, q))
+            intervals = dually_bch_closed_intervals(family, coset_table(n, q))
         except ValueError:
             skipped_families += 1  # outside the iff-theorem hypotheses
             continue
         for delta, (_, direct, _) in enumerate(direct_oracle(q, n), 2):
             closed = any(lo <= delta <= hi for lo, hi in intervals)
-            assert closed == direct, (q, m, kw, delta)
+            assert closed == direct, (family, delta)
             compared += 1
     assert compared == 143_917
 
@@ -155,13 +157,14 @@ def test_criterion_5_dually_bch_closed_equals_direct(direct_oracle):
 def test_criterion_6_lower_bound_soundness():
     t0 = time.perf_counter()
     checked = 0
-    for q, m, kw, n in THEOREM_SWEEP:
+    for family in THEOREM_SWEEP:
+        q, m, n = family.q, family.m, family.n
         if n > 128:
             continue
         table = coset_table(n, q)
         ctx = field_new(q, m)
         for delta in range(2, n + 1):
-            spec = bch_spec(q, m, delta, **kw)
+            spec = BchSpec(family, delta)
             t = defining_set(spec, table)
             if q ** np.count_nonzero(t) > 2**16:
                 break
@@ -170,7 +173,7 @@ def test_criterion_6_lower_bound_soundness():
             assert cert.status == "exact"
             if report.lower_bound_closed is not None:
                 assert report.lower_bound_closed <= cert.upper, \
-                    (q, m, kw, delta, report.lower_bound_closed, cert.upper)
+                    (family, delta, report.lower_bound_closed, cert.upper)
                 checked += 1
     # the ISD-certified anchor is exact as well and must respect its bound
     for q, m, delta, lam, bound, true_d in BOUND_CASES:
@@ -203,7 +206,8 @@ def test_criterion_8_algebraic_invariants():
 
     # (a) product of the minimal polynomials over all cosets equals x^n - 1
     products = 0
-    for q, m, kw, n in SMALL_FAMILIES:
+    for family in SMALL_FAMILIES:
+        q, m, n = family.q, family.m, family.n
         ctx = field_new(q, m)
         table = coset_table(n, q)
         lam_total = (q**m - 1) // n
@@ -218,7 +222,8 @@ def test_criterion_8_algebraic_invariants():
     # (b) dual defining set equals the root set of the reciprocal of
     #     h(x) = (x^n - 1)/g(x), for every instance with n <= 100
     reciprocal_checked = 0
-    for q, m, kw, n in SMALL_FAMILIES:
+    for family in SMALL_FAMILIES:
+        q, m, n = family.q, family.m, family.n
         ctx = field_new(q, m)
         table = coset_table(n, q)
         field = scalar_field(q)
@@ -229,7 +234,7 @@ def test_criterion_8_algebraic_invariants():
             deltas = sorted({2, 3, n // 2, delta1, min(delta1 + 1, n), n})
         beta = ctx.pow(ctx.generator, (q**m - 1) // n)
         for delta in deltas:
-            spec = bch_spec(q, m, delta, **kw)
+            spec = BchSpec(family, delta)
             params = code_params(spec, ctx, table)
             h = Poly.x_pow_minus_one(n, field) // params.generator
             h_rev = h.reciprocal().monic()
@@ -276,14 +281,15 @@ def test_criterion_9_closed_bound_includes_gdl21_bounds():
     t0 = time.perf_counter()
     compared = dict.fromkeys(["primitive_length", "projective_length", "sidelnikov"], 0)
     pairs = 0
-    for q, m, kw, n in THEOREM_SWEEP:
+    for family in THEOREM_SWEEP:
+        q, m, n = family.q, family.m, family.n
         table = coset_table(n, q)
         for delta in range(2, n + 1):
-            r = bound_report(bch_spec(q, m, delta, **kw), table)
-            assert r.lower_bound_direct >= r.lower_bound_closed, (q, m, kw, delta)
+            r = bound_report(BchSpec(family, delta), table)
+            assert r.lower_bound_direct >= r.lower_bound_closed, (family, delta)
             for b in r.prior_bounds:
                 if b.name in compared and not b.vacuous:
-                    assert r.lower_bound_closed >= b.value, (q, m, kw, delta, b)
+                    assert r.lower_bound_closed >= b.value, (family, delta, b)
                     compared[b.name] += 1
             pairs += 1
     assert pairs == 149_339

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from dualbch.bch import (
     BchSpec,
-    DivisorOfQMinus1,
-    PowerForm,
+    Family,
     _divisors,
     bch_bound_from_set,
     bch_spec,
@@ -39,22 +38,21 @@ from dualbch.mindist import DEFAULT_BUDGET
 
 class TestBchSpec:
     def test_power_form_length(self):
-        spec = BchSpec(3, 6, PowerForm(2), 10)
+        spec = BchSpec(Family(3, 6, s=2), 10)
         assert spec.lam == 8
         assert spec.n == 91
 
     def test_divisor_form_length(self):
-        spec = BchSpec(5, 4, DivisorOfQMinus1(2), 247)
+        spec = BchSpec(Family(5, 4, lam=2), 247)
         assert spec.lam == 2
         assert spec.n == 312
 
     def test_factory_normalizes_q_minus_1(self):
-        spec = bch_spec(2, 6, 3, lam=1)
-        assert spec.lambda_kind == PowerForm(1)
-        spec = bch_spec(3, 4, 5, lam=2)
-        assert spec.lambda_kind == PowerForm(1)
-        spec = bch_spec(7, 3, 5, lam=3)
-        assert spec.lambda_kind == DivisorOfQMinus1(3)
+        assert bch_spec(2, 6, 3, lam=1).family == Family(2, 6, s=1)
+        assert bch_spec(3, 4, 5, lam=2).family == Family(3, 4, s=1)
+        family = bch_spec(7, 3, 5, lam=3).family
+        assert (family.lam, family.s) == (3, None)
+        assert repr(family) == "Family(q=7, m=3, lam=3)"
 
     def test_factory_exclusive_args(self):
         with pytest.raises(ValueError):
@@ -64,17 +62,51 @@ class TestBchSpec:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BchSpec(6, 2, PowerForm(1), 2)  # q not a prime power
+            Family(6, 2, s=1)  # q not a prime power
         with pytest.raises(ValueError):
-            BchSpec(3, 5, PowerForm(2), 2)  # s does not divide m
+            Family(3, 5, s=2)  # s does not divide m
         with pytest.raises(ValueError):
-            BchSpec(5, 2, DivisorOfQMinus1(3), 2)  # 3 does not divide 4
+            Family(5, 2, lam=3)  # 3 does not divide 4
         with pytest.raises(ValueError):
-            BchSpec(5, 2, DivisorOfQMinus1(4), 2)  # q-1 must go through PowerForm
+            BchSpec(Family(2, 6, s=1), 64)  # delta > n
         with pytest.raises(ValueError):
-            BchSpec(2, 6, PowerForm(1), 64)  # delta > n
-        with pytest.raises(ValueError):
-            BchSpec(2, 6, PowerForm(1), 1)  # delta < 2
+            BchSpec(Family(2, 6, s=1), 1)  # delta < 2
+
+    def test_validation_matches_the_rules(self):
+        # the rules, written out with the prime powers listed: q a prime
+        # power, m >= 1, exactly one of lam and s, lam | q - 1 (lam = q - 1
+        # is s = 1), s | m, and n > 1, that is s < m
+        prime_powers = {2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32}
+        accepted = 0
+        for q in range(2, 33):
+            for m in range(0, 9):
+                for lam in [None, *range(-1, q + 1)]:
+                    for s in [None, *range(-1, m + 2)]:
+                        if lam == q - 1 and s is None:
+                            want_s = 1
+                        else:
+                            want_s = s
+                        ok = (q in prime_powers and m >= 1
+                              and (lam is None) != (s is None)
+                              and (lam is None or (lam >= 1 and (q - 1) % lam == 0))
+                              and (want_s is None or (1 <= want_s < m and m % want_s == 0)))
+                        try:
+                            family = Family(q, m, lam, s)
+                        except ValueError:
+                            assert not ok, (q, m, lam, s)
+                            continue
+                        assert ok, (q, m, lam, s)
+                        want_lam = lam if want_s is None else q**want_s - 1
+                        assert (family.lam, family.s, family.n) == \
+                            (want_lam, want_s, (q**m - 1) // want_lam)
+                        accepted += 1
+        assert accepted == 798
+
+    def test_vast_family_is_built_without_q_pow_m(self):
+        # n is worked out on first use, so the size cap can come first
+        family = Family(3, 10**9, s=5 * 10**8)
+        assert family.plainly_above_max_n()
+        assert not Family(2, 24, s=1).plainly_above_max_n()
 
 
 class TestTheoremFamilies:
@@ -96,9 +128,9 @@ class TestTheoremFamilies:
                     except ValueError:
                         continue
                     if spec.n <= cap:
-                        found.append(("lam" in kw, q, *kw.values(), m, spec.n, kw))
+                        found.append(("lam" in kw, q, *kw.values(), m, spec.family))
         found.sort(key=lambda f: f[:4])  # power forms by q, s, m; then q, lam, m
-        assert list(theorem_families(cap)) == [(q, m, kw, n) for _, q, _, m, n, kw in found]
+        assert list(theorem_families(cap)) == [f[-1] for f in found]
         assert len(found) == 128
 
     def test_divisors_ascending(self):
@@ -150,12 +182,13 @@ class TestDefiningSet:
     def test_q_closed_on_theorem_families(self):
         assert not is_q_closed(mask_of(63, [1, 2]), 2)  # 4 missing
         assert is_q_closed(mask_of(63, [1, 2, 4, 8, 16, 32]), 2)
-        for q, m, kw, n in theorem_families(300):
+        for family in theorem_families(300):
+            q, n = family.q, family.n
             table = coset_table(n, q)
             for delta in sorted({2, 3, n // 2, n} & set(range(2, n + 1))):
-                t = defining_set(bch_spec(q, m, delta, **kw), table)
-                assert is_q_closed(t, q), (q, m, kw, delta)
-                assert is_q_closed(dual_defining_set(t), q), (q, m, kw, delta)
+                t = defining_set(BchSpec(family, delta), table)
+                assert is_q_closed(t, q), (family, delta)
+                assert is_q_closed(dual_defining_set(t), q), (family, delta)
 
     @given(st.integers(1, 5000), st.integers(2, 64), st.integers(2, 5000))
     @settings(max_examples=100, deadline=None)
@@ -212,8 +245,9 @@ class TestScanOracles:
 
     def test_theorem_families(self):
         # T and T_perp at about ten deltas per family, spread over its leaders
-        for q, _, _, n in theorem_families(1000):
-            table = coset_table(n, q)
+        for family in theorem_families(1000):
+            n = family.n
+            table = coset_table(n, family.q)
             leaders = table.leaders[1:]
             for delta in {2, n, *(leaders[::max(1, len(leaders) // 10)] + 1).tolist()}:
                 if delta > n:
@@ -429,12 +463,13 @@ class TestDualGeneratorConsistency:
     def test_division_matches_coset_product_on_theorem_families(self):
         # reference: the per-coset minimal-polynomial product over T_perp
         compared = 0
-        for q, m, kw, n in theorem_families(255):
+        for family in theorem_families(255):
+            q, m, n = family.q, family.m, family.n
             table = coset_table(n, q)
             ctx = field_new(q, m)
             delta1 = largest_leaders(table, 1)[0]
             for delta in sorted({2, 3, n // 2, delta1, n} & set(range(2, n + 1))):
-                spec = bch_spec(q, m, delta, **kw)
+                spec = BchSpec(family, delta)
                 t = defining_set(spec, table)
                 dim = int(np.count_nonzero(t))
                 if q ** dim > DEFAULT_BUDGET:
@@ -443,7 +478,7 @@ class TestDualGeneratorConsistency:
                 params = dual_code_params(spec, ctx, table)
                 leaders = table.leaders[t_perp[table.leaders]]
                 assert params.generator == generator_from_leaders(spec, ctx, leaders), \
-                    (q, m, kw, delta)
+                    (family, delta)
                 assert params.k == dim
                 compared += 1
         assert compared >= 200

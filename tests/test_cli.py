@@ -1,6 +1,7 @@
 """Command-line interface: flags, formats, exit codes, reference values."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from dualbch import cli
-from dualbch.bch import bch_spec
+from dualbch.bch import Family
 from dualbch.cli import MAX_N, main
 from dualbch.propchecks import MANIFEST_SCHEMA
 
@@ -24,6 +25,32 @@ def run(capsys, *argv):
         code = e.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# SHA-256 of the json report of each command.  Update a hash only when a
+# change alters the report bytes on purpose (a new bound column would), and
+# list that change in CHANGES.md.
+REPORT_HASHES = [
+    (["dual-bound", "--q", "3", "--m", "6", "--s", "2", "--delta", "10"],
+     "26d09d79ce2f70c391b80e6e9852c8d79960cd2033799ee62e244d0f0b8f91e1"),
+    (["dual-bound", "--q", "5", "--m", "4", "--lambda", "2", "--delta", "247"],
+     "1f21507258fcdc5815bcdeab0171563a615c230667d2c855bb1920697ff2b94c"),
+    (["dually-bch", "--q", "3", "--m", "4", "--lambda", "1", "--delta-range", "2:80"],
+     "7a7a76dfc6d4b08e3b2e15c9270e41d5d9c1b242d99c10a58365dd082f3a2cdd"),
+    (["cosets", "--q", "2", "--m", "6", "--s", "2", "--members"],
+     "7a3432d6db89ae35ef8ff3af6aef88f78960092b21e8071dc7f4127b7704600a"),
+    (["verify", "--only", "bounds", "--only", "dually_bch"],
+     "2c54777ee4392ff1fd9255433ceaf4cf7f075b61a9648470ae66daefe08b5b72"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", REPORT_HASHES, ids=[
+    "dual-bound-power-form", "dual-bound-divisor-form", "dually-bch-range",
+    "cosets-members", "verify-bounds-dually-bch"])
+def test_report_bytes_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def section(out_json, name):
@@ -386,21 +413,21 @@ class TestDuallyBch:
         assert section(out, "true_intervals")["rows"] == [[2, 3], [28, 63]]
         assert section(out, "summary")["rows"] == [[27]]
 
-    def test_one_bch_spec_per_sweep(self, capsys, monkeypatch):
+    def test_one_family_per_sweep(self, capsys, monkeypatch):
         # the closed column is decided once per family, not once per delta
         calls = []
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             calls.append(args)
-            return bch_spec(*args, **kwargs)
+            return Family(*args)
 
-        monkeypatch.setattr(cli, "bch_spec", counting)
+        monkeypatch.setattr(cli, "Family", counting)
         code, out, _ = run(capsys, "dually-bch", "--q", "2", "--m", "6",
                            "--lambda", "1", "--delta-range", "2:63",
                            "--format", "json")
         assert code == 0
         assert len(section(out, "verdicts")["rows"]) == 62
-        assert calls == [(2, 6, 2)]
+        assert calls == [(2, 6, 1, None)]
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_outside_hypotheses_closed_column_is_empty(self, capsys, fmt):
@@ -487,9 +514,9 @@ class TestVerify:
         (("mystery", {"q": 2, "m": 3}), "unknown lemma_id in manifest: 'mystery'"),
         (("leader_floor_power_form", {"q": 2, "s": 1, "m": 2}), "m/s = 2/1 < 3"),
         (("leader_floor_power_form", {"q": 2.0, "s": 2, "m": 6}),
-         "q must be an integer >= 2"),
+         "q must be an integer"),
         (("leader_floor_power_form", {"q": 2, "s": 0, "m": 6}),
-         "s must be an integer >= 1"),
+         "s=0 must be a positive divisor of m=6"),
         # a 2^40-element coset table would not fit; refused before allocation
         (("leader_floor_power_form", {"q": 2, "s": 1, "m": 40}),
          f"table modulus exceeds the size cap {MAX_N}"),

@@ -141,8 +141,8 @@ class TestCosetTable:
             assert lead <= a
 
     def test_matches_int64_reference_on_theorem_families(self):
-        for q, _, _, n in theorem_families(1000):
-            assert_table_matches_reference(n, q)
+        for family in theorem_families(1000):
+            assert_table_matches_reference(family.n, family.q)
 
     @given(st.integers(1, 5000), st.one_of(st.integers(2, 64), st.integers(2, 10**15)))
     @settings(max_examples=100, deadline=None)

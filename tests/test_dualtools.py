@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualbch.bch import (
-    DivisorOfQMinus1,
-    PowerForm,
+    BchSpec,
+    Family,
     bch_bound_from_set,
     bch_spec,
     defining_set,
@@ -69,23 +69,21 @@ class TestIDeltaDirect:
 
 class TestIDeltaClosedPowerForm:
     def test_binary_delta3(self):
-        assert i_delta_closed_power_form(2, 1, 6, 3) == 31
+        assert i_delta_closed_power_form(bch_spec(2, 6, 3, s=1)) == 31
 
     def test_ternary_s2_delta10(self):
         # interval (1, 10] at t=1: (3^4 - 1)/8 = 10
-        assert i_delta_closed_power_form(3, 2, 6, 10) == 10
+        assert i_delta_closed_power_form(bch_spec(3, 6, 10, s=2)) == 10
 
     def test_tail_case(self):
-        assert i_delta_closed_power_form(2, 1, 6, 32) == 1
-        assert i_delta_closed_power_form(2, 1, 6, 63) == 1
+        assert i_delta_closed_power_form(bch_spec(2, 6, 32, s=1)) == 1
+        assert i_delta_closed_power_form(bch_spec(2, 6, 63, s=1)) == 1
 
     def test_hypotheses(self):
-        with pytest.raises(ValueError):
-            i_delta_closed_power_form(2, 2, 4, 3)  # m/s = 2
-        with pytest.raises(ValueError):
-            i_delta_closed_power_form(2, 2, 5, 3)  # s does not divide m
-        with pytest.raises(ValueError):
-            i_delta_closed_power_form(2, 1, 6, 64)  # delta > n
+        with pytest.raises(ValueError, match="m/s = 4/2 < 3"):
+            i_delta_closed_power_form(bch_spec(2, 4, 3, s=2))
+        with pytest.raises(ValueError, match="not of the form q\\^s - 1"):
+            i_delta_closed_power_form(bch_spec(5, 3, 3, lam=2))  # a divisor form
 
 
 class TestIDeltaClosedDivisorForm:
@@ -93,26 +91,24 @@ class TestIDeltaClosedDivisorForm:
         # q=5, lambda=1, m=2, delta=3 is the isolated point t=0, s=2:
         # I = (25-1)/1 - 2*5 = 14; the direct scan gives 14 as well, and
         # the associated distance bound is I + 1 = 15
-        assert i_delta_closed_divisor_form(5, 1, 2, 3) == 14
         spec = bch_spec(5, 2, 3, lam=1)
+        assert i_delta_closed_divisor_form(spec) == 14
         assert i_delta_direct(t_perp_of(spec)) == 14
 
     def test_case2(self):
-        assert i_delta_closed_divisor_form(3, 1, 3, 5) == 8
+        assert i_delta_closed_divisor_form(bch_spec(3, 3, 5, lam=1)) == 8
 
     def test_case4_tail(self):
-        assert i_delta_closed_divisor_form(3, 1, 3, 18) == 1
-        assert i_delta_closed_divisor_form(3, 1, 3, 26) == 1
+        assert i_delta_closed_divisor_form(bch_spec(3, 3, 18, lam=1)) == 1
+        assert i_delta_closed_divisor_form(bch_spec(3, 3, 26, lam=1)) == 1
 
     def test_hypotheses(self):
-        with pytest.raises(ValueError):
-            i_delta_closed_divisor_form(5, 4, 2, 3)  # lambda = q-1
-        with pytest.raises(ValueError):
-            i_delta_closed_divisor_form(5, 3, 2, 3)  # lambda does not divide q-1
-        with pytest.raises(ValueError):
-            i_delta_closed_divisor_form(3, 1, 1, 2)  # m < 2
-        with pytest.raises(ValueError):
-            i_delta_closed_divisor_form(2, 1, 6, 3)  # q = 2 belongs to power form
+        with pytest.raises(ValueError, match="power form"):
+            i_delta_closed_divisor_form(bch_spec(5, 2, 3, lam=4))  # lambda = q-1 is s = 1
+        with pytest.raises(ValueError, match="m=1 must be >= 2"):
+            i_delta_closed_divisor_form(bch_spec(3, 1, 2, lam=1))
+        with pytest.raises(ValueError, match="power form"):
+            i_delta_closed_divisor_form(bch_spec(2, 6, 3, lam=1))  # q = 2 is s = 1
 
 
 class TestDualLowerBound:
@@ -138,10 +134,10 @@ class TestDualLowerBound:
                          (7, 2, dict(lam=2)), (3, 4, dict(lam=1))]:
             for delta in range(2, bch_spec(q, m, 2, **kw).n + 1):
                 spec = bch_spec(q, m, delta, **kw)
-                if isinstance(spec.lambda_kind, PowerForm):
-                    i = i_delta_closed_power_form(q, spec.lambda_kind.s, m, delta)
+                if spec.family.s is None:
+                    i = i_delta_closed_divisor_form(spec)
                 else:
-                    i = i_delta_closed_divisor_form(q, spec.lam, m, delta)
+                    i = i_delta_closed_power_form(spec)
                 assert dual_lower_bound(spec) == i + 1
 
 
@@ -179,7 +175,7 @@ class TestClosedMatchesDirect:
         spec = bch_spec(q, m, 2, **kw)
         table = coset_table(spec.n, q)
         try:
-            intervals = dually_bch_closed_intervals(q, m, spec.lambda_kind, table)
+            intervals = dually_bch_closed_intervals(spec.family, table)
         except ValueError:
             return  # theorem hypotheses not met (e.g. m too small)
         for delta in range(2, spec.n + 1):
@@ -327,36 +323,35 @@ class TestDuallyBchClosed:
             dually_bch_closed(bch_spec(2, 4, 3, s=2))  # m/s < 3
 
     def test_intervals_of_the_anchor_families(self):
-        def intervals(q, m, n, kind):
-            return dually_bch_closed_intervals(q, m, kind, coset_table(n, q))
+        def intervals(family):
+            return dually_bch_closed_intervals(family, coset_table(family.n, family.q))
         # binary s = 1: {2, 3} and every delta above delta2 = 27 mod 63
-        assert intervals(2, 6, 63, PowerForm(1)) == ((2, 3), (28, 63))
-        assert intervals(3, 9, 757, PowerForm(3)) == ((389, 757),)
-        assert intervals(5, 4, 312, DivisorOfQMinus1(2)) == ((248, 312),)
+        assert intervals(Family(2, 6, s=1)) == ((2, 3), (28, 63))
+        assert intervals(Family(3, 9, s=3)) == ((389, 757),)
+        assert intervals(Family(5, 4, lam=2)) == ((248, 312),)
         # lambda = 1: delta = 2 and every delta above delta2 = 14 mod 26
-        assert intervals(3, 3, 26, DivisorOfQMinus1(1)) == ((2, 2), (15, 26))
+        assert intervals(Family(3, 3, lam=1)) == ((2, 2), (15, 26))
 
     def test_intervals_refuse_what_the_criterion_refuses(self):
-        for q, m, kind, n in [(2, 4, PowerForm(1), 15), (3, 3, PowerForm(1), 13),
-                              (2, 4, PowerForm(2), 5)]:
+        for family in [Family(2, 4, s=1), Family(3, 3, s=1), Family(2, 4, s=2)]:
             with pytest.raises(ValueError):
-                dually_bch_closed_intervals(q, m, kind, coset_table(n, q))
-        with pytest.raises(ValueError, match="table does not match"):
-            dually_bch_closed_intervals(2, 6, PowerForm(1), coset_table(21, 2))
+                dually_bch_closed_intervals(family, coset_table(family.n, family.q))
+        with pytest.raises(ValueError, match=r"table is for \(n=21, q=2\)"):
+            dually_bch_closed_intervals(Family(2, 6, s=1), coset_table(21, 2))
 
     def test_intervals_are_ordered_and_end_at_n(self):
         inside = 0
-        for q, m, kw, n in theorem_families(1000):
-            table = coset_table(n, q)
+        for family in theorem_families(1000):
+            n = family.n
+            table = coset_table(n, family.q)
             try:
-                got = dually_bch_closed_intervals(
-                    q, m, bch_spec(q, m, 2, **kw).lambda_kind, table)
+                got = dually_bch_closed_intervals(family, table)
             except ValueError:
                 continue  # outside the threshold theorems' hypotheses
             inside += 1
-            assert got and all(2 <= lo <= hi <= n for lo, hi in got), (q, m, kw, got)
-            assert all(a[1] < b[0] for a, b in zip(got, got[1:])), (q, m, kw, got)
-            assert got[-1][1] == n, (q, m, kw, got)
+            assert got and all(2 <= lo <= hi <= n for lo, hi in got), (family, got)
+            assert all(a[1] < b[0] for a, b in zip(got, got[1:])), (family, got)
+            assert got[-1][1] == n, (family, got)
         assert inside == 318
 
 
@@ -424,15 +419,16 @@ class TestBoundReport:
         # oracle table is a new object on the same leaders, so it has no
         # memo and scans T_perp for its own delta
         pairs = 0
-        for q, m, kw, n in theorem_families(400):
+        for family in theorem_families(400):
+            q, n = family.q, family.n
             table = coset_table(n, q)
             deltas = list(range(2, n + 1))
             random.Random(n * q).shuffle(deltas)
             for delta in deltas:
-                spec = bch_spec(q, m, delta, **kw)
+                spec = BchSpec(family, delta)
                 fresh = CosetTable(n, q, table.leader_of, table.leaders)
                 assert bound_report(spec, table) == bound_report(spec, fresh), \
-                    (q, m, kw, delta)
+                    (family, delta)
             pairs += n - 1
         assert pairs == 31_236
 
@@ -520,7 +516,8 @@ class TestDeltaSweep:
     def test_matches_oracle_on_theorem_sweep(self, direct_oracle):
         # every theorem family with n <= 1000
         pairs = 0
-        for q, _, _, n in theorem_families(1000):
+        for family in theorem_families(1000):
+            q, n = family.q, family.n
             assert delta_sweep(coset_table(n, q)) == direct_oracle(q, n), (q, n)
             pairs += n - 1
         assert pairs == 149_339

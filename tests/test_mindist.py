@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dualbch.bch import (
+    BchSpec,
     bch_spec,
     defining_set,
     dual_code_params,
@@ -139,20 +140,21 @@ def same_search(a, b):
 
 def binary_theorem_duals(max_n, max_k):
     """Generator matrices of every distinct binary theorem-family dual."""
-    for q, m, kw, n in theorem_families(max_n):
-        if q != 2:
+    for family in theorem_families(max_n):
+        m, n = family.m, family.n
+        if family.q != 2:
             continue
         ctx = field_new(2, m)
         table = coset_table(n, 2)
         seen = set()
         for delta in range(2, n + 1):
-            spec = bch_spec(2, m, delta, **kw)
+            spec = BchSpec(family, delta)
             t = defining_set(spec, table)
             if np.count_nonzero(t) > max_k:
                 break  # T only grows with delta
             if t.tobytes() not in seen:
                 seen.add(t.tobytes())
-                yield (m, kw, delta), generator_matrix(dual_code_params(spec, ctx, table))
+                yield (family, delta), generator_matrix(dual_code_params(spec, ctx, table))
 
 
 class TestPackedKernel:

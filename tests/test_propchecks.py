@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from dualbch.bch import (
-    DivisorOfQMinus1,
-    PowerForm,
+    Family,
     bch_spec,
     defining_set,
     dual_defining_set,
@@ -137,7 +136,7 @@ class TestFloorElementsAgainstReference:
 
 class TestMembership:
     def test_power_form_element_13(self):
-        result = check_tperp_leader_membership(3, PowerForm(2), 6)
+        result = check_tperp_leader_membership(Family(3, 6, s=2))
         assert result.ok
         assert result.parameter_grid == (("t=1", 2, 10, 13),)
 
@@ -151,7 +150,7 @@ class TestMembership:
         assert int(table.leader_of[13]) == 13
 
     def test_divisor_form_three_sections(self):
-        result = check_tperp_leader_membership(5, DivisorOfQMinus1(2), 4)
+        result = check_tperp_leader_membership(Family(5, 4, lam=2))
         assert result.ok
         assert result.parameter_grid == (
             ("low_delta", 2, 3, 237),
@@ -181,14 +180,33 @@ class TestMembership:
         assert ("probe", None, 6, "not a coset leader") in fails
 
     def test_hypothesis_violations_rejected(self):
-        with pytest.raises(ValueError):
-            check_tperp_leader_membership(3, PowerForm(1), 6)  # needs s > 1
-        with pytest.raises(ValueError):
-            check_tperp_leader_membership(3, DivisorOfQMinus1(1), 4)  # q <= 3
-        with pytest.raises(ValueError):
-            check_tperp_leader_membership(5, DivisorOfQMinus1(4), 4)  # lam = q-1
-        with pytest.raises(TypeError):
-            check_tperp_leader_membership(5, "divisor", 4)
+        with pytest.raises(ValueError, match="need s > 1"):
+            check_tperp_leader_membership(Family(3, 6, s=1))
+        with pytest.raises(ValueError, match="need q > 3"):
+            check_tperp_leader_membership(Family(3, 4, lam=1))
+        with pytest.raises(ValueError, match="need s > 1"):
+            check_tperp_leader_membership(Family(5, 4, lam=4))  # lam = q-1 is s = 1
+        with pytest.raises(ValueError, match="m/s = 4/2 < 3"):
+            check_tperp_leader_membership(Family(3, 4, s=2))
+
+
+class TestPrimePowerRequired:
+    # q = 6 and q = 10 are no prime powers, so there is no GF(q) and no code
+    def test_leader_floor_power_form(self):
+        with pytest.raises(ValueError, match="q=6 is not a prime power"):
+            check_leader_floor_power_form(6, 1, 3)
+
+    def test_leader_floor_divisor_form(self):
+        with pytest.raises(ValueError, match="q=10 is not a prime power"):
+            check_leader_floor_divisor_form(10, 3, 3)
+
+    def test_membership(self):
+        with pytest.raises(ValueError, match="q=10 is not a prime power"):
+            check_tperp_leader_membership(Family(10, 3, lam=3))
+        with pytest.raises(ValueError, match="q=10 is not a prime power"):
+            run_grid({"schema": MANIFEST_SCHEMA, "grids": [
+                {"lemma_id": "tperp_leader_membership",
+                 "cases": [{"q": 10, "kind": "divisor", "lam": 3, "m": 3}]}]})
 
 
 class TestManifestAndRunner:
@@ -331,8 +349,11 @@ class TestManifestAndRunner:
          r"s=2 must be a positive divisor of m=5"),
         ("tperp_leader_membership", {"q": 3, "kind": "power", "s": 1, "m": 6},
          r"need s > 1"),
-        ("tperp_leader_membership", {"q": 5, "kind": "divisor", "lam": 4, "m": 4},
+        ("tperp_leader_membership", {"q": 3, "kind": "divisor", "lam": 1, "m": 4},
          r"need q > 3 and 1 < lam < q-1"),
+        # lam = q - 1 is the power form s = 1
+        ("tperp_leader_membership", {"q": 5, "kind": "divisor", "lam": 4, "m": 4},
+         r"need s > 1"),
         ("leader_floor_power_form", {"q": 2, "s": 2, "m": 4}, r"m/s = 4/2 < 3"),
         ("leader_floor_power_form", {"q": 6, "s": 1, "m": 3}, r"q=6 is not a prime power"),
         ("leader_floor_divisor_form", {"q": 10, "lam": 3, "m": 3},
