@@ -3,14 +3,16 @@
 The coset of a modulo n is {a q^j mod n}; its leader is the smallest member.
 coset_table computes the full int32 leader array, and the leaders in
 ascending order, for n up to MAX_N = 2^24.  Its build depends on n and on
-m = ord_n(q).  For n >= 2^16 and m <= 64 (every (q^m - 1)/lambda within
-MAX_N has m <= 24), a sieve over blocks of residues keeps a only while
-a <= a q^j mod n for every j in [1, m), which leaves exactly the leaders,
-and m scatters write each leader over its orbit.  Otherwise it doubles
-pointers on i -> q i mod n, ceil(log2 m) passes over Z_n, and lists the
-leaders as the fixed points of the leader array.  The sieve makes up to m
-numpy calls per block of residues and m scatters, so it loses to the
-doubling on small tables and takes minutes where m is close to n.
+m = ord_n(q), which multiplicative_order finds from phi(n) and the
+trial-division factorings of n and phi(n) (intmath.factorize).  For
+n >= 2^16 and m <= 64 (every (q^m - 1)/lambda within MAX_N has m <= 24),
+a sieve over blocks of residues keeps a only while a <= a q^j mod n for
+every j in [1, m), which leaves exactly the leaders, and m scatters write
+each leader over its orbit.  Otherwise it doubles pointers on
+i -> q i mod n, ceil(log2 m) passes over Z_n, and lists the leaders as the
+fixed points of the leader array.  The sieve makes up to m numpy calls per
+block of residues and m scatters, so it loses to the doubling on small
+tables and takes minutes where m is close to n.
 
 largest_leaders_closed_form evaluates the known closed expressions for the
 largest coset leaders for three modulus families:
@@ -28,7 +30,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from sympy import n_order
+
+from .intmath import factorize
 
 MAX_N = 1 << 24  # largest code length or modulus accepted; tables are O(n) int32
 _SIEVE_BLOCK = 1 << 15  # residues per sieve block: its int64 temporaries stay small
@@ -51,10 +54,25 @@ def plainly_above_max_n(q: int, m: int, lam: int = 1, s: int | None = None) -> b
 
 
 def multiplicative_order(q: int, n: int) -> int:
-    """Order of q in (Z/n)^*; n = 1 gives 1."""
+    """Order of q in (Z/n)^*; n = 1 gives 1, and gcd(q, n) > 1 raises ValueError.
+
+    The order divides phi(n), so it starts there and drops each prime factor
+    of phi(n) while q to the smaller exponent is still 1.
+    """
+    if n < 1:
+        raise ValueError(f"n={n} must be >= 1")
+    if math.gcd(q, n) != 1:
+        raise ValueError(f"gcd(q, n) = {math.gcd(q, n)} != 1: q={q} is not a unit mod n={n}")
     if n == 1:
         return 1
-    return int(n_order(q, n))
+    phi = math.prod(p ** (e - 1) * (p - 1) for p, e in factorize(n).items())
+    order = phi
+    for p, e in factorize(phi).items():
+        for _ in range(e):
+            if pow(q, order // p, n) != 1:
+                break
+            order //= p
+    return order
 
 
 class CosetTable:

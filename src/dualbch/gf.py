@@ -12,7 +12,13 @@ order (see field_new), so every run (and every implementation following
 the same rule) picks the same primitive element alpha.  An element is the
 int in [0, q^k) whose base-q digits are its coordinates, each a packed
 GF(q) scalar, constant term least significant.  So GF(q) is the ints
-below q, and 0 and 1 are the field's zero and one.
+below q, and 0 and 1 are the field's zero and one.  Up to MAX_TABLE_ORDER,
+a field keeps exp/log tables, built in log2(q^k) doubling rounds of small
+GF(p) matrix products.
+
+The number theory is intmath's: prime_power tests the base of the largest
+perfect power of q for primality, and field_new's primitivity test divides
+q^k - 1 by each of its primes, found by trial division and Pollard-Brent rho.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from sympy import factorint, isprime, perfect_power
+
+from .intmath import factorize, is_prime, perfect_power
 
 MAX_TABLE_ORDER = 1 << 16  # exp/log tables only below this field order
 # ScalarField keeps q x q int32 tables plus their list forms, about
@@ -36,8 +43,8 @@ def prime_power(q: int):
     """
     if q < 2:
         return None
-    p, e = perfect_power(q) or (q, 1)
-    return (int(p), int(e)) if isprime(p) else None
+    p, e = perfect_power(q)
+    return (p, e) if is_prime(p) else None
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +109,9 @@ class FieldCtx:
     Elements are ints in [0, q^k): the base-q digits of an element are its
     coordinates, packed GF(q) scalars, lowest degree first.  Immutable
     after construction; all operations are pure.  Exp/log tables (lists)
-    are built lazily for orders up to MAX_TABLE_ORDER, and mul, pow and inv
-    are then lookups; beyond that, they fall back to polynomial arithmetic
-    on the digits.
+    are built lazily, by doubling, for orders up to MAX_TABLE_ORDER, and
+    mul, pow and inv are then lookups; beyond that, they fall back to
+    polynomial arithmetic on the digits.
     """
 
     def __init__(self, q, k, modulus):
@@ -136,23 +143,25 @@ class FieldCtx:
         """
         if self.order > MAX_TABLE_ORDER:
             return None
-        q, k = self.q, self.k
-        add, sub, mul = self.field.lists
-        # the generator is a root of the modulus (x itself when k > 1), so
-        # multiplying by it shifts the coordinates up one degree and replaces
-        # the overflowing top * x^k term by top times the reduction of x^k,
-        # one precomputed row per top coordinate
-        x_k = [sub[0][c] for c in self.modulus[:k]]
-        reduce_rows = [[mul[top][r] for r in x_k] for top in range(q)]
-        cur = [1] + [0] * (k - 1)
-        powers = []
-        for _ in range(self.order - 1):
-            powers.append(cur)
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                cur = [add[c][r] for c, r in zip(cur, reduce_rows[top])]
-        exp = np.array(powers, dtype=np.int64) @ (q ** np.arange(k, dtype=np.int64))
+        q, k, p = self.q, self.k, self.field.p
+        # over GF(p), an element's coordinates are the ek base-p digits of
+        # its int, and multiplying by a fixed element is a linear map: row r
+        # of its matrix holds the digits of p^r times that element.  So the
+        # powers alpha^L..alpha^(2L-1) are the rows alpha^0..alpha^(L-1)
+        # times the matrix of alpha^L, and squaring that matrix doubles L.
+        ek = self.field.e * k
+        gen = _digits(self.generator, q, k)
+
+        def times_alpha(v):
+            return _from_digits(_poly_mulmod(_digits(v, q, k), gen, self.modulus, self.field), q)
+
+        step = np.array([_digits(times_alpha(p**r), p, ek) for r in range(ek)], dtype=np.int64)
+        powers = np.eye(1, ek, dtype=np.int64)
+        while len(powers) < self.order - 1:
+            more = powers[:self.order - 1 - len(powers)] @ step % p
+            powers = np.concatenate([powers, more])
+            step = step @ step % p
+        exp = powers @ p ** np.arange(ek, dtype=np.int64)
         log = np.full(self.order, -1, dtype=np.int64)
         log[exp] = np.arange(self.order - 1, dtype=np.int64)
         return exp.tolist(), log.tolist()
@@ -199,7 +208,7 @@ def field_new(q: int, k: int) -> FieldCtx:
     if q**k - 1 >= (1 << 63):
         raise ValueError(f"q^k-1 = {q**k - 1} does not fit in 63 bits")
     n1 = q**k - 1
-    prime_divisors = [int(r) for r in factorint(n1)] if n1 > 1 else []
+    prime_divisors = list(factorize(n1))
     one = _digits(1, q, k)
     for j in range(q**k):
         if j % q == 0:

@@ -147,10 +147,16 @@ class TestCosets:
         assert code == 1
         assert "dualbch cosets: error: argument --top" in err
 
-    def test_q_not_a_prime_power_exits_1(self, capsys):
-        code, out, err = run(capsys, "cosets", "--q", "6", "--n", "35")
+    @pytest.mark.parametrize("q", [6, 10**4299 + 1, 6**5525],
+                             ids=["6", "10^4299+1", "6^5525"])
+    @pytest.mark.parametrize("argv", [["cosets", "--n", "35"],
+                                      ["dual-bound", "--m", "2", "--lambda", "1", "--delta", "2"]],
+                             ids=["cosets", "dual-bound"])
+    def test_q_not_a_prime_power_exits_1(self, capsys, q, argv):
+        # up to the 4300 digits that int() parses
+        code, out, err = run(capsys, argv[0], "--q", str(q), *argv[1:])
         assert (code, out) == (1, "")
-        assert "dualbch cosets: error: q=6 is not a prime power" in err
+        assert err == f"dualbch {argv[0]}: error: q={q} is not a prime power\n"
 
     def test_large_composite_q_exits_1_at_once(self):
         # a 60-digit product of two primes: factorising it would take minutes,

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from sympy import factorint
+from sympy import factorint, isprime
+from sympy import perfect_power as sympy_perfect_power
 
 import dualbch.gf as gf
 from dualbch.gf import (
     MAX_SCALAR_Q,
+    MAX_TABLE_ORDER,
     Poly,
     _poly_mulmod,
     field_new,
@@ -19,6 +21,7 @@ from dualbch.gf import (
     rref_gf2,
     scalar_field,
 )
+from dualbch.intmath import factorize
 from dualbch.mindist import _PackedWords
 
 
@@ -42,6 +45,30 @@ def prime_power_by_factorint(q):
 
 
 NON_PRIME_Q = [q for q in range(4, 257) if (prime_power_by_factorint(q) or (0, 1))[1] > 1]
+
+
+def tables_by_steps(ctx):
+    """FieldCtx._tables one power of alpha at a time: the loop the doubling replaced."""
+    q, k = ctx.q, ctx.k
+    add, sub, mul = ctx.field.lists
+    # the generator is a root of the modulus (x itself when k > 1), so
+    # multiplying by it shifts the coordinates up one degree and replaces
+    # the overflowing top * x^k term by top times the reduction of x^k,
+    # one precomputed row per top coordinate
+    x_k = [sub[0][c] for c in ctx.modulus[:k]]
+    reduce_rows = [[mul[top][r] for r in x_k] for top in range(q)]
+    cur = [1] + [0] * (k - 1)
+    powers = []
+    for _ in range(ctx.order - 1):
+        powers.append(cur)
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [add[c][r] for c, r in zip(cur, reduce_rows[top])]
+    exp = np.array(powers, dtype=np.int64) @ (q ** np.arange(k, dtype=np.int64))
+    log = np.full(ctx.order, -1, dtype=np.int64)
+    log[exp] = np.arange(ctx.order - 1, dtype=np.int64)
+    return exp.tolist(), log.tolist()
 
 
 def naive_order(ctx, x):
@@ -99,6 +126,36 @@ class TestFieldNew:
         for i, v in enumerate(exp):
             log[v] = i
         assert ctx._tables == (exp, log)
+
+    def test_exp_log_tables_match_step_loop(self):
+        # every field with tables and q <= 256: k >= 2 needs q <= 256, and the
+        # prime fields above 256 cost seconds of GF(q) table builds; four of
+        # them stand in for the rest
+        qs = [q for q in range(2, 257) if prime_power(q)] + [1024, 1331, 2039, 2048]
+        for q in qs:
+            for k in range(1, 17):
+                if q**k > MAX_TABLE_ORDER:
+                    break
+                ctx = field_new(q, k)
+                assert ctx._tables == tables_by_steps(ctx), (q, k)
+            if q > 256:
+                # GF(2048) keeps about 150 MB of cached tables, which would
+                # stay alive, and slow every gc pass, for the rest of the run
+                gf.scalar_field.cache_clear()
+
+    def test_prime_divisors_match_factorint(self):
+        # the primitivity test divides q^k - 1 by each of its primes, so the
+        # same primes give the same first primitive modulus
+        for q in range(2, MAX_SCALAR_Q + 1):
+            if prime_power(q):
+                for k in range(1, 21):
+                    if q**k > 1 << 20:
+                        break
+                    assert list(factorize(q**k - 1)) == sorted(factorint(q**k - 1)), (q, k)
+
+    @pytest.mark.parametrize("k,taps", [(40, (0, 3, 4, 5, 40)), (62, (0, 3, 5, 6, 62))])
+    def test_large_binary_moduli_pinned(self, k, taps):
+        assert field_new(2, k).modulus == tuple(int(i in taps) for i in range(k + 1))
 
 
 # field_new(p, k).modulus for prime p, pinned: these moduli fix alpha, and so
@@ -274,6 +331,17 @@ class TestPrimePower:
         # to split, and the square of the 31-digit prime 10^30 + 57
         assert prime_power(100000000000000000000000000324700000000000000000000000018183) is None
         assert prime_power((10**30 + 57) ** 2) == (10**30 + 57, 2)
+
+    @pytest.mark.parametrize("q", [3**9000, 10**4299 + 1, 6**5525, 2**14283,
+                                   (10**30 + 57) ** 143, 7**5000 - 1],
+                             ids=["3^9000", "10^4299+1", "6^5525", "2^14283",
+                                  "(10^30+57)^143", "7^5000-1"])
+    def test_4300_digits(self, q):
+        # as many digits as the CLI parses; factorint cannot split 10^4299 + 1,
+        # so the oracle is the route through sympy's perfect_power and isprime
+        assert len(str(q)) <= 4300
+        b, e = sympy_perfect_power(q) or (q, 1)
+        assert prime_power(q) == ((int(b), int(e)) if isprime(b) else None)
 
 
 class TestPoly:
