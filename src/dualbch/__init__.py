@@ -12,7 +12,8 @@ The top-level namespace re-exports the working API:
 - dual-distance lower bounds, dually-BCH tests and the one-pass delta
   sweep (:mod:`dualbch.dualtools`),
 - minimum-distance certification (:mod:`dualbch.mindist`): ``certify`` is
-  the one distance search, exhaustive or information-set,
+  the one distance search, exhaustive or information-set, for the codes
+  that ``search_fits``,
 - grid-based property sweeps (:mod:`dualbch.propchecks`).
 """
 
@@ -61,10 +62,10 @@ from .gf import (
     scalar_field,
 )
 from .mindist import (
-    BudgetExceeded,
     DistanceCertificate,
     certify,
     in_row_space,
+    search_fits,
 )
 from .propchecks import (
     MANIFEST_SCHEMA,
@@ -81,7 +82,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BchSpec",
     "BoundReport",
-    "BudgetExceeded",
     "CodeParams",
     "CosetTable",
     "DistanceCertificate",
@@ -126,5 +126,6 @@ __all__ = [
     "prior_bounds",
     "run_grid",
     "scalar_field",
+    "search_fits",
     "theorem_families",
 ]

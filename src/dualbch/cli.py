@@ -52,7 +52,7 @@ from .dualtools import (
     dually_bch_direct,
 )
 from .gf import field_new, prime_power
-from .mindist import DEFAULT_BUDGET, DEFAULT_TRIALS, certify
+from .mindist import DEFAULT_BUDGET, DEFAULT_TRIALS, MAX_SEARCH_ELEMS, certify, search_fits
 from .propchecks import load_grid_manifest, run_grid
 
 NO_CLOSED_FORM_S = "n/a (s>1: no closed form)"
@@ -357,6 +357,9 @@ def cmd_dual_bound(args) -> int:
             raise CliError(f"{e} (pass --force-direct for the direct scan only)") from None
     table = coset_table(spec.n, spec.q)
     rep = bound_report(spec, table)
+    if args.certify and not search_fits(spec.q, rep.dual_dim, spec.n):
+        raise CliError(f"--certify: q*dual_dim*n = {spec.q * rep.dual_dim * spec.n} "
+                       f"exceeds the search cap {MAX_SEARCH_ELEMS}")
 
     report = Report("dual-bound", {
         "q": spec.q, "m": spec.m, "lambda": spec.lam, "delta": spec.delta,

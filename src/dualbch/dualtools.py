@@ -21,6 +21,9 @@ bound then gives d_perp >= I(delta) + 1.  This module computes
     between two consecutive coset leaders, where T_perp does not change,
     and keeps those direct columns on the table.
 
+Every function here that reads a coset table takes it as a required
+argument; none builds its own.
+
 Direct and closed-form routes are implemented independently; their
 agreement is the cross-check the test suite enforces.
 """
@@ -41,7 +44,7 @@ from .bch import (
     defining_set,
     dual_defining_set,
 )
-from .cyclotomic import CosetTable, coset_table, largest_leaders
+from .cyclotomic import CosetTable, largest_leaders
 
 
 @dataclass(frozen=True)
@@ -349,10 +352,8 @@ def dually_bch_closed_intervals(family: Family,
     return (isolated, (largest_leaders(table, 2)[1] + 1, family.n))
 
 
-def dually_bch_closed(spec: BchSpec, table: CosetTable | None = None) -> bool:
+def dually_bch_closed(spec: BchSpec, table: CosetTable) -> bool:
     """Whether delta lies in its family's dually_bch_closed_intervals."""
-    if table is None:
-        table = coset_table(spec.n, spec.q)
     intervals = dually_bch_closed_intervals(spec.family, table)
     return any(lo <= spec.delta <= hi for lo, hi in intervals)
 
@@ -361,7 +362,7 @@ def dually_bch_closed(spec: BchSpec, table: CosetTable | None = None) -> bool:
 # assembled report
 # ---------------------------------------------------------------------------
 
-def bound_report(spec: BchSpec, table: CosetTable | None = None) -> BoundReport:
+def bound_report(spec: BchSpec, table: CosetTable) -> BoundReport:
     """Compute every direct quantity and every applicable closed form.
 
     Pass one table to every delta of a family: the direct columns are
@@ -370,10 +371,9 @@ def bound_report(spec: BchSpec, table: CosetTable | None = None) -> BoundReport:
     delta, because T = C_1 u ... u C_{delta-1} and so T_perp stay the same
     between two consecutive leaders.  The table keeps them, with |T|, in
     its direct_rows, keyed by k.  The closed forms and prior bounds are
-    evaluated for every delta, so the two routes stay independent.
+    evaluated for every delta, so the two routes stay independent.  Raises
+    ValueError on a table of another (n, q).
     """
-    if table is None:
-        table = coset_table(spec.n, spec.q)
     check_table(spec, table)
     k = int(np.searchsorted(table.leaders, spec.delta))
     row = table.direct_rows.get(k)

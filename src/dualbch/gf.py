@@ -465,23 +465,10 @@ class Poly:
             rem[i - db:i + 1] = f.sub_t[rem[i - db:i + 1], f.mul_t[fac, b]]
         return Poly(quo, f), Poly(rem, f)
 
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def monic(self):
         if self.is_zero or self.is_monic:
             return self
         return self.scale(int(self.field.inv_t[self.coeffs[-1]]))
-
-    def gcd(self, other):
-        """Monic greatest common divisor."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic() if not a.is_zero else a
 
     def reciprocal(self):
         """x^deg * p(1/x): the coefficient sequence reversed."""

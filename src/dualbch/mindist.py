@@ -1,7 +1,7 @@
 """Minimum-distance certificates: exhaustive enumeration or information-set search.
 
-certify is the one public search.  When q^k fits the budget it exhausts the
-row space (_exhaustive_best): all q^k messages of a k-dimensional code are
+certify is the one public search.  Unless search_fits, it refuses the code.
+When q^k fits the budget it exhausts the row space (_exhaustive_best): all q^k messages of a k-dimensional code are
 walked in mixed-radix Gray order, so each step updates the running codeword
 by a single scalar multiple of one generator row.  A block of low-order
 message digits is materialized as a matrix once, making the inner loop one
@@ -50,10 +50,7 @@ DEFAULT_BUDGET = 1 << 26
 DEFAULT_TRIALS = 20000
 _BLOCK_CAP = 4096  # max rows of the materialized low-digit block
 _BLOCK_ELEMS = 1 << 22  # max rows * n of that block; binds only for n > 1024
-
-
-class BudgetExceeded(RuntimeError):
-    """q^k exceeds the enumeration budget; use certification instead."""
+MAX_SEARCH_ELEMS = 1 << 26  # q k n cap: at most ~13 bytes/element measured, so < 1 GB
 
 
 @dataclass(frozen=True)
@@ -204,15 +201,21 @@ def _block_digits(q: int, k: int, n: int) -> int:
     return k_lo
 
 
-def _exhaustive_best(gen: np.ndarray, field: ScalarField, budget: int,
-                     words=None) -> _Search:
+def search_fits(q: int, k: int, n: int) -> bool:
+    """Whether certify may search a [n, k] code over GF(q): q k n <= MAX_SEARCH_ELEMS.
+
+    Each matrix either engine builds has under q k n elements, but the Gray
+    walk's block of at most _BLOCK_ELEMS elements or q rows.
+    """
+    return q * k * n <= MAX_SEARCH_ELEMS
+
+
+def _exhaustive_best(gen: np.ndarray, field: ScalarField, words=None) -> _Search:
     """Lightest nonzero codeword; exact.  words defaults to _words_for."""
     k, n = gen.shape
     q = field.q
     if k == 0:
         raise ValueError("empty code: no nonzero codewords")
-    if q**k > budget:
-        raise BudgetExceeded(f"q^k = {q**k} exceeds budget {budget}")
     words = words or _words_for(field, n)
     rows = words.pack(gen)
     # split rows: low block materialized fully, high rows walked in Gray order
@@ -306,8 +309,12 @@ def certify(params: CodeParams, bounds: BoundReport,
     Exhausts the row space when q^k <= budget (status "exact"); otherwise
     brackets between the best closed-form/BCH-run lower bound and the best
     information-set witness.  The witness is re-verified for membership.
+    Raises ValueError, before any matrix is built, unless search_fits.
     """
     field = params.generator.field
+    q, k, n = field.q, params.k, params.n
+    if not search_fits(q, k, n):
+        raise ValueError(f"q*k*n = {q * k * n} exceeds the search cap {MAX_SEARCH_ELEMS}")
     gen = generator_matrix(params)
     closed = bounds.lower_bound_closed
     direct = bounds.lower_bound_direct
@@ -315,10 +322,10 @@ def certify(params: CodeParams, bounds: BoundReport,
         lower, source = closed, "closed_form_bound"
     else:
         lower, source = direct, "cyclic_run_bound"
-    try:
-        found = _exhaustive_best(gen, field, budget)
+    if q**k <= budget:
+        found = _exhaustive_best(gen, field)
         lower, source, method, used_seed = found.weight, "exhaustive", "exhaustive", None
-    except BudgetExceeded:
+    else:
         found = _isd_best(gen, field, lower, trials, seed)
         method, used_seed = "information_set", seed
     upper, cw = found.weight, found.witness

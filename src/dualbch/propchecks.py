@@ -8,14 +8,15 @@ leader").  This module re-checks those claims by direct enumeration over their
 full hypothesis grids, so a formula bug or a transcription slip shows up as a
 concrete counterexample rather than a silently wrong bound.
 
-Each check takes a valid :class:`~dualbch.bch.Family` or builds one from its
-(q, s|lam, m), so a q that is not a prime power is refused, and then checks
-only its own hypotheses.  Each returns a :class:`PropResult` whose
-``failures`` tuple is expected to be empty.  :func:`run_grid` runs a
-manifest of cases, one coset table at a time.  The default manifest is built
-here from every parameter tuple inside the checks' hypotheses up to fixed
-size cutoffs (see :func:`load_grid_manifest`); other grids are JSON files in
-the same schema.
+Each check takes a :class:`~dualbch.bch.Family`, valid by construction, and
+the coset table it reads, refused by :func:`~dualbch.bch.check_table` unless
+it is modulo the right length: q^m - 1 for the floor checks, n for the
+membership check.  A check then tests only its own hypotheses, and returns
+a :class:`PropResult` whose ``failures`` tuple is expected to be empty.
+:func:`run_grid` runs a manifest of cases, one coset table at a time.
+:func:`load_grid_manifest` builds the default manifest from every parameter
+tuple inside the checks' hypotheses up to fixed size cutoffs; other grids
+are JSON files in the same schema.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bch import Family, _divisors, theorem_families
+from .bch import Family, _divisors, check_table, theorem_families
 from .cyclotomic import MAX_N, CosetTable, _reduce_mod, coset_table
 from .dualtools import validate_divisor_form, validate_power_form
 
@@ -59,14 +60,9 @@ class PropResult:
         return not self.failures
 
 
-def _own_table(order: int, q: int, table: CosetTable | None) -> CosetTable:
-    if table is None:
-        return coset_table(order, q)
-    if table.n != order or table.q != q:
-        raise ValueError(
-            f"table is modulo {table.n} base {table.q}, need modulo {order} base {q}"
-        )
-    return table
+def _primitive(family: Family) -> Family:
+    """The family of length q^m - 1, whose coset table the floor checks read."""
+    return Family(family.q, family.m, lam=1)
 
 
 def _progression_mod(c: int, step: int, u_hi: int, order: int) -> np.ndarray:
@@ -79,18 +75,18 @@ def _progression_mod(c: int, step: int, u_hi: int, order: int) -> np.ndarray:
     return _reduce_mod(elems, order)
 
 
-def check_leader_floor_power_form(
-    q: int, s: int, m: int, table: CosetTable | None = None
-) -> PropResult:
+def check_leader_floor_power_form(family: Family, table: CosetTable) -> PropResult:
     """Check that CL(q^{ts}-1 + (q^s-1)*u*q^{ts}) mod q^m-1 is >= q^{ts+s}-1.
 
     Sweeps every t in [1, m/s-2] and u in [1, (q^{m-ts}-1)/(q^s-1) - 1].
     These floors pin the large coset leaders that make the dual defining set
     of a power-form code start with a long run of consecutive elements.
+    table is the coset table modulo q^m - 1.
     """
-    validate_power_form(Family(q, m, s=s))
-    order = q**m - 1
-    table = _own_table(order, q, table)
+    validate_power_form(family)
+    check_table(_primitive(family), table)
+    q, s, m = family.q, family.s, family.m
+    order = table.n
     lead = table.leader_of
     grid: list[tuple] = []
     failures: list[tuple] = []
@@ -107,20 +103,19 @@ def check_leader_floor_power_form(
     return PropResult("leader_floor_power_form", tuple(grid), tuple(failures))
 
 
-def check_leader_floor_divisor_form(
-    q: int, lam: int, m: int, table: CosetTable | None = None
-) -> PropResult:
+def check_leader_floor_divisor_form(family: Family, table: CosetTable) -> PropResult:
     """Check that CL((lam*u+1)*q^{t+1} - q + lam*s) mod q^m-1 exceeds
     q^{t+1} - q + lam*s (strictly).
 
     Sweeps every s in [1, (q-1)/lam - 1], t in [0, m-2] and
     u in [1, (q^{m-t}-1)/lam - s*q^{m-t-1} - 1].  The element is reduced
-    modulo q^m-1 before the coset lookup since the raw value can exceed the
-    modulus.
+    modulo q^m-1, the modulus of table, before the coset lookup since the
+    raw value can exceed the modulus.
     """
-    validate_divisor_form(Family(q, m, lam=lam))
-    order = q**m - 1
-    table = _own_table(order, q, table)
+    validate_divisor_form(family)
+    check_table(_primitive(family), table)
+    q, lam, m = family.q, family.lam, family.m
+    order = table.n
     lead = table.leader_of
     grid: list[tuple] = []
     failures: list[tuple] = []
@@ -176,9 +171,7 @@ def _membership_hypotheses(family: Family) -> None:
         validate_power_form(family)
 
 
-def check_tperp_leader_membership(
-    family: Family, table: CosetTable | None = None
-) -> PropResult:
+def check_tperp_leader_membership(family: Family, table: CosetTable) -> PropResult:
     """Check the explicit dual-defining-set members used by the dually-BCH
     arguments: each claimed element is a coset leader modulo n and belongs to
     the dual defining set for every delta in its stated range.
@@ -188,11 +181,12 @@ def check_tperp_leader_membership(
     ((q^{ts}-1)/(q^s-1), (q^{(t+1)s}-1)/(q^s-1)].
 
     Divisor form (requires q > 3 and 1 < lam < q-1): three range/element
-    pairs covering delta from 2 up to n - q^{m-1}.
+    pairs covering delta from 2 up to n - q^{m-1}.  table is the coset
+    table modulo n.
     """
     _membership_hypotheses(family)
+    check_table(family, table)
     q, m, n = family.q, family.m, family.n
-    table = _own_table(n, q, table)
     grid: list[tuple] = []
     failures: list[tuple] = []
     if family.s is not None:
@@ -275,7 +269,7 @@ def load_grid_manifest(path: str | Path | None = None) -> dict:
         {"schema": "dualbch-prop-grids/1",
          "grids": [{"lemma_id": "<check name>", "cases": [{...}, ...]}, ...]}
 
-    Case objects carry the keyword arguments of the corresponding check:
+    Case objects carry the Family of the corresponding check:
     ``{"q", "s", "m"}`` for ``leader_floor_power_form``, ``{"q", "lam", "m"}``
     for ``leader_floor_divisor_form``, and ``{"q", "kind", "s"|"lam", "m"}``
     (``kind`` one of ``"power"``/``"divisor"``) for the membership checks.
@@ -311,55 +305,55 @@ def load_grid_manifest(path: str | Path | None = None) -> dict:
 
 
 def _plan_case(lemma_id: str, case: dict) -> tuple:
-    """(check, arguments, (modulus, base) of its coset table) for one case.
+    """(check, family, (modulus, base) of its coset table) for one case.
 
     Refuses, before any table exists, a case that is no valid Family, whose
     table modulus exceeds MAX_N, or that lies outside its check's hypotheses.
-    The floor checks' table is modulo q^m - 1, the length of lambda = 1.
+    A case gives one of s and lam; a membership case also names that form
+    as its kind, "power" or "divisor".  The checks are looked up by their
+    module names on each call, so a wrapper bound over a name is what runs.
     """
+    lemmas = {
+        "leader_floor_power_form": (check_leader_floor_power_form, validate_power_form),
+        "leader_floor_divisor_form": (check_leader_floor_divisor_form, validate_divisor_form),
+        "tperp_leader_membership": (check_tperp_leader_membership, _membership_hypotheses),
+    }
     if not isinstance(case, dict):
         raise ValueError(f"{lemma_id} case {case!r} is not an object")
     for key in ("q", "m", "s", "lam"):
         if key in case and type(case[key]) is not int:
             raise ValueError(f"{lemma_id} case {case}: {key} must be an integer")
+    if lemma_id not in lemmas:
+        raise ValueError(f"unknown lemma_id in manifest: {lemma_id!r}")
+    check, rules = lemmas[lemma_id]
     membership = lemma_id == "tperp_leader_membership"
     try:
-        if lemma_id == "leader_floor_power_form":
-            check, key, rules = check_leader_floor_power_form, "s", validate_power_form
-        elif lemma_id == "leader_floor_divisor_form":
-            check, key, rules = check_leader_floor_divisor_form, "lam", validate_divisor_form
-        elif membership:
-            if case["kind"] not in ("power", "divisor"):
-                raise ValueError(f"unknown membership kind: {case['kind']!r}")
-            check, rules = check_tperp_leader_membership, _membership_hypotheses
-            key = "s" if case["kind"] == "power" else "lam"
-        else:
-            raise ValueError(f"unknown lemma_id in manifest: {lemma_id!r}")
-        q, m, value = case["q"], case["m"], case[key]
+        q, m = case["q"], case["m"]
+        kind = case["kind"] if membership else None
     except KeyError as e:
         raise ValueError(f"{lemma_id} case {case} lacks {e}") from None
     try:
-        family = Family(q, m, **{key: value})
-        table_family = family if membership else Family(q, m, lam=1)
+        if membership and kind != ("power" if "s" in case else "divisor"):
+            raise ValueError(f"kind {kind!r} does not name the form of its s or lam")
+        family = Family(q, m, case.get("lam"), case.get("s"))
+        table_family = family if membership else _primitive(family)
         if table_family.plainly_above_max_n() or table_family.n > MAX_N:
             # the modulus itself may have too many digits to print
             raise ValueError(f"table modulus exceeds the size cap {MAX_N}")
         rules(family)
     except ValueError as e:
         raise ValueError(f"{lemma_id} case {case}: {e}") from None
-    return check, (family,) if membership else (q, value, m), (table_family.n, q)
+    return check, family, (table_family.n, q)
 
 
-def run_grid(manifest: dict | None = None) -> list[PropResult]:
+def run_grid(manifest: dict) -> list[PropResult]:
     """Run every check in the manifest and return results in manifest order.
 
     Cases with the same modulus/base share one coset table.  The cases are
     run in groups, one per table, in order of each table's first case; a
     table is built just before its group and dropped after it, so only one
-    table is alive at a time.  With no manifest, runs the default grid.
+    table is alive at a time.  load_grid_manifest() gives the default grid.
     """
-    if manifest is None:
-        manifest = load_grid_manifest()
     jobs = [
         _plan_case(grid["lemma_id"], case)
         for grid in manifest["grids"]
@@ -372,7 +366,7 @@ def run_grid(manifest: dict | None = None) -> list[PropResult]:
     for key, indices in groups.items():
         table = coset_table(*key)
         for i in indices:
-            check, args, _ = jobs[i]
-            results[i] = check(*args, table=table)
+            check, family, _ = jobs[i]
+            results[i] = check(family, table)
         del table  # before the next group's table is built
     return results

@@ -41,8 +41,8 @@ from dualbch.gf import (
     prime_power,
     scalar_field,
 )
-from dualbch.mindist import DEFAULT_BUDGET, _exhaustive_best, certify
-from dualbch.propchecks import run_grid
+from dualbch.mindist import _exhaustive_best, certify
+from dualbch.propchecks import load_grid_manifest, run_grid
 
 # Every code family inside either closed form's hypotheses with n <= 1000.
 THEOREM_SWEEP = list(theorem_families(1000))
@@ -192,7 +192,7 @@ def test_criterion_6_lower_bound_soundness():
 
 def test_criterion_7_property_grids():
     t0 = time.perf_counter()
-    results = run_grid()
+    results = run_grid(load_grid_manifest())
     failures = [(r.lemma_id, r.failures) for r in results if not r.ok]
     assert failures == []
     elapsed = time.perf_counter() - t0
@@ -236,7 +236,7 @@ def test_criterion_8_algebraic_invariants():
         for delta in deltas:
             spec = BchSpec(family, delta)
             params = code_params(spec, ctx, table)
-            h = Poly.x_pow_minus_one(n, field) // params.generator
+            h, _ = divmod(Poly.x_pow_minus_one(n, field), params.generator)
             h_rev = h.reciprocal().monic()
             roots = {i for i in range(n)
                      if poly_eval_in_ext(ctx, h_rev, ctx.pow(beta, i))
@@ -252,7 +252,7 @@ def test_criterion_8_algebraic_invariants():
                     (5, 4, 10), (7, 3, 9), (8, 3, 8), (9, 3, 7), (2, 12, 18)]:
         gen = rng.integers(0, q, size=(k, n)).astype(np.int32)
         field = scalar_field(q)
-        fast = _exhaustive_best(gen, field, DEFAULT_BUDGET).weight
+        fast = _exhaustive_best(gen, field).weight
         best = n + 1
         for msg in range(1, q**k):
             cw = np.zeros(n, dtype=np.int32)

@@ -15,6 +15,7 @@ import pytest
 from dualbch import cli
 from dualbch.bch import Family
 from dualbch.cli import MAX_N, main
+from dualbch.mindist import MAX_SEARCH_ELEMS
 from dualbch.propchecks import MANIFEST_SCHEMA
 
 
@@ -343,16 +344,38 @@ class TestDualBound:
         assert "dualbch dual-bound: error: argument --seed: must be >= 0, got -1" in err
 
     def test_certify_refuses_oversized_base_field(self, capsys):
-        # n = 65522 is within MAX_N, but GF(65521)'s q x q tables would take
-        # about 150 GB; they are refused before anything is allocated
+        # n = 16 and q k n = 2,096,672 are within their caps, but GF(65521)'s
+        # q x q tables would take about 150 GB; they are refused before
+        # anything is allocated
         t0 = time.perf_counter()
-        code, out, err = run(capsys, "dual-bound", "--q", "65521", "--m", "2",
-                             "--lambda", "65520", "--delta", "3", "--certify",
+        code, out, err = run(capsys, "dual-bound", "--q", "65521", "--m", "1",
+                             "--lambda", "4095", "--delta", "3", "--certify",
                              "--force-direct")
         assert time.perf_counter() - t0 < 2.0
         assert (code, out) == (1, "")
-        assert err.startswith("dualbch dual-bound: error: cannot build GF(65521^2): "
+        assert err.startswith("dualbch dual-bound: error: cannot build GF(65521^1): "
                               "q=65521 is above 2048")
+
+    @pytest.mark.parametrize("argv,qkn", [
+        # q = 1024: the Gray walk's 1024-row block alone would take 4 GiB
+        (["--q", "1024", "--m", "2", "--lambda", "1", "--delta", "2"], 2147481600),
+        (["--q", "2048", "--m", "2", "--lambda", "1", "--delta", "2"], 17179865088),
+        # GF(65521) is above MAX_SCALAR_Q too, but the search cap is met first
+        (["--q", "65521", "--m", "2", "--lambda", "65520", "--delta", "3",
+          "--force-direct"], 17172267848),
+    ], ids=["q1024", "q2048", "q65521"])
+    def test_certify_refuses_a_search_above_the_cap(self, capsys, monkeypatch, argv, qkn):
+        def no_field(q, m):
+            raise AssertionError("field built")
+
+        monkeypatch.setattr(cli, "field_new", no_field)
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "dual-bound", *argv, "--certify")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        assert err == (f"dualbch dual-bound: error: --certify: q*dual_dim*n = {qkn} "
+                       f"exceeds the search cap {MAX_SEARCH_ELEMS}\n")
 
     def test_lambda_and_s_conflict(self, capsys):
         code, _, _ = run(capsys, "dual-bound", "--q", "2", "--m", "6",

@@ -287,14 +287,22 @@ class TestDuallyBchDirect:
         assert dually_bch_direct(t_perp_of(spec, t), t) == (False, 9)
 
 
+def closed_on_own_table(spec):
+    return dually_bch_closed(spec, coset_table(spec.n, spec.q))
+
+
+def report_on_own_table(spec):
+    return bound_report(spec, coset_table(spec.n, spec.q))
+
+
 class TestDuallyBchClosed:
     def test_binary_exception_case(self):
-        assert dually_bch_closed(bch_spec(2, 6, 2, lam=1)) is True
-        assert dually_bch_closed(bch_spec(2, 6, 3, lam=1)) is True
-        assert dually_bch_closed(bch_spec(2, 6, 4, lam=1)) is False
+        assert closed_on_own_table(bch_spec(2, 6, 2, lam=1)) is True
+        assert closed_on_own_table(bch_spec(2, 6, 3, lam=1)) is True
+        assert closed_on_own_table(bch_spec(2, 6, 4, lam=1)) is False
         # delta2 = 27 mod 63: true again from 28 on
-        assert dually_bch_closed(bch_spec(2, 6, 27, lam=1)) is False
-        assert dually_bch_closed(bch_spec(2, 6, 28, lam=1)) is True
+        assert closed_on_own_table(bch_spec(2, 6, 27, lam=1)) is False
+        assert closed_on_own_table(bch_spec(2, 6, 28, lam=1)) is True
 
     def test_power_s3_threshold(self):
         table = coset_table(757, 3)
@@ -302,8 +310,8 @@ class TestDuallyBchClosed:
         assert dually_bch_closed(bch_spec(3, 9, 389, s=3), table) is True
 
     def test_divisor_examples(self):
-        assert dually_bch_closed(bch_spec(7, 3, 96, lam=3)) is True
-        assert dually_bch_closed(bch_spec(7, 3, 95, lam=3)) is False
+        assert closed_on_own_table(bch_spec(7, 3, 96, lam=3)) is True
+        assert closed_on_own_table(bch_spec(7, 3, 95, lam=3)) is False
         table = coset_table(312, 5)
         assert dually_bch_closed(bch_spec(5, 4, 247, lam=2), table) is False
         assert dually_bch_closed(bch_spec(5, 4, 248, lam=2), table) is True
@@ -316,11 +324,11 @@ class TestDuallyBchClosed:
 
     def test_hypothesis_violations(self):
         with pytest.raises(ValueError):
-            dually_bch_closed(bch_spec(2, 4, 3, lam=1))  # q=2 needs m >= 6
+            closed_on_own_table(bch_spec(2, 4, 3, lam=1))  # q=2 needs m >= 6
         with pytest.raises(ValueError):
-            dually_bch_closed(bch_spec(3, 3, 3, s=1))  # q>=3 needs m >= 4
+            closed_on_own_table(bch_spec(3, 3, 3, s=1))  # q>=3 needs m >= 4
         with pytest.raises(ValueError):
-            dually_bch_closed(bch_spec(2, 4, 3, s=2))  # m/s < 3
+            closed_on_own_table(bch_spec(2, 4, 3, s=2))  # m/s < 3
 
     def test_intervals_of_the_anchor_families(self):
         def intervals(family):
@@ -382,7 +390,7 @@ class TestDeltaPrimeLemma:
 class TestBoundReport:
     def test_binary_delta15(self):
         spec = bch_spec(2, 6, 15, lam=1)
-        r = bound_report(spec)
+        r = report_on_own_table(spec)
         assert r.i_delta_direct == 7
         assert r.i_delta_closed == 7
         assert r.lower_bound_closed == 8
@@ -398,7 +406,7 @@ class TestBoundReport:
     def test_closdes_none_outside_hypotheses(self):
         # m/s = 2: no closed forms apply, direct values still present
         spec = bch_spec(2, 4, 3, s=2)
-        r = bound_report(spec)
+        r = report_on_own_table(spec)
         assert r.i_delta_closed is None
         assert r.lower_bound_closed is None
         assert r.dually_bch_closed is None
@@ -407,7 +415,7 @@ class TestBoundReport:
     def test_invariants_on_sample(self):
         for q, m, kw, delta in [(3, 6, dict(s=2), 10), (5, 4, dict(lam=2), 100),
                                 (7, 3, dict(lam=3), 96), (3, 4, dict(lam=1), 25)]:
-            r = bound_report(bch_spec(q, m, delta, **kw))
+            r = report_on_own_table(bch_spec(q, m, delta, **kw))
             if r.i_delta_closed is not None:
                 assert r.i_delta_closed == r.i_delta_direct
                 assert r.lower_bound_closed == r.i_delta_closed + 1

@@ -5,6 +5,7 @@ import pytest
 
 from dualbch.bch import (
     BchSpec,
+    CodeParams,
     bch_spec,
     defining_set,
     dual_code_params,
@@ -13,11 +14,10 @@ from dualbch.bch import (
 )
 from dualbch.cyclotomic import coset_table
 from dualbch.dualtools import bound_report
-from dualbch.gf import field_new, scalar_field
+from dualbch.gf import Poly, field_new, scalar_field
 from dualbch.mindist import (
     _BLOCK_CAP,
-    DEFAULT_BUDGET,
-    BudgetExceeded,
+    MAX_SEARCH_ELEMS,
     _block_digits,
     _exhaustive_best,
     _isd_best,
@@ -26,12 +26,13 @@ from dualbch.mindist import (
     _TableWords,
     certify,
     in_row_space,
+    search_fits,
 )
 
 
-def min_weight(gen, field, budget=DEFAULT_BUDGET):
+def min_weight(gen, field):
     """Exact minimum weight of gen's row space, from the Gray walk."""
-    return _exhaustive_best(gen, field, budget).weight
+    return _exhaustive_best(gen, field).weight
 
 
 def naive_min_weight(gen, field):
@@ -75,11 +76,6 @@ class TestExhaustive:
         gen = np.zeros((0, 7), dtype=np.int32)
         with pytest.raises(ValueError):
             min_weight(gen, scalar_field(2))
-
-    def test_budget_exceeded(self):
-        gen = np.eye(30, dtype=np.int32)
-        with pytest.raises(BudgetExceeded):
-            min_weight(gen, scalar_field(2), budget=2**20)
 
     @pytest.mark.parametrize("q,k,n,seed", [
         (2, 5, 12, 0), (2, 8, 15, 1), (3, 4, 11, 2), (3, 6, 9, 3), (4, 4, 10, 4),
@@ -163,8 +159,8 @@ class TestPackedKernel:
     F2 = scalar_field(2)
 
     def walk_both(self, gen, label=None):
-        packed = _exhaustive_best(gen, self.F2, 1 << 26)
-        table = _exhaustive_best(gen, self.F2, 1 << 26, _TableWords(self.F2))
+        packed = _exhaustive_best(gen, self.F2)
+        table = _exhaustive_best(gen, self.F2, _TableWords(self.F2))
         assert same_search(packed, table), label
         return packed
 
@@ -308,10 +304,18 @@ class TestCertify:
         assert (cert.lower, cert.upper, cert.status) == (9, 9, "exact")
 
     def test_exact_16_against_bound_15(self):
-        spec, *_, cert = self.run(5, 2, 3, 1)
+        spec, _, table, _, cert = self.run(5, 2, 3, 1)
         assert (cert.lower, cert.upper, cert.status) == (16, 16, "exact")
-        report = bound_report(spec)
+        report = bound_report(spec, table)
         assert report.lower_bound_closed == 15  # strictly below the true value
+
+    @pytest.mark.parametrize("budget,method", [
+        (2**6 - 1, "information_set"), (2**6, "exhaustive")])
+    def test_engine_chosen_by_budget(self, budget, method):
+        # the [63, 6] dual has q^k = 64 codewords
+        *_, cert = self.run(2, 6, 3, 1, budget=budget, trials=50, seed=0)
+        assert cert.method == method
+        assert (cert.upper, cert.status) == (32, "exact")
 
     def test_bracket_meets_bound_weight_8(self):
         # [63, 39] dual: exhaustion is out of budget; the closed-form lower
@@ -375,3 +379,31 @@ class TestCertify:
         w = np.array(cert.witness, dtype=np.int32)
         assert in_row_space(np.roll(w, 1), gen, f)
         assert int(np.count_nonzero(np.roll(w, 1))) == cert.upper
+
+
+class TestSearchCap:
+    def test_boundary(self):
+        assert search_fits(2, 1, MAX_SEARCH_ELEMS // 2)
+        assert not search_fits(2, 1, MAX_SEARCH_ELEMS // 2 + 1)
+        assert not search_fits(2, MAX_SEARCH_ELEMS // 2 + 1, 1)
+
+    @pytest.mark.parametrize("q,k,n", [
+        (2, 20, 2**20 - 1),  # the exact [1048575, 20] simplex certificate
+        (2, 14, 2**14 - 1), (2, 160, 1023), (4, 9, 63), (9, 8, 40), (64, 2, 4095),
+    ])
+    def test_certified_codes_fit(self, q, k, n):
+        assert search_fits(q, k, n)
+
+    @pytest.mark.parametrize("q,k,n", [(1024, 2, 2**20 - 1), (2048, 2, 2**22 - 1),
+                                       (256, 3, 2**24 - 1), (2, 10**4, 2**20 - 1)])
+    def test_certify_refuses_before_the_generator(self, monkeypatch, q, k, n):
+        import dualbch.mindist as mindist
+
+        def no_matrix(params):
+            raise AssertionError("generator matrix built")
+
+        monkeypatch.setattr(mindist, "generator_matrix", no_matrix)
+        params = CodeParams(n=n, k=k, delta=None, generator=Poly.one(scalar_field(q)))
+        assert not search_fits(q, k, n)
+        with pytest.raises(ValueError, match=f"exceeds the search cap {MAX_SEARCH_ELEMS}"):
+            certify(params, None)

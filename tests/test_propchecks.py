@@ -29,36 +29,58 @@ from dualbch.propchecks import (
 )
 
 
+def primitive_table(q, m):
+    """The coset table modulo q^m - 1, which the floor checks read."""
+    return coset_table(q**m - 1, q)
+
+
+@pytest.mark.parametrize("check,family,modulus,other", [
+    (check_leader_floor_power_form, Family(2, 6, s=1), 63, 65),
+    (check_leader_floor_power_form, Family(2, 6, s=2), 63, 21),
+    (check_leader_floor_divisor_form, Family(5, 3, lam=2), 124, 62),
+    (check_tperp_leader_membership, Family(3, 6, s=2), 91, 728),
+    (check_tperp_leader_membership, Family(5, 4, lam=2), 312, 624),
+])
+def test_check_takes_family_and_table(check, family, modulus, other):
+    q = family.q
+    assert check(family, coset_table(modulus, q)).ok
+    with pytest.raises(ValueError, match=rf"^table is for \(n={other}, q={q}\), "
+                                         rf"spec needs \(n={modulus}, q={q}\)$"):
+        check(family, coset_table(other, q))
+
+
 class TestLeaderFloorPowerForm:
     @pytest.mark.parametrize("q,s,m", [(2, 1, 6), (3, 1, 4), (2, 2, 6)])
     def test_clean_on_stated_cases(self, q, s, m):
-        result = check_leader_floor_power_form(q, s, m)
+        result = check_leader_floor_power_form(Family(q, m, s=s), primitive_table(q, m))
         assert result.ok
         assert result.lemma_id == "leader_floor_power_form"
         assert len(result.parameter_grid) == m // s - 2
 
     def test_sweep_is_nonempty(self):
-        result = check_leader_floor_power_form(2, 1, 6)
+        result = check_leader_floor_power_form(Family(2, 6, s=1), primitive_table(2, 6))
         # t=1 alone must cover u in [1, (2^5-1)/1 - 1] = [1, 30]
         assert (1, 1, 30) in result.parameter_grid
 
     def test_hypothesis_violation_rejected(self):
         with pytest.raises(ValueError):
-            check_leader_floor_power_form(2, 2, 4)  # m/s == 2
+            # m/s == 2
+            check_leader_floor_power_form(Family(2, 4, s=2), primitive_table(2, 4))
         with pytest.raises(ValueError):
-            check_leader_floor_power_form(2, 2, 7)  # s does not divide m
+            # s does not divide m
+            check_leader_floor_power_form(Family(2, 7, s=2), primitive_table(2, 7))
 
     def test_shared_table_must_match_modulus(self):
         table = coset_table(63, 2)
-        assert check_leader_floor_power_form(2, 1, 6, table=table).ok
+        assert check_leader_floor_power_form(Family(2, 6, s=1), table).ok
         with pytest.raises(ValueError):
-            check_leader_floor_power_form(2, 1, 7, table=table)
+            check_leader_floor_power_form(Family(2, 7, s=1), table)
 
 
 class TestLeaderFloorDivisorForm:
     @pytest.mark.parametrize("q,lam,m", [(5, 2, 3), (5, 1, 3), (7, 3, 2)])
     def test_clean_on_stated_cases(self, q, lam, m):
-        result = check_leader_floor_divisor_form(q, lam, m)
+        result = check_leader_floor_divisor_form(Family(q, m, lam=lam), primitive_table(q, m))
         assert result.ok
         assert result.lemma_id == "leader_floor_divisor_form"
         assert result.parameter_grid  # the sweep actually ran
@@ -67,7 +89,7 @@ class TestLeaderFloorDivisorForm:
         # the checked inequality is strict, so a leader equal to the floor
         # must be flagged; verify the comparison direction on a known point
         table = coset_table(5**3 - 1, 5)
-        result = check_leader_floor_divisor_form(5, 2, 3, table=table)
+        result = check_leader_floor_divisor_form(Family(5, 3, lam=2), table)
         for s, t, u_lo, u_hi in result.parameter_grid:
             floor = 5 ** (t + 1) - 5 + 2 * s
             us = np.arange(u_lo, u_hi + 1)
@@ -76,11 +98,13 @@ class TestLeaderFloorDivisorForm:
 
     def test_hypothesis_violation_rejected(self):
         with pytest.raises(ValueError):
-            check_leader_floor_divisor_form(5, 4, 3)  # lam == q-1
+            # lam == q-1
+            check_leader_floor_divisor_form(Family(5, 3, lam=4), primitive_table(5, 3))
         with pytest.raises(ValueError):
-            check_leader_floor_divisor_form(5, 3, 3)  # lam does not divide q-1
+            # lam does not divide q-1
+            check_leader_floor_divisor_form(Family(5, 3, lam=3), primitive_table(5, 3))
         with pytest.raises(ValueError):
-            check_leader_floor_divisor_form(5, 2, 1)  # m < 2
+            check_leader_floor_divisor_form(Family(5, 1, lam=2), primitive_table(5, 1))  # m < 2
 
 
 def reference_floor_failures(lemma_id, q, x, m, lead):
@@ -123,20 +147,21 @@ class TestFloorElementsAgainstReference:
     ])
     def test_failures_match_per_u_expression(self, lemma_id, check, q, x, m):
         order = q**m - 1
+        family = Family(q, m, **{"s" if lemma_id == "leader_floor_power_form" else "lam": x})
         zeros = CosetTable(order, q, np.zeros(order, dtype=np.int32), np.zeros(1, dtype=np.int64))
-        result = check(q, x, m, table=zeros)
+        result = check(family, zeros)
         expected = reference_floor_failures(lemma_id, q, x, m, zeros.leader_of)
         assert result.failures == expected
         grid_size = sum(g[-1] - g[-2] + 1 for g in result.parameter_grid)
         assert len(expected) == grid_size > 0
         table = coset_table(order, q)
-        assert check(q, x, m, table=table).failures == ()
+        assert check(family, table).failures == ()
         assert reference_floor_failures(lemma_id, q, x, m, table.leader_of) == ()
 
 
 class TestMembership:
     def test_power_form_element_13(self):
-        result = check_tperp_leader_membership(Family(3, 6, s=2))
+        result = check_tperp_leader_membership(Family(3, 6, s=2), coset_table(91, 3))
         assert result.ok
         assert result.parameter_grid == (("t=1", 2, 10, 13),)
 
@@ -150,7 +175,7 @@ class TestMembership:
         assert int(table.leader_of[13]) == 13
 
     def test_divisor_form_three_sections(self):
-        result = check_tperp_leader_membership(Family(5, 4, lam=2))
+        result = check_tperp_leader_membership(Family(5, 4, lam=2), coset_table(312, 5))
         assert result.ok
         assert result.parameter_grid == (
             ("low_delta", 2, 3, 237),
@@ -180,29 +205,27 @@ class TestMembership:
         assert ("probe", None, 6, "not a coset leader") in fails
 
     def test_hypothesis_violations_rejected(self):
-        with pytest.raises(ValueError, match="need s > 1"):
-            check_tperp_leader_membership(Family(3, 6, s=1))
-        with pytest.raises(ValueError, match="need q > 3"):
-            check_tperp_leader_membership(Family(3, 4, lam=1))
-        with pytest.raises(ValueError, match="need s > 1"):
-            check_tperp_leader_membership(Family(5, 4, lam=4))  # lam = q-1 is s = 1
-        with pytest.raises(ValueError, match="m/s = 4/2 < 3"):
-            check_tperp_leader_membership(Family(3, 4, s=2))
+        for family, rule in [(Family(3, 6, s=1), "need s > 1"),
+                             (Family(3, 4, lam=1), "need q > 3"),
+                             (Family(5, 4, lam=4), "need s > 1"),  # lam = q-1 is s = 1
+                             (Family(3, 4, s=2), "m/s = 4/2 < 3")]:
+            with pytest.raises(ValueError, match=rule):
+                check_tperp_leader_membership(family, coset_table(family.n, family.q))
 
 
 class TestPrimePowerRequired:
     # q = 6 and q = 10 are no prime powers, so there is no GF(q) and no code
     def test_leader_floor_power_form(self):
         with pytest.raises(ValueError, match="q=6 is not a prime power"):
-            check_leader_floor_power_form(6, 1, 3)
+            check_leader_floor_power_form(Family(6, 3, s=1), primitive_table(6, 3))
 
     def test_leader_floor_divisor_form(self):
         with pytest.raises(ValueError, match="q=10 is not a prime power"):
-            check_leader_floor_divisor_form(10, 3, 3)
+            check_leader_floor_divisor_form(Family(10, 3, lam=3), primitive_table(10, 3))
 
     def test_membership(self):
         with pytest.raises(ValueError, match="q=10 is not a prime power"):
-            check_tperp_leader_membership(Family(10, 3, lam=3))
+            check_tperp_leader_membership(Family(10, 3, lam=3), coset_table(333, 10))
         with pytest.raises(ValueError, match="q=10 is not a prime power"):
             run_grid({"schema": MANIFEST_SCHEMA, "grids": [
                 {"lemma_id": "tperp_leader_membership",
@@ -280,7 +303,7 @@ class TestManifestAndRunner:
 
         plans = [_plan_case(g["lemma_id"], c)
                  for g in manifest["grids"] for c in g["cases"]]
-        expected = [check(*args, table=coset_table(*key)) for check, args, key in plans]
+        expected = [check(family, coset_table(*key)) for check, family, key in plans]
         built, keys = [], []
 
         def counting(n, q):
@@ -294,6 +317,26 @@ class TestManifestAndRunner:
         monkeypatch.setattr(propchecks, "coset_table", counting)
         assert run_grid(manifest) == expected
         assert sorted(keys) == sorted({key for *_, key in plans})
+
+    def test_checks_called_through_their_module_names(self, monkeypatch):
+        # the benchmark's tracer rebinds each check's module name to a wrapper
+        import dualbch.propchecks as propchecks
+
+        calls = []
+        for name in ("check_leader_floor_power_form", "check_leader_floor_divisor_form",
+                     "check_tperp_leader_membership"):
+            def wrapper(family, table, inner=getattr(propchecks, name), name=name):
+                calls.append(name)
+                return inner(family, table)
+            monkeypatch.setattr(propchecks, name, wrapper)
+        manifest = {"schema": MANIFEST_SCHEMA, "grids": [
+            {"lemma_id": "leader_floor_power_form", "cases": [{"q": 2, "s": 1, "m": 6}]},
+            {"lemma_id": "leader_floor_divisor_form", "cases": [{"q": 5, "lam": 2, "m": 3}]},
+            {"lemma_id": "tperp_leader_membership",
+             "cases": [{"q": 3, "kind": "power", "s": 2, "m": 6}]}]}
+        assert all(r.ok for r in run_grid(manifest))
+        assert calls == ["check_leader_floor_power_form", "check_leader_floor_divisor_form",
+                         "check_tperp_leader_membership"]
 
     def test_bad_manifest_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
