@@ -4,13 +4,16 @@
 For each designed distance the script reports I(delta) (direct scan and
 closed form), the resulting lower bound on the dual distance, the direct
 cyclic-run bound on the dual defining set, the best applicable prior bound,
-and the dually-BCH verdict.
+and the dually-BCH verdict.  It exits 1, naming each delta, where the
+direct and closed-form I(delta) or dually-BCH verdicts disagree; a closed
+value outside its theorem's hypotheses is not compared.
 
     python3 scripts/bound_survey.py --q 2 --m 6 --lambda 1
     python3 scripts/bound_survey.py --q 3 --m 6 --s 2 --deltas 2:20
 """
 
 import argparse
+import sys
 
 from dualbch.bch import bch_spec
 from dualbch.cyclotomic import coset_table
@@ -38,6 +41,7 @@ def main():
     print(f"n = {n}, q = {args.q}, m = {args.m}, lambda = {spec0.lam}")
     print(f"{'delta':>6} {'I_direct':>8} {'I_closed':>8} {'bound':>6} "
           f"{'run_bound':>9} {'best_prior':>18} {'dually_bch':>10}")
+    disagreements = []
     for delta in range(lo, hi + 1):
         spec = bch_spec(args.q, args.m, delta, lam=args.lam, s=args.s)
         rep = bound_report(spec, table)
@@ -49,7 +53,16 @@ def main():
               f"{rep.lower_bound_closed if rep.lower_bound_closed is not None else '-':>6} "
               f"{rep.lower_bound_direct:>9} {prior_txt:>18} "
               f"{'yes' if rep.dually_bch_direct else 'no':>10}")
+        if rep.i_delta_closed not in (None, rep.i_delta_direct):
+            disagreements.append(f"delta={delta}: I(delta) direct {rep.i_delta_direct}, "
+                                 f"closed {rep.i_delta_closed}")
+        if rep.dually_bch_closed not in (None, rep.dually_bch_direct):
+            disagreements.append(f"delta={delta}: dually-BCH direct {rep.dually_bch_direct}, "
+                                 f"closed {rep.dually_bch_closed}")
+    for line in disagreements:
+        print(f"disagreement at {line}", file=sys.stderr)
+    return 1 if disagreements else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -81,9 +81,11 @@ class CosetTable:
     leader_of[a] is the smallest element of the coset of a; it is int32,
     since n <= MAX_N.  leaders lists the distinct leaders ascending, which
     are the fixed points a = leader_of[a].  Both arrays are marked read-only,
-    and the cosets map is built on first use.  direct_rows is the memo of
-    dualtools.bound_report's direct columns, one entry per segment of deltas
-    that share a dual defining set, so it lives and dies with the table.
+    and the cosets map is built on first use.  direct_rows and
+    closed_columns are the memos of dualtools.bound_report: its direct
+    columns, one entry per segment of deltas that share a dual defining
+    set, and its closed columns, one dualtools.ClosedColumns per code
+    family.  They live and die with the table.
     """
 
     def __init__(self, n, q, leader_of, leaders):
@@ -95,6 +97,7 @@ class CosetTable:
         self.leaders = leaders
         self._cosets = None
         self.direct_rows = {}
+        self.closed_columns = {}
 
     def __repr__(self):
         return f"CosetTable(n={self.n}, q={self.q})"

@@ -16,10 +16,14 @@ bound then gives d_perp >= I(delta) + 1.  This module computes
     cosets of 0 .. J-1, per delta directly, per family by the theorems,
   * delta_sweep: I(delta) and the direct dually-BCH verdict for every delta
     in [2, n] from one pass over the coset leaders,
+  * closed_columns: the closed I(delta), the prior bounds and the closed
+    dually-BCH verdict for every delta of one family, as segments of delta
+    cut at the closed forms' case boundaries, built in O(pieces), not O(n),
   * bound_report: all of the above for one delta.  Given one table for
     every delta of a family, it scans T_perp once per segment of deltas
     between two consecutive coset leaders, where T_perp does not change,
-    and keeps those direct columns on the table.
+    and keeps those direct columns on the table, next to the family's
+    closed columns, so a repeated query is two lookups.
 
 Every function here that reads a coset table takes it as a required
 argument; none builds its own.
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,7 +267,11 @@ def dually_bch_direct(t_perp: np.ndarray, table: CosetTable) -> tuple[bool, int]
     Returns (verdict, witness): witness is J itself when true, else the
     least coset leader inside T_perp that is >= J.
     """
-    j = i_delta_direct(t_perp)
+    return _dually_bch_given(t_perp, table, i_delta_direct(t_perp))
+
+
+def _dually_bch_given(t_perp: np.ndarray, table: CosetTable, j: int) -> tuple[bool, int]:
+    """dually_bch_direct given J = I(delta) of t_perp, so J is scanned for once."""
     leaders = table.leader_of[t_perp]
     offenders = leaders[leaders >= j]
     if offenders.size == 0:
@@ -359,41 +368,193 @@ def dually_bch_closed(spec: BchSpec, table: CosetTable) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# closed columns of one family, as segments of delta
+# ---------------------------------------------------------------------------
+#
+# Each closed column is built from pieces (lo, hi, value): value holds for
+# every delta in [lo, hi], and a later piece overwrites an earlier one where
+# they overlap.  The pieces restate the case boundaries of the per-delta
+# functions above, which stay as the oracle the tests hold them to.
+
+def _i_delta_pieces(family: Family) -> list[tuple[int, int, int]]:
+    """The closed I(delta) as pieces, none outside its form's hypothesis.
+
+    They follow _power_case and _divisor_case, listed in reverse so that
+    the first case to match is painted last.
+    """
+    q, m, s, n = family.q, family.m, family.s, family.n
+    if s is not None:
+        if m // s < 3:
+            return []
+        lam = q**s - 1
+        pieces = [((q**(t * s) - 1) // lam + 1, (q**((t + 1) * s) - 1) // lam,
+                   (q**(m - t * s) - 1) // lam) for t in range(1, m // s - 1)]
+        pieces.append(((q**(m - s) - 1) // lam + 1, n, 1))
+        return pieces[::-1]
+    if m < 2:
+        return []
+    lam = family.lam
+    w = (q - 1) // lam
+    pieces = []
+    for t in range(0, m - 1):  # case 1: the exact points
+        at, top = (q**(t + 1) - q) // lam + 1, (q**(m - t) - 1) // lam
+        pieces += [(at + s, at + s, top - s * q**(m - t - 1)) for s in range(1, w)]
+    for t in range(1, m):  # case 2
+        base, top = (q**t - 1) // lam, (q**(m - t) - 1) // lam
+        pieces += [(base + s * q**t + 1, base + (s + 1) * q**t, top - s)
+                   for s in range(0, w - 1)]
+    for t in range(1, m - 1):  # case 3
+        pieces.append(((q**(t + 1) - 1) // lam - q**t + 1, (q**(t + 1) - q) // lam + 1,
+                       (q**(m - t) - q) // lam + 1))
+    pieces.append((n - q**(m - 1) + 1, n, 1))  # case 4
+    return pieces[::-1]
+
+
+def _prior_pieces(family: Family) -> dict[str, list[tuple[int, int, PriorBound]]]:
+    """prior_bounds as pieces per name, Carlitz-Uchiyama aside.
+
+    sidelnikov holds at odd delta only.  primitive_length is the largest
+    value among its pieces that hold, so they are painted by value;
+    projective_length's pieces are disjoint, painted in reverse match order.
+    """
+    q, m, lam, n = family.q, family.m, family.lam, family.n
+    pieces = {}
+    if q == 2 and lam == 1:  # 2s - 1 = delta - 2 has bit length j + 1
+        pieces["sidelnikov"] = [(2**j + 2, 2**(j + 1) + 1, 2**(m - 1 - j)) for j in range(m)]
+    if lam == 1 and m >= 3:
+        if q == 2:
+            prim = [(2**t, 2**(t + 1) - 1, 2**(m - t)) for t in range(2, m - 2)]
+            prim.append((2**(m - 2), 2**(m - 1) - 2**((m - 1) // 2) - 1, 4))
+        else:
+            prim = [(a * q**t, (a + 1) * q**t - 1, q**(m - t) - a + 1)
+                    for t in range(1, m - 1) for a in range(1, q - 1)]
+            prim += [((q - 1) * q**t, q**(t + 1) - q + 1, q**(m - t) - q + 2)
+                     for t in range(1, m - 1)]
+            prim += [(a * q**(m - 1), (a + 1) * q**(m - 1) - 1, q - a + 1)
+                     for a in range(1, q - 2)]
+            prim.append(((q - 2) * q**(m - 1), (q - 1) * q**(m - 1) - q**((m - 1) // 2) - 1, 3))
+            prim += [(q**t - b, q**t - b, (b + 1) * q**(m - t))
+                     for t in range(1, m) for b in range(1, q - 1) if q**t - b >= 3]
+        pieces["primitive_length"] = sorted(prim, key=lambda p: p[2])
+    if lam == q - 1 and m >= 3:
+        proj = [((q**t - 1) // (q - 1) + 1, (q**(t + 1) - 1) // (q - 1),
+                 (q**(m - t) - 1) // (q - 1) + 1) for t in range(1, m - 1)]
+        proj.append(((q**(m - 1) - 1) // (q - 1) + 1, n - 1, 2))
+        pieces["projective_length"] = proj[::-1]
+    return {name: [(lo, hi, PriorBound(name, v, v <= 1)) for lo, hi, v in ps]
+            for name, ps in pieces.items()}
+
+
+def _paint(starts: list[int], pieces, default=None) -> list:
+    """One value per segment of starts, each piece overwriting those before it."""
+    column = [default] * len(starts)
+    for lo, hi, value in pieces:
+        i, j = bisect_left(starts, lo), bisect_left(starts, hi + 1)
+        column[i:j] = [value] * (j - i)
+    return column
+
+
+@dataclass(frozen=True)
+class ClosedColumns:
+    """bound_report's closed columns for every delta in [2, n] of one family.
+
+    starts cuts [2, n] into segments on which the closed I(delta), the
+    closed verdict and every prior bound but Carlitz-Uchiyama are constant;
+    rows[i] serves the deltas in [starts[i], starts[i + 1]).  Carlitz-
+    Uchiyama, affine in s = (delta - 1)/2, is base - (s - 1) step at odd
+    delta, with cu = (base, step) = (2^(m-1), 2^(m/2)) for even m and
+    (2^(m-1), sqrt(2^m)) for odd m, as prior_bounds computes it.
+    """
+
+    starts: list[int]
+    # (I(delta), I(delta) + 1, verdict, priors at even delta, at odd delta)
+    rows: list[tuple]
+    cu: tuple[int, int | float] | None  # None where Carlitz-Uchiyama does not apply
+    delta1: int
+    delta2: int | None
+
+    def at(self, delta: int) -> tuple:
+        """(i_closed, lower_closed, verdict, prior bounds) at delta."""
+        i_closed, lower, verdict, even, odd = self.rows[bisect_right(self.starts, delta) - 1]
+        if delta % 2 == 0:
+            return i_closed, lower, verdict, even
+        if self.cu is None:
+            return i_closed, lower, verdict, odd
+        base, step = self.cu
+        cu = base - ((delta - 1) // 2 - 1) * step
+        return i_closed, lower, verdict, (PriorBound("carlitz_uchiyama", cu, cu <= 1), *odd)
+
+
+def closed_columns(family: Family, table: CosetTable) -> ClosedColumns:
+    """The closed columns of every delta of family, in O(pieces), not O(n).
+
+    The closed I(delta) and the prior bounds come from their formulas
+    alone.  Only the dually-BCH intervals and delta1/delta2 read the
+    table's leaders, as dually_bch_closed does.  A column is None wherever
+    its per-delta function raises ValueError, outside its hypotheses.
+    Raises ValueError on a table of another (n, q).
+    """
+    check_table(family, table)
+    n = family.n
+    i_pieces = _i_delta_pieces(family)
+    priors = _prior_pieces(family)
+    try:
+        intervals, verdict_default = dually_bch_closed_intervals(family, table), False
+    except ValueError:
+        intervals, verdict_default = (), None
+    verdict_pieces = [(lo, hi, True) for lo, hi in intervals]
+    every = [i_pieces, verdict_pieces, *priors.values()]
+    starts = sorted({2} | {b for pieces in every for lo, hi, _ in pieces if lo <= hi
+                           for b in (lo, hi + 1) if 2 < b <= n})
+    i_delta = _paint(starts, i_pieces)
+    verdict = _paint(starts, verdict_pieces, verdict_default)
+    sidelnikov = _paint(starts, priors.pop("sidelnikov", []))
+    others = [_paint(starts, pieces) for pieces in priors.values()]
+    rows = []
+    for k, i in enumerate(i_delta):
+        even = tuple(col[k] for col in others if col[k] is not None)
+        odd = even if sidelnikov[k] is None else (sidelnikov[k], *even)
+        rows.append((i, None if i is None else i + 1, verdict[k], even, odd))
+    cu, m = None, family.m
+    if family.q == 2 and family.lam == 1:
+        cu = (2**(m - 1), 2**(m // 2) if m % 2 == 0 else math.sqrt(2.0**m))
+    tops = largest_leaders(table, 2)
+    return ClosedColumns(starts, rows, cu, tops[0], tops[1] if len(tops) > 1 else None)
+
+
+# ---------------------------------------------------------------------------
 # assembled report
 # ---------------------------------------------------------------------------
 
 def bound_report(spec: BchSpec, table: CosetTable) -> BoundReport:
     """Compute every direct quantity and every applicable closed form.
 
-    Pass one table to every delta of a family: the direct columns are
-    scanned once per segment of deltas and read back for the rest.  They
-    depend on delta only through k, the number of coset leaders below
-    delta, because T = C_1 u ... u C_{delta-1} and so T_perp stay the same
-    between two consecutive leaders.  The table keeps them, with |T|, in
-    its direct_rows, keyed by k.  The closed forms and prior bounds are
-    evaluated for every delta, so the two routes stay independent.  Raises
-    ValueError on a table of another (n, q).
+    Pass one table to every delta of a family: each side is worked out
+    once and read back for the rest, so a repeated query is two lookups.
+    The direct columns depend on delta only through k, the number of coset
+    leaders below delta, because T = C_1 u ... u C_{delta-1} and so T_perp
+    stay the same between two consecutive leaders.  The table keeps them,
+    with |T|, in its direct_rows, keyed by k, scanning T_perp once per
+    segment.  The closed columns, closed_columns(spec.family, table), are
+    kept in its closed_columns, keyed by family; they never read the
+    direct rows, so the two routes stay independent.  Raises ValueError on
+    a table of another (n, q).
     """
     check_table(spec, table)
-    k = int(np.searchsorted(table.leaders, spec.delta))
+    k = int(table.leaders.searchsorted(spec.delta))
     row = table.direct_rows.get(k)
     if row is None:
         t = defining_set(spec, table)
         t_perp = dual_defining_set(t)
-        row = (int(np.count_nonzero(t)), i_delta_direct(t_perp),
-               *dually_bch_direct(t_perp, table), bch_bound_from_set(t_perp))
+        j = i_delta_direct(t_perp)
+        row = (int(np.count_nonzero(t)), j, *_dually_bch_given(t_perp, table, j),
+               bch_bound_from_set(t_perp))
         table.direct_rows[k] = row
+    closed = table.closed_columns.get(spec.family)
+    if closed is None:
+        closed = table.closed_columns[spec.family] = closed_columns(spec.family, table)
     dual_dim, i_direct, direct_verdict, witness, lower_direct = row
-    try:
-        lower_closed = dual_lower_bound(spec)
-    except ValueError:
-        lower_closed = None
-    i_closed = None if lower_closed is None else lower_closed - 1
-    try:
-        closed_verdict = dually_bch_closed(spec, table)
-    except ValueError:
-        closed_verdict = None
-    tops = largest_leaders(table, 2)
+    i_closed, lower_closed, closed_verdict, priors = closed.at(spec.delta)
     return BoundReport(
         spec=spec,
         dual_dim=dual_dim,
@@ -401,10 +562,10 @@ def bound_report(spec: BchSpec, table: CosetTable) -> BoundReport:
         i_delta_closed=i_closed,
         lower_bound_closed=lower_closed,
         lower_bound_direct=lower_direct,
-        prior_bounds=prior_bounds(spec),
+        prior_bounds=priors,
         dually_bch_direct=direct_verdict,
         dually_bch_witness=witness,
         dually_bch_closed=closed_verdict,
-        delta1=tops[0],
-        delta2=tops[1] if len(tops) > 1 else None,
+        delta1=closed.delta1,
+        delta2=closed.delta2,
     )

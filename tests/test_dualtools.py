@@ -3,6 +3,7 @@
 import gc
 import math
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -23,6 +24,7 @@ from dualbch import dualtools
 from dualbch.cyclotomic import CosetTable, coset_table, largest_leaders
 from dualbch.dualtools import (
     bound_report,
+    closed_columns,
     delta_sweep,
     dual_lower_bound,
     dually_bch_closed,
@@ -38,6 +40,17 @@ from dualbch.dualtools import (
 def t_perp_of(spec, table=None):
     table = table or coset_table(spec.n, spec.q)
     return dual_defining_set(defining_set(spec, table))
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls of each named dualtools function from here on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _fn=getattr(dualtools, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(dualtools, name, counting)
+    return calls
 
 
 def mask_of(n, members):
@@ -441,23 +454,44 @@ class TestBoundReport:
         assert pairs == 31_236
 
     def test_scans_once_per_segment(self, monkeypatch):
-        calls = []
-
-        def counting(t_perp, table):
-            calls.append(t_perp)
-            return dually_bch_direct(t_perp, table)
-
-        monkeypatch.setattr(dualtools, "dually_bch_direct", counting)
+        scans = count_calls(monkeypatch, "i_delta_direct", "_dually_bch_given")
         table = coset_table(255, 2)
         for delta in range(255, 1, -1):
             bound_report(bch_spec(2, 8, delta, s=1), table)
-        # one segment per count of leaders below delta, for delta in [2, 255]
-        assert len(calls) == len(table.leaders) - 1 == len(table.direct_rows)
+        # one segment per count of leaders below delta, for delta in [2, 255];
+        # J = I(delta) is scanned for once per segment and shared
+        assert scans == {"i_delta_direct": len(table.leaders) - 1,
+                         "_dually_bch_given": len(table.leaders) - 1}
+        assert len(table.direct_rows) == len(table.leaders) - 1
+
+    def test_memo_hit_evaluates_no_closed_form(self, monkeypatch):
+        table = coset_table(2047, 2)
+        deltas = list(range(2, 2048))
+        random.Random(11).shuffle(deltas)
+        for delta in deltas:
+            bound_report(bch_spec(2, 11, delta, s=1), table)
+        calls = count_calls(monkeypatch, "dual_lower_bound", "prior_bounds",
+                            "dually_bch_closed", "largest_leaders",
+                            "closed_columns", "i_delta_direct")
+        for delta in deltas:
+            bound_report(bch_spec(2, 11, delta, s=1), table)
+        assert calls == dict.fromkeys(calls, 0)
+
+    def test_closed_columns_built_once_per_table_and_family(self, monkeypatch):
+        built = count_calls(monkeypatch, "closed_columns")
+        a, b = coset_table(242, 3), coset_table(242, 3)
+        for delta in range(2, 243):
+            spec = bch_spec(3, 5, delta, lam=1)
+            bound_report(spec, a)
+            bound_report(spec, b)
+        assert built == {"closed_columns": 2}
+        assert list(a.closed_columns) == list(b.closed_columns) == [Family(3, 5, lam=1)]
 
     def test_memo_does_not_keep_table_alive(self):
         table = coset_table(1023, 2)
         for delta in (3, 100, 1023):
             bound_report(bch_spec(2, 10, delta, s=1), table)
+        assert table.direct_rows and table.closed_columns
         ref = weakref.ref(table)
         del table
         gc.collect()
@@ -467,17 +501,85 @@ class TestBoundReport:
         table = coset_table(63, 2)
         bound_report(bch_spec(2, 6, 5, s=1), table)
         # 21 = (4^3 - 1)/3 differs from the table's n; the k of delta = 5
-        # has a memo entry on the table, which must not be read
+        # has a memo entry on the table, and so has the family of n = 63,
+        # neither of which must be read
         for spec in (bch_spec(4, 3, 5, s=1), bch_spec(2, 6, 5, s=2)):
             with pytest.raises(ValueError, match=r"table is for \(n=63, q=2\), "
                                                  r"spec needs \(n=21, q=(4|2)\)"):
                 bound_report(spec, table)
+            with pytest.raises(ValueError, match=r"table is for \(n=63, q=2\)"):
+                closed_columns(spec.family, table)
+        assert list(table.closed_columns) == [Family(2, 6, s=1)]
 
     def test_tables_of_one_modulus_agree(self):
         a, b = coset_table(242, 3), coset_table(242, 3)
         for delta in range(2, 243):
             spec = bch_spec(3, 5, delta, lam=1)
             assert bound_report(spec, a) == bound_report(spec, b)
+
+
+# outside a closed form's hypotheses: m/s < 3 for the power form, m < 2
+# for the divisor form; the criterion also needs m >= 6 for q = 2 and
+# m >= 4 for q >= 3, which theorem_families does not ask
+OUTSIDE_FAMILIES = [Family(2, 4, s=2), Family(2, 6, s=3), Family(3, 4, s=2),
+                    Family(2, 2, s=1), Family(3, 2, s=1), Family(13, 2, s=1),
+                    Family(5, 1, lam=2), Family(7, 1, lam=1), Family(13, 1, lam=3),
+                    Family(2, 3, s=1), Family(2, 5, s=1), Family(4, 3, s=1),
+                    Family(5, 3, s=1)]
+
+
+def per_delta_closed(spec, table):
+    """The closed columns of bound_report at one delta, from the per-delta oracles."""
+    try:
+        i_closed = dual_lower_bound(spec) - 1
+    except ValueError:
+        i_closed = None
+    try:
+        verdict = dually_bch_closed(spec, table)
+    except ValueError:
+        verdict = None
+    return i_closed, None if i_closed is None else i_closed + 1, verdict, prior_bounds(spec)
+
+
+def typed_priors(bounds):
+    return [(b.name, b.value, type(b.value), b.vacuous) for b in bounds]
+
+
+class TestClosedColumns:
+    def test_equal_the_per_delta_functions(self):
+        # every delta of every theorem family with n <= 1000, and of families
+        # outside the hypotheses, where a column is None exactly where its
+        # per-delta function raises; prior values compared with == and by type
+        pairs = 0
+        for family in [*theorem_families(1000), *OUTSIDE_FAMILIES]:
+            table = coset_table(family.n, family.q)
+            cols = closed_columns(family, table)
+            assert cols.starts[0] == 2 and cols.starts == sorted(set(cols.starts))
+            for delta in range(2, family.n + 1):
+                spec = BchSpec(family, delta)
+                want = per_delta_closed(spec, table)
+                got = cols.at(delta)
+                assert got == want, (family, delta)
+                assert typed_priors(got[3]) == typed_priors(want[3]), (family, delta)
+                if family in OUTSIDE_FAMILIES:
+                    assert got[0] is None or got[2] is None, (family, delta)
+            pairs += family.n - 1
+        assert pairs == 149_339 + sum(f.n - 1 for f in OUTSIDE_FAMILIES)
+
+    @pytest.mark.parametrize("family", [Family(2, 20, s=1), Family(3, 13, lam=1)],
+                             ids=repr)
+    def test_build_on_a_large_table_allocates_no_array(self, family):
+        # about 10^6 residues: a build that paid O(n) would need megabytes
+        table = coset_table(family.n, family.q)
+        tracemalloc.start()
+        try:
+            cols = closed_columns(family, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+        spec = BchSpec(family, family.n // 3)
+        assert cols.at(spec.delta) == per_delta_closed(spec, table)
 
 
 @st.composite
