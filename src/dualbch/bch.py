@@ -9,7 +9,9 @@ distinguish:
 
 The two overlap exactly at lambda = q - 1, which the Family constructor
 always makes s = 1 (for q = 2 that is lambda = 1).  The constructor is the
-one place where (q, m, lambda) is validated.
+one place where (q, m, lambda) is validated, and code_length, behind
+Family.n, the one place where q^m is taken for a length.  Whether a table
+modulo n fits is cyclotomic.check_modulus's rule, not Family's.
 
 The defining set of C_delta with respect to beta = alpha^lambda is
 T = C_1 u ... u C_{delta-1}; the generator polynomial g is the product of
@@ -31,7 +33,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cyclotomic import CosetTable, plainly_above_max_n
+from .cyclotomic import CosetTable
 from .gf import FieldCtx, Poly, minimal_polynomial, prime_power
 
 
@@ -42,8 +44,8 @@ class Family:
     lambda is q^s - 1 for a divisor s < m of m (the power form), or a
     divisor lam of q - 1 other than q - 1 (the divisor form, s = None).
     Give exactly one of lam and s; lam = q - 1 becomes s = 1.  The
-    constructor takes no power of q, so a vast family can be refused by
-    plainly_above_max_n before n, worked out on first use, is.
+    constructor takes no power of q; n is worked out by code_length on
+    first use, which raises ValueError for a length too large to compute.
     """
 
     q: int
@@ -78,11 +80,25 @@ class Family:
 
     @cached_property
     def n(self) -> int:
-        return (self.q**self.m - 1) // self.lam
+        return code_length(self.q, self.m, self._lam, self.s)
 
-    def plainly_above_max_n(self) -> bool:
-        """Whether n surely exceeds MAX_N, from bit lengths alone."""
-        return plainly_above_max_n(self.q, self.m, self._lam or 1, self.s)
+
+def code_length(q: int, m: int, lam: int | None = None, s: int | None = None) -> int:
+    """n = (q^m - 1)/lambda, where lambda is q^s - 1 if s is given, else lam.
+
+    Raises ValueError unless lambda >= 1 divides q^m - 1, and, before q^m
+    is taken, if n is surely 2^64 or more: with b = bits(q) - 1,
+    n >= 2^((m-s) b) in the power form and n >= 2^(m b - bits(lam))
+    otherwise.  So q^m, if taken, has under 256 or 2 (64 + bits(lam)) bits.
+    """
+    b = q.bit_length() - 1
+    if ((m - s) * b if s is not None else m * b - lam.bit_length()) >= 64:
+        raise ValueError(f"n=(q^m-1)/lambda with q={q}, m={m} is 2^64 or more, "
+                         "too large to compute")
+    lam = lam if s is None else q**s - 1
+    if lam < 1 or (q**m - 1) % lam:
+        raise ValueError(f"lambda={lam} does not divide q^m-1={q**m - 1}")
+    return (q**m - 1) // lam
 
 
 @dataclass(frozen=True)

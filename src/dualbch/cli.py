@@ -27,21 +27,28 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .bch import BchSpec, Family, bch_spec, defining_set, dual_code_params, dual_defining_set
+from .bch import (
+    BchSpec,
+    Family,
+    bch_spec,
+    code_length,
+    defining_set,
+    dual_code_params,
+    dual_defining_set,
+)
 from .cyclotomic import (
     LEADER_FAMILIES,
-    MAX_N,
+    check_modulus,
     coset_table,
     largest_leaders,
     largest_leaders_closed_form,
     leader_family_modulus,
     multiplicative_order,
-    plainly_above_max_n,
 )
 from .dualtools import (
     bound_report,
@@ -201,35 +208,26 @@ def _add_family(parser):
                        help="length n = (q^m-1)/(q^s-1) with s | m")
 
 
-def _check_size(n):
-    """Refuse lengths above MAX_N before any O(n) table is built."""
-    if n > MAX_N:
-        raise CliError(f"n={n} exceeds the size cap {MAX_N}")
+@contextmanager
+def _relayed():
+    """Relay the ValueError of an input rule as a CliError.
 
-
-def _vast(q, m):
-    """The refusal of an n = (q^m-1)/lambda judged too large from bit lengths."""
-    return CliError(f"n=(q^m-1)/lambda with q={q}, m={m} exceeds the size cap {MAX_N}")
-
-
-def _family(q, m, lam, s):
-    """Family(q, m, lam, s), refused before q^m is taken if n plainly exceeds MAX_N."""
+    Each rule is checked by the module that owns it: Family and
+    bch.code_length for (q, m, lambda) and the length, and
+    cyclotomic.check_modulus, which coset_table runs first, for a modulus.
+    """
     try:
-        family = Family(q, m, lam, s)
+        yield
     except ValueError as e:
         raise CliError(str(e)) from None
-    if family.plainly_above_max_n():
-        raise _vast(q, m)
+
+
+def _family(args) -> Family:
+    """The Family of --q, --m and --lambda or --s, with its length computed."""
+    with _relayed():
+        family = Family(args.q, args.m, args.lam, args.s)
+        family.n  # a length too large to compute is refused here
     return family
-
-
-def _spec_from_args(args, delta):
-    try:
-        spec = BchSpec(_family(args.q, args.m, args.lam, args.s), delta)
-    except ValueError as e:
-        raise CliError(str(e)) from None
-    _check_size(spec.n)
-    return spec
 
 
 def _parse_delta_range(text):
@@ -278,41 +276,28 @@ def _closed_form_leaders(q, m, lam, s, count):
 
 
 def cmd_cosets(args) -> int:
-    q = args.q
+    q, m, lam, s = args.q, args.m, args.lam, args.s
     if prime_power(q) is None:
         raise CliError(f"q={q} is not a prime power")
-    if args.n is not None:
-        if args.m is not None or args.lam is not None or args.s is not None:
-            raise CliError("--n replaces --m/--lambda/--s")
-        n = args.n
-        if n < 1 or q < 2 or math.gcd(n, q) != 1:
-            raise CliError(f"need n >= 1 and gcd(n, q) = 1, got n={n}, q={q}")
-        _check_size(n)
-        m = multiplicative_order(q, n)
-        # the order can be as large as n - 1, and q^m then has millions of digits
-        lam = (q**m - 1) // n if m * q.bit_length() <= MAX_LAMBDA_BITS else None
-        s = None
-    else:
-        if args.m is None:
-            raise CliError("need --n, or --m with --lambda or --s")
-        m, s = args.m, args.s
-        if s is not None:
-            family = _family(q, m, None, s)
+    if args.n is not None and (m is not None or lam is not None or s is not None):
+        raise CliError("--n replaces --m/--lambda/--s")
+    if args.n is None and m is None:
+        raise CliError("need --n, or --m with --lambda or --s")
+    if args.n is None and lam is None and s is None:
+        raise CliError("need --lambda or --s alongside --m")
+    with _relayed():
+        if args.n is not None:
+            n = args.n
+            check_modulus(n, q)  # before multiplicative_order factors n
+            m = multiplicative_order(q, n)
+            # the order can be as large as n - 1, and q^m then has millions of digits
+            lam = (q**m - 1) // n if m * q.bit_length() <= MAX_LAMBDA_BITS else None
+        elif s is not None:
+            family = _family(args)
             lam, n = family.lam, family.n
-        elif args.lam is None:
-            raise CliError("need --lambda or --s alongside --m")
         else:  # any divisor of q^m - 1, not only of q - 1
-            lam = args.lam
-            if plainly_above_max_n(q, m, lam):
-                raise _vast(q, m)
-            if lam < 1 or (q**m - 1) % lam:
-                raise CliError(f"lambda={lam} does not divide q^m-1={q**m - 1}")
-            n = (q**m - 1) // lam
-        _check_size(n)
-    try:
+            n = code_length(q, m, lam)
         table = coset_table(n, q)
-    except ValueError as e:
-        raise CliError(str(e)) from None
 
     report = Report("cosets", {"q": q, "n": n, "m": m, "lambda": lam})
     num_cosets = len(table.leaders)
@@ -349,13 +334,10 @@ def cmd_cosets(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_dual_bound(args) -> int:
-    spec = _spec_from_args(args, args.delta)
-    if not args.force_direct:
-        try:
-            dual_lower_bound(spec)
-        except ValueError as e:
-            raise CliError(f"{e} (pass --force-direct for the direct scan only)") from None
-    table = coset_table(spec.n, spec.q)
+    family = _family(args)
+    with _relayed():
+        spec = BchSpec(family, args.delta)
+        table = coset_table(spec.n, spec.q)
     rep = bound_report(spec, table)
     if args.certify and not search_fits(spec.q, rep.dual_dim, spec.n):
         raise CliError(f"--certify: q*dual_dim*n = {spec.q * rep.dual_dim * spec.n} "
@@ -410,8 +392,8 @@ def cmd_dual_bound(args) -> int:
 def cmd_dually_bch(args) -> int:
     if (args.delta is None) == (args.delta_range is None):
         raise CliError("need exactly one of --delta or --delta-range")
-    spec = _spec_from_args(args, 2)
-    n = spec.n
+    family = _family(args)
+    n = family.n
     if args.delta_range is not None:
         lo, hi = _parse_delta_range(args.delta_range)
     else:
@@ -419,9 +401,10 @@ def cmd_dually_bch(args) -> int:
     if not (2 <= lo and hi <= n):
         raise CliError(f"delta range [{lo}, {hi}] outside [2, {n}]")
 
-    table = coset_table(n, args.q)
+    with _relayed():
+        table = coset_table(n, args.q)
     try:
-        closed = dually_bch_closed_intervals(spec.family, table)
+        closed = dually_bch_closed_intervals(family, table)
     except ValueError:
         closed = None  # outside the threshold theorems' hypotheses
     rows = [[delta, verdict, witness,
@@ -429,7 +412,7 @@ def cmd_dually_bch(args) -> int:
             for delta, (_, verdict, witness) in enumerate(delta_sweep(table, lo, hi), lo)]
 
     report = Report("dually-bch", {
-        "q": args.q, "m": args.m, "lambda": spec.lam,
+        "q": args.q, "m": args.m, "lambda": family.lam,
         "delta_range": [lo, hi], "n": n,
     })
     report.add("verdicts", ["delta", "dually_bch", "witness", "closed_form"], rows)
@@ -592,9 +575,6 @@ def build_parser() -> Parser:
     p.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS,
                    help="information-set trials when exhaustion is too large")
     p.add_argument("--seed", type=_int_at_least(0), default=0, help="search seed")
-    p.add_argument("--force-direct", action="store_true",
-                   help="proceed without closed forms when the theorem "
-                        "hypotheses fail")
     _add_common(p)
     p.set_defaults(func=cmd_dual_bound)
 

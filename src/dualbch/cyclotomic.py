@@ -14,6 +14,11 @@ fixed points of the leader array.  The sieve makes up to m numpy calls per
 block of residues and m scatters, so it loses to the doubling on small
 tables and takes minutes where m is close to n.
 
+check_modulus is the one rule for a modulus: 1 <= n <= MAX_N, q >= 2 and
+gcd(n, q) = 1.  coset_table runs it first, and a caller that would factor
+n or allocate O(n) before the table runs it too, so a modulus past the cap
+is refused before either.
+
 largest_leaders_closed_form evaluates the known closed expressions for the
 largest coset leaders for three modulus families:
 
@@ -33,24 +38,27 @@ import numpy as np
 
 from .intmath import factorize
 
-MAX_N = 1 << 24  # largest code length or modulus accepted; tables are O(n) int32
+MAX_N = 1 << 24  # largest modulus check_modulus accepts; tables are O(n) int32
 _SIEVE_BLOCK = 1 << 15  # residues per sieve block: its int64 temporaries stay small
 _SIEVE_MIN_N = 1 << 16  # below, the doubling's few passes beat the sieve's calls
 _SIEVE_MAX_ORDER = 64  # above, the sieve's m calls per block cost more than the doubling
 
 
-def plainly_above_max_n(q: int, m: int, lam: int = 1, s: int | None = None) -> bool:
-    """Whether n = (q^m - 1)/lambda surely exceeds MAX_N, from bit lengths alone.
+def check_modulus(n: int, q: int) -> None:
+    """Raise ValueError unless coset_table can tabulate modulo n for base q.
 
-    lambda is q^s - 1 when s is given, else lam.  With b = bits(q) - 1, so
-    that q >= 2^b, n >= q^(m-s) >= 2^((m-s) b) in the power form and
-    n >= 2^(m b - bits(lam)) otherwise.  So a vast length is refused before
-    q^m, which may have millions of digits, is taken.  False still calls for
-    the exact comparison with MAX_N.
+    n must be in [1, MAX_N], which keeps every index and leader inside
+    int32, q >= 2, and gcd(n, q) = 1 so that multiplication by q permutes
+    Z_n.  The size comes before the gcd, so a vast n costs no division.
     """
-    b = q.bit_length() - 1
-    floor_bits = (m - s) * b if s is not None else m * b - lam.bit_length()
-    return floor_bits >= MAX_N.bit_length()
+    if n < 1:
+        raise ValueError(f"n={n} must be >= 1")
+    if n > MAX_N:
+        raise ValueError(f"n={n} exceeds the size cap {MAX_N}")
+    if q < 2:
+        raise ValueError(f"q={q} must be >= 2")
+    if math.gcd(n, q) != 1:
+        raise ValueError(f"gcd(n, q) = {math.gcd(n, q)} != 1")
 
 
 def multiplicative_order(q: int, n: int) -> int:
@@ -117,19 +125,11 @@ class CosetTable:
 def coset_table(n: int, q: int) -> CosetTable:
     """Compute all q-cyclotomic coset leaders modulo n.
 
-    Requires gcd(n, q) = 1 so that multiplication by q permutes Z_n, and
-    n <= MAX_N, which keeps every index and leader inside int32.  The build
-    is the sieve for n >= _SIEVE_MIN_N and m = ord_n(q) <= _SIEVE_MAX_ORDER,
-    else the pointer doubling; both give the same arrays.
+    (n, q) must pass check_modulus, which runs first.  The build is the
+    sieve for n >= _SIEVE_MIN_N and m = ord_n(q) <= _SIEVE_MAX_ORDER, else
+    the pointer doubling; both give the same arrays.
     """
-    if n < 1:
-        raise ValueError(f"n={n} must be >= 1")
-    if n > MAX_N:
-        raise ValueError(f"n={n} exceeds MAX_N = {MAX_N}")
-    if q < 2:
-        raise ValueError(f"q={q} must be >= 2")
-    if math.gcd(n, q) != 1:
-        raise ValueError(f"gcd(n, q) = {math.gcd(n, q)} != 1")
+    check_modulus(n, q)
     if n == 1:
         return CosetTable(1, q, np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int64))
     m = multiplicative_order(q, n)

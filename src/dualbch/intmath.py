@@ -1,7 +1,7 @@
 """Exact integer number theory: primality, perfect powers and factoring.
 
 The codes need little of it: q must be a prime power, field_new needs the
-primes of q^k - 1 < 2^63, and coset tables need ord_n(q) for n <= MAX_N.
+primes of q^k - 1 < 2^63, and coset tables need ord_n(q) for n <= 2^24.
 
 - is_prime: trial division by the primes below 2^12, then strong
   Miller-Rabin to the first 13 prime bases, which decides every n below

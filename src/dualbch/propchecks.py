@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .bch import Family, _divisors, check_table, theorem_families
-from .cyclotomic import MAX_N, CosetTable, _reduce_mod, coset_table
+from .cyclotomic import CosetTable, _reduce_mod, check_modulus, coset_table
 from .dualtools import validate_divisor_form, validate_power_form
 
 MANIFEST_SCHEMA = "dualbch-prop-grids/1"
@@ -69,7 +69,7 @@ def _progression_mod(c: int, step: int, u_hi: int, order: int) -> np.ndarray:
     """(c + step u) mod order for u = 1..u_hi, as one int64 progression.
 
     The floor checks' elements are such progressions in u.  Their raw values
-    stay below q^(m+1), under 2^37 for a table within MAX_N.
+    stay below q^(m+1), under 2^37 for a table within the size cap 2^24.
     """
     elems = np.arange(c + step, c + step * (u_hi + 1), step, dtype=np.int64)
     return _reduce_mod(elems, order)
@@ -298,9 +298,9 @@ def load_grid_manifest(path: str | Path | None = None) -> dict:
     grids = manifest.get("grids")
     if not (isinstance(grids, list)
             and all(isinstance(g, dict) and isinstance(g.get("cases"), list)
-                    and "lemma_id" in g for g in grids)):
-        raise ValueError("manifest needs a list of grids, each with a lemma_id "
-                         "and a list of cases")
+                    and isinstance(g.get("lemma_id"), str) for g in grids)):
+        raise ValueError("manifest needs a list of grids, each with a string "
+                         "lemma_id and a list of cases")
     return manifest
 
 
@@ -308,7 +308,8 @@ def _plan_case(lemma_id: str, case: dict) -> tuple:
     """(check, family, (modulus, base) of its coset table) for one case.
 
     Refuses, before any table exists, a case that is no valid Family, whose
-    table modulus exceeds MAX_N, or that lies outside its check's hypotheses.
+    table modulus is too large to compute (Family.n) or to tabulate
+    (check_modulus), or that lies outside its check's hypotheses.
     A case gives one of s and lam; a membership case also names that form
     as its kind, "power" or "divisor".  The checks are looked up by their
     module names on each call, so a wrapper bound over a name is what runs.
@@ -337,9 +338,7 @@ def _plan_case(lemma_id: str, case: dict) -> tuple:
             raise ValueError(f"kind {kind!r} does not name the form of its s or lam")
         family = Family(q, m, case.get("lam"), case.get("s"))
         table_family = family if membership else _primitive(family)
-        if table_family.plainly_above_max_n() or table_family.n > MAX_N:
-            # the modulus itself may have too many digits to print
-            raise ValueError(f"table modulus exceeds the size cap {MAX_N}")
+        check_modulus(table_family.n, q)
         rules(family)
     except ValueError as e:
         raise ValueError(f"{lemma_id} case {case}: {e}") from None

@@ -1,6 +1,7 @@
 """Defining sets, dual defining sets, generators, and code dimensions."""
 
 import math
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +15,7 @@ from dualbch.bch import (
     _divisors,
     bch_bound_from_set,
     bch_spec,
+    code_length,
     code_params,
     defining_leaders,
     defining_set,
@@ -103,10 +105,50 @@ class TestBchSpec:
         assert accepted == 798
 
     def test_vast_family_is_built_without_q_pow_m(self):
-        # n is worked out on first use, so the size cap can come first
+        # n is worked out on first use, and refused from bit lengths there
         family = Family(3, 10**9, s=5 * 10**8)
-        assert family.plainly_above_max_n()
-        assert not Family(2, 24, s=1).plainly_above_max_n()
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"q=3, m=1000000000 is 2\^64 or more"):
+            family.n
+        assert time.perf_counter() - t0 < 0.1
+        # past the coset tables' cap, a length is still computed
+        assert Family(2, 40, lam=1).n == 2**40 - 1
+
+
+class TestCodeLength:
+    def test_never_refuses_a_length_below_2_64(self):
+        # every refusal is of an exact (q^m - 1)/lambda of 65 bits or more;
+        # lambda need not divide q^m - 1 for the bound, so every lam < q is tried
+        refused = 0
+        for q in range(2, 70):
+            for m in range(1, 80):
+                qm = q**m - 1
+                forms = [(lam, None, qm // lam) for lam in range(1, q)]
+                forms += [(None, s, qm // (q**s - 1)) for s in range(1, m) if m % s == 0]
+                for lam, s, n in forms:
+                    try:
+                        code_length(q, m, lam, s)
+                    except ValueError as e:
+                        if "too large" in str(e):
+                            assert n.bit_length() > 64, (q, m, lam, s)
+                            refused += 1
+        assert refused > 100_000
+
+    def test_refuses_vast_lengths(self):
+        for q, m, lam, s in [(2, 70, 1, None), (3, 10_000, 1, None), (3, 30_000_000, None, 1),
+                             (2, 30_000_000, None, 2), (5, 10**7, 2, None),
+                             (2, 130, None, 65)]:  # n = 1 + 2^65
+            with pytest.raises(ValueError, match="too large to compute"):
+                code_length(q, m, lam, s)
+        # 2^40 - 1 and 1 + 2^40, both past the coset tables' cap
+        assert code_length(2, 40, 1) == 2**40 - 1
+        assert code_length(2, 80, s=40) == 2**40 + 1
+        assert code_length(2, 64, 1) == 2**64 - 1  # 64 bits: computed
+
+    @pytest.mark.parametrize("lam", [0, -3, 7])
+    def test_lambda_must_divide(self, lam):
+        with pytest.raises(ValueError, match=f"lambda={lam} does not divide q\\^m-1=15"):
+            code_length(2, 4, lam)
 
 
 class TestTheoremFamilies:

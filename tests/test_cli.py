@@ -8,13 +8,15 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from dualbch import cli
 from dualbch.bch import Family
-from dualbch.cli import MAX_N, main
+from dualbch.cli import main
+from dualbch.cyclotomic import MAX_N
 from dualbch.mindist import MAX_SEARCH_ELEMS
 from dualbch.propchecks import MANIFEST_SCHEMA
 
@@ -42,12 +44,15 @@ REPORT_HASHES = [
      "7a3432d6db89ae35ef8ff3af6aef88f78960092b21e8071dc7f4127b7704600a"),
     (["verify", "--only", "bounds", "--only", "dually_bch"],
      "2c54777ee4392ff1fd9255433ceaf4cf7f075b61a9648470ae66daefe08b5b72"),
+    # m/s = 2 < 3: the direct columns, and null closed columns
+    (["dual-bound", "--q", "2", "--m", "4", "--s", "2", "--delta", "3"],
+     "3ced56e220ea0a010bd37d662a26337d8b41833241db05a1ed00c281abec9a85"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", REPORT_HASHES, ids=[
     "dual-bound-power-form", "dual-bound-divisor-form", "dually-bch-range",
-    "cosets-members", "verify-bounds-dually-bch"])
+    "cosets-members", "verify-bounds-dually-bch", "dual-bound-outside-hypotheses"])
 def test_report_bytes_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv, "--format", "json")
     assert (code, err) == (0, "")
@@ -183,29 +188,45 @@ class TestCosets:
         assert f"dualbch cosets: error: argument {flag}: must be >= 1, got {value}" in err
 
 
+OVERSIZED = [
+    ["dual-bound", "--q", "2", "--m", "40", "--lambda", "1", "--delta", "3"],
+    ["dually-bch", "--q", "2", "--m", "40", "--lambda", "1", "--delta", "3"],
+    ["cosets", "--q", "2", "--m", "40", "--lambda", "1"],
+    ["cosets", "--q", "2", "--n", str(MAX_N + 1)],
+    ["cosets", "--q", "2", "--n", str(10**30 + 57)],
+    # n = p q with two 60-bit primes: ord_n(2) needs n factored, which
+    # takes Pollard-Brent about 10^9 steps, so the cap must come first
+    ["cosets", "--q", "2", "--n", str(1000000000000000003 * 3000000000000000037)],
+]
+VAST = [
+    ["dually-bch", "--q", "3", "--m", "10000", "--lambda", "1", "--delta", "3"],
+    ["dual-bound", "--q", "3", "--m", "10000", "--lambda", "1", "--delta", "3"],
+    ["cosets", "--q", "3", "--m", "10000", "--lambda", "1"],
+    ["dually-bch", "--q", "3", "--m", "30000000", "--lambda", "1",
+     "--delta", "3"],
+    ["dual-bound", "--q", "2", "--m", "30000000", "--s", "2", "--delta", "3"],
+    ["cosets", "--q", "3", "--m", "30000000", "--s", "1"],
+]
+VAST_IDS = ["dually-bch", "dual-bound", "cosets", "dually-bch-3e7",
+            "dual-bound-3e7-s", "cosets-3e7-s"]
+S_EQUAL_TO_M = [
+    ["cosets", "--q", "3", "--m", "10000", "--s", "10000"],
+    ["dually-bch", "--q", "3", "--m", "3000000", "--s", "3000000", "--delta", "2"],
+    ["dual-bound", "--q", "3", "--m", "3000000", "--s", "3000000", "--delta", "2"],
+    ["cosets", "--q", "2", "--m", "4", "--s", "4"],
+]
+S_EQUAL_TO_M_IDS = ["cosets-1e4", "dually-bch-3e6", "dual-bound-3e6", "cosets-small"]
+
+
 class TestSizeGuard:
-    @pytest.mark.parametrize("argv", [
-        ["dual-bound", "--q", "2", "--m", "40", "--lambda", "1", "--delta", "3"],
-        ["dually-bch", "--q", "2", "--m", "40", "--lambda", "1", "--delta", "3"],
-        ["cosets", "--q", "2", "--m", "40", "--lambda", "1"],
-        ["cosets", "--q", "2", "--n", str(MAX_N + 1)],
-    ])
+    @pytest.mark.parametrize("argv", OVERSIZED)
     def test_oversized_length_exits_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert f"dualbch {argv[0]}: error: n=" in err
         assert f"exceeds the size cap {MAX_N}" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["dually-bch", "--q", "3", "--m", "10000", "--lambda", "1", "--delta", "3"],
-        ["dual-bound", "--q", "3", "--m", "10000", "--lambda", "1", "--delta", "3"],
-        ["cosets", "--q", "3", "--m", "10000", "--lambda", "1"],
-        ["dually-bch", "--q", "3", "--m", "30000000", "--lambda", "1",
-         "--delta", "3"],
-        ["dual-bound", "--q", "2", "--m", "30000000", "--s", "2", "--delta", "3"],
-        ["cosets", "--q", "3", "--m", "30000000", "--s", "1"],
-    ], ids=["dually-bch", "dual-bound", "cosets", "dually-bch-3e7",
-            "dual-bound-3e7-s", "cosets-3e7-s"])
+    @pytest.mark.parametrize("argv", VAST, ids=VAST_IDS)
     def test_vast_m_refused_from_bit_lengths(self, capsys, argv):
         # q^m has thousands of digits, too many to print, or millions, which
         # take about a minute to compute; neither is needed to refuse
@@ -215,14 +236,9 @@ class TestSizeGuard:
         assert (code, out) == (1, "")
         q, m = argv[2], argv[4]
         assert err == (f"dualbch {argv[0]}: error: n=(q^m-1)/lambda with q={q}, "
-                       f"m={m} exceeds the size cap {MAX_N}\n")
+                       f"m={m} is 2^64 or more, too large to compute\n")
 
-    @pytest.mark.parametrize("argv", [
-        ["cosets", "--q", "3", "--m", "10000", "--s", "10000"],
-        ["dually-bch", "--q", "3", "--m", "3000000", "--s", "3000000", "--delta", "2"],
-        ["dual-bound", "--q", "3", "--m", "3000000", "--s", "3000000", "--delta", "2"],
-        ["cosets", "--q", "2", "--m", "4", "--s", "4"],
-    ], ids=["cosets-1e4", "dually-bch-3e6", "dual-bound-3e6", "cosets-small"])
+    @pytest.mark.parametrize("argv", S_EQUAL_TO_M, ids=S_EQUAL_TO_M_IDS)
     def test_s_equal_to_m_refused_before_q_pow_m(self, capsys, argv):
         # n = 1 passes the size cap, but lambda = q^m - 1 may be vast
         t0 = time.perf_counter()
@@ -232,6 +248,25 @@ class TestSizeGuard:
         m = argv[4]
         assert err == (f"dualbch {argv[0]}: error: s={m} equals m, so "
                        f"n = (q^m-1)/(q^s-1) = 1; need s < m\n")
+
+    @pytest.mark.parametrize("argv", OVERSIZED + VAST + S_EQUAL_TO_M)
+    def test_refused_before_allocation(self, capsys, argv):
+        # numpy reports its buffers to tracemalloc, and a table modulo
+        # MAX_N + 1 alone would take 64 MiB
+        run(capsys, "cosets", "--q", "2", "--n", "7")  # warm lazy imports
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            code, out, err = run(capsys, *argv)
+            seconds = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err.startswith(f"dualbch {argv[0]}: error: ")
+        assert "Traceback" not in err
+        assert seconds < 1.0
+        assert peak < 4 << 20, peak
 
 
 class TestDualBound:
@@ -302,21 +337,15 @@ class TestDualBound:
         assert named["primitive_length"][1] == 8
         assert named["projective_length"][1] == 8
 
-    def test_hypothesis_violation_exits_1(self, capsys):
-        code, _, err = run(capsys, "dual-bound", "--q", "2", "--m", "4",
-                           "--s", "2", "--delta", "3")
-        assert code == 1
-        assert "m/s" in err and "--force-direct" in err
-
-    def test_force_direct_proceeds(self, capsys):
-        code, out, _ = run(capsys, "dual-bound", "--q", "2", "--m", "4",
-                           "--s", "2", "--delta", "3", "--force-direct",
-                           "--format", "json")
-        assert code == 0
+    def test_outside_hypotheses_gives_null_closed_columns(self, capsys):
+        # m/s = 2 < 3, outside the closed forms: the direct scan still runs
+        code, out, err = run(capsys, "dual-bound", "--q", "2", "--m", "4",
+                             "--s", "2", "--delta", "3", "--format", "json")
+        assert (code, err) == (0, "")
         row = dict(zip(section(out, "dual_distance_bounds")["columns"],
                        section(out, "dual_distance_bounds")["rows"][0]))
-        assert row["i_delta_closed"] is None
-        assert row["lower_bound_direct"] >= 2
+        assert row == {"i_delta_direct": 1, "i_delta_closed": None,
+                       "lower_bound_direct": 2, "lower_bound_closed": None}
 
     def test_trials_0_exits_1(self, capsys):
         code, out, err = run(capsys, "dual-bound", "--q", "2", "--m", "10",
@@ -349,8 +378,7 @@ class TestDualBound:
         # anything is allocated
         t0 = time.perf_counter()
         code, out, err = run(capsys, "dual-bound", "--q", "65521", "--m", "1",
-                             "--lambda", "4095", "--delta", "3", "--certify",
-                             "--force-direct")
+                             "--lambda", "4095", "--delta", "3", "--certify")
         assert time.perf_counter() - t0 < 2.0
         assert (code, out) == (1, "")
         assert err.startswith("dualbch dual-bound: error: cannot build GF(65521^1): "
@@ -361,8 +389,8 @@ class TestDualBound:
         (["--q", "1024", "--m", "2", "--lambda", "1", "--delta", "2"], 2147481600),
         (["--q", "2048", "--m", "2", "--lambda", "1", "--delta", "2"], 17179865088),
         # GF(65521) is above MAX_SCALAR_Q too, but the search cap is met first
-        (["--q", "65521", "--m", "2", "--lambda", "65520", "--delta", "3",
-          "--force-direct"], 17172267848),
+        (["--q", "65521", "--m", "2", "--lambda", "65520", "--delta", "3"],
+         17172267848),
     ], ids=["q1024", "q2048", "q65521"])
     def test_certify_refuses_a_search_above_the_cap(self, capsys, monkeypatch, argv, qkn):
         def no_field(q, m):
@@ -548,9 +576,12 @@ class TestVerify:
          "s=0 must be a positive divisor of m=6"),
         # a 2^40-element coset table would not fit; refused before allocation
         (("leader_floor_power_form", {"q": 2, "s": 1, "m": 40}),
-         f"table modulus exceeds the size cap {MAX_N}"),
+         f"n={2**40 - 1} exceeds the size cap {MAX_N}"),
+        # a list is no dict key: this was a TypeError traceback
+        ((["x"], {"q": 2, "s": 1, "m": 6}),
+         "manifest needs a list of grids, each with a string lemma_id"),
     ], ids=["missing", "invalid-json", "schema", "lemma-id", "hypotheses",
-            "float-q", "zero-s", "oversized"])
+            "float-q", "zero-s", "oversized", "list-lemma-id"])
     def test_bad_grids_exit_1(self, capsys, tmp_path, text, message):
         p = tmp_path / "grids.json"
         if isinstance(text, tuple):  # one grid with one case

@@ -1,6 +1,7 @@
 """Coset tables, leaders, and closed-form largest leaders."""
 
 import math
+import re
 import signal
 import tracemalloc
 
@@ -15,12 +16,12 @@ from dualbch.cyclotomic import (
     CosetTable,
     _doubling_build,
     _sieve_build,
+    check_modulus,
     coset_table,
     largest_leaders,
     largest_leaders_closed_form,
     leader_family_modulus,
     multiplicative_order,
-    plainly_above_max_n,
 )
 
 
@@ -227,35 +228,28 @@ class TestCosetTable:
             raise AssertionError("coset_table allocated before its size check")
 
         monkeypatch.setattr(np, "arange", no_arange)
-        with pytest.raises(ValueError, match="MAX_N"):
+        with pytest.raises(ValueError, match=f"exceeds the size cap {MAX_N}"):
             coset_table(MAX_N + 1, 3)
 
 
-class TestPlainlyAboveMaxN:
-    def test_never_refuses_a_length_within_the_cap(self):
-        # every refusal is of an exact (q^m - 1)/lambda above MAX_N
-        refused = 0
-        for q in range(2, 70):
-            for m in range(1, 80):
-                qm = q**m - 1
-                forms = [(lam, None, qm // lam) for lam in range(1, q)]
-                forms += [(1, s, qm // (q**s - 1)) for s in range(1, m + 1) if m % s == 0]
-                for lam, s, n in forms:
-                    if plainly_above_max_n(q, m, lam, s):
-                        assert n > MAX_N, (q, m, lam, s)
-                        refused += 1
-        assert refused > 100_000
+class TestCheckModulus:
+    @pytest.mark.parametrize("n,q,message", [
+        (0, 2, "n=0 must be >= 1"),
+        (MAX_N + 1, 3, f"n={MAX_N + 1} exceeds the size cap {MAX_N}"),
+        # a vast n is refused before any gcd with q
+        (10**4000, 2, "exceeds the size cap"),
+        (7, 1, "q=1 must be >= 2"),
+        (6, 2, "gcd(n, q) = 2 != 1"),
+    ], ids=["n0", "above-cap", "vast", "q1", "gcd"])
+    def test_refusals(self, n, q, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_modulus(n, q)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            coset_table(n, q)
 
-    def test_refuses_vast_lengths(self):
-        assert plainly_above_max_n(2, 26)
-        assert not plainly_above_max_n(2, 25)  # n = 2^25 - 1: exact check refuses
-        assert plainly_above_max_n(3, 10_000)
-        assert plainly_above_max_n(3, 30_000_000, s=1)
-        assert plainly_above_max_n(2, 30_000_000, s=2)
-        assert plainly_above_max_n(5, 10**7, lam=2)
-        # n = 1 + q^s: too large once s is
-        assert plainly_above_max_n(2, 60, s=30)
-        assert not plainly_above_max_n(2, 40, s=20)
+    def test_accepts_the_cap(self):
+        check_modulus(MAX_N, 3)
+        check_modulus(1, 2)
 
 
 class TestLargestLeaders:
