@@ -6,7 +6,10 @@ closed form), the resulting lower bound on the dual distance, the direct
 cyclic-run bound on the dual defining set, the best applicable prior bound,
 and the dually-BCH verdict.  It exits 1, naming each delta, where the
 direct and closed-form I(delta) or dually-BCH verdicts disagree; a closed
-value outside its theorem's hypotheses is not compared.
+value outside its theorem's hypotheses is not compared.  It also exits 1
+where bound_report's closed columns, kept once per segment of deltas,
+differ from dual_lower_bound, dually_bch_closed or prior_bounds at that
+delta; the prior bounds have no direct route to check them against.
 
     python3 scripts/bound_survey.py --q 2 --m 6 --lambda 1
     python3 scripts/bound_survey.py --q 3 --m 6 --s 2 --deltas 2:20
@@ -17,7 +20,20 @@ import sys
 
 from dualbch.bch import bch_spec
 from dualbch.cyclotomic import coset_table
-from dualbch.dualtools import bound_report
+from dualbch.dualtools import bound_report, dual_lower_bound, dually_bch_closed, prior_bounds
+
+
+def per_delta_closed(spec, table):
+    """bound_report's closed columns at spec.delta, from the per-delta functions."""
+    try:
+        lower = dual_lower_bound(spec)
+    except ValueError:
+        lower = None
+    try:
+        verdict = dually_bch_closed(spec, table)
+    except ValueError:
+        verdict = None
+    return None if lower is None else lower - 1, lower, verdict, prior_bounds(spec)
 
 
 def main():
@@ -59,6 +75,11 @@ def main():
         if rep.dually_bch_closed not in (None, rep.dually_bch_direct):
             disagreements.append(f"delta={delta}: dually-BCH direct {rep.dually_bch_direct}, "
                                  f"closed {rep.dually_bch_closed}")
+        closed = (rep.i_delta_closed, rep.lower_bound_closed, rep.dually_bch_closed,
+                  rep.prior_bounds)
+        if closed != per_delta_closed(spec, table):
+            disagreements.append(f"delta={delta}: bound_report's closed columns differ "
+                                 f"from the per-delta functions")
     for line in disagreements:
         print(f"disagreement at {line}", file=sys.stderr)
     return 1 if disagreements else 0

@@ -93,7 +93,8 @@ class CosetTable:
     closed_columns are the memos of dualtools.bound_report: its direct
     columns, one entry per segment of deltas that share a dual defining
     set, and its closed columns, one dualtools.ClosedColumns per code
-    family.  They live and die with the table.
+    family, which fills a row per segment of the closed forms' cases as
+    queries reach it.  They live and die with the table.
     """
 
     def __init__(self, n, q, leader_of, leaders):

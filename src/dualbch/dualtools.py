@@ -16,14 +16,14 @@ bound then gives d_perp >= I(delta) + 1.  This module computes
     cosets of 0 .. J-1, per delta directly, per family by the theorems,
   * delta_sweep: I(delta) and the direct dually-BCH verdict for every delta
     in [2, n] from one pass over the coset leaders,
-  * closed_columns: the closed I(delta), the prior bounds and the closed
-    dually-BCH verdict for every delta of one family, as segments of delta
-    cut at the closed forms' case boundaries, built in O(pieces), not O(n),
+  * ClosedColumns: the closed I(delta), the prior bounds and the closed
+    dually-BCH verdict of one family, computed by the per-delta functions
+    once per segment of delta between two case boundaries, on first use,
   * bound_report: all of the above for one delta.  Given one table for
     every delta of a family, it scans T_perp once per segment of deltas
     between two consecutive coset leaders, where T_perp does not change,
     and keeps those direct columns on the table, next to the family's
-    closed columns, so a repeated query is two lookups.
+    ClosedColumns, so a repeated query is two lookups.
 
 Every function here that reads a coset table takes it as a required
 argument; none builds its own.
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,6 +197,22 @@ def dual_lower_bound(spec: BchSpec) -> int:
 # previously published bounds, for comparison
 # ---------------------------------------------------------------------------
 
+def _carlitz_uchiyama(family: Family, delta: int) -> PriorBound | None:
+    """The Carlitz-Uchiyama bound at delta, None where it does not apply.
+
+    It covers binary primitive codes (q = 2, lambda = 1) of odd designed
+    distance 2s + 1, and changes at every such delta.
+    """
+    if family.q != 2 or family.lam != 1 or delta % 2 == 0:
+        return None
+    m, s = family.m, (delta - 1) // 2
+    if m % 2 == 0:
+        cu = 2**(m - 1) - (s - 1) * 2**(m // 2)
+    else:
+        cu = 2**(m - 1) - (s - 1) * math.sqrt(2.0**m)
+    return PriorBound("carlitz_uchiyama", cu, cu <= 1)
+
+
 def prior_bounds(spec: BchSpec) -> tuple[PriorBound, ...]:
     """Earlier bounds applicable to this length family, with raw values.
 
@@ -208,15 +224,11 @@ def prior_bounds(spec: BchSpec) -> tuple[PriorBound, ...]:
     """
     q, m, delta, lam, n = spec.q, spec.m, spec.delta, spec.lam, spec.n
     out = []
-    if q == 2 and lam == 1 and delta % 2 == 1:
+    cu = _carlitz_uchiyama(spec.family, delta)
+    if cu is not None:
         s = (delta - 1) // 2
-        if m % 2 == 0:
-            cu = 2**(m - 1) - (s - 1) * 2**(m // 2)
-        else:
-            cu = 2**(m - 1) - (s - 1) * math.sqrt(2.0**m)
-        out.append(PriorBound("carlitz_uchiyama", cu, cu <= 1))
         sid = 2**(m - 1 - ((2 * s - 1).bit_length() - 1))
-        out.append(PriorBound("sidelnikov", sid, sid <= 1))
+        out += [cu, PriorBound("sidelnikov", sid, sid <= 1)]
     if lam == 1 and m >= 3:
         vals = []
         if q == 2:
@@ -368,158 +380,102 @@ def dually_bch_closed(spec: BchSpec, table: CosetTable) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# closed columns of one family, as segments of delta
+# closed columns of one family, filled per segment of delta
 # ---------------------------------------------------------------------------
-#
-# Each closed column is built from pieces (lo, hi, value): value holds for
-# every delta in [lo, hi], and a later piece overwrites an earlier one where
-# they overlap.  The pieces restate the case boundaries of the per-delta
-# functions above, which stay as the oracle the tests hold them to.
 
-def _i_delta_pieces(family: Family) -> list[tuple[int, int, int]]:
-    """The closed I(delta) as pieces, none outside its form's hypothesis.
+def _closed_cuts(family: Family, table: CosetTable) -> list[int]:
+    """2 and every delta in (2, n] at which a closed column may change, ascending.
 
-    They follow _power_case and _divisor_case, listed in reverse so that
-    the first case to match is painted last.
+    The cuts carry no values: they are the first delta of every case of
+    _power_case, _divisor_case and prior_bounds and the first delta past
+    it, and the bounds of dually_bch_closed_intervals.  Between two cuts
+    each of those matches the same cases at every delta of one parity, so
+    every closed column but Carlitz-Uchiyama is constant there.
     """
-    q, m, s, n = family.q, family.m, family.s, family.n
+    q, m, s, lam, n = family.q, family.m, family.s, family.lam, family.n
+    spans = []  # inclusive (lo, hi) on which one case holds
     if s is not None:
-        if m // s < 3:
-            return []
-        lam = q**s - 1
-        pieces = [((q**(t * s) - 1) // lam + 1, (q**((t + 1) * s) - 1) // lam,
-                   (q**(m - t * s) - 1) // lam) for t in range(1, m // s - 1)]
-        pieces.append(((q**(m - s) - 1) // lam + 1, n, 1))
-        return pieces[::-1]
-    if m < 2:
-        return []
-    lam = family.lam
-    w = (q - 1) // lam
-    pieces = []
-    for t in range(0, m - 1):  # case 1: the exact points
-        at, top = (q**(t + 1) - q) // lam + 1, (q**(m - t) - 1) // lam
-        pieces += [(at + s, at + s, top - s * q**(m - t - 1)) for s in range(1, w)]
-    for t in range(1, m):  # case 2
-        base, top = (q**t - 1) // lam, (q**(m - t) - 1) // lam
-        pieces += [(base + s * q**t + 1, base + (s + 1) * q**t, top - s)
-                   for s in range(0, w - 1)]
-    for t in range(1, m - 1):  # case 3
-        pieces.append(((q**(t + 1) - 1) // lam - q**t + 1, (q**(t + 1) - q) // lam + 1,
-                       (q**(m - t) - q) // lam + 1))
-    pieces.append((n - q**(m - 1) + 1, n, 1))  # case 4
-    return pieces[::-1]
-
-
-def _prior_pieces(family: Family) -> dict[str, list[tuple[int, int, PriorBound]]]:
-    """prior_bounds as pieces per name, Carlitz-Uchiyama aside.
-
-    sidelnikov holds at odd delta only.  primitive_length is the largest
-    value among its pieces that hold, so they are painted by value;
-    projective_length's pieces are disjoint, painted in reverse match order.
-    """
-    q, m, lam, n = family.q, family.m, family.lam, family.n
-    pieces = {}
-    if q == 2 and lam == 1:  # 2s - 1 = delta - 2 has bit length j + 1
-        pieces["sidelnikov"] = [(2**j + 2, 2**(j + 1) + 1, 2**(m - 1 - j)) for j in range(m)]
-    if lam == 1 and m >= 3:
+        spans += [((q**(t * s) - 1) // lam + 1, (q**((t + 1) * s) - 1) // lam)
+                  for t in range(1, m // s - 1)]
+        spans.append(((q**(m - s) - 1) // lam + 1, n))
+    else:
+        w = (q - 1) // lam
+        for t in range(0, m - 1):  # case 1: one point per s
+            at = (q**(t + 1) - q) // lam + 1
+            spans += [(at + j, at + j) for j in range(1, w)]
+        for t in range(1, m):  # case 2
+            base = (q**t - 1) // lam
+            spans += [(base + j * q**t + 1, base + (j + 1) * q**t) for j in range(w - 1)]
+        spans += [((q**(t + 1) - 1) // lam - q**t + 1, (q**(t + 1) - q) // lam + 1)
+                  for t in range(1, m - 1)]  # case 3
+        spans.append((n - q**(m - 1) + 1, n))  # case 4
+    if q == 2 and lam == 1:  # sidelnikov: 2s - 1 = delta - 2 has bit length j + 1
+        spans += [(2**j + 2, 2**(j + 1) + 1) for j in range(m)]
+    if lam == 1 and m >= 3:  # primitive_length
         if q == 2:
-            prim = [(2**t, 2**(t + 1) - 1, 2**(m - t)) for t in range(2, m - 2)]
-            prim.append((2**(m - 2), 2**(m - 1) - 2**((m - 1) // 2) - 1, 4))
+            spans += [(2**t, 2**(t + 1) - 1) for t in range(2, m - 2)]
+            spans.append((2**(m - 2), 2**(m - 1) - 2**((m - 1) // 2) - 1))
         else:
-            prim = [(a * q**t, (a + 1) * q**t - 1, q**(m - t) - a + 1)
-                    for t in range(1, m - 1) for a in range(1, q - 1)]
-            prim += [((q - 1) * q**t, q**(t + 1) - q + 1, q**(m - t) - q + 2)
-                     for t in range(1, m - 1)]
-            prim += [(a * q**(m - 1), (a + 1) * q**(m - 1) - 1, q - a + 1)
-                     for a in range(1, q - 2)]
-            prim.append(((q - 2) * q**(m - 1), (q - 1) * q**(m - 1) - q**((m - 1) // 2) - 1, 3))
-            prim += [(q**t - b, q**t - b, (b + 1) * q**(m - t))
-                     for t in range(1, m) for b in range(1, q - 1) if q**t - b >= 3]
-        pieces["primitive_length"] = sorted(prim, key=lambda p: p[2])
-    if lam == q - 1 and m >= 3:
-        proj = [((q**t - 1) // (q - 1) + 1, (q**(t + 1) - 1) // (q - 1),
-                 (q**(m - t) - 1) // (q - 1) + 1) for t in range(1, m - 1)]
-        proj.append(((q**(m - 1) - 1) // (q - 1) + 1, n - 1, 2))
-        pieces["projective_length"] = proj[::-1]
-    return {name: [(lo, hi, PriorBound(name, v, v <= 1)) for lo, hi, v in ps]
-            for name, ps in pieces.items()}
-
-
-def _paint(starts: list[int], pieces, default=None) -> list:
-    """One value per segment of starts, each piece overwriting those before it."""
-    column = [default] * len(starts)
-    for lo, hi, value in pieces:
-        i, j = bisect_left(starts, lo), bisect_left(starts, hi + 1)
-        column[i:j] = [value] * (j - i)
-    return column
-
-
-@dataclass(frozen=True)
-class ClosedColumns:
-    """bound_report's closed columns for every delta in [2, n] of one family.
-
-    starts cuts [2, n] into segments on which the closed I(delta), the
-    closed verdict and every prior bound but Carlitz-Uchiyama are constant;
-    rows[i] serves the deltas in [starts[i], starts[i + 1]).  Carlitz-
-    Uchiyama, affine in s = (delta - 1)/2, is base - (s - 1) step at odd
-    delta, with cu = (base, step) = (2^(m-1), 2^(m/2)) for even m and
-    (2^(m-1), sqrt(2^m)) for odd m, as prior_bounds computes it.
-    """
-
-    starts: list[int]
-    # (I(delta), I(delta) + 1, verdict, priors at even delta, at odd delta)
-    rows: list[tuple]
-    cu: tuple[int, int | float] | None  # None where Carlitz-Uchiyama does not apply
-    delta1: int
-    delta2: int | None
-
-    def at(self, delta: int) -> tuple:
-        """(i_closed, lower_closed, verdict, prior bounds) at delta."""
-        i_closed, lower, verdict, even, odd = self.rows[bisect_right(self.starts, delta) - 1]
-        if delta % 2 == 0:
-            return i_closed, lower, verdict, even
-        if self.cu is None:
-            return i_closed, lower, verdict, odd
-        base, step = self.cu
-        cu = base - ((delta - 1) // 2 - 1) * step
-        return i_closed, lower, verdict, (PriorBound("carlitz_uchiyama", cu, cu <= 1), *odd)
-
-
-def closed_columns(family: Family, table: CosetTable) -> ClosedColumns:
-    """The closed columns of every delta of family, in O(pieces), not O(n).
-
-    The closed I(delta) and the prior bounds come from their formulas
-    alone.  Only the dually-BCH intervals and delta1/delta2 read the
-    table's leaders, as dually_bch_closed does.  A column is None wherever
-    its per-delta function raises ValueError, outside its hypotheses.
-    Raises ValueError on a table of another (n, q).
-    """
-    check_table(family, table)
-    n = family.n
-    i_pieces = _i_delta_pieces(family)
-    priors = _prior_pieces(family)
+            spans += [(a * q**t, (a + 1) * q**t - 1)
+                      for t in range(1, m - 1) for a in range(1, q - 1)]
+            spans += [((q - 1) * q**t, q**(t + 1) - q + 1) for t in range(1, m - 1)]
+            spans += [(a * q**(m - 1), (a + 1) * q**(m - 1) - 1) for a in range(1, q - 2)]
+            spans.append(((q - 2) * q**(m - 1), (q - 1) * q**(m - 1) - q**((m - 1) // 2) - 1))
+            spans += [(q**t - b, q**t - b) for t in range(1, m) for b in range(1, q - 1)]
+    if lam == q - 1 and m >= 3:  # projective_length
+        spans += [((q**t - 1) // (q - 1) + 1, (q**(t + 1) - 1) // (q - 1))
+                  for t in range(1, m - 1)]
+        spans.append(((q**(m - 1) - 1) // (q - 1) + 1, n - 1))
     try:
-        intervals, verdict_default = dually_bch_closed_intervals(family, table), False
+        spans += dually_bch_closed_intervals(family, table)
     except ValueError:
-        intervals, verdict_default = (), None
-    verdict_pieces = [(lo, hi, True) for lo, hi in intervals]
-    every = [i_pieces, verdict_pieces, *priors.values()]
-    starts = sorted({2} | {b for pieces in every for lo, hi, _ in pieces if lo <= hi
-                           for b in (lo, hi + 1) if 2 < b <= n})
-    i_delta = _paint(starts, i_pieces)
-    verdict = _paint(starts, verdict_pieces, verdict_default)
-    sidelnikov = _paint(starts, priors.pop("sidelnikov", []))
-    others = [_paint(starts, pieces) for pieces in priors.values()]
-    rows = []
-    for k, i in enumerate(i_delta):
-        even = tuple(col[k] for col in others if col[k] is not None)
-        odd = even if sidelnikov[k] is None else (sidelnikov[k], *even)
-        rows.append((i, None if i is None else i + 1, verdict[k], even, odd))
-    cu, m = None, family.m
-    if family.q == 2 and family.lam == 1:
-        cu = (2**(m - 1), 2**(m // 2) if m % 2 == 0 else math.sqrt(2.0**m))
-    tops = largest_leaders(table, 2)
-    return ClosedColumns(starts, rows, cu, tops[0], tops[1] if len(tops) > 1 else None)
+        pass  # outside the criterion's hypotheses the verdict is None throughout
+    return [2, *sorted({b for span in spans for b in (span[0], span[1] + 1) if 2 < b <= n})]
+
+
+class ClosedColumns:
+    """bound_report's closed columns for the deltas of one family, filled lazily.
+
+    starts, from _closed_cuts, cuts [2, n] into segments.  The first query
+    in a (segment, parity) slot runs dual_lower_bound, dually_bch_closed and
+    prior_bounds at its delta; rows keeps the result, less Carlitz-Uchiyama,
+    which is worked out per query, for the rest of the slot.  So a query
+    costs a bisection and at most one call of each, whatever n.  A column
+    is None where its function raises ValueError.  Only the cuts, the
+    verdict and delta1/delta2 read the table, from its leaders, never its
+    direct rows.  Raises ValueError on a table of another (n, q).
+    """
+
+    def __init__(self, family: Family, table: CosetTable):
+        check_table(family, table)
+        self.starts = _closed_cuts(family, table)
+        # slot -> (I, I + 1, verdict, priors but Carlitz-Uchiyama, whether it applies)
+        self.rows: dict[int, tuple] = {}
+        tops = largest_leaders(table, 2)
+        self.delta1 = tops[0]
+        self.delta2 = tops[1] if len(tops) > 1 else None
+
+    def at(self, spec: BchSpec, table: CosetTable) -> tuple:
+        """(i_closed, lower_closed, verdict, prior bounds) of spec, on the table built from."""
+        slot = 2 * bisect_right(self.starts, spec.delta) + spec.delta % 2
+        row = self.rows.get(slot)
+        if row is None:
+            try:
+                lower = dual_lower_bound(spec)
+            except ValueError:
+                lower = None
+            try:
+                verdict = dually_bch_closed(spec, table)
+            except ValueError:
+                verdict = None
+            every = prior_bounds(spec)
+            priors = tuple(b for b in every if b.name != "carlitz_uchiyama")
+            row = self.rows[slot] = (None if lower is None else lower - 1, lower, verdict,
+                                     priors, len(priors) < len(every))
+        i_closed, lower, verdict, priors, cu = row
+        if cu:
+            priors = (_carlitz_uchiyama(spec.family, spec.delta), *priors)
+        return i_closed, lower, verdict, priors
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +491,11 @@ def bound_report(spec: BchSpec, table: CosetTable) -> BoundReport:
     leaders below delta, because T = C_1 u ... u C_{delta-1} and so T_perp
     stay the same between two consecutive leaders.  The table keeps them,
     with |T|, in its direct_rows, keyed by k, scanning T_perp once per
-    segment.  The closed columns, closed_columns(spec.family, table), are
-    kept in its closed_columns, keyed by family; they never read the
-    direct rows, so the two routes stay independent.  Raises ValueError on
-    a table of another (n, q).
+    segment.  The closed columns come from a ClosedColumns kept in its
+    closed_columns, keyed by family, which runs the per-delta closed
+    functions once per segment of their cases; they never read the direct
+    rows, so the two routes stay independent.  Raises ValueError on a
+    table of another (n, q).
     """
     check_table(spec, table)
     k = int(table.leaders.searchsorted(spec.delta))
@@ -552,9 +509,9 @@ def bound_report(spec: BchSpec, table: CosetTable) -> BoundReport:
         table.direct_rows[k] = row
     closed = table.closed_columns.get(spec.family)
     if closed is None:
-        closed = table.closed_columns[spec.family] = closed_columns(spec.family, table)
+        closed = table.closed_columns[spec.family] = ClosedColumns(spec.family, table)
     dual_dim, i_direct, direct_verdict, witness, lower_direct = row
-    i_closed, lower_closed, closed_verdict, priors = closed.at(spec.delta)
+    i_closed, lower_closed, closed_verdict, priors = closed.at(spec, table)
     return BoundReport(
         spec=spec,
         dual_dim=dual_dim,

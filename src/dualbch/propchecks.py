@@ -319,6 +319,8 @@ def _plan_case(lemma_id: str, case: dict) -> tuple:
         "leader_floor_divisor_form": (check_leader_floor_divisor_form, validate_divisor_form),
         "tperp_leader_membership": (check_tperp_leader_membership, _membership_hypotheses),
     }
+    if not isinstance(lemma_id, str):
+        raise ValueError(f"lemma_id {lemma_id!r} is not a string")
     if not isinstance(case, dict):
         raise ValueError(f"{lemma_id} case {case!r} is not an object")
     for key in ("q", "m", "s", "lam"):

@@ -23,8 +23,8 @@ from dualbch.bch import (
 from dualbch import dualtools
 from dualbch.cyclotomic import CosetTable, coset_table, largest_leaders
 from dualbch.dualtools import (
+    ClosedColumns,
     bound_report,
-    closed_columns,
     delta_sweep,
     dual_lower_bound,
     dually_bch_closed,
@@ -472,19 +472,19 @@ class TestBoundReport:
             bound_report(bch_spec(2, 11, delta, s=1), table)
         calls = count_calls(monkeypatch, "dual_lower_bound", "prior_bounds",
                             "dually_bch_closed", "largest_leaders",
-                            "closed_columns", "i_delta_direct")
+                            "ClosedColumns", "i_delta_direct")
         for delta in deltas:
             bound_report(bch_spec(2, 11, delta, s=1), table)
         assert calls == dict.fromkeys(calls, 0)
 
     def test_closed_columns_built_once_per_table_and_family(self, monkeypatch):
-        built = count_calls(monkeypatch, "closed_columns")
+        built = count_calls(monkeypatch, "ClosedColumns")
         a, b = coset_table(242, 3), coset_table(242, 3)
         for delta in range(2, 243):
             spec = bch_spec(3, 5, delta, lam=1)
             bound_report(spec, a)
             bound_report(spec, b)
-        assert built == {"closed_columns": 2}
+        assert built == {"ClosedColumns": 2}
         assert list(a.closed_columns) == list(b.closed_columns) == [Family(3, 5, lam=1)]
 
     def test_memo_does_not_keep_table_alive(self):
@@ -508,7 +508,7 @@ class TestBoundReport:
                                                  r"spec needs \(n=21, q=(4|2)\)"):
                 bound_report(spec, table)
             with pytest.raises(ValueError, match=r"table is for \(n=63, q=2\)"):
-                closed_columns(spec.family, table)
+                ClosedColumns(spec.family, table)
         assert list(table.closed_columns) == [Family(2, 6, s=1)]
 
     def test_tables_of_one_modulus_agree(self):
@@ -545,41 +545,68 @@ def typed_priors(bounds):
     return [(b.name, b.value, type(b.value), b.vacuous) for b in bounds]
 
 
+# the bench's sweep families, n = 1365 to 2380, past the theorem sweep above
+SWEEP_FAMILIES = [Family(2, 11, s=1), Family(13, 4, s=1), Family(2, 12, s=2),
+                  Family(3, 7, lam=1), Family(5, 5, lam=2)]
+
+
 class TestClosedColumns:
     def test_equal_the_per_delta_functions(self):
-        # every delta of every theorem family with n <= 1000, and of families
-        # outside the hypotheses, where a column is None exactly where its
-        # per-delta function raises; prior values compared with == and by type
+        # every delta of every theorem family with n <= 1000, of the sweep
+        # families, and of families outside the hypotheses, where a column is
+        # None exactly where its per-delta function raises; prior values
+        # compared with == and by type.  The deltas come shuffled, so each
+        # slot is filled from an arbitrary member of it
         pairs = 0
-        for family in [*theorem_families(1000), *OUTSIDE_FAMILIES]:
+        for family in [*theorem_families(1000), *SWEEP_FAMILIES, *OUTSIDE_FAMILIES]:
             table = coset_table(family.n, family.q)
-            cols = closed_columns(family, table)
+            cols = ClosedColumns(family, table)
             assert cols.starts[0] == 2 and cols.starts == sorted(set(cols.starts))
-            for delta in range(2, family.n + 1):
+            deltas = list(range(2, family.n + 1))
+            random.Random(family.n * family.q).shuffle(deltas)
+            for delta in deltas:
                 spec = BchSpec(family, delta)
                 want = per_delta_closed(spec, table)
-                got = cols.at(delta)
+                got = cols.at(spec, table)
                 assert got == want, (family, delta)
                 assert typed_priors(got[3]) == typed_priors(want[3]), (family, delta)
                 if family in OUTSIDE_FAMILIES:
                     assert got[0] is None or got[2] is None, (family, delta)
             pairs += family.n - 1
-        assert pairs == 149_339 + sum(f.n - 1 for f in OUTSIDE_FAMILIES)
+        assert pairs == 149_339 + sum(f.n - 1 for f in [*SWEEP_FAMILIES, *OUTSIDE_FAMILIES])
 
-    @pytest.mark.parametrize("family", [Family(2, 20, s=1), Family(3, 13, lam=1)],
-                             ids=repr)
+    # family -> peak bytes; Family(1021, 2, lam=1) has 2,040 segments, which
+    # take about 440 kB to cut, under the 1 MB of even a bool mask over Z_n
+    LARGE = {Family(2, 20, s=1): 64 * 1024, Family(3, 13, lam=1): 64 * 1024,
+             Family(1021, 2, lam=1): 768 * 1024}
+
+    @pytest.mark.parametrize("family", list(LARGE), ids=repr)
     def test_build_on_a_large_table_allocates_no_array(self, family):
         # about 10^6 residues: a build that paid O(n) would need megabytes
         table = coset_table(family.n, family.q)
         tracemalloc.start()
         try:
-            cols = closed_columns(family, table)
+            cols = ClosedColumns(family, table)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 1024, peak
+        assert peak < self.LARGE[family], peak
         spec = BchSpec(family, family.n // 3)
-        assert cols.at(spec.delta) == per_delta_closed(spec, table)
+        assert cols.at(spec, table) == per_delta_closed(spec, table)
+
+    def test_each_slot_runs_the_per_delta_functions_once(self, monkeypatch):
+        # 700 and 702 share a segment of Family(2, 11, s=1) and a parity;
+        # 701 shares the segment, not the parity
+        names = ("dual_lower_bound", "i_delta_closed_power_form",
+                 "dually_bch_closed", "prior_bounds")
+        table = coset_table(2047, 2)
+        cols = ClosedColumns(Family(2, 11, s=1), table)
+        calls = count_calls(monkeypatch, *names)
+        for delta, runs in ((700, 1), (700, 0), (702, 0), (701, 1), (703, 0)):
+            cols.at(bch_spec(2, 11, delta, s=1), table)
+            assert calls == dict.fromkeys(names, runs), delta
+            calls.update(dict.fromkeys(names, 0))
+        assert len(cols.rows) == 2
 
 
 @st.composite

@@ -354,7 +354,9 @@ class TestManifestAndRunner:
                                ("leader_floor_power_form", [2, 2, 6]),
                                ("leader_floor_power_form", {"q": 2.0, "s": 2, "m": 6}),
                                ("leader_floor_power_form", {"q": 2, "s": 0, "m": 6}),
-                               ("leader_floor_divisor_form", {"q": 5, "lam": True, "m": 3})]:
+                               ("leader_floor_divisor_form", {"q": 5, "lam": True, "m": 3}),
+                               # an in-memory manifest skips load_grid_manifest's check
+                               (["x"], {"q": 2, "s": 1, "m": 6})]:
             with pytest.raises(ValueError):
                 run_grid({"schema": MANIFEST_SCHEMA,
                           "grids": [{"lemma_id": lemma_id, "cases": [case]}]})
