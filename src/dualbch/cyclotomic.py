@@ -2,17 +2,16 @@
 
 The coset of a modulo n is {a q^j mod n}; its leader is the smallest member.
 coset_table computes the full int32 leader array, and the leaders in
-ascending order, for n up to MAX_N = 2^24.  Its build depends on n and on
+ascending order, for n up to MAX_N = 2^24.  Its build depends only on
 m = ord_n(q), which multiplicative_order finds from phi(n) and the
 trial-division factorings of n and phi(n) (intmath.factorize).  For
-n >= 2^16 and m <= 64 (every (q^m - 1)/lambda within MAX_N has m <= 24),
-a sieve over blocks of residues keeps a only while a <= a q^j mod n for
+m <= 64, at any n (every (q^m - 1)/lambda within MAX_N has m <= 24), a
+sieve over blocks of residues keeps a only while a <= a q^j mod n for
 every j in [1, m), which leaves exactly the leaders, and m scatters write
-each leader over its orbit.  Otherwise it doubles pointers on
-i -> q i mod n, ceil(log2 m) passes over Z_n, and lists the leaders as the
-fixed points of the leader array.  The sieve makes up to m numpy calls per
-block of residues and m scatters, so it loses to the doubling on small
-tables and takes minutes where m is close to n.
+each leader over its orbit.  It makes up to m numpy calls per block, so
+it would take minutes where m is close to n; above m = 64 the build
+doubles pointers on i -> q i mod n instead, ceil(log2 m) passes over Z_n,
+and lists the leaders as the fixed points of the leader array.
 
 check_modulus is the one rule for a modulus: 1 <= n <= MAX_N, q >= 2 and
 gcd(n, q) = 1.  coset_table runs it first, and a caller that would factor
@@ -40,7 +39,6 @@ from .intmath import factorize
 
 MAX_N = 1 << 24  # largest modulus check_modulus accepts; tables are O(n) int32
 _SIEVE_BLOCK = 1 << 15  # residues per sieve block: its int64 temporaries stay small
-_SIEVE_MIN_N = 1 << 16  # below, the doubling's few passes beat the sieve's calls
 _SIEVE_MAX_ORDER = 64  # above, the sieve's m calls per block cost more than the doubling
 
 
@@ -127,16 +125,13 @@ def coset_table(n: int, q: int) -> CosetTable:
     """Compute all q-cyclotomic coset leaders modulo n.
 
     (n, q) must pass check_modulus, which runs first.  The build is the
-    sieve for n >= _SIEVE_MIN_N and m = ord_n(q) <= _SIEVE_MAX_ORDER, else
-    the pointer doubling; both give the same arrays.
+    sieve where m = ord_n(q) <= _SIEVE_MAX_ORDER, at any n, else the
+    pointer doubling; both give the same arrays.
     """
     check_modulus(n, q)
-    if n == 1:
-        return CosetTable(1, q, np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int64))
     m = multiplicative_order(q, n)
-    if n >= _SIEVE_MIN_N and m <= _SIEVE_MAX_ORDER:
-        return CosetTable(n, q, *_sieve_build(n, q, m))
-    return CosetTable(n, q, *_doubling_build(n, q, m))
+    build = _sieve_build if m <= _SIEVE_MAX_ORDER else _doubling_build
+    return CosetTable(n, q, *build(n, q, m))
 
 
 def _reduce_mod(y: np.ndarray, n: int, quot: np.ndarray | None = None) -> np.ndarray:

@@ -11,14 +11,17 @@ bound then gives d_perp >= I(delta) + 1.  This module computes
     each closed form checks only that extra hypothesis,
   * the resulting closed-form lower bounds on the dual distance,
   * earlier published bounds that apply to the same lengths (for
-    comparison, reported with their raw values even when vacuous),
+    comparison, reported with their raw values even when vacuous).
+    Each of these piecewise forms is written once, as one table of
+    (lo, hi, value) cases per family, built on first use,
   * the dually-BCH criterion: whether T_perp is exactly a union of the
     cosets of 0 .. J-1, per delta directly, per family by the theorems,
   * delta_sweep: I(delta) and the direct dually-BCH verdict for every delta
     in [2, n] from one pass over the coset leaders,
   * ClosedColumns: the closed I(delta), the prior bounds and the closed
     dually-BCH verdict of one family, computed by the per-delta functions
-    once per segment of delta between two case boundaries, on first use,
+    once per segment of delta between two boundaries of the case tables
+    or of the dually-BCH intervals, on first use,
   * bound_report: all of the above for one delta.  Given one table for
     every delta of a family, it scans T_perp once per segment of deltas
     between two consecutive coset leaders, where T_perp does not change,
@@ -38,6 +41,7 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,26 +113,10 @@ def validate_power_form(family: Family) -> None:
         raise ValueError(f"m/s = {family.m}/{family.s} < 3: closed form not applicable")
 
 
-def _power_case(q, s, m, delta):
-    """Case of the power-form analysis: t >= 1 for an interval, 0 for the tail."""
-    lam = q**s - 1
-    for t in range(1, m // s - 1):
-        if (q**(t * s) - 1) // lam < delta <= (q**((t + 1) * s) - 1) // lam:
-            return t
-    n = (q**m - 1) // lam
-    if (q**(m - s) - 1) // lam < delta <= n:
-        return 0
-    raise ValueError(f"delta={delta} matched no case")  # intervals tile [2, n]
-
-
 def i_delta_closed_power_form(spec: BchSpec) -> int:
     """I(delta) for length (q^m - 1)/(q^s - 1), valid for m/s >= 3."""
     validate_power_form(spec.family)
-    q, s, m = spec.q, spec.family.s, spec.m
-    t = _power_case(q, s, m, spec.delta)
-    if t == 0:
-        return 1
-    return (q**(m - t * s) - 1) // (q**s - 1)
+    return _first_case(_i_delta_cases(spec.family), spec.delta)
 
 
 def validate_divisor_form(family: Family) -> None:
@@ -139,44 +127,46 @@ def validate_divisor_form(family: Family) -> None:
         raise ValueError(f"m={family.m} must be >= 2")
 
 
-def _divisor_case(q, lam, m, delta):
-    """Matched case of the four-way divisor-form analysis: (case, t, s).
-
-    The exact-point case 1 is checked before the interval cases; within a
-    case, t then s ascend, and the first match wins.
-    """
-    w = (q - 1) // lam  # number of nonzero multiples of lambda below q
-    for t in range(0, m - 1):
-        s = delta - (q**(t + 1) - q) // lam - 1
-        if 1 <= s <= w - 1:
-            return 1, t, s
-    for t in range(1, m):
-        base = (q**t - 1) // lam
-        for s in range(0, w - 1):
-            if base + s * q**t < delta <= base + (s + 1) * q**t:
-                return 2, t, s
-    for t in range(1, m - 1):
-        if (q**(t + 1) - 1) // lam - q**t < delta <= (q**(t + 1) - q) // lam + 1:
-            return 3, t, 0
-    n = (q**m - 1) // lam
-    if n - q**(m - 1) < delta <= n:
-        return 4, 0, 0
-    raise ValueError(
-        f"no I(delta) case matched for q={q}, lambda={lam}, m={m}, delta={delta}")
-
-
 def i_delta_closed_divisor_form(spec: BchSpec) -> int:
     """I(delta) for length (q^m - 1)/lambda with lambda | q-1, lambda != q-1."""
     validate_divisor_form(spec.family)
-    q, lam, m = spec.q, spec.lam, spec.m
-    case, t, s = _divisor_case(q, lam, m, spec.delta)
-    if case == 1:
-        return (q**(m - t) - 1) // lam - s * q**(m - t - 1)
-    if case == 2:
-        return (q**(m - t) - 1) // lam - s
-    if case == 3:
-        return (q**(m - t) - q) // lam + 1
-    return 1
+    return _first_case(_i_delta_cases(spec.family), spec.delta)
+
+
+@lru_cache(maxsize=256)
+def _i_delta_cases(family: Family) -> tuple[tuple[int, int, int], ...]:
+    """I(delta) of family as (lo, hi, value) cases: I = value if lo <= delta <= hi.
+
+    The first case that holds delta gives I(delta).  Power form: one
+    interval per t in [1, m/s - 2], then the tail, where I = 1; they tile
+    [2, n].  Divisor form, with w = (q - 1)/lambda: case 1's exact points,
+    one per t in [0, m - 2] and j in [1, w - 1], ahead of the intervals of
+    case 2 (t in [1, m - 1], j in [0, w - 2]), case 3 (t in [1, m - 2]) and
+    the tail.  The cases are built whatever the hypotheses, which the
+    callers check, and once per family, on first use.
+    """
+    q, m, s, lam, n = family.q, family.m, family.s, family.lam, family.n
+    if s is not None:
+        cases = [((q**(t * s) - 1) // lam + 1, (q**((t + 1) * s) - 1) // lam,
+                  (q**(m - t * s) - 1) // lam) for t in range(1, m // s - 1)]
+        return (*cases, ((q**(m - s) - 1) // lam + 1, n, 1))
+    w = (q - 1) // lam  # number of nonzero multiples of lambda below q
+    cases = []
+    for t in range(0, m - 1):  # case 1: the points (q^(t+1) - q)/lambda + 1 + j
+        at = (q**(t + 1) - q) // lam + 1
+        cases += [(at + j, at + j, (q**(m - t) - 1) // lam - j * q**(m - t - 1))
+                  for j in range(1, w)]
+    cases += [((q**t - 1) // lam + j * q**t + 1, (q**t - 1) // lam + (j + 1) * q**t,
+               (q**(m - t) - 1) // lam - j)
+              for t in range(1, m) for j in range(w - 1)]  # case 2
+    cases += [((q**(t + 1) - 1) // lam - q**t + 1, (q**(t + 1) - q) // lam + 1,
+               (q**(m - t) - q) // lam + 1) for t in range(1, m - 1)]  # case 3
+    return (*cases, (n - q**(m - 1) + 1, n, 1))  # case 4, the tail
+
+
+def _first_case(cases: tuple[tuple[int, int, int], ...], delta: int) -> int:
+    """The value of the first (lo, hi, value) case with lo <= delta <= hi."""
+    return next(v for lo, hi, v in cases if lo <= delta <= hi)  # the cases cover [2, n]
 
 
 # ---------------------------------------------------------------------------
@@ -221,51 +211,55 @@ def prior_bounds(spec: BchSpec) -> tuple[PriorBound, ...]:
     primitive_length: length q^m - 1 (lambda = 1), m >= 3.
     projective_length: length (q^m - 1)/(q - 1) (lambda = q - 1), m >= 3.
     Bounds that assert nothing (value <= 1) are flagged vacuous, not hidden.
+    All but Carlitz-Uchiyama are read from the family's _prior_cases.
     """
-    q, m, delta, lam, n = spec.q, spec.m, spec.delta, spec.lam, spec.n
-    out = []
+    delta = spec.delta
     cu = _carlitz_uchiyama(spec.family, delta)
-    if cu is not None:
-        s = (delta - 1) // 2
-        sid = 2**(m - 1 - ((2 * s - 1).bit_length() - 1))
-        out += [cu, PriorBound("sidelnikov", sid, sid <= 1)]
+    out = [] if cu is None else [cu]
+    for name, cases in _prior_cases(spec.family):
+        if name == "sidelnikov" and cu is None:
+            continue  # odd delta only, as Carlitz-Uchiyama
+        value = max((v for lo, hi, v in cases if lo <= delta <= hi), default=None)
+        if value is not None:
+            out.append(PriorBound(name, value, value <= 1))
+    return tuple(out)
+
+
+@lru_cache(maxsize=256)
+def _prior_cases(family: Family) -> tuple[tuple[str, tuple[tuple[int, int, int], ...]], ...]:
+    """(name, (lo, hi, value) cases) of each prior bound of family but Carlitz-Uchiyama.
+
+    A bound holds at delta with the largest value of its cases that hold
+    delta, lo <= delta <= hi, and is absent where none holds; only the
+    primitive-length cases overlap.  sidelnikov: 2^(m-1-j) where
+    2s - 1 = delta - 2 has bit length j + 1.  Built once per family, on
+    first use.
+    """
+    q, m, lam, n = family.q, family.m, family.lam, family.n
+    out = []
+    if q == 2 and lam == 1:
+        out.append(("sidelnikov", tuple((2**j + 2, 2**(j + 1) + 1, 2**(m - 1 - j))
+                                        for j in range(m))))
     if lam == 1 and m >= 3:
-        vals = []
         if q == 2:
-            for t in range(2, m - 2):
-                if 2**t <= delta < 2**(t + 1):
-                    vals.append(2**(m - t))
-            if 2**(m - 2) <= delta < 2**(m - 1) - 2**((m - 1) // 2):
-                vals.append(4)
+            cases = [(2**t, 2**(t + 1) - 1, 2**(m - t)) for t in range(2, m - 2)]
+            cases.append((2**(m - 2), 2**(m - 1) - 2**((m - 1) // 2) - 1, 4))
         else:
-            for t in range(1, m - 1):
-                a = delta // q**t
-                if 1 <= a <= q - 2 and delta <= (a + 1) * q**t - 1:
-                    vals.append(q**(m - t) - a + 1)
-                if (q - 1) * q**t <= delta <= q**(t + 1) - q + 1:
-                    vals.append(q**(m - t) - q + 2)
-            a = delta // q**(m - 1)
-            if 1 <= a <= q - 3 and delta <= (a + 1) * q**(m - 1) - 1:
-                vals.append(q - a + 1)
-            if (q - 2) * q**(m - 1) <= delta < (q - 1) * q**(m - 1) - q**((m - 1) // 2):
-                vals.append(3)
-            for t in range(1, m):
-                b = q**t - delta
-                if 1 <= b <= q - 2 and delta >= 3:
-                    vals.append((b + 1) * q**(m - t))
-        if vals:
-            v = max(vals)
-            out.append(PriorBound("primitive_length", v, v <= 1))
+            cases = [(a * q**t, (a + 1) * q**t - 1, q**(m - t) - a + 1)
+                     for t in range(1, m - 1) for a in range(1, q - 1)]
+            cases += [((q - 1) * q**t, q**(t + 1) - q + 1, q**(m - t) - q + 2)
+                      for t in range(1, m - 1)]
+            cases += [(a * q**(m - 1), (a + 1) * q**(m - 1) - 1, q - a + 1)
+                      for a in range(1, q - 2)]
+            cases.append(((q - 2) * q**(m - 1), (q - 1) * q**(m - 1) - q**((m - 1) // 2) - 1, 3))
+            cases += [(q**t - b, q**t - b, (b + 1) * q**(m - t))
+                      for t in range(1, m) for b in range(1, q - 1) if q**t - b >= 3]
+        out.append(("primitive_length", tuple(cases)))
     if lam == q - 1 and m >= 3:
-        val = None
-        for t in range(1, m - 1):
-            if (q**t - 1) // (q - 1) < delta <= (q**(t + 1) - 1) // (q - 1):
-                val = (q**(m - t) - 1) // (q - 1) + 1
-                break
-        if val is None and (q**(m - 1) - 1) // (q - 1) < delta < n:
-            val = 2
-        if val is not None:
-            out.append(PriorBound("projective_length", val, val <= 1))
+        cases = [((q**t - 1) // (q - 1) + 1, (q**(t + 1) - 1) // (q - 1),
+                  (q**(m - t) - 1) // (q - 1) + 1) for t in range(1, m - 1)]
+        cases.append(((q**(m - 1) - 1) // (q - 1) + 1, n - 1, 2))
+        out.append(("projective_length", tuple(cases)))
     return tuple(out)
 
 
@@ -383,72 +377,43 @@ def dually_bch_closed(spec: BchSpec, table: CosetTable) -> bool:
 # closed columns of one family, filled per segment of delta
 # ---------------------------------------------------------------------------
 
-def _closed_cuts(family: Family, table: CosetTable) -> list[int]:
+def _closed_cuts(family: Family,
+                 intervals: tuple[tuple[int, int], ...] | None) -> list[int]:
     """2 and every delta in (2, n] at which a closed column may change, ascending.
 
-    The cuts carry no values: they are the first delta of every case of
-    _power_case, _divisor_case and prior_bounds and the first delta past
-    it, and the bounds of dually_bch_closed_intervals.  Between two cuts
-    each of those matches the same cases at every delta of one parity, so
-    every closed column but Carlitz-Uchiyama is constant there.
+    The cuts carry no values: they are the lo and hi + 1 of every case of
+    _i_delta_cases and _prior_cases and of the dually-BCH intervals, None
+    outside the criterion's hypotheses.  Between two cuts the same cases
+    hold at every delta, so every closed column but Carlitz-Uchiyama is
+    constant there at each parity of delta.
     """
-    q, m, s, lam, n = family.q, family.m, family.s, family.lam, family.n
-    spans = []  # inclusive (lo, hi) on which one case holds
-    if s is not None:
-        spans += [((q**(t * s) - 1) // lam + 1, (q**((t + 1) * s) - 1) // lam)
-                  for t in range(1, m // s - 1)]
-        spans.append(((q**(m - s) - 1) // lam + 1, n))
-    else:
-        w = (q - 1) // lam
-        for t in range(0, m - 1):  # case 1: one point per s
-            at = (q**(t + 1) - q) // lam + 1
-            spans += [(at + j, at + j) for j in range(1, w)]
-        for t in range(1, m):  # case 2
-            base = (q**t - 1) // lam
-            spans += [(base + j * q**t + 1, base + (j + 1) * q**t) for j in range(w - 1)]
-        spans += [((q**(t + 1) - 1) // lam - q**t + 1, (q**(t + 1) - q) // lam + 1)
-                  for t in range(1, m - 1)]  # case 3
-        spans.append((n - q**(m - 1) + 1, n))  # case 4
-    if q == 2 and lam == 1:  # sidelnikov: 2s - 1 = delta - 2 has bit length j + 1
-        spans += [(2**j + 2, 2**(j + 1) + 1) for j in range(m)]
-    if lam == 1 and m >= 3:  # primitive_length
-        if q == 2:
-            spans += [(2**t, 2**(t + 1) - 1) for t in range(2, m - 2)]
-            spans.append((2**(m - 2), 2**(m - 1) - 2**((m - 1) // 2) - 1))
-        else:
-            spans += [(a * q**t, (a + 1) * q**t - 1)
-                      for t in range(1, m - 1) for a in range(1, q - 1)]
-            spans += [((q - 1) * q**t, q**(t + 1) - q + 1) for t in range(1, m - 1)]
-            spans += [(a * q**(m - 1), (a + 1) * q**(m - 1) - 1) for a in range(1, q - 2)]
-            spans.append(((q - 2) * q**(m - 1), (q - 1) * q**(m - 1) - q**((m - 1) // 2) - 1))
-            spans += [(q**t - b, q**t - b) for t in range(1, m) for b in range(1, q - 1)]
-    if lam == q - 1 and m >= 3:  # projective_length
-        spans += [((q**t - 1) // (q - 1) + 1, (q**(t + 1) - 1) // (q - 1))
-                  for t in range(1, m - 1)]
-        spans.append(((q**(m - 1) - 1) // (q - 1) + 1, n - 1))
-    try:
-        spans += dually_bch_closed_intervals(family, table)
-    except ValueError:
-        pass  # outside the criterion's hypotheses the verdict is None throughout
-    return [2, *sorted({b for span in spans for b in (span[0], span[1] + 1) if 2 < b <= n})]
+    spans = [*_i_delta_cases(family), *(c for _, cases in _prior_cases(family) for c in cases),
+             *(intervals or ())]
+    return [2, *sorted({b for lo, hi, *_ in spans for b in (lo, hi + 1) if 2 < b <= family.n})]
 
 
 class ClosedColumns:
     """bound_report's closed columns for the deltas of one family, filled lazily.
 
-    starts, from _closed_cuts, cuts [2, n] into segments.  The first query
-    in a (segment, parity) slot runs dual_lower_bound, dually_bch_closed and
-    prior_bounds at its delta; rows keeps the result, less Carlitz-Uchiyama,
-    which is worked out per query, for the rest of the slot.  So a query
-    costs a bisection and at most one call of each, whatever n.  A column
-    is None where its function raises ValueError.  Only the cuts, the
-    verdict and delta1/delta2 read the table, from its leaders, never its
-    direct rows.  Raises ValueError on a table of another (n, q).
+    The constructor reads the family's dually_bch_closed_intervals from the
+    table, None outside the criterion's hypotheses, and starts, from
+    _closed_cuts, cuts [2, n] into segments.  The first query in a
+    (segment, parity) slot runs dual_lower_bound and prior_bounds at its
+    delta and reads the verdict off the intervals; rows keeps the result,
+    less Carlitz-Uchiyama, which is worked out per query, for the rest of
+    the slot.  So a query costs a bisection and at most one call of each,
+    whatever n.  A column is None where its function raises ValueError.
+    Only the intervals and delta1/delta2 read the table, from its leaders,
+    never its direct rows.  Raises ValueError on a table of another (n, q).
     """
 
     def __init__(self, family: Family, table: CosetTable):
         check_table(family, table)
-        self.starts = _closed_cuts(family, table)
+        try:
+            self.intervals = dually_bch_closed_intervals(family, table)
+        except ValueError:
+            self.intervals = None
+        self.starts = _closed_cuts(family, self.intervals)
         # slot -> (I, I + 1, verdict, priors but Carlitz-Uchiyama, whether it applies)
         self.rows: dict[int, tuple] = {}
         tops = largest_leaders(table, 2)
@@ -464,10 +429,8 @@ class ClosedColumns:
                 lower = dual_lower_bound(spec)
             except ValueError:
                 lower = None
-            try:
-                verdict = dually_bch_closed(spec, table)
-            except ValueError:
-                verdict = None
+            verdict = (None if self.intervals is None
+                       else any(lo <= spec.delta <= hi for lo, hi in self.intervals))
             every = prior_bounds(spec)
             priors = tuple(b for b in every if b.name != "carlitz_uchiyama")
             row = self.rows[slot] = (None if lower is None else lower - 1, lower, verdict,

@@ -109,6 +109,8 @@ class TestCosetTable:
     def test_n1(self):
         t = coset_table(1, 5)
         assert int(t.leader_of[0]) == 0
+        assert t.leaders.dtype == np.int64
+        assert_table_matches_reference(1, 5)
 
     def test_gcd_rejected(self):
         with pytest.raises(ValueError):
@@ -172,7 +174,7 @@ class TestCosetTable:
         (2, 3),
         (101, 2),  # ord = 100: one orbit holds every nonzero residue
         (2**15 - 1, 2), (2**15 + 1, 2),  # one residue short of / past a sieve block
-        (2**16 - 1, 2), (2**16 + 1, 2),  # either side of coset_table's switch to the sieve
+        (2**16 - 1, 2), (2**16 + 1, 2),  # one residue short of / past two sieve blocks
     ])
     def test_matches_int64_reference_on_edge_cases(self, n, q, build):
         assert_table_matches_reference(n, q, BUILDS[build])
@@ -186,8 +188,8 @@ class TestCosetTable:
     @given(n=st.integers(2, 3000), q=st.integers(2, 40))
     @settings(max_examples=40, deadline=None)
     def test_each_build_matches_int64_reference(self, build, n, q):
-        # coset_table uses the sieve only from n = 2^16, so small tables
-        # test each build on its own
+        # coset_table picks one build by the order alone, so each build is
+        # tested on its own, at orders either side of its switch
         assume(math.gcd(n, q) == 1)
         assert_table_matches_reference(n, q, BUILDS[build])
 

@@ -24,6 +24,7 @@ from dualbch import dualtools
 from dualbch.cyclotomic import CosetTable, coset_table, largest_leaders
 from dualbch.dualtools import (
     ClosedColumns,
+    PriorBound,
     bound_report,
     delta_sweep,
     dual_lower_bound,
@@ -550,6 +551,104 @@ SWEEP_FAMILIES = [Family(2, 11, s=1), Family(13, 4, s=1), Family(2, 12, s=2),
                   Family(3, 7, lam=1), Family(5, 5, lam=2)]
 
 
+def frozen_prior_bounds(spec):
+    """prior_bounds stated as per-delta case loops, apart from the case tables.
+
+    The prior bounds have no direct route, so this frozen statement is what
+    the tables are checked against.
+    """
+    q, m, delta, lam, n = spec.q, spec.m, spec.delta, spec.lam, spec.n
+    out = []
+    if q == 2 and lam == 1 and delta % 2 == 1:
+        s = (delta - 1) // 2
+        if m % 2 == 0:
+            cu = 2**(m - 1) - (s - 1) * 2**(m // 2)
+        else:
+            cu = 2**(m - 1) - (s - 1) * math.sqrt(2.0**m)
+        sid = 2**(m - 1 - ((2 * s - 1).bit_length() - 1))
+        out += [PriorBound("carlitz_uchiyama", cu, cu <= 1),
+                PriorBound("sidelnikov", sid, sid <= 1)]
+    if lam == 1 and m >= 3:
+        vals = []
+        if q == 2:
+            for t in range(2, m - 2):
+                if 2**t <= delta < 2**(t + 1):
+                    vals.append(2**(m - t))
+            if 2**(m - 2) <= delta < 2**(m - 1) - 2**((m - 1) // 2):
+                vals.append(4)
+        else:
+            for t in range(1, m - 1):
+                a = delta // q**t
+                if 1 <= a <= q - 2 and delta <= (a + 1) * q**t - 1:
+                    vals.append(q**(m - t) - a + 1)
+                if (q - 1) * q**t <= delta <= q**(t + 1) - q + 1:
+                    vals.append(q**(m - t) - q + 2)
+            a = delta // q**(m - 1)
+            if 1 <= a <= q - 3 and delta <= (a + 1) * q**(m - 1) - 1:
+                vals.append(q - a + 1)
+            if (q - 2) * q**(m - 1) <= delta < (q - 1) * q**(m - 1) - q**((m - 1) // 2):
+                vals.append(3)
+            for t in range(1, m):
+                b = q**t - delta
+                if 1 <= b <= q - 2 and delta >= 3:
+                    vals.append((b + 1) * q**(m - t))
+        if vals:
+            v = max(vals)
+            out.append(PriorBound("primitive_length", v, v <= 1))
+    if lam == q - 1 and m >= 3:
+        val = None
+        for t in range(1, m - 1):
+            if (q**t - 1) // (q - 1) < delta <= (q**(t + 1) - 1) // (q - 1):
+                val = (q**(m - t) - 1) // (q - 1) + 1
+                break
+        if val is None and (q**(m - 1) - 1) // (q - 1) < delta < n:
+            val = 2
+        if val is not None:
+            out.append(PriorBound("projective_length", val, val <= 1))
+    return tuple(out)
+
+
+CASE_FAMILIES = [*theorem_families(1000), *SWEEP_FAMILIES, *OUTSIDE_FAMILIES]
+
+
+class TestCaseTables:
+    def test_prior_bounds_equal_the_frozen_case_loops(self):
+        # every delta of the theorem families with n <= 1000, the sweep
+        # families and the outside families; values compared with == and by type
+        pairs = 0
+        for family in CASE_FAMILIES:
+            for delta in range(2, family.n + 1):
+                spec = BchSpec(family, delta)
+                got, want = prior_bounds(spec), frozen_prior_bounds(spec)
+                assert got == want, (family, delta)
+                assert typed_priors(got) == typed_priors(want), (family, delta)
+            pairs += family.n - 1
+        assert pairs == 149_339 + sum(f.n - 1 for f in [*SWEEP_FAMILIES, *OUTSIDE_FAMILIES])
+
+    def test_i_delta_cases_cover_2_to_n(self):
+        # the power form's cases tile [2, n] in order, without gap or
+        # overlap, even outside m/s >= 3; under the divisor form's hypothesis
+        # m >= 2, some case, the first of which gives I(delta), holds every delta
+        forms = {"power": 0, "divisor": 0}
+        for family in CASE_FAMILIES:
+            n, cases = family.n, dualtools._i_delta_cases(family)
+            assert all(isinstance(v, int) for case in cases for v in case), family
+            if family.s is not None:
+                los = [lo for lo, _, _ in cases]
+                assert los == [2, *(hi + 1 for _, hi, _ in cases[:-1])], family
+                assert cases[-1][1] == n, family
+                forms["power"] += 1
+            elif family.m >= 2:
+                held = np.zeros(n + 2, dtype=np.int64)
+                for lo, hi, _ in cases:
+                    assert 2 <= lo and hi <= n, (family, lo, hi)
+                    held[lo] += 1
+                    held[hi + 1] -= 1
+                assert np.cumsum(held)[2:n + 1].min() >= 1, family
+                forms["divisor"] += 1
+        assert forms == {"power": 57, "divisor": 295}
+
+
 class TestClosedColumns:
     def test_equal_the_per_delta_functions(self):
         # every delta of every theorem family with n <= 1000, of the sweep
@@ -596,10 +695,11 @@ class TestClosedColumns:
 
     def test_each_slot_runs_the_per_delta_functions_once(self, monkeypatch):
         # 700 and 702 share a segment of Family(2, 11, s=1) and a parity;
-        # 701 shares the segment, not the parity
-        names = ("dual_lower_bound", "i_delta_closed_power_form",
-                 "dually_bch_closed", "prior_bounds")
+        # 701 shares the segment, not the parity.  The verdict comes from
+        # the dually-BCH intervals, read once per ClosedColumns
+        names = ("dual_lower_bound", "i_delta_closed_power_form", "prior_bounds")
         table = coset_table(2047, 2)
+        verdicts = count_calls(monkeypatch, "dually_bch_closed_intervals", "dually_bch_closed")
         cols = ClosedColumns(Family(2, 11, s=1), table)
         calls = count_calls(monkeypatch, *names)
         for delta, runs in ((700, 1), (700, 0), (702, 0), (701, 1), (703, 0)):
@@ -607,6 +707,7 @@ class TestClosedColumns:
             assert calls == dict.fromkeys(names, runs), delta
             calls.update(dict.fromkeys(names, 0))
         assert len(cols.rows) == 2
+        assert verdicts == {"dually_bch_closed_intervals": 1, "dually_bch_closed": 0}
 
 
 @st.composite
