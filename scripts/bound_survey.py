@@ -9,7 +9,11 @@ direct and closed-form I(delta) or dually-BCH verdicts disagree; a closed
 value outside its theorem's hypotheses is not compared.  It also exits 1
 where bound_report's closed columns, kept once per segment of deltas,
 differ from dual_lower_bound, dually_bch_closed or prior_bounds at that
-delta; the prior bounds have no direct route to check them against.
+delta; the prior bounds have no direct route to check them against.  And
+it exits 1 where bound_report's direct columns, which come from one pass
+over the table once it has answered a second segment, differ from the
+scans of that delta's masks: defining_set, dual_defining_set, then
+i_delta_direct, dually_bch_direct and bch_bound_from_set.
 
     python3 scripts/bound_survey.py --q 2 --m 6 --lambda 1
     python3 scripts/bound_survey.py --q 3 --m 6 --s 2 --deltas 2:20
@@ -18,9 +22,24 @@ delta; the prior bounds have no direct route to check them against.
 import argparse
 import sys
 
-from dualbch.bch import bch_spec
+from dualbch.bch import bch_bound_from_set, bch_spec, defining_set, dual_defining_set
 from dualbch.cyclotomic import coset_table
-from dualbch.dualtools import bound_report, dual_lower_bound, dually_bch_closed, prior_bounds
+from dualbch.dualtools import (
+    bound_report,
+    dual_lower_bound,
+    dually_bch_closed,
+    dually_bch_direct,
+    i_delta_direct,
+    prior_bounds,
+)
+
+
+def per_delta_direct(spec, table):
+    """bound_report's direct columns at spec.delta, from the scans of its masks."""
+    t = defining_set(spec, table)
+    t_perp = dual_defining_set(t)
+    return (int(t.sum()), i_delta_direct(t_perp), *dually_bch_direct(t_perp, table),
+            bch_bound_from_set(t_perp))
 
 
 def per_delta_closed(spec, table):
@@ -80,6 +99,11 @@ def main():
         if closed != per_delta_closed(spec, table):
             disagreements.append(f"delta={delta}: bound_report's closed columns differ "
                                  f"from the per-delta functions")
+        direct = (rep.dual_dim, rep.i_delta_direct, rep.dually_bch_direct,
+                  rep.dually_bch_witness, rep.lower_bound_direct)
+        if direct != per_delta_direct(spec, table):
+            disagreements.append(f"delta={delta}: bound_report's direct columns differ "
+                                 f"from the scans of T_perp")
     for line in disagreements:
         print(f"disagreement at {line}", file=sys.stderr)
     return 1 if disagreements else 0

@@ -87,12 +87,15 @@ class CosetTable:
     leader_of[a] is the smallest element of the coset of a; it is int32,
     since n <= MAX_N.  leaders lists the distinct leaders ascending, which
     are the fixed points a = leader_of[a].  Both arrays are marked read-only,
-    and the cosets map is built on first use.  direct_rows and
-    closed_columns are the memos of dualtools.bound_report: its direct
-    columns, one entry per segment of deltas that share a dual defining
-    set, and its closed columns, one dualtools.ClosedColumns per code
-    family, which fills a row per segment of the closed forms' cases as
-    queries reach it.  They live and die with the table.
+    and the cosets map is built on first use.  direct_columns and
+    closed_columns are the memos of dualtools.bound_report.  direct_columns
+    holds its direct columns: None before any query, (k, row) of the one
+    segment of deltas, those with k leaders below them, that the first
+    query scanned, and from a second segment on the list of every
+    segment's row from dualtools.direct_columns.  closed_columns holds its
+    closed columns, one dualtools.ClosedColumns per code family, which
+    fills a row per segment of the closed forms' cases as queries reach
+    it.  They live and die with the table.
     """
 
     def __init__(self, n, q, leader_of, leaders):
@@ -103,7 +106,7 @@ class CosetTable:
         self.leader_of = leader_of
         self.leaders = leaders
         self._cosets = None
-        self.direct_rows = {}
+        self.direct_columns = None
         self.closed_columns = {}
 
     def __repr__(self):

@@ -17,16 +17,22 @@ bound then gives d_perp >= I(delta) + 1.  This module computes
   * the dually-BCH criterion: whether T_perp is exactly a union of the
     cosets of 0 .. J-1, per delta directly, per family by the theorems,
   * delta_sweep: I(delta) and the direct dually-BCH verdict for every delta
-    in [2, n] from one pass over the coset leaders,
+    in [2, n] from one pass over the coset leaders, which works them out
+    once per segment of deltas between two consecutive leaders, where
+    T_perp does not change,
+  * direct_columns: every direct column of bound_report, one row per such
+    segment, from that pass and one more over the leaders in descending
+    order for the cyclic-run bound,
   * ClosedColumns: the closed I(delta), the prior bounds and the closed
     dually-BCH verdict of one family, computed by the per-delta functions
     once per segment of delta between two boundaries of the case tables
     or of the dually-BCH intervals, on first use,
   * bound_report: all of the above for one delta.  Given one table for
-    every delta of a family, it scans T_perp once per segment of deltas
-    between two consecutive coset leaders, where T_perp does not change,
-    and keeps those direct columns on the table, next to the family's
-    ClosedColumns, so a repeated query is two lookups.
+    every delta of a family, it scans T_perp for the table's first
+    segment, builds direct_columns once a second segment is asked for, and
+    keeps them on the table, next to the family's ClosedColumns, so a
+    repeated query is two lookups.  The per-segment scans (i_delta_direct,
+    dually_bch_direct, bch.bch_bound_from_set) stay the oracle.
 
 Every function here that reads a coset table takes it as a required
 argument; none builds its own.
@@ -285,23 +291,57 @@ def _dually_bch_given(t_perp: np.ndarray, table: CosetTable, j: int) -> tuple[bo
     return False, int(offenders.min())
 
 
+def _segments(table: CosetTable) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """(top, I, verdict, witness) of every segment of delta, in ascending order.
+
+    Segment k, for k = 2 .. c with c coset leaders, holds the deltas with k
+    leaders below them: leaders[k-1] < delta <= top, where top is
+    leaders[k], or n for k = c.  T = C_1 u ... u C_{delta-1}, and so T_perp,
+    is the same at every delta of a segment.  With neg(l) the leader of -l,
+    for each nonzero leader l:
+
+      * C_l lies in T_perp(delta) iff delta <= neg(l);
+      * I(delta) = min(neg(l) : l < delta), since -C_l is removed from
+        T_perp for each l < delta and its least element is neg(l).
+
+    Walking the segments downward, each coset joins a min-heap once it
+    enters T_perp, and leaders below J = I(delta) leave it for good because
+    J only grows as delta falls; the heap's top is then the least offending
+    leader.  O(c log c).
+    """
+    n = table.n
+    leaders = table.leaders[1:]  # nonzero, ascending
+    neg = table.leader_of[n - leaders]
+    i_delta = np.minimum.accumulate(neg)  # segment k: least neg over table.leaders[1:k]
+    tops = [*leaders[1:].tolist(), n]
+    entering = np.argsort(-neg, kind="stable")
+    enter_at = neg[entering].tolist()
+    enter_leader = leaders[entering].tolist()
+    i_list = i_delta.tolist()
+    heap, e = [], 0
+    offender = [-1] * len(tops)  # least leader >= J in T_perp, -1 if none
+    for k in range(len(tops) - 1, -1, -1):
+        while e < len(enter_at) and enter_at[e] >= tops[k]:
+            heapq.heappush(heap, enter_leader[e])
+            e += 1
+        while heap and heap[0] < i_list[k]:
+            heapq.heappop(heap)
+        if heap:
+            offender[k] = heap[0]
+    offender = np.array(offender)
+    verdict = offender < 0
+    return tops, i_delta, verdict, np.where(verdict, i_delta, offender)
+
+
 def delta_sweep(table: CosetTable, lo: int = 2,
                 hi: int | None = None) -> list[tuple[int, bool, int]]:
     """(I(delta), verdict, witness) for every delta in [lo, hi], ascending.
 
     hi defaults to n.  Agrees at every delta with i_delta_direct and
     dually_bch_direct on T_perp(delta), in O(n + c log c) for c cosets
-    whatever the range; only the rows asked for are built.  With neg(l) the
-    leader of -l, for each nonzero leader l:
-
-      * C_l lies in T_perp(delta) iff delta <= neg(l);
-      * I(delta) = min(neg(l) : l < delta), since -C_l is removed from
-        T_perp for each l < delta and its least element is neg(l).
-
-    Both change only where delta is a leader.  Walking those deltas
-    downward, each coset joins a min-heap once it enters T_perp, and
-    leaders below J = I(delta) leave it for good because J only grows as
-    delta falls; the heap's top is then the least offending leader.
+    whatever the range: _segments gives each segment of delta its row, and
+    the row is repeated over the segment's deltas; only the rows asked for
+    are built.
     """
     n = table.n
     hi = n if hi is None else hi
@@ -309,33 +349,56 @@ def delta_sweep(table: CosetTable, lo: int = 2,
         raise ValueError(f"delta range [{lo}, {hi}] outside [2, {n}]")
     if lo > hi:
         return []
-    leaders = table.leaders[1:]  # nonzero, ascending
-    neg = table.leader_of[n - leaders]
-    neg_at = np.full(n + 1, n, dtype=np.int64)
-    neg_at[leaders + 1] = neg  # so its running minimum at delta is I(delta)
-    i_delta = np.minimum.accumulate(neg_at)[2:]
+    tops, *columns = _segments(table)
+    lengths = np.diff(tops, prepend=1)  # the deltas of each segment
+    i_delta, verdict, witness = (np.repeat(col, lengths)[lo - 2:hi - 1].tolist()
+                                 for col in columns)
+    return list(zip(i_delta, verdict, witness))
 
-    entering = np.argsort(-neg, kind="stable")
-    enter_at = neg[entering].tolist()
-    enter_leader = leaders[entering].tolist()
-    events = [n, *leaders[leaders >= 2][::-1].tolist()]
-    heap, k = [], 0
-    offender = []  # least leader >= J in T_perp on each segment, -1 if none
-    for delta in events:
-        while k < len(enter_at) and enter_at[k] >= delta:
-            heapq.heappush(heap, enter_leader[k])
-            k += 1
-        j = int(i_delta[delta - 2])
-        while heap and heap[0] < j:
-            heapq.heappop(heap)
-        offender.append(heap[0] if heap else -1)
-    # events[i] decides every delta in (events[i + 1], events[i]]
-    lengths = -np.diff(events + [1])
-    offender = np.repeat(offender, lengths)[::-1][lo - 2:hi - 1]
-    i_delta = i_delta[lo - 2:hi - 1]
-    verdict = offender < 0
-    witness = np.where(verdict, i_delta, offender)
-    return list(zip(i_delta.tolist(), verdict.tolist(), witness.tolist()))
+
+def direct_columns(table: CosetTable) -> list[tuple[int, int, bool, int, int]]:
+    """bound_report's direct columns for every segment of delta, from one pass.
+
+    Row k - 2 is (dual_dim, I, verdict, witness, run bound) of segment k,
+    the deltas with k coset leaders below them (see _segments), and agrees
+    with the scans of T_perp at each of its deltas: dual_dim with the count
+    of T, I with i_delta_direct, the verdict and witness with
+    dually_bch_direct and the run bound with bch_bound_from_set.  I, the
+    verdict and the witness come from _segments, as in delta_sweep, and
+    dual_dim = |T| is a running sum of coset sizes.
+
+    The run bound is the largest cyclic gap between two nonmembers of
+    T_perp.  With e[p] the leader of -p, those are the p != 0 with
+    e[p] < delta.  They start, above the largest leader, as all of
+    1 .. n-1, on a cyclic linked list; as delta falls past each leader l,
+    the members of -C_l, the orbit of n - l under q, leave the list.  Each
+    removal merges two gaps, so the largest gap only grows, and its running
+    maximum is the bound of every segment.  The pass is pure Python over
+    the n - 1 - |C_1| removals: about 0.6 s and 90 MB at n = 2^20 - 1, so
+    bound_report builds it only for a table that answers a second segment.
+    """
+    n, q = table.n, table.q
+    _, i_delta, verdict, witness = _segments(table)
+    sizes = np.bincount(table.leader_of)[table.leaders[1:]]  # |C_l|, l > 0 ascending
+    nxt = [*range(1, n), 1]  # nxt[p], prv[p]: the cyclic neighbours of the nonmember p
+    prv = [n - 1, n - 1, *range(1, n - 1)]
+    best = 2  # with only 0 in T_perp every gap is 1 but the one around 0
+    runs = [best]
+    for lead in table.leaders[:1:-1].tolist():  # every leader above 1, descending
+        c = lead
+        while True:
+            p = n - c
+            a, b = prv[p], nxt[p]
+            nxt[a], prv[b] = b, a
+            gap = (b - a - 1) % n + 1
+            if gap > best:
+                best = gap
+            c = c * q % n
+            if c == lead:
+                break
+        runs.append(best)
+    return list(zip(np.cumsum(sizes).tolist(), i_delta.tolist(), verdict.tolist(),
+                    witness.tolist(), runs[::-1]))
 
 
 def dually_bch_closed_intervals(family: Family,
@@ -404,7 +467,7 @@ class ClosedColumns:
     the slot.  So a query costs a bisection and at most one call of each,
     whatever n.  A column is None where its function raises ValueError.
     Only the intervals and delta1/delta2 read the table, from its leaders,
-    never its direct rows.  Raises ValueError on a table of another (n, q).
+    never its direct columns.  Raises ValueError on a table of another (n, q).
     """
 
     def __init__(self, family: Family, table: CosetTable):
@@ -420,8 +483,8 @@ class ClosedColumns:
         self.delta1 = tops[0]
         self.delta2 = tops[1] if len(tops) > 1 else None
 
-    def at(self, spec: BchSpec, table: CosetTable) -> tuple:
-        """(i_closed, lower_closed, verdict, prior bounds) of spec, on the table built from."""
+    def at(self, spec: BchSpec) -> tuple:
+        """(i_closed, lower_closed, verdict, prior bounds) of spec, of the family built for."""
         slot = 2 * bisect_right(self.starts, spec.delta) + spec.delta % 2
         row = self.rows.get(slot)
         if row is None:
@@ -449,32 +512,42 @@ def bound_report(spec: BchSpec, table: CosetTable) -> BoundReport:
     """Compute every direct quantity and every applicable closed form.
 
     Pass one table to every delta of a family: each side is worked out
-    once and read back for the rest, so a repeated query is two lookups.
-    The direct columns depend on delta only through k, the number of coset
-    leaders below delta, because T = C_1 u ... u C_{delta-1} and so T_perp
-    stay the same between two consecutive leaders.  The table keeps them,
-    with |T|, in its direct_rows, keyed by k, scanning T_perp once per
-    segment.  The closed columns come from a ClosedColumns kept in its
-    closed_columns, keyed by family, which runs the per-delta closed
-    functions once per segment of their cases; they never read the direct
-    rows, so the two routes stay independent.  Raises ValueError on a
-    table of another (n, q).
+    once and read back for the rest.  The direct columns depend on delta
+    only through k, the number of coset leaders below delta, because
+    T = C_1 u ... u C_{delta-1} and so T_perp stay the same between two
+    consecutive leaders.  The table's first query scans the T_perp mask of
+    its own segment and keeps the row, with k, in the table's
+    direct_columns; a query on a second segment replaces it by
+    direct_columns(table), every segment's row from one pass, and every
+    later query is a list index.  So a table that answers one query, or
+    one segment, never pays for the pass.  The closed columns come from a
+    ClosedColumns kept in its closed_columns, keyed by family, which runs
+    the per-delta closed functions once per segment of their cases; they
+    never read the direct columns, so the two routes stay independent.
+    Raises ValueError on a table of another (n, q).
     """
     check_table(spec, table)
     k = int(table.leaders.searchsorted(spec.delta))
-    row = table.direct_rows.get(k)
-    if row is None:
+    memo = table.direct_columns  # None, the first query's (k, row) or every row
+    if isinstance(memo, list):
+        row = memo[k - 2]
+    elif memo is None:
         t = defining_set(spec, table)
         t_perp = dual_defining_set(t)
         j = i_delta_direct(t_perp)
         row = (int(np.count_nonzero(t)), j, *_dually_bch_given(t_perp, table, j),
                bch_bound_from_set(t_perp))
-        table.direct_rows[k] = row
+        table.direct_columns = (k, row)
+    elif memo[0] == k:
+        row = memo[1]
+    else:  # a second segment
+        rows = table.direct_columns = direct_columns(table)
+        row = rows[k - 2]
     closed = table.closed_columns.get(spec.family)
     if closed is None:
         closed = table.closed_columns[spec.family] = ClosedColumns(spec.family, table)
     dual_dim, i_direct, direct_verdict, witness, lower_direct = row
-    i_closed, lower_closed, closed_verdict, priors = closed.at(spec, table)
+    i_closed, lower_closed, closed_verdict, priors = closed.at(spec)
     return BoundReport(
         spec=spec,
         dual_dim=dual_dim,

@@ -27,6 +27,7 @@ from dualbch.dualtools import (
     PriorBound,
     bound_report,
     delta_sweep,
+    direct_columns,
     dual_lower_bound,
     dually_bch_closed,
     dually_bch_closed_intervals,
@@ -454,16 +455,46 @@ class TestBoundReport:
             pairs += n - 1
         assert pairs == 31_236
 
-    def test_scans_once_per_segment(self, monkeypatch):
-        scans = count_calls(monkeypatch, "i_delta_direct", "_dually_bch_given")
+    def test_first_segment_scans_then_a_second_builds_the_columns(self, monkeypatch):
+        calls = count_calls(monkeypatch, "i_delta_direct", "_dually_bch_given",
+                            "direct_columns")
         table = coset_table(255, 2)
-        for delta in range(255, 1, -1):
+        # 127 is the largest leader, so 255 and 200 share the top segment;
+        # 100 is the table's second segment
+        for delta, scans, builds in ((255, 1, 0), (200, 1, 0), (100, 1, 1)):
             bound_report(bch_spec(2, 8, delta, s=1), table)
-        # one segment per count of leaders below delta, for delta in [2, 255];
-        # J = I(delta) is scanned for once per segment and shared
-        assert scans == {"i_delta_direct": len(table.leaders) - 1,
-                         "_dually_bch_given": len(table.leaders) - 1}
-        assert len(table.direct_rows) == len(table.leaders) - 1
+            assert calls == {"i_delta_direct": scans, "_dually_bch_given": scans,
+                             "direct_columns": builds}, delta
+        assert len(table.direct_columns) == len(table.leaders) - 1
+        deltas = list(range(2, 256))
+        random.Random(8).shuffle(deltas)
+        for delta in deltas:
+            bound_report(bch_spec(2, 8, delta, s=1), table)
+        assert calls == {"i_delta_direct": 1, "_dually_bch_given": 1, "direct_columns": 1}
+
+    def test_one_query_on_a_large_table_builds_no_columns(self, monkeypatch):
+        # n = 2^20 - 1, where the pass would take seconds and hundreds of MB:
+        # one query scans its own T_perp and allocates what that scan does
+        table = coset_table(2**20 - 1, 2)
+        spec = bch_spec(2, 20, 1000, lam=1)
+        built = count_calls(monkeypatch, "direct_columns")
+        tracemalloc.start()
+        try:
+            t = defining_set(spec, table)
+            t_perp = dual_defining_set(t)
+            scan = (int(np.count_nonzero(t)), i_delta_direct(t_perp),
+                    *dually_bch_direct(t_perp, table), bch_bound_from_set(t_perp))
+            del t, t_perp
+            _, scan_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            report = bound_report(spec, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built == {"direct_columns": 0}
+        assert table.direct_columns == (int(table.leaders.searchsorted(1000)), scan)
+        assert report.lower_bound_direct == scan[-1]
+        assert peak <= 1.1 * scan_peak, (peak, scan_peak)
 
     def test_memo_hit_evaluates_no_closed_form(self, monkeypatch):
         table = coset_table(2047, 2)
@@ -492,7 +523,7 @@ class TestBoundReport:
         table = coset_table(1023, 2)
         for delta in (3, 100, 1023):
             bound_report(bch_spec(2, 10, delta, s=1), table)
-        assert table.direct_rows and table.closed_columns
+        assert table.direct_columns and table.closed_columns
         ref = weakref.ref(table)
         del table
         gc.collect()
@@ -549,6 +580,82 @@ def typed_priors(bounds):
 # the bench's sweep families, n = 1365 to 2380, past the theorem sweep above
 SWEEP_FAMILIES = [Family(2, 11, s=1), Family(13, 4, s=1), Family(2, 12, s=2),
                   Family(3, 7, lam=1), Family(5, 5, lam=2)]
+
+
+def scanned_row(spec, table):
+    """bound_report's direct row at spec.delta, from the scans of its masks."""
+    t = defining_set(spec, table)
+    t_perp = dual_defining_set(t)
+    return (int(np.count_nonzero(t)), i_delta_direct(t_perp),
+            *dually_bch_direct(t_perp, table), bch_bound_from_set(t_perp))
+
+
+def run_bounds_by_nearest_smaller_values(table):
+    """1 + the longest cyclic run of T_perp at each segment's top delta.
+
+    With e[p] the leader of -p and e[0] above every delta, p lies in
+    T_perp(delta) iff e[p] >= delta.  Let w_p be the width of the largest
+    cyclic window around p on which e >= e[p]; the nearest strictly smaller
+    values on each side, one monotonic stack each way over e tripled, give
+    it.  The longest run of T_perp(delta) is the largest w_p over
+    e[p] >= delta.  This shares nothing with direct_columns' linked list.
+    """
+    n = table.n
+    e = table.leader_of[(n - np.arange(n)) % n].tolist()
+    e[0] = n + 1
+    three = e * 3
+    left, right = [-1] * (3 * n), [3 * n] * (3 * n)
+    for side, order in ((left, range(3 * n)), (right, range(3 * n - 1, -1, -1))):
+        stack = []
+        for i in order:
+            while stack and three[stack[-1]] >= three[i]:
+                stack.pop()
+            if stack:
+                side[i] = stack[-1]
+            stack.append(i)
+    width = np.array([min(right[i] - left[i] - 1, n) for i in range(n, 2 * n)])
+    e = np.array(e)
+    tops = [*table.leaders[2:].tolist(), n]
+    return [int(width[e >= top].max()) + 1 for top in tops]
+
+
+class TestDirectColumns:
+    def test_equal_the_scans_at_every_delta(self):
+        # every delta of every theorem family with n <= 400, of the families
+        # outside the hypotheses and of the bench's sweep families; the run
+        # bounds also against the nearest-smaller-values identity
+        pairs = 0
+        for family in [*theorem_families(400), *OUTSIDE_FAMILIES, *SWEEP_FAMILIES]:
+            table = coset_table(family.n, family.q)
+            rows = direct_columns(table)
+            assert len(rows) == len(table.leaders) - 1, family
+            for delta in range(2, family.n + 1):
+                k = int(table.leaders.searchsorted(delta))
+                assert rows[k - 2] == scanned_row(BchSpec(family, delta), table), \
+                    (family, delta)
+            assert [row[4] for row in rows] == run_bounds_by_nearest_smaller_values(table), \
+                family
+            assert all([type(v) for v in row] == [int, int, bool, int, int] for row in rows)
+            pairs += family.n - 1
+        assert pairs == 31_236 + sum(f.n - 1 for f in [*OUTSIDE_FAMILIES, *SWEEP_FAMILIES])
+
+    def test_any_coprime_modulus(self):
+        # no theorem hypotheses, not even a prime power q; q = 10 makes
+        # C_1 = {1} where n divides 9
+        for n in range(2, 80):
+            for q in (2, 3, 6, 10):
+                if math.gcd(n, q) != 1:
+                    continue
+                table = coset_table(n, q)
+                rows = direct_columns(table)
+                lead = table.leader_of
+                for delta in range(2, n + 1):
+                    t = (lead >= 1) & (lead <= delta - 1)
+                    t_perp = dual_defining_set(t)
+                    k = int(table.leaders.searchsorted(delta))
+                    assert rows[k - 2] == (int(np.count_nonzero(t)), i_delta_direct(t_perp),
+                                           *dually_bch_direct(t_perp, table),
+                                           bch_bound_from_set(t_perp)), (n, q, delta)
 
 
 def frozen_prior_bounds(spec):
@@ -666,7 +773,7 @@ class TestClosedColumns:
             for delta in deltas:
                 spec = BchSpec(family, delta)
                 want = per_delta_closed(spec, table)
-                got = cols.at(spec, table)
+                got = cols.at(spec)
                 assert got == want, (family, delta)
                 assert typed_priors(got[3]) == typed_priors(want[3]), (family, delta)
                 if family in OUTSIDE_FAMILIES:
@@ -691,7 +798,7 @@ class TestClosedColumns:
             tracemalloc.stop()
         assert peak < self.LARGE[family], peak
         spec = BchSpec(family, family.n // 3)
-        assert cols.at(spec, table) == per_delta_closed(spec, table)
+        assert cols.at(spec) == per_delta_closed(spec, table)
 
     def test_each_slot_runs_the_per_delta_functions_once(self, monkeypatch):
         # 700 and 702 share a segment of Family(2, 11, s=1) and a parity;
@@ -703,7 +810,7 @@ class TestClosedColumns:
         cols = ClosedColumns(Family(2, 11, s=1), table)
         calls = count_calls(monkeypatch, *names)
         for delta, runs in ((700, 1), (700, 0), (702, 0), (701, 1), (703, 0)):
-            cols.at(bch_spec(2, 11, delta, s=1), table)
+            cols.at(bch_spec(2, 11, delta, s=1))
             assert calls == dict.fromkeys(names, runs), delta
             calls.update(dict.fromkeys(names, 0))
         assert len(cols.rows) == 2
