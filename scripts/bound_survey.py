@@ -8,8 +8,10 @@ and the dually-BCH verdict.  It exits 1, naming each delta, where the
 direct and closed-form I(delta) or dually-BCH verdicts disagree; a closed
 value outside its theorem's hypotheses is not compared.  It also exits 1
 where bound_report's closed columns, kept once per segment of deltas,
-differ from dual_lower_bound, dually_bch_closed or prior_bounds at that
-delta; the prior bounds have no direct route to check them against.  And
+differ from dual_lower_bound or dually_bch_closed at that delta, or its
+prior bounds from frozen_prior_bounds: the prior bounds have no direct
+route, so they are checked against that frozen per-delta statement, which
+shares no code with the case tables they are read from.  And
 it exits 1 where bound_report's direct columns, which come from one pass
 over the table once it has answered a second segment, differ from the
 scans of that delta's masks: defining_set, dual_defining_set, then
@@ -30,8 +32,8 @@ from dualbch.dualtools import (
     dually_bch_closed,
     dually_bch_direct,
     i_delta_direct,
-    prior_bounds,
 )
+from dualbch.oracles import frozen_prior_bounds
 
 
 def per_delta_direct(spec, table):
@@ -43,7 +45,11 @@ def per_delta_direct(spec, table):
 
 
 def per_delta_closed(spec, table):
-    """bound_report's closed columns at spec.delta, from the per-delta functions."""
+    """bound_report's closed columns at spec.delta, from the per-delta functions.
+
+    The prior bounds come from frozen_prior_bounds, not prior_bounds, which
+    reads the same case tables as bound_report.
+    """
     try:
         lower = dual_lower_bound(spec)
     except ValueError:
@@ -52,7 +58,7 @@ def per_delta_closed(spec, table):
         verdict = dually_bch_closed(spec, table)
     except ValueError:
         verdict = None
-    return None if lower is None else lower - 1, lower, verdict, prior_bounds(spec)
+    return None if lower is None else lower - 1, lower, verdict, frozen_prior_bounds(spec)
 
 
 def main():
@@ -98,7 +104,7 @@ def main():
                   rep.prior_bounds)
         if closed != per_delta_closed(spec, table):
             disagreements.append(f"delta={delta}: bound_report's closed columns differ "
-                                 f"from the per-delta functions")
+                                 f"from the per-delta functions and frozen prior bounds")
         direct = (rep.dual_dim, rep.i_delta_direct, rep.dually_bch_direct,
                   rep.dually_bch_witness, rep.lower_bound_direct)
         if direct != per_delta_direct(spec, table):

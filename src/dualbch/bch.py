@@ -17,12 +17,12 @@ The defining set of C_delta with respect to beta = alpha^lambda is
 T = C_1 u ... u C_{delta-1}; the generator polynomial g is the product of
 the minimal polynomials of beta^l over the distinct coset leaders l in T,
 which are the leaders in [1, delta-1], a prefix of the table's ascending
-leaders.  The dual's defining set is T_perp, the complement in Z_n of
-T^{-1} = {n - i : i in T}.  defining_set and dual_defining_set return T and
-T_perp as read-only bool masks of length n.  The dual's generator is the
-monic reciprocal of (x^n - 1)/g, so it takes one polynomial division rather
-than one minimal polynomial per coset of the (usually much larger) T_perp,
-and neither generator needs a mask.
+leaders, and T is their orbits.  The dual's defining set is T_perp, the
+complement in Z_n of T^{-1} = {n - i : i in T}.  defining_set and
+dual_defining_set return T and T_perp as read-only bool masks of length n.
+The dual's generator is the monic reciprocal of (x^n - 1)/g, so it takes
+one polynomial division rather than one minimal polynomial per coset of
+the (usually much larger) T_perp, and neither generator needs a mask.
 """
 
 from __future__ import annotations
@@ -171,11 +171,14 @@ def check_table(spec: BchSpec | Family, table: CosetTable) -> None:
 def defining_set(spec: BchSpec, table: CosetTable) -> np.ndarray:
     """T = C_1 u ... u C_{delta-1} as a read-only bool mask over Z_n.
 
-    Position a is set iff the leader of a is in [1, delta-1].
+    Position a is set iff the leader of a is in [1, delta-1].  T is the
+    union of the orbits of defining_leaders, so on a table without its
+    leader array the mask is those orbits scattered, O(|T|), and no leader
+    array is built; on a table with one it is a comparison over that array
+    (CosetTable.union_below).
     """
     check_table(spec, table)
-    lead = table.leader_of
-    mask = (lead >= 1) & (lead <= spec.delta - 1)
+    mask = table.union_below(spec.delta)
     mask.setflags(write=False)
     return mask
 

@@ -1,17 +1,20 @@
 """q-cyclotomic cosets modulo n, coset leaders, and closed-form leader lists.
 
 The coset of a modulo n is {a q^j mod n}; its leader is the smallest member.
-coset_table computes the full int32 leader array, and the leaders in
-ascending order, for n up to MAX_N = 2^24.  Its build depends only on
+coset_table computes the leaders in ascending order, and the int32 leader
+array over Z_n, for n up to MAX_N = 2^24.  Its build depends only on
 m = ord_n(q), which multiplicative_order finds from phi(n) and the
 trial-division factorings of n and phi(n) (intmath.factorize).  For
 m <= 64, at any n (every (q^m - 1)/lambda within MAX_N has m <= 24), a
 sieve over blocks of residues keeps a only while a <= a q^j mod n for
-every j in [1, m), which leaves exactly the leaders, and m scatters write
-each leader over its orbit.  It makes up to m numpy calls per block, so
-it would take minutes where m is close to n; above m = 64 the build
-doubles pointers on i -> q i mod n instead, ceil(log2 m) passes over Z_n,
-and lists the leaders as the fixed points of the leader array.
+every j in [1, m), which leaves exactly the leaders.  The leader array is
+then built only when it is first read, by m scatters that write each
+leader over its orbit, since the largest leaders, T = C_1 u ... u C_{delta-1}
+and the dually-BCH verdict of one delta all follow from the leaders alone.
+The sieve makes up to m numpy calls per block, so it would take minutes
+where m is close to n; above m = 64 the build doubles pointers on
+i -> q i mod n instead, ceil(log2 m) passes over Z_n, and lists the
+leaders as the fixed points of the leader array it has built.
 
 check_modulus is the one rule for a modulus: 1 <= n <= MAX_N, q >= 2 and
 gcd(n, q) = 1.  coset_table runs it first, and a caller that would factor
@@ -84,26 +87,30 @@ def multiplicative_order(q: int, n: int) -> int:
 class CosetTable:
     """Leaders of every q-cyclotomic coset modulo n.
 
-    leader_of[a] is the smallest element of the coset of a; it is int32,
-    since n <= MAX_N.  leaders lists the distinct leaders ascending, which
-    are the fixed points a = leader_of[a].  Both arrays are marked read-only,
-    and the cosets map is built on first use.  direct_columns and
-    closed_columns are the memos of dualtools.bound_report.  direct_columns
-    holds its direct columns: None before any query, (k, row) of the one
-    segment of deltas, those with k leaders below them, that the first
-    query scanned, and from a second segment on the list of every
-    segment's row from dualtools.direct_columns.  closed_columns holds its
-    closed columns, one dualtools.ClosedColumns per code family, which
-    fills a row per segment of the closed forms' cases as queries reach
-    it.  They live and die with the table.
+    leaders lists the distinct leaders ascending.  leader_of[a] is the
+    smallest element of the coset of a; it is int32, since n <= MAX_N, and
+    its leaders are its fixed points a = leader_of[a].  Given as None, as
+    the sieve gives it, leader_of is built on first read by scattering
+    every leader over its orbit; union_below(delta) scatters only the
+    orbits it needs while leader_of is unbuilt.  Both arrays are marked
+    read-only, and the cosets map is built on first use.  direct_columns
+    and closed_columns are the memos of dualtools.bound_report.
+    direct_columns holds its direct columns: None before any query, (k,
+    row) of the one segment of deltas, those with k leaders below them,
+    that the first query scanned, and from a second segment on the list of
+    every segment's row from dualtools.direct_columns.  closed_columns
+    holds its closed columns, one dualtools.ClosedColumns per code family,
+    which fills a row per segment of the closed forms' cases as queries
+    reach it.  They live and die with the table.
     """
 
     def __init__(self, n, q, leader_of, leaders):
         self.n = n
         self.q = q
-        leader_of.setflags(write=False)
+        if leader_of is not None:
+            leader_of.setflags(write=False)
         leaders.setflags(write=False)
-        self.leader_of = leader_of
+        self._leader_of = leader_of
         self.leaders = leaders
         self._cosets = None
         self.direct_columns = None
@@ -113,13 +120,38 @@ class CosetTable:
         return f"CosetTable(n={self.n}, q={self.q})"
 
     @property
+    def leader_of(self) -> np.ndarray:
+        """The int32 leader of every residue, scattered from the leaders on first read."""
+        if self._leader_of is None:
+            lead = np.empty(self.n, dtype=np.int32)
+            _scatter_orbits(lead, self.leaders, self.leaders, self.n, self.q)
+            lead.setflags(write=False)
+            self._leader_of = lead
+        return self._leader_of
+
+    def union_below(self, delta: int) -> np.ndarray:
+        """The residues whose leader is in [1, delta-1], C_1 u ... u C_{delta-1}, as a bool mask.
+
+        Without a leader array it scatters the orbits of those leaders,
+        O(|union|) in ord_n(q) numpy steps, and builds no leader array; with
+        one, as after the doubling build or a first read, it compares that
+        array with [1, delta-1] in one pass over Z_n.  The mask is writable.
+        """
+        if self._leader_of is not None:
+            return (self._leader_of >= 1) & (self._leader_of <= delta - 1)
+        mask = np.zeros(self.n, dtype=bool)
+        _scatter_orbits(mask, self.leaders[1:int(self.leaders.searchsorted(delta))], True,
+                        self.n, self.q)
+        return mask
+
+    @property
     def cosets(self) -> dict[int, list[int]]:
         """Map: leader -> sorted list of coset members."""
         if self._cosets is None:
-            order = np.argsort(self.leader_of, kind="stable")
+            lead = self.leader_of
             cs = {}
-            for a in order:
-                cs.setdefault(int(self.leader_of[a]), []).append(int(a))
+            for a in np.argsort(lead, kind="stable"):
+                cs.setdefault(int(lead[a]), []).append(int(a))
             self._cosets = cs
         return self._cosets
 
@@ -129,7 +161,9 @@ def coset_table(n: int, q: int) -> CosetTable:
 
     (n, q) must pass check_modulus, which runs first.  The build is the
     sieve where m = ord_n(q) <= _SIEVE_MAX_ORDER, at any n, else the
-    pointer doubling; both give the same arrays.
+    pointer doubling.  Both give the same leaders; the doubling hands over
+    the leader array it builds on the way, and the sieve's table builds it
+    on first read.
     """
     check_modulus(n, q)
     m = multiplicative_order(q, n)
@@ -151,26 +185,31 @@ def _reduce_mod(y: np.ndarray, n: int, quot: np.ndarray | None = None) -> np.nda
     return y
 
 
-def _sieve_build(n: int, q: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(leader_of, leaders) by the leader sieve and m orbit scatters.
+def _sieve_build(n: int, q: int, m: int) -> tuple[None, np.ndarray]:
+    """(None, leaders) by the leader sieve; CosetTable builds leader_of on first read.
 
     a is a leader iff a <= a q^j mod n for every j in [1, m).  Each block of
     _SIEVE_BLOCK residues tests j = m-1, 1, m-2, 2, ... in turn; most
     residues fail one of the first tests, and the survivors of the blocks,
-    in order, are the leaders ascending.  The scatters then step every
-    leader's orbit by q at once.  The only array of n elements is the int32
-    result.
+    in order, are the leaders ascending.  No array of n elements is built.
     """
     steps = [pow(q, m - 1 - i // 2 if i % 2 == 0 else 1 + i // 2, n) for i in range(m - 1)]
-    leaders = np.concatenate([_sieve_leaders(lo, min(lo + _SIEVE_BLOCK, n), n, steps)
-                              for lo in range(0, n, _SIEVE_BLOCK)])
-    lead = np.empty(n, dtype=np.int32)
-    x, quot, step = leaders.copy(), np.empty_like(leaders), q % n
-    for _ in range(m):
-        lead[x] = leaders
+    return None, np.concatenate([_sieve_leaders(lo, min(lo + _SIEVE_BLOCK, n), n, steps)
+                                 for lo in range(0, n, _SIEVE_BLOCK)])
+
+
+def _scatter_orbits(out: np.ndarray, leaders: np.ndarray, values, n: int, q: int) -> None:
+    """Write values over the coset of every leader in out, one step by q for all at once.
+
+    out[leaders q^j mod n] = values for j in [0, ord_n(q)): every coset is
+    an orbit under i -> q i mod n, whose length divides ord_n(q).
+    """
+    x = leaders.astype(np.int64)
+    quot, step = np.empty_like(x), q % n
+    for _ in range(multiplicative_order(q, n)):
+        out[x] = values
         x *= step
         _reduce_mod(x, n, quot)
-    return lead, leaders
 
 
 def _sieve_leaders(lo: int, hi: int, n: int, steps: list[int]) -> np.ndarray:

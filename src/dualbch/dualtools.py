@@ -277,18 +277,29 @@ def dually_bch_direct(t_perp: np.ndarray, table: CosetTable) -> tuple[bool, int]
     """Whether the mask T_perp is the union of the cosets of 0 .. J-1, J = I(delta).
 
     Returns (verdict, witness): witness is J itself when true, else the
-    least coset leader inside T_perp that is >= J.
+    least coset leader inside T_perp that is >= J.  It gathers the leader
+    of every member of T_perp, so it is the oracle of _dually_bch_given.
     """
-    return _dually_bch_given(t_perp, table, i_delta_direct(t_perp))
-
-
-def _dually_bch_given(t_perp: np.ndarray, table: CosetTable, j: int) -> tuple[bool, int]:
-    """dually_bch_direct given J = I(delta) of t_perp, so J is scanned for once."""
+    j = i_delta_direct(t_perp)
     leaders = table.leader_of[t_perp]
     offenders = leaders[leaders >= j]
     if offenders.size == 0:
         return True, j
     return False, int(offenders.min())
+
+
+def _dually_bch_given(t_perp: np.ndarray, table: CosetTable, j: int) -> tuple[bool, int]:
+    """dually_bch_direct given J = I(delta) of t_perp, read from the leaders.
+
+    T_perp is a union of cosets, so it holds a leader >= J iff it meets a
+    coset outside those of 0 .. J-1, and the least such leader is the
+    witness.  It reads only the ascending leaders, not the leader array.
+    """
+    above = table.leaders[int(table.leaders.searchsorted(j)):]
+    offenders = above[t_perp[above]]
+    if offenders.size == 0:
+        return True, j
+    return False, int(offenders[0])
 
 
 def _segments(table: CosetTable) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
@@ -516,14 +527,16 @@ def bound_report(spec: BchSpec, table: CosetTable) -> BoundReport:
     only through k, the number of coset leaders below delta, because
     T = C_1 u ... u C_{delta-1} and so T_perp stay the same between two
     consecutive leaders.  The table's first query scans the T_perp mask of
-    its own segment and keeps the row, with k, in the table's
-    direct_columns; a query on a second segment replaces it by
-    direct_columns(table), every segment's row from one pass, and every
-    later query is a list index.  So a table that answers one query, or
-    one segment, never pays for the pass.  The closed columns come from a
-    ClosedColumns kept in its closed_columns, keyed by family, which runs
-    the per-delta closed functions once per segment of their cases; they
-    never read the direct columns, so the two routes stay independent.
+    its own segment, with T scattered from its leaders' orbits and the
+    verdict read off the leaders, so it builds no leader array, and keeps
+    the row, with k, in the table's direct_columns; a query on a second
+    segment replaces it by direct_columns(table), every segment's row from
+    one pass, and every later query is a list index.  So a table that
+    answers one query, or one segment, never pays for the pass.  The
+    closed columns come from a ClosedColumns kept in its closed_columns,
+    keyed by family, which runs the per-delta closed functions once per
+    segment of their cases; they never read the direct columns, so the two
+    routes stay independent.
     Raises ValueError on a table of another (n, q).
     """
     check_table(spec, table)

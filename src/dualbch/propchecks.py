@@ -8,12 +8,14 @@ leader").  This module re-checks those claims by direct enumeration over their
 full hypothesis grids, so a formula bug or a transcription slip shows up as a
 concrete counterexample rather than a silently wrong bound.
 
-Each check takes a :class:`~dualbch.bch.Family`, valid by construction, and
-the coset table it reads, refused by :func:`~dualbch.bch.check_table` unless
-it is modulo the right length: q^m - 1 for the floor checks, n for the
-membership check.  A check then tests only its own hypotheses, and returns
-a :class:`PropResult` whose ``failures`` tuple is expected to be empty.
-:func:`run_grid` runs a manifest of cases, one coset table at a time.
+Each check takes a :class:`~dualbch.bch.Family`, valid by construction.  The
+floor checks also take the coset table modulo q^m - 1 that they read,
+refused by :func:`~dualbch.bch.check_table` unless it is modulo that length;
+the membership check reads only the leaders of two elements, which it finds
+by walking their orbits, and takes no table.  A check then tests only its
+own hypotheses, and returns a :class:`PropResult` whose ``failures`` tuple
+is expected to be empty.  :func:`run_grid` runs a manifest of cases, one
+coset table at a time.
 :func:`load_grid_manifest` builds the default manifest from every parameter
 tuple inside the checks' hypotheses up to fixed size cutoffs; other grids
 are JSON files in the same schema.
@@ -136,23 +138,33 @@ def check_leader_floor_divisor_form(family: Family, table: CosetTable) -> PropRe
     return PropResult("leader_floor_divisor_form", tuple(grid), tuple(failures))
 
 
+def _coset_leader(a: int, n: int, q: int) -> int:
+    """The least element of the q-cyclotomic coset of a in [0, n): a walk of its orbit."""
+    least, b = a, a * q % n
+    while b != a:
+        least = min(least, b)
+        b = b * q % n
+    return least
+
+
 def _membership_failures(
-    lead: np.ndarray, n: int, label: str, d_lo: int, d_hi: int, x: int
+    n: int, q: int, label: str, d_lo: int, d_hi: int, x: int
 ) -> list[tuple]:
     """Check x is a coset leader mod n and lies in the dual defining set for
     every delta in [d_lo, d_hi].
 
     Membership unfolds the definition directly: x is in the dual defining set
     iff (n - x) mod n is not in the defining set, i.e. iff the coset leader of
-    (n - x) mod n is outside [1, delta-1].
+    (n - x) mod n is outside [1, delta-1].  Both leaders are orbit minima,
+    O(ord_n(q)) each.
     """
     out: list[tuple] = []
     if not 0 <= x < n:
         out.append((label, None, x, "element outside [0, n)"))
         return out
-    if int(lead[x]) != x:
+    if _coset_leader(x, n, q) != x:
         out.append((label, None, x, "not a coset leader"))
-    cl = int(lead[(n - x) % n])
+    cl = _coset_leader((n - x) % n, n, q)
     deltas = np.arange(d_lo, d_hi + 1, dtype=np.int64)
     for d in deltas[(cl >= 1) & (cl <= deltas - 1)]:
         out.append((label, int(d), x, "missing from dual defining set"))
@@ -171,7 +183,7 @@ def _membership_hypotheses(family: Family) -> None:
         validate_power_form(family)
 
 
-def check_tperp_leader_membership(family: Family, table: CosetTable) -> PropResult:
+def check_tperp_leader_membership(family: Family) -> PropResult:
     """Check the explicit dual-defining-set members used by the dually-BCH
     arguments: each claimed element is a coset leader modulo n and belongs to
     the dual defining set for every delta in its stated range.
@@ -181,11 +193,11 @@ def check_tperp_leader_membership(family: Family, table: CosetTable) -> PropResu
     ((q^{ts}-1)/(q^s-1), (q^{(t+1)s}-1)/(q^s-1)].
 
     Divisor form (requires q > 3 and 1 < lam < q-1): three range/element
-    pairs covering delta from 2 up to n - q^{m-1}.  table is the coset
-    table modulo n.
+    pairs covering delta from 2 up to n - q^{m-1}.  It reads no coset
+    table: each element's leader, and that of its negative, is the minimum
+    of its orbit.
     """
     _membership_hypotheses(family)
-    check_table(family, table)
     q, m, n = family.q, family.m, family.n
     grid: list[tuple] = []
     failures: list[tuple] = []
@@ -199,7 +211,7 @@ def check_tperp_leader_membership(family: Family, table: CosetTable) -> PropResu
             d_hi = (q ** ((t + 1) * s) - 1) // (q**s - 1)
             grid.append((f"t={t}", d_lo, d_hi, x))
             failures.extend(
-                _membership_failures(table.leader_of, n, f"t={t}", d_lo, d_hi, x)
+                _membership_failures(n, q, f"t={t}", d_lo, d_hi, x)
             )
         lemma_id = "tperp_leader_membership_power_form"
     else:
@@ -220,7 +232,7 @@ def check_tperp_leader_membership(family: Family, table: CosetTable) -> PropResu
                 continue
             grid.append((label, d_lo, d_hi, x))
             failures.extend(
-                _membership_failures(table.leader_of, n, label, d_lo, d_hi, x)
+                _membership_failures(n, q, label, d_lo, d_hi, x)
             )
         lemma_id = "tperp_leader_membership_divisor_form"
     return PropResult(lemma_id, tuple(grid), tuple(failures))
@@ -307,9 +319,11 @@ def load_grid_manifest(path: str | Path | None = None) -> dict:
 def _plan_case(lemma_id: str, case: dict) -> tuple:
     """(check, family, (modulus, base) of its coset table) for one case.
 
+    The key is None for a membership case, whose check reads no table.
     Refuses, before any table exists, a case that is no valid Family, whose
-    table modulus is too large to compute (Family.n) or to tabulate
-    (check_modulus), or that lies outside its check's hypotheses.
+    modulus is too large to compute (Family.n) or to tabulate
+    (check_modulus; a membership check's delta ranges are as long as n),
+    or that lies outside its check's hypotheses.
     A case gives one of s and lam; a membership case also names that form
     as its kind, "power" or "divisor".  The checks are looked up by their
     module names on each call, so a wrapper bound over a name is what runs.
@@ -344,30 +358,31 @@ def _plan_case(lemma_id: str, case: dict) -> tuple:
         rules(family)
     except ValueError as e:
         raise ValueError(f"{lemma_id} case {case}: {e}") from None
-    return check, family, (table_family.n, q)
+    return check, family, None if membership else (table_family.n, q)
 
 
 def run_grid(manifest: dict) -> list[PropResult]:
     """Run every check in the manifest and return results in manifest order.
 
-    Cases with the same modulus/base share one coset table.  The cases are
-    run in groups, one per table, in order of each table's first case; a
-    table is built just before its group and dropped after it, so only one
-    table is alive at a time.  load_grid_manifest() gives the default grid.
+    Cases with the same modulus/base share one coset table, and the
+    membership cases, which read none, make one group without a table.  The
+    cases are run in groups, in order of each group's first case; a table
+    is built just before its group and dropped after it, so only one table
+    is alive at a time.  load_grid_manifest() gives the default grid.
     """
     jobs = [
         _plan_case(grid["lemma_id"], case)
         for grid in manifest["grids"]
         for case in grid["cases"]
     ]
-    groups: dict[tuple[int, int], list[int]] = {}
+    groups: dict[tuple[int, int] | None, list[int]] = {}
     for i, (_, _, key) in enumerate(jobs):
         groups.setdefault(key, []).append(i)
     results: list[PropResult | None] = [None] * len(jobs)
     for key, indices in groups.items():
-        table = coset_table(*key)
+        table = () if key is None else (coset_table(*key),)
         for i in indices:
             check, family, _ = jobs[i]
-            results[i] = check(family, table)
+            results[i] = check(family, *table)
         del table  # before the next group's table is built
     return results

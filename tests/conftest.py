@@ -2,8 +2,10 @@
 
 import functools
 
+import numpy as np
 import pytest
 
+from dualbch import cyclotomic
 from dualbch.bch import dual_defining_set
 from dualbch.cyclotomic import coset_table
 from dualbch.dualtools import dually_bch_direct, i_delta_direct
@@ -27,3 +29,21 @@ def direct_oracle():
     (149,339 pairs); they share one scan per table instead of one each.
     """
     return functools.cache(lambda q, n: per_delta_oracle(coset_table(n, q)))
+
+
+@pytest.fixture
+def orbit_scatters(monkeypatch):
+    """The dtype of every orbit scatter from here on, in call order.
+
+    An int32 scatter builds a table's leader array; a bool one writes a
+    union of cosets (CosetTable.union_below).
+    """
+    dtypes = []
+    scatter = cyclotomic._scatter_orbits
+
+    def counting(out, *args):
+        dtypes.append(out.dtype)
+        return scatter(out, *args)
+
+    monkeypatch.setattr(cyclotomic, "_scatter_orbits", counting)
+    return dtypes

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dualbch.bch import theorem_families
 from dualbch.cyclotomic import (
+    _SIEVE_MAX_ORDER,
     MAX_N,
     CosetTable,
     _doubling_build,
@@ -232,6 +233,52 @@ class TestCosetTable:
         monkeypatch.setattr(np, "arange", no_arange)
         with pytest.raises(ValueError, match=f"exceeds the size cap {MAX_N}"):
             coset_table(MAX_N + 1, 3)
+
+
+class TestLazyLeaderArray:
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize("n,q", [(63, 2), (101, 2), (2**15 + 1, 2), (1, 5), (9, 10),
+                                     (1000, 3), (2**16 - 1, 4)])
+    def test_built_once_on_first_read(self, build, n, q, orbit_scatters):
+        # the sieve's tables scatter their leader array on its first read,
+        # the doubling's are handed theirs
+        table = BUILDS[build](n, q)
+        sieve = build == "sieve" or (build == "coset_table"
+                                     and multiplicative_order(q, n) <= _SIEVE_MAX_ORDER)
+        assert orbit_scatters == []
+        assert len(table.leaders) == burnside_cosets(n, q)
+        assert orbit_scatters == []
+        lead = table.leader_of
+        assert np.array_equal(lead, reference_leader_of(n, q))
+        assert table.leader_of is lead and not lead.flags.writeable
+        assert orbit_scatters == ([np.dtype(np.int32)] if sieve else [])
+
+    def test_first_read_holds_no_int64_array_of_n_elements(self):
+        n = 2**20 - 1
+        coset_table(n, 2).leader_of  # warm caches outside the measurement
+        table = coset_table(n, 2)
+        tracemalloc.start()
+        try:
+            lead = table.leader_of
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lead.nbytes == 4 * n
+        assert peak <= 8 * n, peak / n
+
+    @pytest.mark.parametrize("n,q", [(63, 2), (91, 3), (101, 2), (2**15 + 1, 2), (1000, 3)])
+    def test_union_below_equals_the_leader_array_form(self, n, q, orbit_scatters):
+        # the table compares its leader array, a bare copy scatters orbits
+        table = coset_table(n, q)
+        lead = table.leader_of
+        bare = CosetTable(n, q, None, table.leaders)
+        builds = len(orbit_scatters)
+        deltas = [2, 3, *table.leaders[1:].tolist(), n]
+        for delta in deltas:
+            want = (lead >= 1) & (lead <= delta - 1)
+            assert np.array_equal(bare.union_below(delta), want), delta
+            assert np.array_equal(table.union_below(delta), want), delta
+        assert orbit_scatters[builds:] == [np.dtype(bool)] * len(deltas)
 
 
 class TestCheckModulus:

@@ -37,6 +37,7 @@ from dualbch.dualtools import (
     i_delta_direct,
     prior_bounds,
 )
+from dualbch.oracles import frozen_prior_bounds
 
 
 def t_perp_of(spec, table=None):
@@ -658,61 +659,56 @@ class TestDirectColumns:
                                            bch_bound_from_set(t_perp)), (n, q, delta)
 
 
-def frozen_prior_bounds(spec):
-    """prior_bounds stated as per-delta case loops, apart from the case tables.
+class TestLeaderFreeForms:
+    """defining_set's orbit form and the leaders form of the verdict, against leader_of.
 
-    The prior bounds have no direct route, so this frozen statement is what
-    the tables are checked against.
+    A copy of a table without its leader array takes both forms; the
+    leader_of comparison and dually_bch_direct's gather are the oracles.
     """
-    q, m, delta, lam, n = spec.q, spec.m, spec.delta, spec.lam, spec.n
-    out = []
-    if q == 2 and lam == 1 and delta % 2 == 1:
-        s = (delta - 1) // 2
-        if m % 2 == 0:
-            cu = 2**(m - 1) - (s - 1) * 2**(m // 2)
-        else:
-            cu = 2**(m - 1) - (s - 1) * math.sqrt(2.0**m)
-        sid = 2**(m - 1 - ((2 * s - 1).bit_length() - 1))
-        out += [PriorBound("carlitz_uchiyama", cu, cu <= 1),
-                PriorBound("sidelnikov", sid, sid <= 1)]
-    if lam == 1 and m >= 3:
-        vals = []
-        if q == 2:
-            for t in range(2, m - 2):
-                if 2**t <= delta < 2**(t + 1):
-                    vals.append(2**(m - t))
-            if 2**(m - 2) <= delta < 2**(m - 1) - 2**((m - 1) // 2):
-                vals.append(4)
-        else:
-            for t in range(1, m - 1):
-                a = delta // q**t
-                if 1 <= a <= q - 2 and delta <= (a + 1) * q**t - 1:
-                    vals.append(q**(m - t) - a + 1)
-                if (q - 1) * q**t <= delta <= q**(t + 1) - q + 1:
-                    vals.append(q**(m - t) - q + 2)
-            a = delta // q**(m - 1)
-            if 1 <= a <= q - 3 and delta <= (a + 1) * q**(m - 1) - 1:
-                vals.append(q - a + 1)
-            if (q - 2) * q**(m - 1) <= delta < (q - 1) * q**(m - 1) - q**((m - 1) // 2):
-                vals.append(3)
-            for t in range(1, m):
-                b = q**t - delta
-                if 1 <= b <= q - 2 and delta >= 3:
-                    vals.append((b + 1) * q**(m - t))
-        if vals:
-            v = max(vals)
-            out.append(PriorBound("primitive_length", v, v <= 1))
-    if lam == q - 1 and m >= 3:
-        val = None
-        for t in range(1, m - 1):
-            if (q**t - 1) // (q - 1) < delta <= (q**(t + 1) - 1) // (q - 1):
-                val = (q**(m - t) - 1) // (q - 1) + 1
-                break
-        if val is None and (q**(m - 1) - 1) // (q - 1) < delta < n:
-            val = 2
-        if val is not None:
-            out.append(PriorBound("projective_length", val, val <= 1))
-    return tuple(out)
+
+    @staticmethod
+    def assert_forms_agree(table, specs):
+        bare = CosetTable(table.n, table.q, None, table.leaders)
+        lead = table.leader_of
+        for delta, spec in specs:
+            t = (lead >= 1) & (lead <= delta - 1)
+            orbits = bare.union_below(delta) if spec is None else defining_set(spec, bare)
+            assert np.array_equal(orbits, t), (table, delta)
+            t_perp = dual_defining_set(t)
+            j = i_delta_direct(t_perp)
+            assert (dualtools._dually_bch_given(t_perp, bare, j)
+                    == dually_bch_direct(t_perp, table)), (table, delta)
+        return len(specs)
+
+    def test_every_delta_of_the_families(self, orbit_scatters):
+        pairs = 0
+        for family in [*theorem_families(400), *OUTSIDE_FAMILIES, *SWEEP_FAMILIES]:
+            table = coset_table(family.n, family.q)
+            pairs += self.assert_forms_agree(
+                table, [(d, BchSpec(family, d)) for d in range(2, family.n + 1)])
+        assert pairs == 31_236 + sum(f.n - 1 for f in [*OUTSIDE_FAMILIES, *SWEEP_FAMILIES])
+        # one array per full table, for the oracles; none for the bare copies
+        assert orbit_scatters.count(np.dtype(np.int32)) == 168 + 13 + 5
+
+    def test_every_coprime_modulus_below_80(self):
+        for n in range(2, 80):
+            for q in (2, 3, 6, 10):
+                if math.gcd(n, q) == 1:
+                    self.assert_forms_agree(coset_table(n, q),
+                                            [(d, None) for d in range(2, n + 1)])
+
+    def test_one_query_builds_no_leader_array(self, orbit_scatters):
+        # cosets --top 3 and a one-delta dual-bound read only the leaders
+        n = 2**20 - 1
+        table = coset_table(n, 2)
+        assert largest_leaders(table, 3) == [2**19 - 1, 2**19 - 2**9 - 1, 2**19 - 2**10 - 1]
+        rep = bound_report(bch_spec(2, 20, 5000, lam=1), table)
+        assert orbit_scatters == [np.dtype(bool)]  # T's orbits, and no leader array
+        assert (rep.i_delta_direct, rep.dually_bch_direct) == (
+            rep.i_delta_closed, rep.dually_bch_closed)
+        t_perp = dual_defining_set(defining_set(rep.spec, table))
+        assert (rep.dually_bch_direct, rep.dually_bch_witness) == dually_bch_direct(
+            t_perp, table)
 
 
 CASE_FAMILIES = [*theorem_families(1000), *SWEEP_FAMILIES, *OUTSIDE_FAMILIES]

@@ -19,6 +19,7 @@ from dualbch.cyclotomic import MAX_N, CosetTable, coset_table
 from dualbch.propchecks import (
     MANIFEST_SCHEMA,
     PropResult,
+    _coset_leader,
     _membership_failures,
     _plan_case,
     check_leader_floor_divisor_form,
@@ -38,8 +39,6 @@ def primitive_table(q, m):
     (check_leader_floor_power_form, Family(2, 6, s=1), 63, 65),
     (check_leader_floor_power_form, Family(2, 6, s=2), 63, 21),
     (check_leader_floor_divisor_form, Family(5, 3, lam=2), 124, 62),
-    (check_tperp_leader_membership, Family(3, 6, s=2), 91, 728),
-    (check_tperp_leader_membership, Family(5, 4, lam=2), 312, 624),
 ])
 def test_check_takes_family_and_table(check, family, modulus, other):
     q = family.q
@@ -47,6 +46,13 @@ def test_check_takes_family_and_table(check, family, modulus, other):
     with pytest.raises(ValueError, match=rf"^table is for \(n={other}, q={q}\), "
                                          rf"spec needs \(n={modulus}, q={q}\)$"):
         check(family, coset_table(other, q))
+
+
+@pytest.mark.parametrize("family", [Family(3, 6, s=2), Family(5, 4, lam=2)])
+def test_membership_takes_family_only(family):
+    assert check_tperp_leader_membership(family).ok
+    with pytest.raises(TypeError):
+        check_tperp_leader_membership(family, coset_table(family.n, family.q))
 
 
 class TestLeaderFloorPowerForm:
@@ -160,8 +166,28 @@ class TestFloorElementsAgainstReference:
 
 
 class TestMembership:
+    @pytest.mark.parametrize("n,q", [(63, 2), (91, 3), (312, 5), (1365, 4), (2, 3),
+                                     (83, 2), (1000, 3)])
+    def test_orbit_minimum_is_the_leader(self, n, q):
+        # (83, 2) has order 82, a doubling table; (1000, 3) is no code length
+        lead = coset_table(n, q).leader_of.tolist()
+        assert [_coset_leader(a, n, q) for a in range(n)] == lead
+
+    def test_membership_cases_build_no_table(self, monkeypatch):
+        import dualbch.propchecks as propchecks
+
+        def no_table(n, q):
+            raise AssertionError(f"coset table modulo {n} built")
+
+        monkeypatch.setattr(propchecks, "coset_table", no_table)
+        manifest = load_grid_manifest()
+        manifest["grids"] = [g for g in manifest["grids"]
+                             if g["lemma_id"] == "tperp_leader_membership"]
+        results = run_grid(manifest)
+        assert len(results) == 32 and all(r.ok for r in results)
+
     def test_power_form_element_13(self):
-        result = check_tperp_leader_membership(Family(3, 6, s=2), coset_table(91, 3))
+        result = check_tperp_leader_membership(Family(3, 6, s=2))
         assert result.ok
         assert result.parameter_grid == (("t=1", 2, 10, 13),)
 
@@ -175,7 +201,7 @@ class TestMembership:
         assert int(table.leader_of[13]) == 13
 
     def test_divisor_form_three_sections(self):
-        result = check_tperp_leader_membership(Family(5, 4, lam=2), coset_table(312, 5))
+        result = check_tperp_leader_membership(Family(5, 4, lam=2))
         assert result.ok
         assert result.parameter_grid == (
             ("low_delta", 2, 3, 237),
@@ -194,14 +220,12 @@ class TestMembership:
     def test_detects_non_member(self):
         # element 1 leaves the dual defining set as soon as delta exceeds
         # the leader of n-1; the detector must flag exactly those deltas
-        table = coset_table(63, 2)
-        fails = _membership_failures(table.leader_of, 63, "probe", 30, 35, 1)
+        fails = _membership_failures(63, 2, "probe", 30, 35, 1)
         assert [f[1] for f in fails] == [32, 33, 34, 35]
         assert all(f[3] == "missing from dual defining set" for f in fails)
 
     def test_detects_non_leader(self):
-        table = coset_table(63, 2)
-        fails = _membership_failures(table.leader_of, 63, "probe", 2, 2, 6)
+        fails = _membership_failures(63, 2, "probe", 2, 2, 6)
         assert ("probe", None, 6, "not a coset leader") in fails
 
     def test_hypothesis_violations_rejected(self):
@@ -210,7 +234,7 @@ class TestMembership:
                              (Family(5, 4, lam=4), "need s > 1"),  # lam = q-1 is s = 1
                              (Family(3, 4, s=2), "m/s = 4/2 < 3")]:
             with pytest.raises(ValueError, match=rule):
-                check_tperp_leader_membership(family, coset_table(family.n, family.q))
+                check_tperp_leader_membership(family)
 
 
 class TestPrimePowerRequired:
@@ -225,7 +249,7 @@ class TestPrimePowerRequired:
 
     def test_membership(self):
         with pytest.raises(ValueError, match="q=10 is not a prime power"):
-            check_tperp_leader_membership(Family(10, 3, lam=3), coset_table(333, 10))
+            check_tperp_leader_membership(Family(10, 3, lam=3))
         with pytest.raises(ValueError, match="q=10 is not a prime power"):
             run_grid({"schema": MANIFEST_SCHEMA, "grids": [
                 {"lemma_id": "tperp_leader_membership",
@@ -303,7 +327,8 @@ class TestManifestAndRunner:
 
         plans = [_plan_case(g["lemma_id"], c)
                  for g in manifest["grids"] for c in g["cases"]]
-        expected = [check(family, coset_table(*key)) for check, family, key in plans]
+        expected = [check(family, *(() if key is None else (coset_table(*key),)))
+                    for check, family, key in plans]
         built, keys = [], []
 
         def counting(n, q):
@@ -316,7 +341,7 @@ class TestManifestAndRunner:
 
         monkeypatch.setattr(propchecks, "coset_table", counting)
         assert run_grid(manifest) == expected
-        assert sorted(keys) == sorted({key for *_, key in plans})
+        assert sorted(keys) == sorted({key for *_, key in plans} - {None})
 
     def test_checks_called_through_their_module_names(self, monkeypatch):
         # the benchmark's tracer rebinds each check's module name to a wrapper
@@ -325,9 +350,9 @@ class TestManifestAndRunner:
         calls = []
         for name in ("check_leader_floor_power_form", "check_leader_floor_divisor_form",
                      "check_tperp_leader_membership"):
-            def wrapper(family, table, inner=getattr(propchecks, name), name=name):
+            def wrapper(*args, inner=getattr(propchecks, name), name=name):
                 calls.append(name)
-                return inner(family, table)
+                return inner(*args)
             monkeypatch.setattr(propchecks, name, wrapper)
         manifest = {"schema": MANIFEST_SCHEMA, "grids": [
             {"lemma_id": "leader_floor_power_form", "cases": [{"q": 2, "s": 1, "m": 6}]},
@@ -428,8 +453,13 @@ class TestManifestAndRunner:
          (17**6 - 1) // 8),
     ])
     def test_case_within_cap_planned(self, lemma_id, case, modulus):
-        # q^m is above the cap in the last two, the table modulus is not
-        assert _plan_case(lemma_id, case)[2] == (modulus, case["q"])
+        # q^m is above the cap in the last two, the modulus n is not; a
+        # membership case is planned without a table
+        _, family, key = _plan_case(lemma_id, case)
+        if lemma_id == "tperp_leader_membership":
+            assert (key, family.n) == (None, modulus)
+        else:
+            assert key == (modulus, case["q"])
 
     def test_manifest_roundtrip_from_path(self, tmp_path):
         manifest = {
