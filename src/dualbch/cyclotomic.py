@@ -176,7 +176,8 @@ def _reduce_mod(y: np.ndarray, n: int, quot: np.ndarray | None = None) -> np.nda
 
     y - (y // n) n is exact for every such y and costs about 1.3 ns per
     element against 4.7 ns for numpy's % (2-vCPU VM).  The callers' products
-    stay far below 2^63: under n^2 <= 2^48 here, under q^(m+1) in propchecks.
+    stay far below 2^63: under n^2 <= 2^48 here and in propchecks' floor
+    sweeps, whose progressions stay under q^(m+1).
     quot, if given, is int64 scratch of y's shape.
     """
     quot = np.floor_divide(y, n, out=quot)

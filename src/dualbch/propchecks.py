@@ -4,18 +4,26 @@ Every closed-form result in :mod:`dualbch.dualtools` rests on a small set of
 structural claims about q-cyclotomic cosets: floor claims ("the leader of the
 coset containing this element is at least/greater than this value") and
 membership claims ("this element lies in the dual defining set and is a coset
-leader").  This module re-checks those claims by direct enumeration over their
-full hypothesis grids, so a formula bug or a transcription slip shows up as a
+leader").  This module re-checks those claims at every point of their full
+hypothesis grids, so a formula bug or a transcription slip shows up as a
 concrete counterexample rather than a silently wrong bound.
 
-Each check takes a :class:`~dualbch.bch.Family`, valid by construction.  The
-floor checks also take the coset table modulo q^m - 1 that they read,
-refused by :func:`~dualbch.bch.check_table` unless it is modulo that length;
-the membership check reads only the leaders of two elements, which it finds
-by walking their orbits, and takes no table.  A check then tests only its
-own hypotheses, and returns a :class:`PropResult` whose ``failures`` tuple
-is expected to be empty.  :func:`run_grid` runs a manifest of cases, one
-coset table at a time.
+Each check takes a :class:`~dualbch.bch.Family`, valid by construction,
+and reads no coset table.  A floor check sweeps sub-ranges whose elements
+form a progression e_u = (c + g w u) mod N in u = 1..u_hi, with N = q^m - 1,
+g | N, w a power of q and u_hi < N/g, so u -> e_u is injective and
+u = ((x - c) mod N)/g * w^-1 mod N/g inverts it where g | (x - c) mod N.
+A u fails when the leader of e_u is below a bound.  When the bound is at
+most u_hi, the residues with leaders below it are the orbits of
+[0, bound), so walking their m = ord_N(q) steps and mapping each back to
+its u finds the failures; otherwise the m orbit steps of the progression
+itself give each element's orbit minimum.  Each sub-range costs
+O(m min(bound, u_hi)), on its shorter side, and no array over Z_N is built.
+The membership check reads only the leaders of two elements, which it
+finds by walking their orbits, and its failing deltas are one interval.
+A check tests only its own hypotheses, and returns a :class:`PropResult`
+whose ``failures`` tuple is expected to be empty.  :func:`run_grid` runs a
+manifest of cases and builds no table.
 :func:`load_grid_manifest` builds the default manifest from every parameter
 tuple inside the checks' hypotheses up to fixed size cutoffs; other grids
 are JSON files in the same schema.
@@ -29,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bch import Family, _divisors, check_table, theorem_families
-from .cyclotomic import CosetTable, _reduce_mod, check_modulus, coset_table
+from .bch import Family, _divisors, theorem_families
+from .cyclotomic import _reduce_mod, check_modulus
 from .dualtools import validate_divisor_form, validate_power_form
 
 MANIFEST_SCHEMA = "dualbch-prop-grids/1"
@@ -62,8 +70,19 @@ class PropResult:
         return not self.failures
 
 
+def _floor_modulus(family: Family) -> int:
+    """q^m - 1, the modulus of the floor checks, refused by check_modulus past its cap.
+
+    The cap keeps the floor sweeps' int64 products exact: each stays below
+    (q^m - 1)^2 <= 2^48.
+    """
+    order = _primitive(family).n
+    check_modulus(order, family.q)
+    return order
+
+
 def _primitive(family: Family) -> Family:
-    """The family of length q^m - 1, whose coset table the floor checks read."""
+    """The family of length q^m - 1, the modulus of the floor checks."""
     return Family(family.q, family.m, lam=1)
 
 
@@ -71,25 +90,66 @@ def _progression_mod(c: int, step: int, u_hi: int, order: int) -> np.ndarray:
     """(c + step u) mod order for u = 1..u_hi, as one int64 progression.
 
     The floor checks' elements are such progressions in u.  Their raw values
-    stay below q^(m+1), under 2^37 for a table within the size cap 2^24.
+    stay below q^(m+1), under 2^37 for a modulus within the size cap 2^24.
     """
     elems = np.arange(c + step, c + step * (u_hi + 1), step, dtype=np.int64)
     return _reduce_mod(elems, order)
 
 
-def check_leader_floor_power_form(family: Family, table: CosetTable) -> PropResult:
+def _floor_failures(c: int, g: int, w: int, u_hi: int, bound: int, n: int, q: int,
+                    m: int) -> np.ndarray:
+    """The u in [1, u_hi] whose e_u = (c + g w u) mod n has coset leader < bound, ascending.
+
+    g divides n, w is a power of q, m = ord_n(q) and u_hi < n/g, so u -> e_u
+    is injective, with inverse u = ((x - c) mod n)/g * w^-1 mod n/g wherever
+    g divides (x - c) mod n.  When bound <= u_hi, the residues whose leader
+    is below bound are the orbits of [0, bound): the m steps of those orbits
+    are mapped back to their u.  Otherwise the m orbit steps of the
+    progression itself give each e_u's orbit minimum.  Either side costs
+    O(m min(bound, u_hi)), and no array over Z_n is built.
+    """
+    if bound <= u_hi:
+        ng = n // g
+        w_inv = pow(w, -1, ng)
+        x, shift, found = np.arange(bound, dtype=np.int64), n - c % n, []
+        for _ in range(m):
+            r = _reduce_mod(x + shift, n)  # (x - c) mod n
+            u = _reduce_mod(r[r % g == 0] // g * w_inv, ng)
+            found.append(u[(u >= 1) & (u <= u_hi)])
+            x = _reduce_mod(x * q, n)
+        return np.unique(np.concatenate(found))
+    x = _progression_mod(c, g * w, u_hi, n)
+    least = x.copy()
+    for _ in range(m - 1):
+        x = _reduce_mod(x * q, n)
+        np.minimum(least, x, out=least)
+    return np.flatnonzero(least < bound) + 1
+
+
+def _floor_counterexamples(c: int, g: int, w: int, u_hi: int, bound: int, n: int, q: int,
+                           m: int) -> list[tuple[int, int, int]]:
+    """(u, e_u, leader of e_u) for every u that _floor_failures returns, ascending."""
+    out = []
+    for u in _floor_failures(c, g, w, u_hi, bound, n, q, m).tolist():
+        e = (c + g * w * u) % n
+        out.append((u, e, _coset_leader(e, n, q)))
+    return out
+
+
+def check_leader_floor_power_form(family: Family) -> PropResult:
     """Check that CL(q^{ts}-1 + (q^s-1)*u*q^{ts}) mod q^m-1 is >= q^{ts+s}-1.
 
     Sweeps every t in [1, m/s-2] and u in [1, (q^{m-ts}-1)/(q^s-1) - 1].
     These floors pin the large coset leaders that make the dual defining set
     of a power-form code start with a long run of consecutive elements.
-    table is the coset table modulo q^m - 1.
+    Each t's elements are c + g w u with c = q^{ts} - 1, g = q^s - 1 and
+    w = q^{ts}, and u fails iff its leader is below the floor, so
+    _floor_failures finds the failures in O(m min(floor, u_hi)) on the
+    shorter of its two sides, without a coset table.
     """
     validate_power_form(family)
-    check_table(_primitive(family), table)
+    order = _floor_modulus(family)
     q, s, m = family.q, family.s, family.m
-    order = table.n
-    lead = table.leader_of
     grid: list[tuple] = []
     failures: list[tuple] = []
     for t in range(1, m // s - 1):
@@ -98,27 +158,26 @@ def check_leader_floor_power_form(family: Family, table: CosetTable) -> PropResu
             continue
         grid.append((t, 1, u_hi))
         floor = q ** (t * s + s) - 1
-        elems = _progression_mod(q ** (t * s) - 1, (q**s - 1) * q ** (t * s), u_hi, order)
-        leaders = lead[elems]
-        for j in np.flatnonzero(leaders < floor):
-            failures.append((t, int(j) + 1, int(elems[j]), int(leaders[j]), floor))
+        failures += [(t, *fail) + (floor,) for fail in _floor_counterexamples(
+            q ** (t * s) - 1, q**s - 1, q ** (t * s), u_hi, floor, order, q, m)]
     return PropResult("leader_floor_power_form", tuple(grid), tuple(failures))
 
 
-def check_leader_floor_divisor_form(family: Family, table: CosetTable) -> PropResult:
+def check_leader_floor_divisor_form(family: Family) -> PropResult:
     """Check that CL((lam*u+1)*q^{t+1} - q + lam*s) mod q^m-1 exceeds
     q^{t+1} - q + lam*s (strictly).
 
     Sweeps every s in [1, (q-1)/lam - 1], t in [0, m-2] and
-    u in [1, (q^{m-t}-1)/lam - s*q^{m-t-1} - 1].  The element is reduced
-    modulo q^m-1, the modulus of table, before the coset lookup since the
-    raw value can exceed the modulus.
+    u in [1, (q^{m-t}-1)/lam - s*q^{m-t-1} - 1].  The element is taken
+    modulo q^m-1, since the raw value can exceed the modulus.  It is
+    c + g w u with c = floor, g = lam and w = q^{t+1}, and since the floor
+    is strict u fails iff its leader is below floor + 1: _floor_failures
+    finds the failures in O(m min(floor + 1, u_hi)) on the shorter of its
+    two sides, without a coset table.
     """
     validate_divisor_form(family)
-    check_table(_primitive(family), table)
+    order = _floor_modulus(family)
     q, lam, m = family.q, family.lam, family.m
-    order = table.n
-    lead = table.leader_of
     grid: list[tuple] = []
     failures: list[tuple] = []
     for s in range(1, (q - 1) // lam):
@@ -129,12 +188,8 @@ def check_leader_floor_divisor_form(family: Family, table: CosetTable) -> PropRe
             grid.append((s, t, 1, u_hi))
             floor = q ** (t + 1) - q + lam * s
             # the element (lam u + 1) q^(t+1) - q + lam s is floor + lam q^(t+1) u
-            elems = _progression_mod(floor, lam * q ** (t + 1), u_hi, order)
-            leaders = lead[elems]
-            for j in np.flatnonzero(leaders <= floor):
-                failures.append(
-                    (s, t, int(j) + 1, int(elems[j]), int(leaders[j]), floor)
-                )
+            failures += [(s, t, *fail) + (floor,) for fail in _floor_counterexamples(
+                floor, lam, q ** (t + 1), u_hi, floor + 1, order, q, m)]
     return PropResult("leader_floor_divisor_form", tuple(grid), tuple(failures))
 
 
@@ -154,9 +209,11 @@ def _membership_failures(
     every delta in [d_lo, d_hi].
 
     Membership unfolds the definition directly: x is in the dual defining set
-    iff (n - x) mod n is not in the defining set, i.e. iff the coset leader of
-    (n - x) mod n is outside [1, delta-1].  Both leaders are orbit minima,
-    O(ord_n(q)) each.
+    iff (n - x) mod n is not in the defining set, i.e. iff the coset leader
+    cl of (n - x) mod n is outside [1, delta-1].  So x is missing exactly for
+    the deltas above cl when cl >= 1, and the failures are the deltas of
+    [max(d_lo, cl + 1), d_hi].  Both leaders are orbit minima, O(ord_n(q))
+    each, and the rest costs O(failures).
     """
     out: list[tuple] = []
     if not 0 <= x < n:
@@ -165,9 +222,9 @@ def _membership_failures(
     if _coset_leader(x, n, q) != x:
         out.append((label, None, x, "not a coset leader"))
     cl = _coset_leader((n - x) % n, n, q)
-    deltas = np.arange(d_lo, d_hi + 1, dtype=np.int64)
-    for d in deltas[(cl >= 1) & (cl <= deltas - 1)]:
-        out.append((label, int(d), x, "missing from dual defining set"))
+    if cl >= 1:
+        out += [(label, d, x, "missing from dual defining set")
+                for d in range(max(d_lo, cl + 1), d_hi + 1)]
     return out
 
 
@@ -317,12 +374,11 @@ def load_grid_manifest(path: str | Path | None = None) -> dict:
 
 
 def _plan_case(lemma_id: str, case: dict) -> tuple:
-    """(check, family, (modulus, base) of its coset table) for one case.
+    """(check, family) for one case.
 
-    The key is None for a membership case, whose check reads no table.
-    Refuses, before any table exists, a case that is no valid Family, whose
-    modulus is too large to compute (Family.n) or to tabulate
-    (check_modulus; a membership check's delta ranges are as long as n),
+    Refuses, before any case runs, a case that is no valid Family, whose
+    modulus is too large to compute (Family.n) or past the size cap
+    (check_modulus on q^m - 1 for a floor case, on n for a membership case),
     or that lies outside its check's hypotheses.
     A case gives one of s and lam; a membership case also names that form
     as its kind, "power" or "divisor".  The checks are looked up by their
@@ -353,36 +409,23 @@ def _plan_case(lemma_id: str, case: dict) -> tuple:
         if membership and kind != ("power" if "s" in case else "divisor"):
             raise ValueError(f"kind {kind!r} does not name the form of its s or lam")
         family = Family(q, m, case.get("lam"), case.get("s"))
-        table_family = family if membership else _primitive(family)
-        check_modulus(table_family.n, q)
+        check_modulus((family if membership else _primitive(family)).n, q)
         rules(family)
     except ValueError as e:
         raise ValueError(f"{lemma_id} case {case}: {e}") from None
-    return check, family, None if membership else (table_family.n, q)
+    return check, family
 
 
 def run_grid(manifest: dict) -> list[PropResult]:
     """Run every check in the manifest and return results in manifest order.
 
-    Cases with the same modulus/base share one coset table, and the
-    membership cases, which read none, make one group without a table.  The
-    cases are run in groups, in order of each group's first case; a table
-    is built just before its group and dropped after it, so only one table
-    is alive at a time.  load_grid_manifest() gives the default grid.
+    Every case is planned, and refused if it is invalid, before the first
+    one runs.  No check reads a coset table, so none is built.
+    load_grid_manifest() gives the default grid.
     """
     jobs = [
         _plan_case(grid["lemma_id"], case)
         for grid in manifest["grids"]
         for case in grid["cases"]
     ]
-    groups: dict[tuple[int, int] | None, list[int]] = {}
-    for i, (_, _, key) in enumerate(jobs):
-        groups.setdefault(key, []).append(i)
-    results: list[PropResult | None] = [None] * len(jobs)
-    for key, indices in groups.items():
-        table = () if key is None else (coset_table(*key),)
-        for i in indices:
-            check, family, _ = jobs[i]
-            results[i] = check(family, *table)
-        del table  # before the next group's table is built
-    return results
+    return [check(family) for check, family in jobs]

@@ -1,10 +1,10 @@
 """Property-suite checks: leader floors, dual-set memberships, grid runner."""
 
-import gc
 import hashlib
 import json
+import random
 import time
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +15,13 @@ from dualbch.bch import (
     defining_set,
     dual_defining_set,
 )
+from dualbch import cyclotomic
 from dualbch.cyclotomic import MAX_N, CosetTable, coset_table
 from dualbch.propchecks import (
     MANIFEST_SCHEMA,
     PropResult,
     _coset_leader,
+    _floor_failures,
     _membership_failures,
     _plan_case,
     check_leader_floor_divisor_form,
@@ -31,21 +33,19 @@ from dualbch.propchecks import (
 
 
 def primitive_table(q, m):
-    """The coset table modulo q^m - 1, which the floor checks read."""
+    """The coset table modulo q^m - 1, the modulus of the floor claims: their test oracle."""
     return coset_table(q**m - 1, q)
 
 
-@pytest.mark.parametrize("check,family,modulus,other", [
-    (check_leader_floor_power_form, Family(2, 6, s=1), 63, 65),
-    (check_leader_floor_power_form, Family(2, 6, s=2), 63, 21),
-    (check_leader_floor_divisor_form, Family(5, 3, lam=2), 124, 62),
+@pytest.mark.parametrize("check,family", [
+    (check_leader_floor_power_form, Family(2, 6, s=1)),
+    (check_leader_floor_power_form, Family(2, 6, s=2)),
+    (check_leader_floor_divisor_form, Family(5, 3, lam=2)),
 ])
-def test_check_takes_family_and_table(check, family, modulus, other):
-    q = family.q
-    assert check(family, coset_table(modulus, q)).ok
-    with pytest.raises(ValueError, match=rf"^table is for \(n={other}, q={q}\), "
-                                         rf"spec needs \(n={modulus}, q={q}\)$"):
-        check(family, coset_table(other, q))
+def test_floor_check_takes_family_only(check, family):
+    assert check(family).ok
+    with pytest.raises(TypeError):
+        check(family, primitive_table(family.q, family.m))
 
 
 @pytest.mark.parametrize("family", [Family(3, 6, s=2), Family(5, 4, lam=2)])
@@ -58,65 +58,84 @@ def test_membership_takes_family_only(family):
 class TestLeaderFloorPowerForm:
     @pytest.mark.parametrize("q,s,m", [(2, 1, 6), (3, 1, 4), (2, 2, 6)])
     def test_clean_on_stated_cases(self, q, s, m):
-        result = check_leader_floor_power_form(Family(q, m, s=s), primitive_table(q, m))
+        result = check_leader_floor_power_form(Family(q, m, s=s))
         assert result.ok
         assert result.lemma_id == "leader_floor_power_form"
         assert len(result.parameter_grid) == m // s - 2
 
     def test_sweep_is_nonempty(self):
-        result = check_leader_floor_power_form(Family(2, 6, s=1), primitive_table(2, 6))
+        result = check_leader_floor_power_form(Family(2, 6, s=1))
         # t=1 alone must cover u in [1, (2^5-1)/1 - 1] = [1, 30]
         assert (1, 1, 30) in result.parameter_grid
 
     def test_hypothesis_violation_rejected(self):
         with pytest.raises(ValueError):
             # m/s == 2
-            check_leader_floor_power_form(Family(2, 4, s=2), primitive_table(2, 4))
+            check_leader_floor_power_form(Family(2, 4, s=2))
         with pytest.raises(ValueError):
             # s does not divide m
-            check_leader_floor_power_form(Family(2, 7, s=2), primitive_table(2, 7))
+            check_leader_floor_power_form(Family(2, 7, s=2))
 
-    def test_shared_table_must_match_modulus(self):
-        table = coset_table(63, 2)
-        assert check_leader_floor_power_form(Family(2, 6, s=1), table).ok
-        with pytest.raises(ValueError):
-            check_leader_floor_power_form(Family(2, 7, s=1), table)
+    def test_modulus_past_cap_refused(self):
+        # the sweeps' int64 products are exact only within the size cap
+        with pytest.raises(ValueError, match=f"exceeds the size cap {MAX_N}"):
+            check_leader_floor_power_form(Family(2, 25, s=1))
 
 
 class TestLeaderFloorDivisorForm:
     @pytest.mark.parametrize("q,lam,m", [(5, 2, 3), (5, 1, 3), (7, 3, 2)])
     def test_clean_on_stated_cases(self, q, lam, m):
-        result = check_leader_floor_divisor_form(Family(q, m, lam=lam), primitive_table(q, m))
+        result = check_leader_floor_divisor_form(Family(q, m, lam=lam))
         assert result.ok
         assert result.lemma_id == "leader_floor_divisor_form"
         assert result.parameter_grid  # the sweep actually ran
 
     def test_floor_is_strict(self):
-        # the checked inequality is strict, so a leader equal to the floor
-        # must be flagged; verify the comparison direction on a known point
+        # the checked inequality is strict: it holds on the table, and the
+        # sweep flags a leader below floor + 1, so one equal to the floor
         table = coset_table(5**3 - 1, 5)
-        result = check_leader_floor_divisor_form(Family(5, 3, lam=2), table)
+        result = check_leader_floor_divisor_form(Family(5, 3, lam=2))
         for s, t, u_lo, u_hi in result.parameter_grid:
             floor = 5 ** (t + 1) - 5 + 2 * s
             us = np.arange(u_lo, u_hi + 1)
             elems = ((2 * us + 1) * 5 ** (t + 1) - 5 + 2 * s) % (5**3 - 1)
             assert (table.leader_of[elems] > floor).all()
+            assert _floor_failures(floor, 2, 5 ** (t + 1), u_hi, floor + 1, 124, 5, 3).size == 0
+            # the least leader of the sub-range, as the bound, flags exactly its u
+            low = int(table.leader_of[elems].min())
+            flagged = us[table.leader_of[elems] == low]
+            assert _floor_failures(floor, 2, 5 ** (t + 1), u_hi, low + 1, 124, 5, 3).tolist() \
+                == flagged.tolist()
 
     def test_hypothesis_violation_rejected(self):
         with pytest.raises(ValueError):
             # lam == q-1
-            check_leader_floor_divisor_form(Family(5, 3, lam=4), primitive_table(5, 3))
+            check_leader_floor_divisor_form(Family(5, 3, lam=4))
         with pytest.raises(ValueError):
             # lam does not divide q-1
-            check_leader_floor_divisor_form(Family(5, 3, lam=3), primitive_table(5, 3))
+            check_leader_floor_divisor_form(Family(5, 3, lam=3))
         with pytest.raises(ValueError):
-            check_leader_floor_divisor_form(Family(5, 1, lam=2), primitive_table(5, 1))  # m < 2
+            check_leader_floor_divisor_form(Family(5, 1, lam=2))  # m < 2
+
+    def test_tracemalloc_peak_below_one_table(self):
+        # one int32 array over the 17^5 - 1 = 1,419,856 residues is 5.7 MB
+        family = Family(17, 5, lam=1)
+        check_leader_floor_divisor_form(family)  # warm the imports and caches
+        tracemalloc.start()
+        try:
+            assert check_leader_floor_divisor_form(family).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (17**5 - 1) // 8  # an eighth of that array
 
 
-def reference_floor_failures(lemma_id, q, x, m, lead):
+def reference_floor_failures(lemma_id, q, x, m, lead, every=False):
     """Every failure the floor check must report, by the element expressions
     that check_leader_floor_*_form evaluated per u before they became one
-    progression each: their test oracle."""
+    progression each, and a vectorised gather of their leaders from lead:
+    their test oracle.  every=True lists each (u, element) pair of the grid
+    as a failure."""
     order = q**m - 1
     out = []
     if lemma_id == "leader_floor_power_form":
@@ -126,8 +145,9 @@ def reference_floor_failures(lemma_id, q, x, m, lead):
             floor = q ** (t * s + s) - 1
             us = np.arange(1, u_hi + 1, dtype=np.int64)
             elems = (q ** (t * s) - 1 + (q**s - 1) * us * q ** (t * s)) % order
-            out += [(t, int(u), int(e), int(lead[e]), floor)
-                    for u, e in zip(us, elems) if lead[e] < floor]
+            bad = np.full(us.size, True) if every else lead[elems] < floor
+            out += [(t, u, e, int(lead[e]), floor)
+                    for u, e in zip(us[bad].tolist(), elems[bad].tolist())]
     else:
         lam = x
         for s in range(1, (q - 1) // lam):
@@ -136,14 +156,24 @@ def reference_floor_failures(lemma_id, q, x, m, lead):
                 floor = q ** (t + 1) - q + lam * s
                 us = np.arange(1, u_hi + 1, dtype=np.int64)
                 elems = ((lam * us + 1) * q ** (t + 1) - q + lam * s) % order
-                out += [(s, t, int(u), int(e), int(lead[e]), floor)
-                        for u, e in zip(us, elems) if lead[e] <= floor]
+                bad = np.full(us.size, True) if every else lead[elems] <= floor
+                out += [(s, t, u, e, int(lead[e]), floor)
+                        for u, e in zip(us[bad].tolist(), elems[bad].tolist())]
     return tuple(out)
 
 
+def floor_family(lemma_id, q, x, m):
+    return Family(q, m, **{"s" if lemma_id == "leader_floor_power_form" else "lam": x})
+
+
+def default_floor_cases():
+    """(lemma_id, q, s or lam, m) of every floor case of the default grid."""
+    return [(g["lemma_id"], c["q"], c.get("s", c.get("lam")), c["m"])
+            for g in load_grid_manifest()["grids"] if g["lemma_id"].startswith("leader_floor")
+            for c in g["cases"]]
+
+
 class TestFloorElementsAgainstReference:
-    # a table of zeros fails every element, so the failure tuples list each
-    # (u, element) pair of the grid, and the real table pins the clean case
     @pytest.mark.parametrize("lemma_id,check,q,x,m", [
         ("leader_floor_power_form", check_leader_floor_power_form, *case)
         for case in [(2, 1, 6), (2, 2, 6), (3, 1, 4), (2, 1, 12), (3, 2, 8), (2, 3, 12)]
@@ -151,18 +181,93 @@ class TestFloorElementsAgainstReference:
         ("leader_floor_divisor_form", check_leader_floor_divisor_form, *case)
         for case in [(5, 1, 3), (5, 2, 3), (7, 3, 2), (7, 1, 4), (9, 2, 4), (13, 4, 3)]
     ])
-    def test_failures_match_per_u_expression(self, lemma_id, check, q, x, m):
-        order = q**m - 1
-        family = Family(q, m, **{"s" if lemma_id == "leader_floor_power_form" else "lam": x})
-        zeros = CosetTable(order, q, np.zeros(order, dtype=np.int32), np.zeros(1, dtype=np.int64))
-        result = check(family, zeros)
-        expected = reference_floor_failures(lemma_id, q, x, m, zeros.leader_of)
+    def test_failures_match_per_u_expression(self, monkeypatch, lemma_id, check, q, x, m):
+        import dualbch.propchecks as propchecks
+
+        family = floor_family(lemma_id, q, x, m)
+        lead = primitive_table(q, m).leader_of
+        assert check(family).failures == ()
+        assert reference_floor_failures(lemma_id, q, x, m, lead) == ()
+        # a sweep that fails every u lists each (u, element, leader) of the grid
+        monkeypatch.setattr(propchecks, "_floor_failures",
+                            lambda *args: np.arange(1, args[3] + 1))
+        result = check(family)
+        expected = reference_floor_failures(lemma_id, q, x, m, lead, every=True)
         assert result.failures == expected
         grid_size = sum(g[-1] - g[-2] + 1 for g in result.parameter_grid)
         assert len(expected) == grid_size > 0
-        table = coset_table(order, q)
-        assert check(family, table).failures == ()
-        assert reference_floor_failures(lemma_id, q, x, m, table.leader_of) == ()
+
+    @pytest.mark.parametrize("lemma_id,check,q,x,m", [
+        ("leader_floor_power_form", check_leader_floor_power_form, 2, 2, 12),
+        ("leader_floor_power_form", check_leader_floor_power_form, 3, 1, 6),
+        ("leader_floor_divisor_form", check_leader_floor_divisor_form, 7, 2, 4),
+        ("leader_floor_divisor_form", check_leader_floor_divisor_form, 9, 1, 3),
+    ])
+    def test_sweeps_ask_for_the_lemma_elements_and_bound(
+            self, monkeypatch, lemma_id, check, q, x, m):
+        # each sub-range asks the sweep about the lemma's own elements, and
+        # for leaders below the floor, or, as that floor is strict, not above it
+        import dualbch.propchecks as propchecks
+
+        calls = []
+        monkeypatch.setattr(propchecks, "_floor_failures",
+                            lambda *args: calls.append(args) or np.arange(0))
+        result = check(floor_family(lemma_id, q, x, m))
+        assert len(calls) == len(result.parameter_grid) > 0
+        order = q**m - 1
+        for (c, g, w, u_hi, bound, n, q_, m_), row in zip(calls, result.parameter_grid):
+            us = np.arange(1, u_hi + 1, dtype=np.int64)
+            if lemma_id == "leader_floor_power_form":
+                t, s = row[0], x
+                elems = q ** (t * s) - 1 + (q**s - 1) * us * q ** (t * s)
+                assert bound == q ** (t * s + s) - 1
+            else:
+                s, t, lam = row[0], row[1], x
+                elems = (lam * us + 1) * q ** (t + 1) - q + lam * s
+                assert bound == q ** (t + 1) - q + lam * s + 1
+            assert ((c + g * w * us) % n).tolist() == (elems % order).tolist()
+            assert (u_hi, n, q_, m_) == (row[-1], order, q, m) and order % g == 0
+
+    def test_sweep_matches_gather_on_random_progressions(self):
+        # u fails iff lead[(c + g w u) mod N] < bound; the bounds run from 0
+        # to N, so both the none-fail and the all-fail ends are drawn
+        rng = random.Random(27)
+        tables, ends = {}, set()
+        for _ in range(300):
+            q = rng.choice([2, 3, 4, 5, 7, 8, 9])
+            m = rng.randint(2, {2: 16, 3: 10, 4: 8, 5: 7, 7: 6, 8: 5, 9: 5}[q])
+            n = q**m - 1
+            if (n, q) not in tables:  # 2^15 - 1 = 8^5 - 1, with other cosets
+                tables[(n, q)] = coset_table(n, q).leader_of
+            lead = tables[(n, q)]
+            g = rng.choice([d for d in range(1, min(n, 10**4)) if n % d == 0])
+            w = q ** rng.randrange(m) % n
+            u_hi = rng.randint(1, n // g - 1)
+            c = rng.randrange(2 * n)
+            bound = rng.choice([0, n, rng.randint(0, n), rng.randint(0, u_hi),
+                                rng.randint(u_hi, n)])
+            us = np.arange(1, u_hi + 1, dtype=np.int64)
+            expected = us[lead[(c + g * w * us) % n] < bound]
+            got = _floor_failures(c, g, w, u_hi, bound, n, q, m)
+            assert got.tolist() == expected.tolist(), (q, m, g, w, u_hi, c, bound)
+            ends.add((bound <= u_hi, expected.size == 0, expected.size == u_hi))
+        # both sides of the route rule, and both ends of the range, are drawn
+        assert {(True, True, False), (False, True, False), (False, False, True)} <= ends
+
+    def test_default_grid_matches_gather(self):
+        # every floor case of the default grid, moduli up to 10^6, one table
+        # per modulus
+        tables = {}
+        cases = default_floor_cases()
+        assert len(cases) == 106
+        for lemma_id, q, x, m in cases:
+            if (q, m) not in tables:
+                tables[(q, m)] = primitive_table(q, m).leader_of
+            check = (check_leader_floor_power_form if lemma_id == "leader_floor_power_form"
+                     else check_leader_floor_divisor_form)
+            result = check(floor_family(lemma_id, q, x, m))
+            assert result.failures == reference_floor_failures(
+                lemma_id, q, x, m, tables[(q, m)]) == ()
 
 
 class TestMembership:
@@ -173,18 +278,18 @@ class TestMembership:
         lead = coset_table(n, q).leader_of.tolist()
         assert [_coset_leader(a, n, q) for a in range(n)] == lead
 
-    def test_membership_cases_build_no_table(self, monkeypatch):
-        import dualbch.propchecks as propchecks
-
-        def no_table(n, q):
-            raise AssertionError(f"coset table modulo {n} built")
-
-        monkeypatch.setattr(propchecks, "coset_table", no_table)
-        manifest = load_grid_manifest()
-        manifest["grids"] = [g for g in manifest["grids"]
-                             if g["lemma_id"] == "tperp_leader_membership"]
-        results = run_grid(manifest)
-        assert len(results) == 32 and all(r.ok for r in results)
+    def test_clean_case_allocates_far_less_than_n(self):
+        # n = 976,562: the failing deltas are one interval, so the check
+        # allocates nothing over its delta ranges
+        family = Family(5, 9, lam=2)
+        check_tperp_leader_membership(family)
+        tracemalloc.start()
+        try:
+            assert check_tperp_leader_membership(family).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * family.n // 100  # 1% of n int64s
 
     def test_power_form_element_13(self):
         result = check_tperp_leader_membership(Family(3, 6, s=2))
@@ -241,11 +346,11 @@ class TestPrimePowerRequired:
     # q = 6 and q = 10 are no prime powers, so there is no GF(q) and no code
     def test_leader_floor_power_form(self):
         with pytest.raises(ValueError, match="q=6 is not a prime power"):
-            check_leader_floor_power_form(Family(6, 3, s=1), primitive_table(6, 3))
+            check_leader_floor_power_form(Family(6, 3, s=1))
 
     def test_leader_floor_divisor_form(self):
         with pytest.raises(ValueError, match="q=10 is not a prime power"):
-            check_leader_floor_divisor_form(Family(10, 3, lam=3), primitive_table(10, 3))
+            check_leader_floor_divisor_form(Family(10, 3, lam=3))
 
     def test_membership(self):
         with pytest.raises(ValueError, match="q=10 is not a prime power"):
@@ -254,6 +359,17 @@ class TestPrimePowerRequired:
             run_grid({"schema": MANIFEST_SCHEMA, "grids": [
                 {"lemma_id": "tperp_leader_membership",
                  "cases": [{"q": 10, "kind": "divisor", "lam": 3, "m": 3}]}]})
+
+
+def no_case_runs(monkeypatch):
+    """Make every check raise, so a refusal must come from the planning of the cases."""
+    import dualbch.propchecks as propchecks
+
+    for name in ("check_leader_floor_power_form", "check_leader_floor_divisor_form",
+                 "check_tperp_leader_membership"):
+        def ran(*args, name=name):
+            raise AssertionError(f"{name} ran")
+        monkeypatch.setattr(propchecks, name, ran)
 
 
 class TestManifestAndRunner:
@@ -315,33 +431,33 @@ class TestManifestAndRunner:
 
     @pytest.mark.parametrize("manifest", [
         load_grid_manifest(),
-        # the tables of the three cases are A, B, A: A's group runs first
         {"schema": MANIFEST_SCHEMA, "grids": [
             {"lemma_id": "leader_floor_power_form",
-             "cases": [{"q": 3, "s": 1, "m": 5}, {"q": 2, "s": 1, "m": 8}]},
+             "cases": [{"q": 2, "s": s, "m": 21} for s in (1, 3, 7)]
+             + [{"q": 17, "s": 1, "m": 5}]},
             {"lemma_id": "leader_floor_divisor_form",
-             "cases": [{"q": 3, "lam": 1, "m": 5}]}]},
-    ], ids=["packaged", "interleaved"])
-    def test_one_table_per_key_alive_one_at_a_time(self, monkeypatch, manifest):
-        import dualbch.propchecks as propchecks
+             "cases": [{"q": 17, "lam": lam, "m": 5} for lam in (1, 2, 4, 8)]
+             + [{"q": 5, "lam": lam, "m": 9} for lam in (1, 2)]},
+            {"lemma_id": "tperp_leader_membership",
+             "cases": [{"q": 2, "kind": "power", "s": s, "m": 21} for s in (3, 7)]
+             + [{"q": 5, "kind": "divisor", "lam": 2, "m": 9},
+                {"q": 17, "kind": "divisor", "lam": 8, "m": 5}]}]},
+    ], ids=["packaged", "bench-sized"])
+    def test_grid_cases_build_no_table(self, monkeypatch, manifest):
+        # no case builds a CosetTable or scatters an orbit over Z_n
+        def no_table(*args):
+            raise AssertionError("a coset table was built")
 
-        plans = [_plan_case(g["lemma_id"], c)
-                 for g in manifest["grids"] for c in g["cases"]]
-        expected = [check(family, *(() if key is None else (coset_table(*key),)))
-                    for check, family, key in plans]
-        built, keys = [], []
+        def no_scatter(*args):
+            raise AssertionError("orbits were scattered")
 
-        def counting(n, q):
-            gc.collect()
-            assert all(ref() is None for ref in built), "an earlier table is alive"
-            table = coset_table(n, q)
-            built.append(weakref.ref(table))
-            keys.append((n, q))
-            return table
-
-        monkeypatch.setattr(propchecks, "coset_table", counting)
-        assert run_grid(manifest) == expected
-        assert sorted(keys) == sorted({key for *_, key in plans} - {None})
+        plans = [_plan_case(g["lemma_id"], c) for g in manifest["grids"] for c in g["cases"]]
+        monkeypatch.setattr(CosetTable, "__init__", no_table)
+        monkeypatch.setattr(cyclotomic, "_scatter_orbits", no_scatter)
+        results = run_grid(manifest)
+        assert results == [check(family) for check, family in plans]
+        assert len(results) == sum(len(g["cases"]) for g in manifest["grids"])
+        assert all(r.ok for r in results)
 
     def test_checks_called_through_their_module_names(self, monkeypatch):
         # the benchmark's tracer rebinds each check's module name to a wrapper
@@ -396,13 +512,8 @@ class TestManifestAndRunner:
         ("tperp_leader_membership", {"q": 5, "kind": "divisor", "lam": 2, "m": 10**7}),
         ("tperp_leader_membership", {"q": 2, "kind": "power", "s": 10, "m": 40}),
     ])
-    def test_oversized_case_refused_before_any_table(self, monkeypatch, lemma_id, case):
-        import dualbch.propchecks as propchecks
-
-        def no_table(n, q):
-            raise AssertionError(f"coset table modulo {n} built")
-
-        monkeypatch.setattr(propchecks, "coset_table", no_table)
+    def test_oversized_case_refused_before_any_case_runs(self, monkeypatch, lemma_id, case):
+        no_case_runs(monkeypatch)
         manifest = {"schema": MANIFEST_SCHEMA, "grids": [
             {"lemma_id": "leader_floor_power_form", "cases": [{"q": 2, "s": 1, "m": 6}]},
             {"lemma_id": lemma_id, "cases": [case]}]}
@@ -431,14 +542,9 @@ class TestManifestAndRunner:
         ("leader_floor_divisor_form", {"q": 10, "lam": 3, "m": 3},
          r"q=10 is not a prime power"),
     ])
-    def test_case_outside_hypotheses_refused_before_any_table(
+    def test_case_outside_hypotheses_refused_before_any_case_runs(
             self, monkeypatch, lemma_id, case, rule):
-        import dualbch.propchecks as propchecks
-
-        def no_table(n, q):
-            raise AssertionError(f"coset table modulo {n} built")
-
-        monkeypatch.setattr(propchecks, "coset_table", no_table)
+        no_case_runs(monkeypatch)
         manifest = {"schema": MANIFEST_SCHEMA, "grids": [
             {"lemma_id": "leader_floor_power_form", "cases": [{"q": 2, "s": 1, "m": 6}]},
             {"lemma_id": lemma_id, "cases": [case]}]}
@@ -453,13 +559,12 @@ class TestManifestAndRunner:
          (17**6 - 1) // 8),
     ])
     def test_case_within_cap_planned(self, lemma_id, case, modulus):
-        # q^m is above the cap in the last two, the modulus n is not; a
-        # membership case is planned without a table
-        _, family, key = _plan_case(lemma_id, case)
+        # q^m is above the cap in the last two, the modulus n is not
+        _, family = _plan_case(lemma_id, case)
         if lemma_id == "tperp_leader_membership":
-            assert (key, family.n) == (None, modulus)
+            assert family.n == modulus
         else:
-            assert key == (modulus, case["q"])
+            assert family.q**family.m - 1 == modulus
 
     def test_manifest_roundtrip_from_path(self, tmp_path):
         manifest = {
