@@ -119,6 +119,7 @@ class BchSpec:
 
 
 _family = lru_cache(maxsize=256)(Family)  # a sweep asks for one family per delta
+_RUN_BLOCK = 1 << 16  # positions per block of bch_bound_from_set's scan
 
 
 def bch_spec(q: int, m: int, delta: int, lam: int | None = None,
@@ -199,12 +200,28 @@ def bch_bound_from_set(s: np.ndarray) -> int:
 
     A run lies strictly between two cyclically consecutive non-members, so
     1 + the longest run is the largest gap between them, counting the gap
-    that wraps from the last non-member to the first.
+    that wraps from the last non-member to the first.  The non-members are
+    listed one block of _RUN_BLOCK positions at a time, so the scan's
+    memory stays O(_RUN_BLOCK) however many there are.
     """
-    zeros = np.flatnonzero(~s)
-    if zeros.size == 0:
-        return len(s) + 1
-    return int(np.diff(zeros, append=zeros[0] + len(s)).max())
+    n = len(s)
+    first = last = None  # the first and the latest non-member seen
+    best = 0
+    for lo in range(0, n, _RUN_BLOCK):
+        zeros = np.flatnonzero(~s[lo:lo + _RUN_BLOCK])
+        if zeros.size == 0:
+            continue
+        zeros += lo
+        if last is None:
+            first = int(zeros[0])
+        else:
+            best = max(best, int(zeros[0]) - last)
+        if zeros.size > 1:
+            best = max(best, int(np.diff(zeros).max()))
+        last = int(zeros[-1])
+    if first is None:
+        return n + 1
+    return max(best, first + n - last)
 
 
 @dataclass(frozen=True)

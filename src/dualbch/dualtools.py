@@ -97,14 +97,15 @@ def i_delta_direct(t_perp: np.ndarray) -> int:
     """Smallest positive integer not in T_perp, given as a bool mask over Z_n.
 
     Requires 0 in T_perp, which holds for every dual defining set with
-    delta <= n; its absence signals corrupted input.
+    delta <= n; its absence signals corrupted input.  The first non-member
+    is found by argmin over the mask, which allocates nothing.
     """
     if not t_perp[0]:
         raise ValueError("0 not in T_perp; not a dual defining set")
-    missing = np.flatnonzero(~t_perp[1:])
-    if missing.size == 0:
+    rest = t_perp[1:]
+    if rest.all():
         raise ValueError("T_perp is all of Z_n; I(delta) undefined")
-    return int(missing[0]) + 1
+    return int(rest.argmin()) + 1
 
 
 # ---------------------------------------------------------------------------

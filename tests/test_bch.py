@@ -25,6 +25,7 @@ from dualbch.bch import (
     generator_matrix,
     theorem_families,
 )
+from dualbch import bch
 from dualbch.cyclotomic import CosetTable, coset_table, largest_leaders
 from dualbch.dualtools import dual_lower_bound
 from dualbch.gf import (
@@ -274,6 +275,9 @@ def assert_scans_match_reference(mask):
     assert bch_bound_from_set(mask) == reference_bch_bound(mask)
 
 
+BLOCK = bch._RUN_BLOCK
+
+
 # all true, all false, single zeros, runs that wrap past position 0 (the
 # wrap run 6, 7, 8, 0, 1 is longest; the wrap run 8, 0 is not), and n = 1
 EDGE_MASKS = ["111111111", "000000000", "011111111", "111101111", "111111110",
@@ -284,6 +288,20 @@ class TestScanOracles:
     @pytest.mark.parametrize("bits", EDGE_MASKS)
     def test_edge_masks(self, bits):
         assert_scans_match_reference(np.array([b == "1" for b in bits]))
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_masks_over_several_blocks(self, n):
+        # the run scan lists non-members one block at a time: runs that end,
+        # start or wrap at a block boundary, and blocks without a non-member
+        zero_sets = [[], [0], [n - 1], [0, n - 1], [BLOCK - 1, BLOCK], [BLOCK], [5],
+                     [7, n - 3], [BLOCK - 1, 2 * BLOCK + 1]]
+        for zeros in zero_sets:
+            mask = np.ones(n, dtype=bool)
+            mask[[z for z in zeros if z < n]] = False
+            assert_scans_match_reference(mask)
+        rng = np.random.default_rng(5)
+        for density in (0.5, 1e-4, 1e-5):
+            assert_scans_match_reference(rng.random(n) >= density)
 
     def test_theorem_families(self):
         # T and T_perp at about ten deltas per family, spread over its leaders

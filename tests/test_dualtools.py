@@ -81,6 +81,12 @@ class TestIDeltaDirect:
     def test_full_set_rejected(self):
         with pytest.raises(ValueError):
             i_delta_direct(mask_of(5, range(5)))
+        with pytest.raises(ValueError):
+            i_delta_direct(mask_of(1, [0]))
+
+    def test_first_nonmember_anywhere(self):
+        for missing in (1, 2, 500, 998, 999):
+            assert i_delta_direct(~mask_of(1000, range(missing, 1000, 7))) == missing
 
 
 class TestIDeltaClosedPowerForm:
@@ -496,6 +502,20 @@ class TestBoundReport:
         assert table.direct_columns == (int(table.leaders.searchsorted(1000)), scan)
         assert report.lower_bound_direct == scan[-1]
         assert peak <= 1.1 * scan_peak, (peak, scan_peak)
+
+    @pytest.mark.parametrize("delta", [3, 1000, 3**13 // 2, 3**13 - 1])
+    def test_first_query_memory_does_not_grow_with_delta(self, delta):
+        # n = 3^13 - 1: the scans hold a few bool masks over Z_n whatever |T|
+        # is, where an index array of T's members would take 8 |T| bytes
+        n = 3**13 - 1
+        table = coset_table(n, 3)
+        tracemalloc.start()
+        try:
+            bound_report(bch_spec(3, 13, delta, lam=1), table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n, peak
 
     def test_memo_hit_evaluates_no_closed_form(self, monkeypatch):
         table = coset_table(2047, 2)
