@@ -9,21 +9,16 @@ hypothesis grids, so a formula bug or a transcription slip shows up as a
 concrete counterexample rather than a silently wrong bound.
 
 Each check takes a :class:`~dualbch.bch.Family`, valid by construction,
-and reads no coset table.  A floor check sweeps sub-ranges whose elements
-form a progression e_u = (c + g w u) mod N in u = 1..u_hi, with N = q^m - 1,
-g | N, w a power of q and u_hi < N/g, so u -> e_u is injective and
-u = ((x - c) mod N)/g * w^-1 mod N/g inverts it where g | (x - c) mod N.
-A u fails when the leader of e_u is below a bound.  When the bound is at
-most u_hi, the residues with leaders below it are the orbits of
-[0, bound), so walking their m = ord_N(q) steps and mapping each back to
-its u finds the failures; otherwise the m orbit steps of the progression
-itself give each element's orbit minimum.  Each sub-range costs
-O(m min(bound, u_hi)), on its shorter side, and no array over Z_N is built.
-The membership check reads only the leaders of two elements, which it
-finds by walking their orbits, and its failing deltas are one interval.
-A check tests only its own hypotheses, and returns a :class:`PropResult`
-whose ``failures`` tuple is expected to be empty.  :func:`run_grid` runs a
-manifest of cases and builds no table.
+and reads no coset table.  Each lemma is written once, as a table built
+per family, and each kind of table is run by one driver.  A floor lemma's
+table lists sub-ranges whose elements form a progression in u, and
+:func:`_floor_failures` sweeps each one on its shorter side.  The
+membership lemma's table lists (delta range, element) sections, and a
+section reads only the leaders of its element and of that element's
+negative, the minima of their orbits.  A check tests only its own
+hypotheses, and returns a :class:`PropResult` whose ``failures`` tuple is
+expected to be empty.  :func:`run_grid` runs a manifest of cases and
+builds no table.
 :func:`load_grid_manifest` builds the default manifest from every parameter
 tuple inside the checks' hypotheses up to fixed size cutoffs; other grids
 are JSON files in the same schema.
@@ -32,6 +27,7 @@ are JSON files in the same schema.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,24 +72,9 @@ def _floor_modulus(family: Family) -> int:
     The cap keeps the floor sweeps' int64 products exact: each stays below
     (q^m - 1)^2 <= 2^48.
     """
-    order = _primitive(family).n
+    order = Family(family.q, family.m, lam=1).n
     check_modulus(order, family.q)
     return order
-
-
-def _primitive(family: Family) -> Family:
-    """The family of length q^m - 1, the modulus of the floor checks."""
-    return Family(family.q, family.m, lam=1)
-
-
-def _progression_mod(c: int, step: int, u_hi: int, order: int) -> np.ndarray:
-    """(c + step u) mod order for u = 1..u_hi, as one int64 progression.
-
-    The floor checks' elements are such progressions in u.  Their raw values
-    stay below q^(m+1), under 2^37 for a modulus within the size cap 2^24.
-    """
-    elems = np.arange(c + step, c + step * (u_hi + 1), step, dtype=np.int64)
-    return _reduce_mod(elems, order)
 
 
 def _floor_failures(c: int, g: int, w: int, u_hi: int, bound: int, n: int, q: int,
@@ -102,11 +83,12 @@ def _floor_failures(c: int, g: int, w: int, u_hi: int, bound: int, n: int, q: in
 
     g divides n, w is a power of q, m = ord_n(q) and u_hi < n/g, so u -> e_u
     is injective, with inverse u = ((x - c) mod n)/g * w^-1 mod n/g wherever
-    g divides (x - c) mod n.  When bound <= u_hi, the residues whose leader
-    is below bound are the orbits of [0, bound): the m steps of those orbits
-    are mapped back to their u.  Otherwise the m orbit steps of the
-    progression itself give each e_u's orbit minimum.  Either side costs
-    O(m min(bound, u_hi)), and no array over Z_n is built.
+    g divides (x - c) mod n.  The sweep takes the shorter of two routes.
+    When bound <= u_hi, the residues whose leader is below bound are the
+    orbits of [0, bound): the m steps of those orbits are mapped back to
+    their u.  Otherwise the m orbit steps of the progression itself give
+    each e_u's orbit minimum.  Either route costs O(m min(bound, u_hi)),
+    and no array over Z_n is built.
     """
     if bound <= u_hi:
         ng = n // g
@@ -118,7 +100,9 @@ def _floor_failures(c: int, g: int, w: int, u_hi: int, bound: int, n: int, q: in
             found.append(u[(u >= 1) & (u <= u_hi)])
             x = _reduce_mod(x * q, n)
         return np.unique(np.concatenate(found))
-    x = _progression_mod(c, g * w, u_hi, n)
+    # the raw values stay below q^(m+1), under 2^37 within the size cap 2^24
+    step = g * w
+    x = _reduce_mod(np.arange(c + step, c + step * (u_hi + 1), step, dtype=np.int64), n)
     least = x.copy()
     for _ in range(m - 1):
         x = _reduce_mod(x * q, n)
@@ -126,14 +110,27 @@ def _floor_failures(c: int, g: int, w: int, u_hi: int, bound: int, n: int, q: in
     return np.flatnonzero(least < bound) + 1
 
 
-def _floor_counterexamples(c: int, g: int, w: int, u_hi: int, bound: int, n: int, q: int,
-                           m: int) -> list[tuple[int, int, int]]:
-    """(u, e_u, leader of e_u) for every u that _floor_failures returns, ascending."""
-    out = []
-    for u in _floor_failures(c, g, w, u_hi, bound, n, q, m).tolist():
-        e = (c + g * w * u) % n
-        out.append((u, e, _coset_leader(e, n, q)))
-    return out
+def _sweep_floors(lemma_id: str, family: Family, sub_ranges: Iterable[tuple]) -> PropResult:
+    """Run a floor lemma's table of sub-ranges (key, u_hi, c, g, w, floor, bound).
+
+    A sub-range claims that e_u = (c + g w u) mod q^m - 1 has a leader of at
+    least bound for u in [1, u_hi]; one with u_hi < 1 is empty and skipped.
+    The grid gets (*key, 1, u_hi) per sub-range, and the failures
+    (*key, u, e_u, leader of e_u, floor) per u that _floor_failures returns.
+    The table is read only after the modulus passes its size rule.
+    """
+    order = _floor_modulus(family)
+    q, m = family.q, family.m
+    grid: list[tuple] = []
+    failures: list[tuple] = []
+    for key, u_hi, c, g, w, floor, bound in sub_ranges:
+        if u_hi < 1:
+            continue
+        grid.append((*key, 1, u_hi))
+        for u in _floor_failures(c, g, w, u_hi, bound, order, q, m).tolist():
+            e = (c + g * w * u) % order
+            failures.append((*key, u, e, _coset_leader(e, order, q), floor))
+    return PropResult(lemma_id, tuple(grid), tuple(failures))
 
 
 def check_leader_floor_power_form(family: Family) -> PropResult:
@@ -142,25 +139,15 @@ def check_leader_floor_power_form(family: Family) -> PropResult:
     Sweeps every t in [1, m/s-2] and u in [1, (q^{m-ts}-1)/(q^s-1) - 1].
     These floors pin the large coset leaders that make the dual defining set
     of a power-form code start with a long run of consecutive elements.
-    Each t's elements are c + g w u with c = q^{ts} - 1, g = q^s - 1 and
-    w = q^{ts}, and u fails iff its leader is below the floor, so
-    _floor_failures finds the failures in O(m min(floor, u_hi)) on the
-    shorter of its two sides, without a coset table.
+    Each t is one sub-range, c + g w u with c = q^{ts} - 1, g = q^s - 1 and
+    w = q^{ts}, whose bound is the floor.
     """
     validate_power_form(family)
-    order = _floor_modulus(family)
     q, s, m = family.q, family.s, family.m
-    grid: list[tuple] = []
-    failures: list[tuple] = []
-    for t in range(1, m // s - 1):
-        u_hi = (q ** (m - t * s) - 1) // (q**s - 1) - 1
-        if u_hi < 1:
-            continue
-        grid.append((t, 1, u_hi))
-        floor = q ** (t * s + s) - 1
-        failures += [(t, *fail) + (floor,) for fail in _floor_counterexamples(
-            q ** (t * s) - 1, q**s - 1, q ** (t * s), u_hi, floor, order, q, m)]
-    return PropResult("leader_floor_power_form", tuple(grid), tuple(failures))
+    return _sweep_floors("leader_floor_power_form", family, (
+        ((t,), (q ** (m - t * s) - 1) // (q**s - 1) - 1,
+         q ** (t * s) - 1, q**s - 1, q ** (t * s), floor, floor)
+        for t in range(1, m // s - 1) for floor in [q ** (t * s + s) - 1]))
 
 
 def check_leader_floor_divisor_form(family: Family) -> PropResult:
@@ -169,28 +156,18 @@ def check_leader_floor_divisor_form(family: Family) -> PropResult:
 
     Sweeps every s in [1, (q-1)/lam - 1], t in [0, m-2] and
     u in [1, (q^{m-t}-1)/lam - s*q^{m-t-1} - 1].  The element is taken
-    modulo q^m-1, since the raw value can exceed the modulus.  It is
-    c + g w u with c = floor, g = lam and w = q^{t+1}, and since the floor
-    is strict u fails iff its leader is below floor + 1: _floor_failures
-    finds the failures in O(m min(floor + 1, u_hi)) on the shorter of its
-    two sides, without a coset table.
+    modulo q^m-1, since the raw value can exceed the modulus.  Each (s, t)
+    is one sub-range, c + g w u with c = floor, g = lam and w = q^{t+1};
+    since the floor is strict, its bound is floor + 1.
     """
     validate_divisor_form(family)
-    order = _floor_modulus(family)
     q, lam, m = family.q, family.lam, family.m
-    grid: list[tuple] = []
-    failures: list[tuple] = []
-    for s in range(1, (q - 1) // lam):
-        for t in range(0, m - 1):
-            u_hi = (q ** (m - t) - 1) // lam - s * q ** (m - t - 1) - 1
-            if u_hi < 1:
-                continue
-            grid.append((s, t, 1, u_hi))
-            floor = q ** (t + 1) - q + lam * s
-            # the element (lam u + 1) q^(t+1) - q + lam s is floor + lam q^(t+1) u
-            failures += [(s, t, *fail) + (floor,) for fail in _floor_counterexamples(
-                floor, lam, q ** (t + 1), u_hi, floor + 1, order, q, m)]
-    return PropResult("leader_floor_divisor_form", tuple(grid), tuple(failures))
+    # the element (lam u + 1) q^(t+1) - q + lam s is floor + lam q^(t+1) u
+    return _sweep_floors("leader_floor_divisor_form", family, (
+        ((s, t), (q ** (m - t) - 1) // lam - s * q ** (m - t - 1) - 1,
+         floor, lam, q ** (t + 1), floor, floor + 1)
+        for s in range(1, (q - 1) // lam) for t in range(0, m - 1)
+        for floor in [q ** (t + 1) - q + lam * s]))
 
 
 def _coset_leader(a: int, n: int, q: int) -> int:
@@ -250,49 +227,35 @@ def check_tperp_leader_membership(family: Family) -> PropResult:
     ((q^{ts}-1)/(q^s-1), (q^{(t+1)s}-1)/(q^s-1)].
 
     Divisor form (requires q > 3 and 1 < lam < q-1): three range/element
-    pairs covering delta from 2 up to n - q^{m-1}.  It reads no coset
-    table: each element's leader, and that of its negative, is the minimum
-    of its orbit.
+    pairs covering delta from 2 up to n - q^{m-1}.  Each form is a table of
+    (label, delta_lo, delta_hi, element) sections, and an empty range is
+    dropped.  It reads no coset table: each element's leader, and that of
+    its negative, is the minimum of its orbit.
     """
     _membership_hypotheses(family)
-    q, m, n = family.q, family.m, family.n
-    grid: list[tuple] = []
-    failures: list[tuple] = []
+    q, m, n, lam = family.q, family.m, family.n, family.lam
     if family.s is not None:
-        s = family.s
+        s, form, sections = family.s, "power", []
         for t in range(1, m // s - 1):
             num = q ** (m - t * s) + q ** (m - t * s - 1) - q ** (m - (t + 1) * s - 1) - 1
-            assert num % (q**s - 1) == 0
-            x = num // (q**s - 1)
-            d_lo = (q ** (t * s) - 1) // (q**s - 1) + 1
-            d_hi = (q ** ((t + 1) * s) - 1) // (q**s - 1)
-            grid.append((f"t={t}", d_lo, d_hi, x))
-            failures.extend(
-                _membership_failures(n, q, f"t={t}", d_lo, d_hi, x)
-            )
-        lemma_id = "tperp_leader_membership_power_form"
+            assert num % lam == 0
+            sections.append((f"t={t}", (q ** (t * s) - 1) // lam + 1,
+                             (q ** ((t + 1) * s) - 1) // lam, num // lam))
     else:
-        lam = family.lam
         num1 = q**m - ((lam - 1) * q + 1) * q ** (m - 2) - 1
         assert num1 % lam == 0
         b = (-m) % lam
         num2 = sum(q**j for j in range(b, m)) + 2 * sum(q**j for j in range(b))
         assert num2 % lam == 0
         assert (q - 1 + lam) % lam == 0
-        sections = (
+        form, sections = "divisor", [
             ("low_delta", 2, (q - 1) // lam + 1, num1 // lam),
             ("mid_delta", (q - 1) // lam + 2, (q ** (m - 1) - 1) // lam, num2 // lam),
             ("high_delta", (q ** (m - 1) - 1) // lam + 1, n - q ** (m - 1), (q - 1 + lam) // lam),
-        )
-        for label, d_lo, d_hi, x in sections:
-            if d_lo > d_hi:
-                continue
-            grid.append((label, d_lo, d_hi, x))
-            failures.extend(
-                _membership_failures(n, q, label, d_lo, d_hi, x)
-            )
-        lemma_id = "tperp_leader_membership_divisor_form"
-    return PropResult(lemma_id, tuple(grid), tuple(failures))
+        ]
+    grid = tuple(sec for sec in sections if sec[1] <= sec[2])
+    failures = tuple(fail for sec in grid for fail in _membership_failures(n, q, *sec))
+    return PropResult(f"tperp_leader_membership_{form}_form", grid, failures)
 
 
 def _power_floor_cases(max_order: int) -> list[dict]:
@@ -377,9 +340,10 @@ def _plan_case(lemma_id: str, case: dict) -> tuple:
     """(check, family) for one case.
 
     Refuses, before any case runs, a case that is no valid Family, whose
-    modulus is too large to compute (Family.n) or past the size cap
-    (check_modulus on q^m - 1 for a floor case, on n for a membership case),
-    or that lies outside its check's hypotheses.
+    length is too large to compute (Family.n), whose floor modulus q^m - 1
+    is past the size cap (_floor_modulus, for a floor case only), or that
+    lies outside its check's hypotheses.  A membership case is bounded only
+    by Family.n.
     A case gives one of s and lam; a membership case also names that form
     as its kind, "power" or "divisor".  The checks are looked up by their
     module names on each call, so a wrapper bound over a name is what runs.
@@ -409,7 +373,9 @@ def _plan_case(lemma_id: str, case: dict) -> tuple:
         if membership and kind != ("power" if "s" in case else "divisor"):
             raise ValueError(f"kind {kind!r} does not name the form of its s or lam")
         family = Family(q, m, case.get("lam"), case.get("s"))
-        check_modulus((family if membership else _primitive(family)).n, q)
+        family.n  # refuses a length too large to compute
+        if not membership:
+            _floor_modulus(family)  # the floor check's own size rule
         rules(family)
     except ValueError as e:
         raise ValueError(f"{lemma_id} case {case}: {e}") from None

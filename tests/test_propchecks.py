@@ -361,6 +361,20 @@ class TestPrimePowerRequired:
                  "cases": [{"q": 10, "kind": "divisor", "lam": 3, "m": 3}]}]})
 
 
+# cases of the sizes the benchmark's grid runs, moduli up to 2e6
+BENCH_SIZED_MANIFEST = {"schema": MANIFEST_SCHEMA, "grids": [
+    {"lemma_id": "leader_floor_power_form",
+     "cases": [{"q": 2, "s": s, "m": 21} for s in (1, 3, 7)]
+     + [{"q": 17, "s": 1, "m": 5}]},
+    {"lemma_id": "leader_floor_divisor_form",
+     "cases": [{"q": 17, "lam": lam, "m": 5} for lam in (1, 2, 4, 8)]
+     + [{"q": 5, "lam": lam, "m": 9} for lam in (1, 2)]},
+    {"lemma_id": "tperp_leader_membership",
+     "cases": [{"q": 2, "kind": "power", "s": s, "m": 21} for s in (3, 7)]
+     + [{"q": 5, "kind": "divisor", "lam": 2, "m": 9},
+        {"q": 17, "kind": "divisor", "lam": 8, "m": 5}]}]}
+
+
 def no_case_runs(monkeypatch):
     """Make every check raise, so a refusal must come from the planning of the cases."""
     import dualbch.propchecks as propchecks
@@ -403,6 +417,15 @@ class TestManifestAndRunner:
         assert (manifest["max_floor_modulus"], manifest["max_membership_length"]) == (
             10**6, 10**4)
 
+    def test_results_are_pinned(self):
+        # every grid tuple and failure tuple of the default and the
+        # bench-sized grids, byte for byte: a slip in a lemma's table shows
+        # here even where it makes no failure
+        results = [run_grid(m) for m in (load_grid_manifest(), BENCH_SIZED_MANIFEST)]
+        assert [len(r) for r in results] == [138, 14]
+        assert hashlib.sha256(repr(results).encode()).hexdigest() == (
+            "5640113c5c8c3659b518da08f018c4411dfacd3e2c22f34b2029437f1a8610d3")
+
     def test_floor_grids_respect_modulus_cap(self):
         manifest = load_grid_manifest()
         cap = manifest["max_floor_modulus"]
@@ -429,20 +452,8 @@ class TestManifestAndRunner:
             "tperp_leader_membership_power_form",
         ]
 
-    @pytest.mark.parametrize("manifest", [
-        load_grid_manifest(),
-        {"schema": MANIFEST_SCHEMA, "grids": [
-            {"lemma_id": "leader_floor_power_form",
-             "cases": [{"q": 2, "s": s, "m": 21} for s in (1, 3, 7)]
-             + [{"q": 17, "s": 1, "m": 5}]},
-            {"lemma_id": "leader_floor_divisor_form",
-             "cases": [{"q": 17, "lam": lam, "m": 5} for lam in (1, 2, 4, 8)]
-             + [{"q": 5, "lam": lam, "m": 9} for lam in (1, 2)]},
-            {"lemma_id": "tperp_leader_membership",
-             "cases": [{"q": 2, "kind": "power", "s": s, "m": 21} for s in (3, 7)]
-             + [{"q": 5, "kind": "divisor", "lam": 2, "m": 9},
-                {"q": 17, "kind": "divisor", "lam": 8, "m": 5}]}]},
-    ], ids=["packaged", "bench-sized"])
+    @pytest.mark.parametrize("manifest", [load_grid_manifest(), BENCH_SIZED_MANIFEST],
+                             ids=["packaged", "bench-sized"])
     def test_grid_cases_build_no_table(self, monkeypatch, manifest):
         # no case builds a CosetTable or scatters an orbit over Z_n
         def no_table(*args):
@@ -505,12 +516,10 @@ class TestManifestAndRunner:
     @pytest.mark.parametrize("lemma_id,case", [
         ("leader_floor_power_form", {"q": 2, "s": 1, "m": 40}),
         ("leader_floor_divisor_form", {"q": 3, "lam": 1, "m": 16}),
-        ("tperp_leader_membership", {"q": 2, "kind": "power", "s": 1, "m": 25}),
         ("leader_floor_power_form", {"q": 3, "s": 1, "m": 100000}),  # 47,713 digits
         # 3^(10^7) alone takes seconds, so it is refused from bit lengths
         ("leader_floor_power_form", {"q": 3, "s": 1, "m": 10**7}),
         ("tperp_leader_membership", {"q": 5, "kind": "divisor", "lam": 2, "m": 10**7}),
-        ("tperp_leader_membership", {"q": 2, "kind": "power", "s": 10, "m": 40}),
     ])
     def test_oversized_case_refused_before_any_case_runs(self, monkeypatch, lemma_id, case):
         no_case_runs(monkeypatch)
@@ -532,6 +541,9 @@ class TestManifestAndRunner:
          r"s=2 must be a positive divisor of m=5"),
         ("tperp_leader_membership", {"q": 3, "kind": "power", "s": 1, "m": 6},
          r"need s > 1"),
+        # n = 2^25 - 1 is past the size cap, which bounds no membership case
+        ("tperp_leader_membership", {"q": 2, "kind": "power", "s": 1, "m": 25},
+         r"power-form membership claims need s > 1"),
         ("tperp_leader_membership", {"q": 3, "kind": "divisor", "lam": 1, "m": 4},
          r"need q > 3 and 1 < lam < q-1"),
         # lam = q - 1 is the power form s = 1
@@ -559,12 +571,36 @@ class TestManifestAndRunner:
          (17**6 - 1) // 8),
     ])
     def test_case_within_cap_planned(self, lemma_id, case, modulus):
-        # q^m is above the cap in the last two, the modulus n is not
+        # a floor case is planned up to q^m - 1 = MAX_N; a membership case is
+        # bounded only by Family.n, and q^m is above MAX_N in the last two
         _, family = _plan_case(lemma_id, case)
         if lemma_id == "tperp_leader_membership":
             assert family.n == modulus
         else:
             assert family.q**family.m - 1 == modulus
+
+    def test_membership_past_the_size_cap_runs_clean(self):
+        # n = 1,074,791,425, about 3.5e13 and about 3.5e9, all past MAX_N: a
+        # membership case walks a few orbits of length m and allocates
+        # nothing over n
+        manifest = {"schema": MANIFEST_SCHEMA, "grids": [
+            {"lemma_id": "tperp_leader_membership",
+             "cases": [{"q": 2, "kind": "power", "s": 10, "m": 40},
+                       {"q": 2, "kind": "power", "s": 15, "m": 60},
+                       {"q": 17, "kind": "divisor", "lam": 2, "m": 8}]}]}
+        assert all(family.n > MAX_N for _, family in
+                   (_plan_case(g["lemma_id"], c) for g in manifest["grids"] for c in g["cases"]))
+        t0 = time.perf_counter()
+        results = run_grid(manifest)
+        assert time.perf_counter() - t0 < 0.1
+        assert len(results) == 3 and all(r.ok and r.parameter_grid for r in results)
+        tracemalloc.start()
+        try:
+            assert run_grid(manifest) == results
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_manifest_roundtrip_from_path(self, tmp_path):
         manifest = {
