@@ -43,12 +43,10 @@ from .bch import (
 )
 from .cyclotomic import (
     LEADER_FAMILIES,
-    check_modulus,
     coset_table,
     largest_leaders,
     largest_leaders_closed_form,
     leader_family_modulus,
-    multiplicative_order,
 )
 from .dualtools import (
     bound_report,
@@ -288,16 +286,17 @@ def cmd_cosets(args) -> int:
     with _relayed():
         if args.n is not None:
             n = args.n
-            check_modulus(n, q)  # before multiplicative_order factors n
-            m = multiplicative_order(q, n)
+            table = coset_table(n, q)
+            m = table.m
             # the order can be as large as n - 1, and q^m then has millions of digits
             lam = (q**m - 1) // n if m * q.bit_length() <= MAX_LAMBDA_BITS else None
-        elif s is not None:
-            family = _family(args)
-            lam, n = family.lam, family.n
-        else:  # any divisor of q^m - 1, not only of q - 1
-            n = code_length(q, m, lam)
-        table = coset_table(n, q)
+        else:
+            if s is not None:
+                family = _family(args)
+                lam, n = family.lam, family.n
+            else:  # any divisor of q^m - 1, not only of q - 1
+                n = code_length(q, m, lam)
+            table = coset_table(n, q)
 
     report = Report("cosets", {"q": q, "n": n, "m": m, "lambda": lam})
     num_cosets = len(table.leaders)

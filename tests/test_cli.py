@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from dualbch import cli
+from dualbch import cli, cyclotomic
 from dualbch.bch import Family
 from dualbch.cli import main
 from dualbch.cyclotomic import MAX_N
@@ -91,6 +91,18 @@ class TestCosets:
         sec = section(out, "largest_leaders")
         assert [r[1] for r in sec["rows"]] == [25, 22]
         assert all(r[3] for r in sec["rows"])
+
+    def test_modulus_order_found_once(self, capsys, monkeypatch):
+        # cosets --n reads the order its table's build found, and the
+        # members' orbit scatters read it too: n and phi(n) are factored once
+        calls = []
+        factorize = cyclotomic.factorize
+        monkeypatch.setattr(cyclotomic, "factorize", lambda k: calls.append(k) or factorize(k))
+        code, out, _ = run(capsys, "cosets", "--q", "2", "--n", "63", "--members",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["inputs"] == {"q": 2, "n": 63, "m": 6, "lambda": 1}
+        assert calls == [63, 36]
 
     def test_members_section(self, capsys):
         code, out, _ = run(capsys, "cosets", "--q", "2", "--n", "7",

@@ -10,13 +10,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dualbch import cyclotomic
 from dualbch.bch import theorem_families
 from dualbch.cyclotomic import (
     _SIEVE_MAX_ORDER,
     MAX_N,
     CosetTable,
     _doubling_build,
+    _intersect_bands,
     _sieve_build,
+    _step_bands,
     check_modulus,
     coset_table,
     largest_leaders,
@@ -266,6 +269,20 @@ class TestLazyLeaderArray:
         assert lead.nbytes == 4 * n
         assert peak <= 8 * n, peak / n
 
+    @pytest.mark.parametrize("n,q", [(63, 2), (2**20 - 1, 2), (9, 10)])
+    def test_reads_take_the_order_the_build_found(self, n, q, monkeypatch):
+        # the scatters step ord_n(q) times; the table keeps the order its
+        # build found, so no read factors n and phi(n) again
+        def no_order(*args):
+            raise AssertionError("the order was computed again")
+
+        table = coset_table(n, q)
+        monkeypatch.setattr(cyclotomic, "multiplicative_order", no_order)
+        assert table.m == multiplicative_order(q, n)  # this module's own binding
+        mask = table.union_below(3)
+        assert np.array_equal(table.leader_of, reference_leader_of(n, q))
+        assert np.array_equal(mask, table.union_below(3))
+
     @pytest.mark.parametrize("n,q", [(63, 2), (91, 3), (101, 2), (2**15 + 1, 2), (1000, 3)])
     def test_union_below_equals_the_leader_array_form(self, n, q, orbit_scatters):
         # the table compares its leader array, a bare copy scatters orbits
@@ -279,6 +296,87 @@ class TestLazyLeaderArray:
             assert np.array_equal(bare.union_below(delta), want), delta
             assert np.array_equal(table.union_below(delta), want), delta
         assert orbit_scatters[builds:] == [np.dtype(bool)] * len(deltas)
+
+
+def band_mask(lo, hi, n):
+    """The bool mask over Z_n of the disjoint nonempty intervals [lo, hi)."""
+    edges = np.zeros(n + 1, dtype=np.int64)
+    edges[lo] += 1
+    edges[hi] -= 1
+    return np.cumsum(edges[:n]) > 0
+
+
+class TestBandPrefilter:
+    @given(st.integers(1, 5000), st.one_of(st.integers(2, 64), st.integers(2, 10**15)))
+    @settings(max_examples=100, deadline=None)
+    def test_bands_are_the_residues_that_pass_each_step(self, n, q):
+        # each step's bands against a <= a s mod n by numpy's %, at every j
+        # of the order; at the sieve's orders, up to 64, the bands of every
+        # prefix of the steps are intersected too, and all of them leave
+        # exactly the leaders
+        assume(math.gcd(n, q) == 1)
+        a = np.arange(n, dtype=np.int64)
+        m = multiplicative_order(q, n)
+        every, bands = np.ones(n, dtype=bool), []
+        lo, hi = _intersect_bands(bands, n)
+        assert lo.tolist() == [0] and hi.tolist() == [n]
+        for j in range(1, m):
+            s = pow(q, j, n)
+            assert 2 <= s < n
+            lo, hi = _step_bands(s, n)
+            assert (lo < hi).all() and (hi[:-1] <= lo[1:]).all()
+            passes = a <= a * s % n
+            assert np.array_equal(band_mask(lo, hi, n), passes), (n, q, s)
+            if m <= _SIEVE_MAX_ORDER:
+                every &= passes
+                bands.append((lo, hi))
+                lo, hi = _intersect_bands(bands, n)
+                assert (lo < hi).all() and (hi[:-1] <= lo[1:]).all()
+                assert np.array_equal(band_mask(lo, hi, n), every), (n, q, j)
+        if m <= _SIEVE_MAX_ORDER:
+            assert np.array_equal(every, reference_leader_of(n, q) == a)
+
+    @pytest.mark.parametrize("build", ["coset_table", "sieve"])
+    @pytest.mark.parametrize("n,q,banded", [
+        (1, 2, 0), (255, 2, 0), (511, 3, 0),  # n >> 8 bands hold no step
+        # the budget first admits one step, then two: 2 takes 1 band, 4 takes 3,
+        # 3 takes 2 and 9 takes 8
+        (257, 2, 1), (1023, 2, 1), (1025, 2, 2), (1023, 4, 1), (728, 3, 1), (6560, 3, 2),
+        (641, 2, 1), (649657, 2, 10),  # primes with m = 64 and m = 63
+        ((2**20 - 1) // 3, 2, 9), ((3**12 - 1) // 8, 3, 4),  # lambda > 1
+        ((3**13 - 1) // 2, 3, 6), ((5**9 - 1) // 4, 5, 4), ((7**7 - 1) // 6, 7, 3),
+    ])
+    def test_edge_cases(self, build, n, q, banded, monkeypatch):
+        steps = []
+        bands = cyclotomic._step_bands
+
+        def recording(s, n):
+            steps.append(s)
+            return bands(s, n)
+
+        monkeypatch.setattr(cyclotomic, "_step_bands", recording)
+        table = BUILDS[build](n, q)
+        reference = reference_leader_of(n, q)
+        assert np.array_equal(table.leaders, np.flatnonzero(reference == np.arange(n)))
+        assert table.m == multiplicative_order(q, n) <= _SIEVE_MAX_ORDER
+        assert sorted(steps) == sorted(pow(q, j, n) for j in range(1, table.m))[:banded]
+
+    @pytest.mark.parametrize("q,m,lam", [(2, 20, 1), (3, 13, 1), (5, 9, 4)])
+    def test_sieve_tests_at_most_a_quarter_of_the_residues(self, q, m, lam, monkeypatch):
+        # the residues that reach the per-step tests, each of which reduces
+        # them mod n: the bands leave 14-23% of Z_n here, a full scan n
+        n = (q**m - 1) // lam
+        tested = []
+        sieve = cyclotomic._sieve_leaders
+
+        def counting(a, *args):
+            tested.append(a.size)
+            return sieve(a, *args)
+
+        monkeypatch.setattr(cyclotomic, "_sieve_leaders", counting)
+        table = coset_table(n, q)
+        assert len(table.leaders) == burnside_cosets(n, q)
+        assert sum(tested) <= n / 4, sum(tested) / n
 
 
 class TestCheckModulus:
