@@ -1,37 +1,48 @@
 """Minimum-distance certificates: exhaustive enumeration or information-set search.
 
 certify is the one public search.  Unless search_fits, it refuses the code.
-When q^k fits the budget it exhausts the row space (_exhaustive_best): all q^k messages of a k-dimensional code are
-walked in mixed-radix Gray order, so each step updates the running codeword
-by a single scalar multiple of one generator row.  A block of low-order
-message digits is materialized as a matrix once, making the inner loop one
-vectorized sum of the running word and every block row; this keeps 2^26
-codewords in the few-minutes range and the acceptance-scale instances in
-seconds.  The block is capped both in rows and in elements (rows * n), so
-long codes walk more Gray steps over a smaller block instead of building
-matrices of hundreds of megabytes.
+When q^k fits the budget it exhausts the row space (_exhaustive_best).  The
+messages of a k-dimensional code are walked in mixed-radix Gray order, so
+each step updates the running codeword by a single scalar multiple of one
+generator row.  A block of low-order message digits is materialized as a
+matrix once, making the inner loop one vectorized sum of the running word
+and every block row; this keeps 2^26 codewords in the few-minutes range and
+the acceptance-scale instances in seconds.  The block is capped both in rows
+and in elements (rows * n), so long codes walk more Gray steps over a
+smaller block instead of building matrices of hundreds of megabytes.
 
-Otherwise it runs a randomized information-set decoder (Lee-Brickell,
-_isd_best): permute columns, row-reduce to a systematic basis, and
-enumerate all information patterns of weight <= 2.  The lightest codeword
-seen upper-bounds the minimum distance; meeting a proven lower bound
-certifies exactness.  Each trial's row reduction is the kernel's: over
+Scalar multiples weigh the same, so the walk weighs one word per projective
+point: the (q^k - 1)/(q - 1) messages whose leading (highest nonzero) digit
+is 1, in the order of the full walk over all q^k - 1 (oracles.full_gray_best,
+its test oracle).  The full walk's first lightest word leads with 1, since
+c^-1 times a word leading with c comes earlier, so both return the same
+(weight, witness).  For q = 2 every word leads with 1 and the two walks are
+the same.  The budget still compares q^k.
+
+When q^k exceeds the budget it runs a randomized information-set decoder
+(Lee-Brickell, _isd_best): permute columns, row-reduce to a systematic
+basis, and enumerate all information patterns of weight <= 2.  The lightest
+codeword seen upper-bounds the minimum distance; meeting a proven lower
+bound certifies exactness.  Each trial's row reduction is the kernel's: over
 GF(2) it runs on the packed rows (gf.rref_gf2), XORing 64 positions per
-word, and gives the same reduced rows and pivots as the int32 gf.rref,
-which serves q > 2.  The witness's row-space check uses the same kernel.
+word, and gives the same reduced rows and pivots as the int32 gf.rref, which
+serves q > 2.  The witness's row-space check uses the same kernel.
 
-Both searches keep their best through one step, _lighter: the first
-lightest candidate of each batch replaces the best so far only when it is
-strictly lighter.  Their codeword arithmetic runs through one of two
-kernels.  Over GF(q) with q > 2, codewords are int32 rows of field
-elements, summed by gathers from the field's addition table and weighed by
-count_nonzero.  Over GF(2), codewords are bit-packed: 64 positions per
-uint64 word, a sum is an XOR and a weight is a popcount (np.bitwise_count),
-which moves 32 times fewer bytes than int32 rows.  The packing relies on
-GF(2) having one nonzero scalar and addition being XOR, so it is binary
-only; a GF(q) element needs several bits and its sum is no bitwise
-operation.  The kernels share the block split (_block_digits), the Gray
-digit order and the information-pattern order, so both return the same
+Both searches keep their best through one step, _lighter: the first lightest
+candidate of each batch replaces the best so far only when it is strictly
+lighter.  Their codeword arithmetic runs through one of two kernels.  Over
+GF(q) with q > 2, codewords are int32 rows of field elements, summed by
+gathers from the field's addition table and weighed by count_nonzero.  A
+Gray batch, the running word c plus every block row, is weighed without
+building it: c + b is 0 exactly where b is -c, so its weight counts the
+positions where b differs from -c, one comparison instead of a gather, and
+only the lightest sum is built.  Over GF(2), codewords are bit-packed: 64
+positions per uint64 word, a sum is an XOR and a weight is a popcount
+(np.bitwise_count), which moves 32 times fewer bytes than int32 rows.  The
+packing relies on GF(2) having one nonzero scalar and addition being XOR, so
+it is binary only; a GF(q) element needs several bits and its sum is no
+bitwise operation.  The kernels share the block split (_block_digits), the
+Gray digit order and the information-pattern order, so both return the same
 (weight, witness); the table kernel is the packed kernel's test oracle.
 """
 
@@ -58,7 +69,8 @@ class DistanceCertificate:
     """Bracket [lower, upper] on a code's minimum distance, with evidence.
 
     codewords_enumerated counts the nonzero codewords the search weighed
-    (q^k - 1 when exhaustive), trials_run the information sets tried (0
+    ((q^k - 1)/(q - 1) when exhaustive: one per projective point, as scalar
+    multiples weigh the same), trials_run the information sets tried (0
     when exhaustive), and stop_reason says why the search ended:
     "exhausted", "target_met" (a witness reached the lower bound) or
     "trials_done".
@@ -113,6 +125,10 @@ class _TableWords:
     def weights(self, words):
         return np.count_nonzero(words, axis=-1)
 
+    def sum_weights(self, base, words):
+        """Weights of base + each word: where a word is not -base, no sum built."""
+        return np.count_nonzero(words != self.field.neg_t[base], axis=-1)
+
     def rref(self, mat):
         """rref's (R, pivots), R trimmed to the rank."""
         R, pivots = rref(mat, self.field)
@@ -156,6 +172,9 @@ class _PackedWords:
     def weights(self, words):
         return np.bitwise_count(words).sum(axis=-1)
 
+    def sum_weights(self, base, words):
+        return self.weights(base ^ words)
+
     def rref(self, mat):
         """rref of mat as packed rows, trimmed to the rank; same pivots."""
         return rref_gf2(self.pack(mat), self.n)
@@ -176,16 +195,19 @@ def _words_for(field: ScalarField, n: int):
     return _PackedWords(n) if field.q == 2 else _TableWords(field)
 
 
-def _lighter(words, cands, best_w: int):
-    """(weight, unpacked word) of the first lightest of cands, if lighter than best_w.
+def _lighter(words, cands, best_w: int, base=None):
+    """(weight, unpacked word) of the first lightest of base + cands, if lighter than best_w.
 
     Else None.  So a tie within a batch goes to the first index, and a tie
-    across batches to the earlier batch.
+    across batches to the earlier batch.  base defaults to the zero word;
+    a given base is added to the lightest candidate alone.
     """
-    weights = words.weights(cands)
+    weights = words.weights(cands) if base is None else words.sum_weights(base, cands)
     j = int(np.argmin(weights))
     w = int(weights[j])
-    return (w, words.unpack(cands[j])) if w < best_w else None
+    if w >= best_w:
+        return None
+    return w, words.unpack(cands[j] if base is None else words.add(base, cands[j]))
 
 
 def _block_digits(q: int, k: int, n: int) -> int:
@@ -211,7 +233,14 @@ def search_fits(q: int, k: int, n: int) -> bool:
 
 
 def _exhaustive_best(gen: np.ndarray, field: ScalarField, words=None) -> _Search:
-    """Lightest nonzero codeword; exact.  words defaults to _words_for."""
+    """Lightest nonzero codeword; exact.  words defaults to _words_for.
+
+    Weighs the messages whose leading (highest nonzero) digit is 1, one per
+    projective point, in the order of the full Gray walk that
+    oracles.full_gray_best keeps.  That walk's first lightest word has
+    leading digit 1: c^-1 times a word with leading digit c weighs the same
+    and comes earlier.  So both return the same (weight, witness).
+    """
     k, n = gen.shape
     q = field.q
     if k == 0:
@@ -225,32 +254,41 @@ def _exhaustive_best(gen: np.ndarray, field: ScalarField, words=None) -> _Search
         # digit i = 0 keeps the block; digit c > 0 adds c * row i to it
         block = np.concatenate(
             [block, *(words.add(block, m) for m in words.multiples(rows[i:i + 1]))])
-    k_hi = k - k_lo
     steps = [words.multiples(rows[i:i + 1]) for i in range(k_lo, k)]
 
-    # zero high part: skip the all-zero low word (block row 0).  The block
-    # has q^k_lo >= q rows, since q <= MAX_SCALAR_Q < _BLOCK_CAP gives k_lo >= 1.
-    best = _lighter(words, block[1:], n + 1)
+    # zero high part: the block rows with leading digit 1 at position i are
+    # rows [q^i, 2 q^i).  The block has q^k_lo >= q rows, since
+    # q <= MAX_SCALAR_Q < _BLOCK_CAP gives k_lo >= 1.
+    best = (n + 1, None)
+    for i in range(k_lo):
+        best = _lighter(words, block[q**i:2 * q**i], best[0]) or best
 
-    # reflected Gray order: each high digit pattern once, the all-zero one first
-    digits = [0] * k_hi
-    dirs = [1] * k_hi
-    c_hi = np.zeros_like(block[0])
-    while True:
-        i = 0
-        while i < k_hi:
-            nd = digits[i] + dirs[i]
-            if 0 <= nd < q:
-                delta = int(field.sub_t[nd, digits[i]])
-                digits[i] = nd
-                c_hi = words.add(c_hi, steps[i][delta - 1])
-                break
-            dirs[i] = -dirs[i]
-            i += 1
-        else:
-            break  # every high digit pattern visited
-        best = _lighter(words, words.add(c_hi, block), best[0]) or best
-    return _Search(*best, q**k - 1, 0, "exhausted")
+    # high digit j leads with 1: the full walk's sweep of the lower digits
+    # between digit j's moves 0 -> 1 and 1 -> 2, from the state it has there
+    for j in range(k - k_lo):
+        # odd q: every lower digit at q - 1; even q: digit j - 1 at q - 1,
+        # the rest at 0; every direction inward
+        digits = [q - 1 if q % 2 or i == j - 1 else 0 for i in range(j)]
+        dirs = [-1 if d else 1 for d in digits]
+        c_hi = steps[j][0]
+        for i, d in enumerate(digits):
+            if d:
+                c_hi = words.add(c_hi, steps[i][d - 1])
+        while True:
+            best = _lighter(words, block, best[0], c_hi) or best
+            i = 0
+            while i < j:
+                nd = digits[i] + dirs[i]
+                if 0 <= nd < q:
+                    delta = int(field.sub_t[nd, digits[i]])
+                    digits[i] = nd
+                    c_hi = words.add(c_hi, steps[i][delta - 1])
+                    break
+                dirs[i] = -dirs[i]
+                i += 1
+            else:
+                break  # digit j would move to 2
+    return _Search(*best, (q**k - 1) // (q - 1), 0, "exhausted")
 
 
 def in_row_space(v: np.ndarray, gen: np.ndarray, field: ScalarField) -> bool:
@@ -338,7 +376,7 @@ def certify(params: CodeParams, bounds: BoundReport,
             f"upper {upper} < lower {lower}: a bound or the oracle is wrong")
     return DistanceCertificate(
         lower=lower, lower_source=source, upper=upper,
-        witness=tuple(int(c) for c in cw),
+        witness=tuple(cw.tolist()),
         status="exact" if lower == upper else "bracketed",
         method=method, seed=used_seed,
         codewords_enumerated=found.enumerated, trials_run=found.trials_run,

@@ -1,19 +1,29 @@
-"""Frozen statements of closed forms, kept as oracles for their case tables.
+"""Frozen slow routes, kept as oracles for the package's fast ones.
 
 dualtools writes each piecewise bound once, as a table of (lo, hi, value)
 cases per family, and reads every per-delta value off it.  A slip in a
 table would then agree with itself everywhere, so the statements here are
 written apart from the tables, as per-delta case loops, and never change
 with them.  The tests and scripts/bound_survey.py compare the tables
-against them; the package itself never imports this module.
+against them.
+
+full_gray_best is the Gray walk over all q^k - 1 nonzero messages.
+mindist._exhaustive_best walks one word per projective point of it and
+must return its (weight, witness).
+
+The package itself never imports this module.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .bch import BchSpec
 from .dualtools import PriorBound
+from .gf import ScalarField
+from .mindist import _block_digits, _lighter, _Search, _words_for
 
 
 def frozen_prior_bounds(spec: BchSpec) -> tuple[PriorBound, ...]:
@@ -72,3 +82,49 @@ def frozen_prior_bounds(spec: BchSpec) -> tuple[PriorBound, ...]:
         if val is not None:
             out.append(PriorBound("projective_length", val, val <= 1))
     return tuple(out)
+
+
+def full_gray_best(gen: np.ndarray, field: ScalarField, words=None) -> _Search:
+    """Lightest nonzero codeword over all q^k - 1 messages, frozen.
+
+    The block of the low _block_digits message digits is materialized once;
+    the high digits are walked in reflected Gray order, each pattern once,
+    the all-zero one first.  The first lightest word in that order is the
+    witness, kept through mindist._lighter.
+    """
+    k, n = gen.shape
+    q = field.q
+    if k == 0:
+        raise ValueError("empty code: no nonzero codewords")
+    words = words or _words_for(field, n)
+    rows = words.pack(gen)
+    k_lo = _block_digits(q, k, n)
+    block = words.pack(np.zeros((1, n), dtype=np.int32))
+    for i in range(k_lo):
+        # digit i = 0 keeps the block; digit c > 0 adds c * row i to it
+        block = np.concatenate(
+            [block, *(words.add(block, m) for m in words.multiples(rows[i:i + 1]))])
+    k_hi = k - k_lo
+    steps = [words.multiples(rows[i:i + 1]) for i in range(k_lo, k)]
+
+    # zero high part: skip the all-zero low word (block row 0)
+    best = _lighter(words, block[1:], n + 1)
+
+    digits = [0] * k_hi
+    dirs = [1] * k_hi
+    c_hi = np.zeros_like(block[0])
+    while True:
+        i = 0
+        while i < k_hi:
+            nd = digits[i] + dirs[i]
+            if 0 <= nd < q:
+                delta = int(field.sub_t[nd, digits[i]])
+                digits[i] = nd
+                c_hi = words.add(c_hi, steps[i][delta - 1])
+                break
+            dirs[i] = -dirs[i]
+            i += 1
+        else:
+            break  # every high digit pattern visited
+        best = _lighter(words, words.add(c_hi, block), best[0]) or best
+    return _Search(*best, q**k - 1, 0, "exhausted")

@@ -47,12 +47,16 @@ REPORT_HASHES = [
     # m/s = 2 < 3: the direct columns, and null closed columns
     (["dual-bound", "--q", "2", "--m", "4", "--s", "2", "--delta", "3"],
      "3ced56e220ea0a010bd37d662a26337d8b41833241db05a1ed00c281abec9a85"),
+    # the GF(7) [342, 6] dual, certified by the exhaustive walk
+    (["dual-bound", "--q", "7", "--m", "3", "--lambda", "1", "--delta", "3", "--certify"],
+     "38f2d5a75ca3d022dad501c3c551e92f52ef649af0942f830f81d510df022483"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", REPORT_HASHES, ids=[
     "dual-bound-power-form", "dual-bound-divisor-form", "dually-bch-range",
-    "cosets-members", "verify-bounds-dually-bch", "dual-bound-outside-hypotheses"])
+    "cosets-members", "verify-bounds-dually-bch", "dual-bound-outside-hypotheses",
+    "dual-bound-certify-gf7"])
 def test_report_bytes_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv, "--format", "json")
     assert (code, err) == (0, "")

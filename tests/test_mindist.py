@@ -1,5 +1,7 @@
 """Distance oracles: exhaustive Gray enumeration and information-set search."""
 
+from itertools import count
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from dualbch.bch import (
 from dualbch.cyclotomic import coset_table
 from dualbch.dualtools import bound_report
 from dualbch.gf import Poly, field_new, scalar_field
+from dualbch import mindist, oracles
 from dualbch.mindist import (
     _BLOCK_CAP,
     MAX_SEARCH_ELEMS,
@@ -28,6 +31,7 @@ from dualbch.mindist import (
     in_row_space,
     search_fits,
 )
+from dualbch.oracles import full_gray_best
 
 
 def min_weight(gen, field):
@@ -134,23 +138,28 @@ def same_search(a, b):
             and a[2:] == b[2:])
 
 
-def binary_theorem_duals(max_n, max_k):
-    """Generator matrices of every distinct binary theorem-family dual."""
+def theorem_duals(max_n, max_k):
+    """Generator matrices of every distinct theorem-family dual with k <= max_k(q)."""
     for family in theorem_families(max_n):
-        m, n = family.m, family.n
-        if family.q != 2:
+        q, m, n = family.q, family.m, family.n
+        if max_k(q) < 1:
             continue
-        ctx = field_new(2, m)
-        table = coset_table(n, 2)
+        ctx = field_new(q, m)
+        table = coset_table(n, q)
         seen = set()
         for delta in range(2, n + 1):
             spec = BchSpec(family, delta)
             t = defining_set(spec, table)
-            if np.count_nonzero(t) > max_k:
+            if np.count_nonzero(t) > max_k(q):
                 break  # T only grows with delta
             if t.tobytes() not in seen:
                 seen.add(t.tobytes())
                 yield (family, delta), generator_matrix(dual_code_params(spec, ctx, table))
+
+
+def binary_theorem_duals(max_n, max_k):
+    """Generator matrices of every distinct binary theorem-family dual."""
+    return theorem_duals(max_n, lambda q: max_k if q == 2 else 0)
 
 
 class TestPackedKernel:
@@ -249,6 +258,117 @@ class TestPackedKernel:
                 assert in_row_space(v, gen, self.F2) == member
 
 
+def plant_scaled_words(gen, field, weight, plants, rng):
+    """Make plants codewords of the given weight, each c1 * row a + c2 * row b.
+
+    The scalars c1, c2 are random and nonzero, so the planted words lead
+    with any digit.  Each plant rewrites its own row b, and its row a is
+    one that no plant rewrites.
+    """
+    k, n = gen.shape
+    rewritten = rng.choice(k, size=plants, replace=False)
+    kept = np.setdiff1d(np.arange(k), rewritten)
+    for b in rewritten:
+        a = rng.choice(kept)
+        c1, c2 = (int(c) for c in rng.integers(1, field.q, size=2))
+        e = np.zeros(n, dtype=np.int32)
+        e[rng.choice(n, size=weight, replace=False)] = rng.integers(1, field.q, size=weight)
+        gen[b] = field.mul_t[int(field.inv_t[c2]), field.sub_t[e, field.mul_t[c1, gen[a]]]]
+
+
+class TestProjectiveWalk:
+    """The one-word-per-projective-point walk against the full Gray walk."""
+
+    @staticmethod
+    def walk_both(gen, field, label=None):
+        found = _exhaustive_best(gen, field)
+        full = full_gray_best(gen, field)
+        assert found.weight == full.weight, label
+        assert np.array_equal(found.witness, full.witness), label
+        q, k = field.q, gen.shape[0]
+        assert full.enumerated == q**k - 1
+        assert found.enumerated == (q**k - 1) // (q - 1)
+        return found
+
+    # q -> k: q^k between 2^11 and 2^13, so k_lo = 1 leaves many Gray steps.
+    # Over GF(2) every word leads with 1, and the walks are the same.
+    K = {2: 12, 3: 8, 4: 6, 5: 5, 7: 4, 8: 4, 9: 4}
+
+    def cap_block(self, monkeypatch, q, k_lo):
+        """(k, k_lo): cap the block so that a K[q]-row walk takes k_lo block digits."""
+        k = self.K[q]
+        k_lo = {"one": 1, "middle": k // 2, "all": k}[k_lo]
+        monkeypatch.setattr(mindist, "_BLOCK_CAP", q**k_lo)
+        return k, k_lo
+
+    @pytest.mark.parametrize("k_lo", ["one", "middle", "all"])
+    @pytest.mark.parametrize("q", list(K))
+    def test_matches_full_walk_on_random_codes(self, monkeypatch, q, k_lo):
+        k, k_lo = self.cap_block(monkeypatch, q, k_lo)
+        field = scalar_field(q)
+        for n in (1, 9, 23):
+            assert _block_digits(q, k, n) == k_lo
+            rng = np.random.default_rng([q, k_lo, n])
+            for weight in range(min(n, 3) + 1):
+                # weight w plants w words of weight w; weight 0 plants none
+                gen = rng.integers(0, q, size=(k, n)).astype(np.int32)
+                plant_scaled_words(gen, field, weight, weight, rng)
+                found = self.walk_both(gen, field, (n, weight))
+                assert found.weight <= (weight or n)
+
+    @pytest.mark.parametrize("k_lo", ["one", "middle", "all"])
+    @pytest.mark.parametrize("q", list(K))
+    def test_weighs_first_multiples_in_full_walk_order(self, monkeypatch, q, k_lo):
+        # the walk's words are the full walk's, less every word that a scalar
+        # multiple of it precedes, in the same order
+        k, k_lo = self.cap_block(monkeypatch, q, k_lo)
+        field = scalar_field(q)
+        words = _TableWords(field)
+        batches = []
+        lighter = mindist._lighter
+
+        def recording(kernel, cands, best_w, base=None):
+            batches.append(cands if base is None else kernel.add(base, cands))
+            return lighter(kernel, cands, best_w, base)
+
+        monkeypatch.setattr(mindist, "_lighter", recording)
+        monkeypatch.setattr(oracles, "_lighter", recording)
+
+        def weighed(walk, gen):
+            batches.clear()
+            walk(gen, field, words)
+            return np.concatenate(batches)
+
+        # systematic, so the q^k - 1 nonzero messages give distinct nonzero words
+        rng = np.random.default_rng([q, k_lo])
+        gen = np.hstack([np.eye(k, dtype=np.int32),
+                         rng.integers(0, q, size=(k, 5)).astype(np.int32)])
+        full = weighed(full_gray_best, gen)
+        assert len(full) == q**k - 1
+        lead = full[np.arange(len(full)), np.argmax(full != 0, axis=1)]
+        scaled = field.mul_t[field.inv_t[lead][:, None], full]
+        _, first = np.unique(scaled, axis=0, return_index=True)
+        assert np.array_equal(weighed(_exhaustive_best, gen), full[np.sort(first)])
+
+    @pytest.mark.parametrize("k_lo", ["one", "default"])
+    def test_matches_full_walk_on_theorem_duals(self, monkeypatch, k_lo):
+        # every theorem-family dual with n <= 128 and q^k <= 2^14: cyclic
+        # codes, so many lightest words tie.  With k_lo = 1 nearly every
+        # word is reached by the Gray steps.
+        def max_k(q):
+            return next(k for k in count() if q ** (k + 1) > 2**14)
+
+        codes = 0
+        for label, gen in theorem_duals(128, max_k):
+            field = scalar_field(label[0].q)
+            if k_lo == "one":
+                monkeypatch.setattr(mindist, "_BLOCK_CAP", field.q)
+                assert _block_digits(field.q, *gen.shape) == 1
+            self.walk_both(gen, field, label)
+            codes += 1
+        assert codes == 104
+
+
 class TestIsdSearch:
     def test_target_n_trivial(self):
         gen = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.int32)
@@ -302,6 +422,12 @@ class TestCertify:
     def test_exact_9(self):
         *_, cert = self.run(3, 3, 5, 1)
         assert (cert.lower, cert.upper, cert.status) == (9, 9, "exact")
+
+    def test_exhaustive_counts_one_word_per_projective_point(self):
+        # the [26, 9] dual over GF(3): (3^9 - 1)/2 words weighed
+        *_, cert = self.run(3, 3, 5, 1)
+        assert (cert.method, cert.codewords_enumerated, cert.stop_reason) == (
+            "exhaustive", (3**9 - 1) // 2, "exhausted")
 
     def test_exact_16_against_bound_15(self):
         spec, _, table, _, cert = self.run(5, 2, 3, 1)
