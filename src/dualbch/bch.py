@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cyclotomic import CosetTable
+from .cyclotomic import CosetTable, orbit
 from .gf import FieldCtx, Poly, minimal_polynomial, prime_power
 
 
@@ -173,9 +173,8 @@ def defining_set(spec: BchSpec, table: CosetTable) -> np.ndarray:
     """T = C_1 u ... u C_{delta-1} as a read-only bool mask over Z_n.
 
     Position a is set iff the leader of a is in [1, delta-1].  T is the
-    union of the orbits of defining_leaders, so on a table without its
-    leader array the mask is those orbits scattered, O(|T|), and no leader
-    array is built; on a table with one it is a comparison over that array
+    union of the orbits of defining_leaders, so the mask is those orbits
+    scattered, O(|T|), and no leader array is read or built
     (CosetTable.union_below).
     """
     check_table(spec, table)
@@ -254,12 +253,8 @@ def generator_from_leaders(spec: BchSpec, ctx: FieldCtx, leaders: np.ndarray) ->
                          f"expected GF({q}^{spec.m}) over GF({q})")
     lam = spec.lam
     gen = Poly.one(ctx.field)
-    for l in leaders:
-        coset = [int(l)]
-        while (nxt := coset[-1] * q % n) != coset[0]:
-            coset.append(nxt)
-        beta_power = ctx.pow(ctx.generator, lam * coset[0])
-        gen = gen * minimal_polynomial(ctx, beta_power, coset)
+    for l in map(int, leaders):
+        gen = gen * minimal_polynomial(ctx, ctx.pow(ctx.generator, lam * l), orbit(l, n, q))
     return gen
 
 

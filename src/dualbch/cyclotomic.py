@@ -1,26 +1,25 @@
 """q-cyclotomic cosets modulo n, coset leaders, and closed-form leader lists.
 
 The coset of a modulo n is {a q^j mod n}; its leader is the smallest member.
-coset_table computes the leaders in ascending order, and the int32 leader
-array over Z_n, for n up to MAX_N = 2^24.  Its build depends only on
-m = ord_n(q), which multiplicative_order finds from phi(n) and the
-trial-division factorings of n and phi(n) (intmath.factorize).  For
+coset_table computes the leaders in ascending order, for n up to MAX_N =
+2^24, and its CosetTable holds only them and m = ord_n(q), which
+multiplicative_order finds from phi(n) and the trial-division factorings of
+n and phi(n) (intmath.factorize).  The build depends only on m.  For
 m <= 64, at any n (every (q^m - 1)/lambda within MAX_N has m <= 24), a
 sieve keeps a only while a <= a q^j mod n for every j in [1, m), which
-leaves exactly the leaders.  For a step s = q^j mod n >= 2, a s mod n is
-a s - k n with k = floor(a s / n), so a passes it exactly on the s - 1
-bands [ceil(k n/(s - 1)), ceil((k + 1) n/s)), k = 0 .. s - 2, about half
-of Z_n.  The sieve intersects the bands of its smallest steps, n/2^8
-bands in all at most, and tests only the residues left, 11-27% of Z_n at
-the bench moduli, on the other steps in blocks; it builds no array of n
-elements.  The table keeps m.  Its leader array is
-then built only when it is first read, by m scatters that write each
-leader over its orbit, since the largest leaders, T = C_1 u ... u C_{delta-1}
-and the dually-BCH verdict of one delta all follow from the leaders alone.
-The sieve makes up to m numpy calls per block, so it would take minutes
-where m is close to n; above m = 64 the build doubles pointers on
-i -> q i mod n instead, ceil(log2 m) passes over Z_n, and lists the
-leaders as the fixed points of the leader array it has built.
+leaves exactly the leaders.  For a step s = q^j mod n >= 2,
+a s mod n is a s - k n with k = floor(a s / n), so a passes it exactly on
+the s - 1 bands [ceil(k n/(s - 1)), ceil((k + 1) n/s)), k = 0 .. s - 2,
+about half of Z_n.  The sieve intersects the bands of its smallest steps,
+n/2^8 bands in all at most, and tests only the residues left, 11-27% of Z_n
+at the bench moduli, on the other steps in blocks; it builds no array of n
+elements.  The sieve makes up to m numpy calls per block, so it would take
+minutes where m is close to n; above m = 64 the build marks orbits instead:
+the least residue not yet marked is a leader, and its orbit is marked in a
+bool array over Z_n, many powers of q per numpy call.  The int32 leader
+array leader_of is scattered over the leaders' orbits when first read, as
+the largest leaders, T = C_1 u ... u C_{delta-1} and the dually-BCH verdict
+of one delta all follow from the leaders alone.
 
 check_modulus is the one rule for a modulus: 1 <= n <= MAX_N, q >= 2 and
 gcd(n, q) = 1.  coset_table runs it first, and a caller that would factor
@@ -46,10 +45,14 @@ import numpy as np
 
 from .intmath import factorize
 
-MAX_N = 1 << 24  # largest modulus check_modulus accepts; tables are O(n) int32
-_SIEVE_BLOCK = 1 << 15  # candidates per sieve block: its int64 temporaries stay small
+# largest modulus check_modulus accepts: leader_of, when read, is int32, and
+# the table's products a q^j stay below n^2 <= 2^48, so _reduce_mod is exact
+MAX_N = 1 << 24
+_BLOCK = 1 << 15  # elements per block of the sieve, the marking and the scatters
 _BAND_SHIFT = 8  # the sieve's banded steps hold at most n >> _BAND_SHIFT bands in all
-_SIEVE_MAX_ORDER = 64  # above, the sieve's m calls per block cost more than the doubling
+# above, the sieve's m calls per block grow with m and the marking's fall:
+# it serves every order up to n - 1, and no (q^m - 1)/lambda needs it
+_SIEVE_MAX_ORDER = 64
 
 
 def check_modulus(n: int, q: int) -> None:
@@ -95,13 +98,12 @@ class CosetTable:
     """Leaders of every q-cyclotomic coset modulo n.
 
     leaders lists the distinct leaders ascending, and m is ord_n(q), which
-    the build found; given as None it is found here.  leader_of[a] is the
-    smallest element of the coset of a; it is int32, since n <= MAX_N, and
-    its leaders are its fixed points a = leader_of[a].  Given as None, as
-    the sieve gives it, leader_of is built on first read by scattering
-    every leader over its orbit; union_below(delta) scatters only the
-    orbits it needs while leader_of is unbuilt.  Both arrays are marked
-    read-only, and the cosets map is built on first use.  direct_columns
+    the build found; the table holds nothing else of its own.  leader_of[a]
+    is the smallest element of the coset of a, int32 as n <= MAX_N, built
+    on first read by scattering every leader over its orbit; its fixed
+    points a = leader_of[a] are the leaders.  Both arrays are read-only.
+    union_below and the cosets map, built on first use, walk only the
+    orbits they need.  direct_columns
     and closed_columns are the memos of dualtools.bound_report.
     direct_columns holds its direct columns: None before any query, (k,
     row) of the one segment of deltas, those with k leaders below them,
@@ -112,15 +114,13 @@ class CosetTable:
     reach it.  They live and die with the table.
     """
 
-    def __init__(self, n, q, leader_of, leaders, m=None):
+    def __init__(self, n, q, leaders, m):
         self.n = n
         self.q = q
-        self.m = multiplicative_order(q, n) if m is None else m
-        if leader_of is not None:
-            leader_of.setflags(write=False)
+        self.m = m
         leaders.setflags(write=False)
-        self._leader_of = leader_of
         self.leaders = leaders
+        self._leader_of = None
         self._cosets = None
         self.direct_columns = None
         self.closed_columns = {}
@@ -141,13 +141,8 @@ class CosetTable:
     def union_below(self, delta: int) -> np.ndarray:
         """The residues whose leader is in [1, delta-1], C_1 u ... u C_{delta-1}, as a bool mask.
 
-        Without a leader array it scatters the orbits of those leaders,
-        O(|union|) in ord_n(q) numpy steps, and builds no leader array; with
-        one, as after the doubling build or a first read, it compares that
-        array with [1, delta-1] in one pass over Z_n.  The mask is writable.
+        The mask is writable, scattered from those leaders' orbits in O(|union|).
         """
-        if self._leader_of is not None:
-            return (self._leader_of >= 1) & (self._leader_of <= delta - 1)
         mask = np.zeros(self.n, dtype=bool)
         _scatter_orbits(mask, self.leaders[1:int(self.leaders.searchsorted(delta))], True,
                         self.n, self.q, self.m)
@@ -155,13 +150,9 @@ class CosetTable:
 
     @property
     def cosets(self) -> dict[int, list[int]]:
-        """Map: leader -> sorted list of coset members."""
+        """Map: leader -> sorted list of coset members, each the orbit of its leader."""
         if self._cosets is None:
-            lead = self.leader_of
-            cs = {}
-            for a in np.argsort(lead, kind="stable"):
-                cs.setdefault(int(lead[a]), []).append(int(a))
-            self._cosets = cs
+            self._cosets = {l: sorted(orbit(l, self.n, self.q)) for l in map(int, self.leaders)}
         return self._cosets
 
 
@@ -169,15 +160,22 @@ def coset_table(n: int, q: int) -> CosetTable:
     """Compute all q-cyclotomic coset leaders modulo n.
 
     (n, q) must pass check_modulus, which runs first.  The build is the
-    sieve where m = ord_n(q) <= _SIEVE_MAX_ORDER, at any n, else the
-    pointer doubling.  Both give the same leaders; the doubling hands over
-    the leader array it builds on the way, and the sieve's table builds it
-    on first read.
+    sieve where m = ord_n(q) <= _SIEVE_MAX_ORDER, at any n, else the orbit
+    marking.  Each returns only the ascending leaders, and the table builds
+    leader_of on its first read.
     """
     check_modulus(n, q)
     m = multiplicative_order(q, n)
-    build = _sieve_build if m <= _SIEVE_MAX_ORDER else _doubling_build
-    return CosetTable(n, q, *build(n, q, m), m)
+    build = _sieve_build if m <= _SIEVE_MAX_ORDER else _marking_build
+    return CosetTable(n, q, build(n, q, m), m)
+
+
+def orbit(a: int, n: int, q: int) -> list[int]:
+    """The coset of a modulo n in orbit order, a q^j mod n for j = 0, 1, ...: a scalar walk."""
+    out = [a]
+    while (b := out[-1] * q % n) != a:
+        out.append(b)
+    return out
 
 
 def _reduce_mod(y: np.ndarray, n: int, quot: np.ndarray | None = None) -> np.ndarray:
@@ -195,8 +193,8 @@ def _reduce_mod(y: np.ndarray, n: int, quot: np.ndarray | None = None) -> np.nda
     return y
 
 
-def _sieve_build(n: int, q: int, m: int) -> tuple[None, np.ndarray]:
-    """(None, leaders) by the leader sieve; CosetTable builds leader_of on first read.
+def _sieve_build(n: int, q: int, m: int) -> np.ndarray:
+    """The leaders, ascending, by the leader sieve, for m up to _SIEVE_MAX_ORDER.
 
     a is a leader iff a <= a q^j mod n for every j in [1, m).  For a step
     s = q^j mod n in [2, n) and k = floor(a s / n), a s mod n = a s - k n,
@@ -206,11 +204,11 @@ def _sieve_build(n: int, q: int, m: int) -> tuple[None, np.ndarray]:
     tested exactly this way, by intersecting their bands (_step_bands,
     _intersect_bands); that keeps 11-27% of Z_n at the bench moduli, and a
     table with n < 2^_BAND_SHIFT has no banded step and keeps all of Z_n.
-    The survivors are walked in blocks of _SIEVE_BLOCK candidates, each
+    The survivors are walked in blocks of _BLOCK candidates, each
     tested on the remaining steps in the order j = m-1, 1, m-2, 2, ...; most
     residues fail one of the first, and the survivors of the blocks, in
     order, are the leaders ascending.  No array of n elements is built: the
-    band arrays hold at most n/2^_BAND_SHIFT bands, the blocks _SIEVE_BLOCK.
+    band arrays hold at most n/2^_BAND_SHIFT bands, the blocks _BLOCK.
     """
     steps = [pow(q, m - 1 - i // 2 if i % 2 == 0 else 1 + i // 2, n) for i in range(m - 1)]
     budget, top = n >> _BAND_SHIFT, 1  # the banded steps are those <= top
@@ -221,7 +219,7 @@ def _sieve_build(n: int, q: int, m: int) -> tuple[None, np.ndarray]:
         top = s
     lo, hi = _intersect_bands([_step_bands(s, n) for s in steps if s <= top], n)
     steps = [s for s in steps if s > top]
-    return None, np.concatenate([_sieve_leaders(a, n, steps) for a in _blocks(lo, hi)])
+    return np.concatenate([_sieve_leaders(a, n, steps) for a in _blocks(lo, hi)])
 
 
 def _step_bands(s: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -257,29 +255,41 @@ def _intersect_bands(bands: list[tuple[np.ndarray, np.ndarray]], n: int
 
 
 def _blocks(lo: np.ndarray, hi: np.ndarray):
-    """The members of the intervals [lo, hi), ascending, in int64 blocks of _SIEVE_BLOCK."""
+    """The members of the intervals [lo, hi), ascending, in int64 blocks of _BLOCK."""
     size = hi - lo
     ends = np.cumsum(size)  # rank of the first candidate past each interval
     shift = lo - (ends - size)  # candidate = its rank + the shift of its interval
     total = int(ends[-1])
-    for r0 in range(0, total, _SIEVE_BLOCK):
-        r1 = min(r0 + _SIEVE_BLOCK, total)
+    for r0 in range(0, total, _BLOCK):
+        r1 = min(r0 + _BLOCK, total)
         i0, i1 = np.searchsorted(ends, [r0, r1 - 1], side="right")
         first = np.maximum(ends[i0:i1 + 1] - size[i0:i1 + 1], r0)
         counts = np.minimum(ends[i0:i1 + 1], r1) - first
         yield np.arange(r0, r1, dtype=np.int64) + np.repeat(shift[i0:i1 + 1], counts)
 
 
+def _powers(q: int, n: int, h: int) -> np.ndarray:
+    """q^j mod n for j in [0, h), int64, by block doubling: about log2(h) numpy calls."""
+    pw = np.array([1 % n], dtype=np.int64)
+    while len(pw) < h:
+        pw = np.concatenate([pw, _reduce_mod(pw[:h - len(pw)] * pow(q, len(pw), n), n)])
+    return pw
+
+
 def _scatter_orbits(out: np.ndarray, leaders: np.ndarray, values, n: int, q: int,
                     m: int) -> None:
-    """Write values over the coset of every leader in out, one step by q for all at once.
+    """Write values over the coset of every leader in out, h powers of q for all at once.
 
     out[leaders q^j mod n] = values for j in [0, m), m = ord_n(q): every
-    coset is an orbit under i -> q i mod n, whose length divides m.
+    coset is an orbit under i -> q i mod n, whose length divides m, so the
+    last of the ceil(m/h) steps may pass q^m and repeat it.  Each step
+    writes h powers of every leader, h = _BLOCK // len(leaders) in [1, m],
+    and moves them on by q^h in place: few leaders take few calls at any m.
     """
-    x = leaders.astype(np.int64)
-    quot, step = np.empty_like(x), q % n
-    for _ in range(m):
+    h = min(m, max(1, _BLOCK // max(1, len(leaders))))
+    x = _reduce_mod(np.multiply.outer(_powers(q, n, h), leaders), n)  # int64, a new array
+    quot, step = np.empty_like(x), pow(q, h, n)
+    for _ in range(-(-m // h)):
         out[x] = values
         x *= step
         _reduce_mod(x, n, quot)
@@ -294,24 +304,27 @@ def _sieve_leaders(a: np.ndarray, n: int, steps: list[int]) -> np.ndarray:
     return a
 
 
-def _doubling_build(n: int, q: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(leader_of, leaders) by pointer doubling on the permutation i -> q i mod n.
+def _marking_build(n: int, q: int, m: int) -> np.ndarray:
+    """The leaders, ascending, by marking orbits, for any order m.
 
-    ceil(log2 m) rounds of gathers over Z_n, so it serves any order m.
+    The least residue a not yet marked is a leader.  Its orbit a q^j mod n
+    is marked in a bool array over Z_n, h = min(m, _BLOCK) powers of q per
+    step, until a step ends on a marked residue: the orbit was unmarked
+    before, so the residue is its own and the orbit is closed.  A coset of
+    size d takes ceil(d/h) steps.
     """
-    perm = np.arange(n, dtype=np.int64)
-    perm *= q % n  # below n^2 <= 2^48; reduced, it fits int32
-    perm %= n
-    perm = perm.astype(np.int32)
-    lead = np.arange(n, dtype=np.int32)
-    # after r doubling rounds, lead[a] = min of a's orbit under 2^r steps;
-    # perm is then the step by q^(2^r), so the last round needs no square
-    for r in range(max(1, math.ceil(math.log2(m)))):
-        if r:
-            perm = perm[perm]
-        np.minimum(lead, lead[perm], out=lead)
-    del perm  # frees 4 bytes per residue before the leaders' scan takes 5
-    return lead, np.flatnonzero(lead == np.arange(n, dtype=lead.dtype))
+    h = min(m, _BLOCK)
+    pw, step = _powers(q, n, h), pow(q, h, n)
+    marked = np.zeros(n, dtype=bool)
+    leaders, a = [], 0
+    while not marked[a]:
+        leaders.append(a)
+        b = a
+        while not marked[b]:
+            marked[pw * b % n] = True
+            b = b * step % n
+        a += int(marked[a:].argmin())  # the first unmarked residue; a itself if none is left
+    return np.array(leaders, dtype=np.int64)
 
 
 def largest_leaders(table: CosetTable, count: int) -> list[int]:

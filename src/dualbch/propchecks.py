@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .bch import Family, _divisors, theorem_families
-from .cyclotomic import _reduce_mod, check_modulus
+from .cyclotomic import _reduce_mod, check_modulus, orbit
 from .dualtools import validate_divisor_form, validate_power_form
 
 MANIFEST_SCHEMA = "dualbch-prop-grids/1"
@@ -129,7 +129,7 @@ def _sweep_floors(lemma_id: str, family: Family, sub_ranges: Iterable[tuple]) ->
         grid.append((*key, 1, u_hi))
         for u in _floor_failures(c, g, w, u_hi, bound, order, q, m).tolist():
             e = (c + g * w * u) % order
-            failures.append((*key, u, e, _coset_leader(e, order, q), floor))
+            failures.append((*key, u, e, min(orbit(e, order, q)), floor))
     return PropResult(lemma_id, tuple(grid), tuple(failures))
 
 
@@ -170,15 +170,6 @@ def check_leader_floor_divisor_form(family: Family) -> PropResult:
         for floor in [q ** (t + 1) - q + lam * s]))
 
 
-def _coset_leader(a: int, n: int, q: int) -> int:
-    """The least element of the q-cyclotomic coset of a in [0, n): a walk of its orbit."""
-    least, b = a, a * q % n
-    while b != a:
-        least = min(least, b)
-        b = b * q % n
-    return least
-
-
 def _membership_failures(
     n: int, q: int, label: str, d_lo: int, d_hi: int, x: int
 ) -> list[tuple]:
@@ -196,9 +187,9 @@ def _membership_failures(
     if not 0 <= x < n:
         out.append((label, None, x, "element outside [0, n)"))
         return out
-    if _coset_leader(x, n, q) != x:
+    if min(orbit(x, n, q)) != x:
         out.append((label, None, x, "not a coset leader"))
-    cl = _coset_leader((n - x) % n, n, q)
+    cl = min(orbit((n - x) % n, n, q))
     if cl >= 1:
         out += [(label, d, x, "missing from dual defining set")
                 for d in range(max(d_lo, cl + 1), d_hi + 1)]

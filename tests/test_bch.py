@@ -455,7 +455,7 @@ class TestCodeParams:
         # and cannot divide the squarefree x^63 - 1
         spec = bch_spec(2, 6, 3, lam=1)
         good = coset_table(63, 2)
-        tampered = CosetTable(63, 2, good.leader_of, np.array([0, 1, 2, 3]))
+        tampered = CosetTable(63, 2, np.array([0, 1, 2, 3]), 6)
         ctx = field_new(2, 6)
         assert code_params(spec, ctx, tampered).generator.degree == 12
         with pytest.raises(ValueError, match="does not divide"):

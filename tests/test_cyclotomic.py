@@ -16,8 +16,8 @@ from dualbch.cyclotomic import (
     _SIEVE_MAX_ORDER,
     MAX_N,
     CosetTable,
-    _doubling_build,
     _intersect_bands,
+    _marking_build,
     _sieve_build,
     _step_bands,
     check_modulus,
@@ -26,6 +26,7 @@ from dualbch.cyclotomic import (
     largest_leaders_closed_form,
     leader_family_modulus,
     multiplicative_order,
+    orbit,
 )
 
 
@@ -39,7 +40,7 @@ def naive_coset(a, n, q):
 
 
 def reference_leader_of(n, q):
-    """Pointer doubling in int64 with numpy's %, apart from both builds: the test oracle."""
+    """Pointer doubling in int64 with numpy's %, apart from the builds and scatters: the oracle."""
     if n == 1:
         return np.zeros(1, dtype=np.int64)
     m = multiplicative_order(q, n)
@@ -84,13 +85,14 @@ def assert_table_matches_reference(n, q, build=coset_table):
 
 def _built_by(builder):
     def build(n, q):
-        return CosetTable(n, q, *builder(n, q, multiplicative_order(q, n)))
+        m = multiplicative_order(q, n)
+        return CosetTable(n, q, builder(n, q, m), m)
     return build
 
 
-# coset_table and each of its two builds, which it picks by n and ord_n(q)
+# coset_table and each of its two builds, which it picks by ord_n(q)
 BUILDS = {"coset_table": coset_table, "sieve": _built_by(_sieve_build),
-          "doubling": _built_by(_doubling_build)}
+          "marking": _built_by(_marking_build)}
 
 
 # the large-n bench's tables: its five cosets/dual-bound moduli and the
@@ -188,7 +190,7 @@ class TestCosetTable:
         if n == 101:
             assert leaders.tolist() == [0, 1]
 
-    @pytest.mark.parametrize("build", ["sieve", "doubling"])
+    @pytest.mark.parametrize("build", ["sieve", "marking"])
     @given(n=st.integers(2, 3000), q=st.integers(2, 40))
     @settings(max_examples=40, deadline=None)
     def test_each_build_matches_int64_reference(self, build, n, q):
@@ -200,7 +202,7 @@ class TestCosetTable:
     def test_large_order_builds_within_a_time_limit(self):
         # 2 is a primitive root mod the prime 1_000_003, so m = n - 1: the
         # sieve would make a few million numpy calls (17 s on a 2-vCPU VM),
-        # the doubling makes 20 passes over Z_n (0.2 s)
+        # the marking walks the one long orbit in 31 steps of 2^15 (0.01 s)
         n = 1_000_003
         assert multiplicative_order(2, n) == n - 1
 
@@ -216,6 +218,36 @@ class TestCosetTable:
             signal.signal(signal.SIGALRM, previous)
         assert np.array_equal(table.leader_of, reference_leader_of(n, 2))
         assert table.leaders.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("n,q,m,sizes", [
+        (131, 2, 130, {1: 1, 130: 1}),
+        (393, 2, 130, {1: 1, 2: 1, 130: 3}),  # 393 = 3 * 131
+        (1000, 3, 100, {1: 2, 2: 3, 4: 8, 20: 8, 100: 8}),
+    ])
+    def test_marking_build_on_cosets_of_mixed_sizes(self, n, q, m, sizes):
+        # m > 64, where coset_table marks orbits; an orbit shorter than m
+        # closes at its first step that ends on a marked residue
+        assert multiplicative_order(q, n) == m > _SIEVE_MAX_ORDER
+        assert assert_table_matches_reference(n, q, BUILDS["marking"]) == sum(sizes.values())
+        table = coset_table(n, q)
+        lengths = [len(table.cosets[int(a)]) for a in table.leaders]
+        assert {d: lengths.count(d) for d in set(lengths)} == sizes
+
+    @pytest.mark.parametrize("n,q", [(1_000_003, 2), (1_001_517, 2)])
+    def test_marking_build_holds_one_byte_per_residue(self, n, q):
+        # m = n - 1, and m = 110 with 9240 cosets: the marks are the only
+        # array of n elements; the powers and a step's blocks, 2^15 int64
+        # each, take under 1 MiB
+        coset_table(n, q)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            table = coset_table(n, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.m > _SIEVE_MAX_ORDER
+        assert table._leader_of is None
+        assert peak <= n + (1 << 20), peak - n
 
     def test_build_holds_no_int64_array_of_n_elements(self):
         n = 2**20 - 1
@@ -241,20 +273,18 @@ class TestCosetTable:
 class TestLazyLeaderArray:
     @pytest.mark.parametrize("build", BUILDS)
     @pytest.mark.parametrize("n,q", [(63, 2), (101, 2), (2**15 + 1, 2), (1, 5), (9, 10),
-                                     (1000, 3), (2**16 - 1, 4)])
+                                     (1000, 3), (393, 2), (2**16 - 1, 4)])
     def test_built_once_on_first_read(self, build, n, q, orbit_scatters):
-        # the sieve's tables scatter their leader array on its first read,
-        # the doubling's are handed theirs
+        # every build returns only its leaders, at any order, and the table
+        # scatters its leader array on the first read, once
         table = BUILDS[build](n, q)
-        sieve = build == "sieve" or (build == "coset_table"
-                                     and multiplicative_order(q, n) <= _SIEVE_MAX_ORDER)
-        assert orbit_scatters == []
+        assert table._leader_of is None
         assert len(table.leaders) == burnside_cosets(n, q)
         assert orbit_scatters == []
         lead = table.leader_of
         assert np.array_equal(lead, reference_leader_of(n, q))
         assert table.leader_of is lead and not lead.flags.writeable
-        assert orbit_scatters == ([np.dtype(np.int32)] if sieve else [])
+        assert orbit_scatters == [np.dtype(np.int32)]
 
     def test_first_read_holds_no_int64_array_of_n_elements(self):
         n = 2**20 - 1
@@ -271,7 +301,7 @@ class TestLazyLeaderArray:
 
     @pytest.mark.parametrize("n,q", [(63, 2), (2**20 - 1, 2), (9, 10)])
     def test_reads_take_the_order_the_build_found(self, n, q, monkeypatch):
-        # the scatters step ord_n(q) times; the table keeps the order its
+        # the scatters need ord_n(q); the table keeps the order its
         # build found, so no read factors n and phi(n) again
         def no_order(*args):
             raise AssertionError("the order was computed again")
@@ -283,19 +313,46 @@ class TestLazyLeaderArray:
         assert np.array_equal(table.leader_of, reference_leader_of(n, q))
         assert np.array_equal(mask, table.union_below(3))
 
-    @pytest.mark.parametrize("n,q", [(63, 2), (91, 3), (101, 2), (2**15 + 1, 2), (1000, 3)])
+    @pytest.mark.parametrize("n,q", [(63, 2), (91, 3), (101, 2), (2**15 + 1, 2), (1000, 3),
+                                     (393, 2)])
     def test_union_below_equals_the_leader_array_form(self, n, q, orbit_scatters):
-        # the table compares its leader array, a bare copy scatters orbits
+        # union_below scatters orbits before and after the first read of
+        # leader_of; the comparison over the oracle's array is the reference
         table = coset_table(n, q)
-        lead = table.leader_of
-        bare = CosetTable(n, q, None, table.leaders)
-        builds = len(orbit_scatters)
+        lead = reference_leader_of(n, q)
         deltas = [2, 3, *table.leaders[1:].tolist(), n]
-        for delta in deltas:
-            want = (lead >= 1) & (lead <= delta - 1)
-            assert np.array_equal(bare.union_below(delta), want), delta
-            assert np.array_equal(table.union_below(delta), want), delta
-        assert orbit_scatters[builds:] == [np.dtype(bool)] * len(deltas)
+        for read in (False, True):
+            if read:
+                assert np.array_equal(table.leader_of, lead)
+            for delta in deltas:
+                want = (lead >= 1) & (lead <= delta - 1)
+                assert np.array_equal(table.union_below(delta), want), (read, delta)
+        bools = [np.dtype(bool)] * len(deltas)
+        assert orbit_scatters == [*bools, np.dtype(np.int32), *bools]
+
+    def test_few_leaders_scatter_many_powers_per_step(self, monkeypatch):
+        # 3 is a primitive root mod the prime 65537, so m = 65536 and the
+        # cosets are {0} and the rest: a step of q per numpy call would
+        # reduce m times, where a step of h = 2^15 // len(leaders) powers
+        # reduces about m/h + log2(h) times
+        n, q = 65537, 3
+        table = coset_table(n, q)
+        assert (table.m, table.leaders.tolist()) == (n - 1, [0, 1])
+        calls = []
+        reduce_mod = cyclotomic._reduce_mod
+
+        def counting(*args):
+            calls.append(args[0].size)
+            return reduce_mod(*args)
+
+        monkeypatch.setattr(cyclotomic, "_reduce_mod", counting)
+        assert np.array_equal(table.leader_of, reference_leader_of(n, q))
+        assert len(calls) <= 24, len(calls)  # h = 2^14: 4 steps, 14 doublings, 1 start
+        calls.clear()
+        mask = table.union_below(2)
+        assert np.count_nonzero(mask) == n - 1 and not mask[0]
+        assert len(calls) <= 24, len(calls)  # h = 2^15: 2 steps, 15 doublings, 1 start
+        assert max(calls) <= 1 << 15
 
 
 def band_mask(lo, hi, n):
@@ -413,6 +470,8 @@ class TestLargestLeaders:
     def test_leader_of_47_mod_63(self):
         # orbit of 47: {47, 31, 62, 61, 59, 55}; minimum is 31
         assert int(coset_table(63, 2).leader_of[47]) == 31
+        assert orbit(47, 63, 2) == [47, 31, 62, 61, 59, 55]
+        assert orbit(0, 63, 2) == [0] and orbit(21, 63, 2) == [21, 42]
 
     def test_count_validation(self):
         with pytest.raises(ValueError):

@@ -456,7 +456,7 @@ class TestBoundReport:
             random.Random(n * q).shuffle(deltas)
             for delta in deltas:
                 spec = BchSpec(family, delta)
-                fresh = CosetTable(n, q, table.leader_of, table.leaders)
+                fresh = CosetTable(n, q, table.leaders, table.m)
                 assert bound_report(spec, table) == bound_report(spec, fresh), \
                     (family, delta)
             pairs += n - 1
@@ -682,13 +682,13 @@ class TestDirectColumns:
 class TestLeaderFreeForms:
     """defining_set's orbit form and the leaders form of the verdict, against leader_of.
 
-    A copy of a table without its leader array takes both forms; the
-    leader_of comparison and dually_bch_direct's gather are the oracles.
+    A copy of a table whose leader array is never read takes both forms;
+    the leader_of comparison and dually_bch_direct's gather are the oracles.
     """
 
     @staticmethod
     def assert_forms_agree(table, specs):
-        bare = CosetTable(table.n, table.q, None, table.leaders)
+        bare = CosetTable(table.n, table.q, table.leaders, table.m)
         lead = table.leader_of
         for delta, spec in specs:
             t = (lead >= 1) & (lead <= delta - 1)

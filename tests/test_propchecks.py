@@ -16,11 +16,10 @@ from dualbch.bch import (
     dual_defining_set,
 )
 from dualbch import cyclotomic
-from dualbch.cyclotomic import MAX_N, CosetTable, coset_table
+from dualbch.cyclotomic import MAX_N, CosetTable, coset_table, orbit
 from dualbch.propchecks import (
     MANIFEST_SCHEMA,
     PropResult,
-    _coset_leader,
     _floor_failures,
     _membership_failures,
     _plan_case,
@@ -274,9 +273,9 @@ class TestMembership:
     @pytest.mark.parametrize("n,q", [(63, 2), (91, 3), (312, 5), (1365, 4), (2, 3),
                                      (83, 2), (1000, 3)])
     def test_orbit_minimum_is_the_leader(self, n, q):
-        # (83, 2) has order 82, a doubling table; (1000, 3) is no code length
+        # (83, 2) has order 82, a marking table; (1000, 3) is no code length
         lead = coset_table(n, q).leader_of.tolist()
-        assert [_coset_leader(a, n, q) for a in range(n)] == lead
+        assert [min(orbit(a, n, q)) for a in range(n)] == lead
 
     def test_clean_case_allocates_far_less_than_n(self):
         # n = 976,562: the failing deltas are one interval, so the check
