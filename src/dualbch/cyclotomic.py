@@ -103,15 +103,12 @@ class CosetTable:
     on first read by scattering every leader over its orbit; its fixed
     points a = leader_of[a] are the leaders.  Both arrays are read-only.
     union_below and the cosets map, built on first use, walk only the
-    orbits they need.  direct_columns
-    and closed_columns are the memos of dualtools.bound_report.
-    direct_columns holds its direct columns: None before any query, (k,
-    row) of the one segment of deltas, those with k leaders below them,
-    that the first query scanned, and from a second segment on the list of
-    every segment's row from dualtools.direct_columns.  closed_columns
-    holds its closed columns, one dualtools.ClosedColumns per code family,
-    which fills a row per segment of the closed forms' cases as queries
-    reach it.  They live and die with the table.
+    orbits they need.  direct_columns and closed_columns are the memos of
+    dualtools.bound_report.  direct_columns maps k to the direct row of the
+    deltas with k leaders below them.  closed_columns holds its closed
+    columns, one dualtools.ClosedColumns per code family, which fills a row
+    per segment of the closed forms' cases as queries reach it.  They live
+    and die with the table.
     """
 
     def __init__(self, n, q, leaders, m):
@@ -122,7 +119,7 @@ class CosetTable:
         self.leaders = leaders
         self._leader_of = None
         self._cosets = None
-        self.direct_columns = None
+        self.direct_columns = {}
         self.closed_columns = {}
 
     def __repr__(self):

@@ -530,9 +530,9 @@ def bound_report(spec: BchSpec, table: CosetTable) -> BoundReport:
     consecutive leaders.  The table's first query scans the T_perp mask of
     its own segment, with T scattered from its leaders' orbits and the
     verdict read off the leaders, so it builds no leader array, and keeps
-    the row, with k, in the table's direct_columns; a query on a second
-    segment replaces it by direct_columns(table), every segment's row from
-    one pass, and every later query is a list index.  So a table that
+    the row under k in the table's direct_columns; a query on a second
+    segment adds every segment's row from one pass, direct_columns(table),
+    and every later query is a dict lookup.  So a table that
     answers one query, or one segment, never pays for the pass.  The
     closed columns come from a ClosedColumns kept in its closed_columns,
     keyed by family, which runs the per-delta closed functions once per
@@ -542,21 +542,17 @@ def bound_report(spec: BchSpec, table: CosetTable) -> BoundReport:
     """
     check_table(spec, table)
     k = int(table.leaders.searchsorted(spec.delta))
-    memo = table.direct_columns  # None, the first query's (k, row) or every row
-    if isinstance(memo, list):
-        row = memo[k - 2]
-    elif memo is None:
+    rows = table.direct_columns  # k -> row: the first query's segment, or every segment
+    row = rows.get(k)
+    if row is None and rows:  # a second segment
+        rows.update(enumerate(direct_columns(table), 2))
+        row = rows[k]
+    elif row is None:
         t = defining_set(spec, table)
         t_perp = dual_defining_set(t)
         j = i_delta_direct(t_perp)
-        row = (int(np.count_nonzero(t)), j, *_dually_bch_given(t_perp, table, j),
-               bch_bound_from_set(t_perp))
-        table.direct_columns = (k, row)
-    elif memo[0] == k:
-        row = memo[1]
-    else:  # a second segment
-        rows = table.direct_columns = direct_columns(table)
-        row = rows[k - 2]
+        row = rows[k] = (int(np.count_nonzero(t)), j, *_dually_bch_given(t_perp, table, j),
+                         bch_bound_from_set(t_perp))
     closed = table.closed_columns.get(spec.family)
     if closed is None:
         closed = table.closed_columns[spec.family] = ClosedColumns(spec.family, table)

@@ -28,21 +28,22 @@ GF(2) it runs on the packed rows (gf.rref_gf2), XORing 64 positions per
 word, and gives the same reduced rows and pivots as the int32 gf.rref, which
 serves q > 2.  The witness's row-space check uses the same kernel.
 
-Both searches keep their best through one step, _lighter: the first lightest
-candidate of each batch replaces the best so far only when it is strictly
-lighter.  Their codeword arithmetic runs through one of two kernels.  Over
-GF(q) with q > 2, codewords are int32 rows of field elements, summed by
-gathers from the field's addition table and weighed by count_nonzero.  A
-Gray batch, the running word c plus every block row, is weighed without
-building it: c + b is 0 exactly where b is -c, so its weight counts the
-positions where b differs from -c, one comparison instead of a gather, and
-only the lightest sum is built.  Over GF(2), codewords are bit-packed: 64
-positions per uint64 word, a sum is an XOR and a weight is a popcount
-(np.bitwise_count), which moves 32 times fewer bytes than int32 rows.  The
-packing relies on GF(2) having one nonzero scalar and addition being XOR, so
-it is binary only; a GF(q) element needs several bits and its sum is no
-bitwise operation.  The kernels share the block split (_block_digits), the
-Gray digit order and the information-pattern order, so both return the same
+Both searches hand every batch to one step, _lighter, as a base word plus
+candidates: a Gray batch is the running word c plus every block row, an
+information-set batch the zero word plus the reduced rows, or row i plus
+every multiple of a later row.  The first lightest sum replaces the best so
+far only when it is strictly lighter, and only that sum is built.  The
+codeword arithmetic runs through one of two kernels.  Over GF(q) with q > 2,
+codewords are int32 rows of field elements, summed by gathers from the
+field's addition table; base + b is 0 exactly where b is -base, so a sum's
+weight counts the positions where b differs from -base, one comparison
+instead of a gather.  Over GF(2), codewords are bit-packed: 64 positions per
+uint64 word, a sum is an XOR and a weight is a popcount (np.bitwise_count),
+which moves 32 times fewer bytes than int32 rows.  The packing relies on
+GF(2) having one nonzero scalar and addition being XOR, so it is binary
+only; a GF(q) element needs several bits and its sum is no bitwise
+operation.  The kernels share the block split (_block_digits), the Gray
+digit order and the information-pattern order, so both return the same
 (weight, witness); the table kernel is the packed kernel's test oracle.
 """
 
@@ -122,9 +123,6 @@ class _TableWords:
         return self.mul_t[self.nonzero[:, None, None], rows[None]].reshape(
             -1, rows.shape[-1])
 
-    def weights(self, words):
-        return np.count_nonzero(words, axis=-1)
-
     def sum_weights(self, base, words):
         """Weights of base + each word: where a word is not -base, no sum built."""
         return np.count_nonzero(words != self.field.neg_t[base], axis=-1)
@@ -169,11 +167,8 @@ class _PackedWords:
     def multiples(self, rows):
         return rows  # 1 is the only nonzero scalar
 
-    def weights(self, words):
-        return np.bitwise_count(words).sum(axis=-1)
-
     def sum_weights(self, base, words):
-        return self.weights(base ^ words)
+        return np.bitwise_count(base ^ words).sum(axis=-1)
 
     def rref(self, mat):
         """rref of mat as packed rows, trimmed to the rank; same pivots."""
@@ -195,19 +190,18 @@ def _words_for(field: ScalarField, n: int):
     return _PackedWords(n) if field.q == 2 else _TableWords(field)
 
 
-def _lighter(words, cands, best_w: int, base=None):
+def _lighter(words, base, cands, best_w: int):
     """(weight, unpacked word) of the first lightest of base + cands, if lighter than best_w.
 
     Else None.  So a tie within a batch goes to the first index, and a tie
-    across batches to the earlier batch.  base defaults to the zero word;
-    a given base is added to the lightest candidate alone.
+    across batches to the earlier batch.  Only the lightest sum is built.
     """
-    weights = words.weights(cands) if base is None else words.sum_weights(base, cands)
+    weights = words.sum_weights(base, cands)
     j = int(np.argmin(weights))
     w = int(weights[j])
     if w >= best_w:
         return None
-    return w, words.unpack(cands[j] if base is None else words.add(base, cands[j]))
+    return w, words.unpack(words.add(base, cands[j]))
 
 
 def _block_digits(q: int, k: int, n: int) -> int:
@@ -256,12 +250,12 @@ def _exhaustive_best(gen: np.ndarray, field: ScalarField, words=None) -> _Search
             [block, *(words.add(block, m) for m in words.multiples(rows[i:i + 1]))])
     steps = [words.multiples(rows[i:i + 1]) for i in range(k_lo, k)]
 
-    # zero high part: the block rows with leading digit 1 at position i are
-    # rows [q^i, 2 q^i).  The block has q^k_lo >= q rows, since
-    # q <= MAX_SCALAR_Q < _BLOCK_CAP gives k_lo >= 1.
+    # zero high part, base block row 0 (the zero word): the rows with leading
+    # digit 1 at position i are [q^i, 2 q^i).  The block has q^k_lo >= q
+    # rows, since q <= MAX_SCALAR_Q < _BLOCK_CAP gives k_lo >= 1.
     best = (n + 1, None)
     for i in range(k_lo):
-        best = _lighter(words, block[q**i:2 * q**i], best[0]) or best
+        best = _lighter(words, block[0], block[q**i:2 * q**i], best[0]) or best
 
     # high digit j leads with 1: the full walk's sweep of the lower digits
     # between digit j's moves 0 -> 1 and 1 -> 2, from the state it has there
@@ -275,7 +269,7 @@ def _exhaustive_best(gen: np.ndarray, field: ScalarField, words=None) -> _Search
             if d:
                 c_hi = words.add(c_hi, steps[i][d - 1])
         while True:
-            best = _lighter(words, block, best[0], c_hi) or best
+            best = _lighter(words, c_hi, block, best[0]) or best
             i = 0
             while i < j:
                 nd = digits[i] + dirs[i]
@@ -299,15 +293,16 @@ def in_row_space(v: np.ndarray, gen: np.ndarray, field: ScalarField) -> bool:
 
 
 def _information_patterns(words, rows):
-    """The codewords of weight-1 then weight-2 information patterns, in batches.
+    """The weight-1 then weight-2 information patterns, as (base, candidates) batches.
 
-    rows is a reduced basis.  The first batch is the rows themselves; batch
-    i + 1 is rows[i] + c * rows[j] for every j > i and nonzero c, the first
-    coefficient fixed to 1 because scalar multiples weigh the same.
+    rows is a reduced basis.  The first batch is the zero word plus the
+    rows themselves; batch i + 1 is rows[i] plus c * rows[j] for every
+    j > i and nonzero c, the first coefficient fixed to 1 because scalar
+    multiples weigh the same.  No sum is built here.
     """
-    yield rows
+    yield np.zeros(rows.shape[1:], dtype=rows.dtype), rows
     for i in range(len(rows) - 1):
-        yield words.add(rows[i], words.multiples(rows[i + 1:]))
+        yield rows[i], words.multiples(rows[i + 1:])
 
 
 def _isd_best(gen: np.ndarray, field: ScalarField, target: int,
@@ -315,6 +310,9 @@ def _isd_best(gen: np.ndarray, field: ScalarField, target: int,
     """Lightest codeword from information-set search; stops at target.
 
     words defaults to _words_for, whose rref reduces each permuted generator.
+    _lighter weighs each batch of _information_patterns and builds only a
+    sum lighter than the best so far; oracles.isd_best_built_sums, which
+    builds every sum, is its test oracle.
     """
     k, n = gen.shape
     if k == 0:
@@ -329,9 +327,9 @@ def _isd_best(gen: np.ndarray, field: ScalarField, target: int,
         perm = rng.permutation(n)
         rows, _ = words.rref(gen[:, perm])
         inv = perm.argsort()
-        for cands in _information_patterns(words, rows):
+        for base, cands in _information_patterns(words, rows):
             seen += len(cands)
-            found = _lighter(words, cands, best_w)
+            found = _lighter(words, base, cands, best_w)
             if found is not None:
                 best_w, best_cw = found[0], found[1][inv]
                 if best_w <= target:

@@ -9,7 +9,9 @@ against them.
 
 full_gray_best is the Gray walk over all q^k - 1 nonzero messages.
 mindist._exhaustive_best walks one word per projective point of it and
-must return its (weight, witness).
+must return its (weight, witness).  isd_best_built_sums is the
+information-set search that builds every weight-2 sum before weighing it;
+mindist._isd_best weighs them unbuilt and must return the same search.
 
 The package itself never imports this module.
 """
@@ -23,7 +25,7 @@ import numpy as np
 from .bch import BchSpec
 from .dualtools import PriorBound
 from .gf import ScalarField
-from .mindist import _block_digits, _lighter, _Search, _words_for
+from .mindist import _block_digits, _lighter, _Search, _TableWords, _words_for
 
 
 def frozen_prior_bounds(spec: BchSpec) -> tuple[PriorBound, ...]:
@@ -108,7 +110,7 @@ def full_gray_best(gen: np.ndarray, field: ScalarField, words=None) -> _Search:
     steps = [words.multiples(rows[i:i + 1]) for i in range(k_lo, k)]
 
     # zero high part: skip the all-zero low word (block row 0)
-    best = _lighter(words, block[1:], n + 1)
+    best = _lighter(words, block[0], block[1:], n + 1)
 
     digits = [0] * k_hi
     dirs = [1] * k_hi
@@ -126,5 +128,40 @@ def full_gray_best(gen: np.ndarray, field: ScalarField, words=None) -> _Search:
             i += 1
         else:
             break  # every high digit pattern visited
-        best = _lighter(words, words.add(c_hi, block), best[0]) or best
+        best = _lighter(words, block[0], words.add(c_hi, block), best[0]) or best
     return _Search(*best, q**k - 1, 0, "exhausted")
+
+
+def isd_best_built_sums(gen: np.ndarray, field: ScalarField, target: int,
+                        trials: int, seed: int) -> _Search:
+    """Lightest codeword from information-set search, frozen; stops at target.
+
+    Each trial row-reduces the permuted generator with the table kernel,
+    builds the reduced rows and then every weight-2 sum rows[i] + c * rows[j]
+    (j > i, c-major), and weighs each batch by count_nonzero: its first
+    lightest word replaces the best so far only when strictly lighter.
+    """
+    k, n = gen.shape
+    if k == 0:
+        raise ValueError("empty code: no nonzero codewords")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    words = _TableWords(field)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    best_w, best_cw = n + 1, None
+    seen = 0
+    for trial in range(1, trials + 1):
+        perm = rng.permutation(n)
+        rows, _ = words.rref(gen[:, perm])
+        inv = perm.argsort()
+        batches = [rows, *(words.add(rows[i], words.multiples(rows[i + 1:]))
+                           for i in range(len(rows) - 1))]
+        for cands in batches:
+            seen += len(cands)
+            weights = np.count_nonzero(cands, axis=1)
+            j = int(np.argmin(weights))
+            if weights[j] < best_w:
+                best_w, best_cw = int(weights[j]), cands[j][inv]
+                if best_w <= target:
+                    return _Search(best_w, best_cw, seen, trial, "target_met")
+    return _Search(best_w, best_cw, seen, trials, "trials_done")

@@ -499,7 +499,7 @@ class TestBoundReport:
         finally:
             tracemalloc.stop()
         assert built == {"direct_columns": 0}
-        assert table.direct_columns == (int(table.leaders.searchsorted(1000)), scan)
+        assert table.direct_columns == {int(table.leaders.searchsorted(1000)): scan}
         assert report.lower_bound_direct == scan[-1]
         assert peak <= 1.1 * scan_peak, (peak, scan_peak)
 

@@ -31,7 +31,7 @@ from dualbch.mindist import (
     in_row_space,
     search_fits,
 )
-from dualbch.oracles import full_gray_best
+from dualbch.oracles import full_gray_best, isd_best_built_sums
 
 
 def min_weight(gen, field):
@@ -202,9 +202,10 @@ class TestPackedKernel:
     @pytest.mark.parametrize("words", [_PackedWords(5), _TableWords(F2)], ids=["packed", "table"])
     def test_lighter_keeps_first_lightest(self, words):
         rows = np.array([[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]], dtype=np.int32)
-        w, word = _lighter(words, words.pack(rows), 6)
+        zero = words.pack(np.zeros((1, 5), dtype=np.int32))[0]
+        w, word = _lighter(words, zero, words.pack(rows), 6)
         assert w == 1 and np.array_equal(word, rows[1])  # first index of a tie
-        assert _lighter(words, words.pack(rows), 1) is None  # a tie keeps the best so far
+        assert _lighter(words, zero, words.pack(rows), 1) is None  # a tie keeps the best so far
 
     def test_walk_keeps_first_of_tied_words(self):
         # every nonzero word of the [2^k - 1, k] simplex code weighs 2^(k-1), so
@@ -222,7 +223,8 @@ class TestPackedKernel:
         packed = words.pack(rows)
         assert packed.shape == (5, 3) and packed.dtype == np.uint64
         assert all(np.array_equal(words.unpack(p), r) for p, r in zip(packed, rows))
-        assert np.array_equal(words.weights(packed), np.count_nonzero(rows, axis=1))
+        zero = words.pack(np.zeros((1, 130), dtype=np.int32))[0]
+        assert np.array_equal(words.sum_weights(zero, packed), np.count_nonzero(rows, axis=1))
 
     # the bench's binary ISD codes (q = 2, lambda = 1): (m, delta) -> k of the dual
     BENCH_ISD_K = {(8, 8): 32, (9, 8): 36, (10, 16): 80, (10, 32): 160}
@@ -327,9 +329,9 @@ class TestProjectiveWalk:
         batches = []
         lighter = mindist._lighter
 
-        def recording(kernel, cands, best_w, base=None):
-            batches.append(cands if base is None else kernel.add(base, cands))
-            return lighter(kernel, cands, best_w, base)
+        def recording(kernel, base, cands, best_w):
+            batches.append(kernel.add(base, cands))
+            return lighter(kernel, base, cands, best_w)
 
         monkeypatch.setattr(mindist, "_lighter", recording)
         monkeypatch.setattr(oracles, "_lighter", recording)
@@ -404,6 +406,45 @@ class TestIsdSearch:
         a = _isd_best(gen, scalar_field(2), target=8, trials=50, seed=42)
         b = _isd_best(gen, scalar_field(2), target=8, trials=50, seed=42)
         assert same_search(a, b)
+
+    @staticmethod
+    def search_both(gen, field, target, trials, seed, label=None):
+        """_isd_best, with each kernel over GF(2), against the built-sums oracle."""
+        oracle = isd_best_built_sums(gen, field, target, trials, seed)
+        kernels = [None, _TableWords(field)] if field.q == 2 else [None]
+        for words in kernels:
+            assert same_search(_isd_best(gen, field, target, trials, seed, words), oracle), label
+        return oracle
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_matches_built_sums_on_random_codes(self, q, k):
+        field = scalar_field(q)
+        stops = set()
+        for n in (9, 23, 40):
+            rng = np.random.default_rng([q, k, n])
+            for weight in range(min(k - 1, 3) + 1):
+                # weight w plants w words of weight w; weight 0 plants none
+                gen = rng.integers(0, q, size=(k, n)).astype(np.int32)
+                plant_scaled_words(gen, field, weight, weight, rng)
+                for trials in (1, 3):
+                    for seed in (0, 1):
+                        label = (n, weight, trials, seed)
+                        # no nonzero word weighs 0; the lightest word found is reachable
+                        missed = self.search_both(gen, field, 0, trials, seed, label)
+                        assert missed.stop_reason == "trials_done", label
+                        met = self.search_both(gen, field, missed.weight, trials, seed, label)
+                        assert met.stop_reason == "target_met", label
+                        stops.add((missed.enumerated, met.enumerated))
+        assert any(a > b for a, b in stops)  # some target stops a search early
+
+    @pytest.mark.parametrize("q,m,delta,lower", [(3, 6, 9, 81), (5, 4, 10, 124)])
+    def test_matches_built_sums_on_bench_codes(self, q, m, delta, lower):
+        # the bench's q > 2 information-set certificates at --trials 4 --seed 7
+        spec, _, table, params = dual_setup(q, m, delta, lam=1)
+        assert bound_report(spec, table).lower_bound_closed == lower
+        found = self.search_both(generator_matrix(params), scalar_field(q), lower, 4, 7)
+        assert found.trials_run == 4 and found.stop_reason == "trials_done"
 
 
 class TestCertify:
