@@ -20,9 +20,14 @@ which are the leaders in [1, delta-1], a prefix of the table's ascending
 leaders, and T is their orbits.  The dual's defining set is T_perp, the
 complement in Z_n of T^{-1} = {n - i : i in T}.  defining_set and
 dual_defining_set return T and T_perp as read-only bool masks of length n.
-The dual's generator is the monic reciprocal of (x^n - 1)/g, so it takes
-one polynomial division rather than one minimal polynomial per coset of
+The dual's generator is the monic reciprocal of h = (x^n - 1)/g, so it
+takes the minimal polynomials of T's cosets only, not one per coset of
 the (usually much larger) T_perp, and neither generator needs a mask.
+h is read off the linear recurrence of g (MacWilliams and Sloane, ch. 7
+and 8), not found by long division: with l_t the coefficient of x^(d-1)
+in x^t mod g, the dual's generator is -g_0 (l_(d-1), ..., l_(n-1)),
+lowest coefficient first, and the terms come a block at a time, each
+block one exact float64 matrix product over GF(p) (_dual_generator).
 """
 
 from __future__ import annotations
@@ -120,6 +125,7 @@ class BchSpec:
 
 _family = lru_cache(maxsize=256)(Family)  # a sweep asks for one family per delta
 _RUN_BLOCK = 1 << 16  # positions per block of bch_bound_from_set's scan
+_DUAL_BLOCK_ELEMS = 1 << 16  # max GF(p) entries of _dual_generator's block matrix
 
 
 def bch_spec(q: int, m: int, delta: int, lam: int | None = None,
@@ -264,6 +270,79 @@ def code_params(spec: BchSpec, ctx: FieldCtx, table: CosetTable) -> CodeParams:
     return CodeParams(n=spec.n, k=spec.n - g.degree, delta=spec.delta, generator=g)
 
 
+def _dual_generator(g: Poly, n: int) -> Poly:
+    """The monic reciprocal of h = (x^n - 1)/g, for g monic of degree 1 .. n.
+
+    Let d = deg g and l_t be the coefficient of x^(d-1) in x^t mod g.  Then
+    l_0 .. l_(d-2) are 0, l_(d-1) is 1, and each later term is
+    l_t = -sum_(j<d) g_j l_(t-d+j).  These terms are the quotient of x^n by
+    g read from its top: h = sum_(i=0..n-d) l_(d-1+i) x^(n-d-i).  So h's
+    reciprocal is (l_(d-1), ..., l_(n-1)), lowest coefficient first, and
+    its top coefficient l_(n-1) = h_0 is -1/g_0 when g divides; scaled by
+    -g_0 it is monic.  The terms come B at a time: with P[:, c] the
+    coordinates of x^(d+c) mod g for c < B, l[k:k+B] = l[k-d:k] P for
+    k >= d, one vector-matrix product.  B is isqrt(n), clipped so that P
+    holds at most _DUAL_BLOCK_ELEMS entries of GF(p), which makes about
+    2 sqrt(n) Python steps where long division makes n - d.
+
+    g divides x^n - 1 exactly when the remainder x^n - 1 - h g is 0, that
+    is when the low d coefficients of h g are (-1, 0, ..., 0).  h_i is
+    l_(n-1-i), and only h_0 .. h_(min(d-1, n-d)) reach them, so the check
+    is one truncated convolution of min(d, n - d + 1) by d coefficients,
+    not d more terms of the recurrence (d^2 products, which at d close to
+    n would be most of the work).
+
+    Over GF(q), q = p^e, a scalar is a row of e digits in GF(p), and
+    multiplying by a fixed scalar is an e x e matrix over GF(p), the
+    linear-map view of FieldCtx._tables.  So P is expanded once into its
+    (d e) x (B e) GF(p) matrix, the products run in float64 and are taken
+    mod p.  Every sum has at most d e terms below p^2, and
+    d e (p - 1)^2 < 2^53 for every n <= MAX_N and q <= MAX_SCALAR_Q, so
+    the result is exact whatever the BLAS thread count or summation order.
+    """
+    f = g.field
+    p, e, d = f.p, f.e, g.degree
+    if d > n:
+        raise ValueError("the generator of C_delta does not divide x^n - 1")
+    low = np.array(g.coeffs[:d], dtype=np.int32)
+    width = max(1, min(math.isqrt(n), _DUAL_BLOCK_ELEMS // (d * e * e), n - d))
+    cols = np.empty((d, width), dtype=np.int32)  # packed x^(d+c) mod g
+    cols[:, 0] = f.neg_t[low]  # x^d = -(g_0 + ... + g_(d-1) x^(d-1)) mod g
+    for c in range(1, width):
+        top = int(cols[-1, c - 1])
+        cols[0, c] = 0
+        cols[1:, c] = cols[:-1, c - 1]
+        if top:
+            cols[:, c] = f.sub_t[cols[:, c], f.mul_t[top, low]]
+    # mat[r, a, s] is digit s of a y^r: row r of the GF(p) matrix of a.  P's
+    # rows are ordered (r, j) and its columns (c, s), so it is one gather.
+    powers = p ** np.arange(e)
+    mat = (f.mul_t[np.arange(f.q), powers[:, None]][..., None] // powers % p).astype(np.float64)
+    step = np.take(mat, cols, axis=1).reshape(e * d, width * e)
+    seq = np.zeros((e, n))  # seq[r, t] is digit r of l_t
+    seq[0, d - 1] = 1
+    for k in range(d, n, width):
+        b = min(width, n - k)
+        block = seq[:, k - d:k].reshape(-1) @ step[:, :b * e]
+        seq[:, k:k + b] = (block.astype(np.int64) % p).reshape(b, e).T
+    # digit s of (h g)_t is the sum over i and r of digit r of h_i times
+    # mat[r, g_(t-i), s].  Per r, that is one convolution of h's digits r
+    # with g's entries (r, s), laid out s after s, reach - 1 zeros apart so
+    # that no s runs into the next.
+    reach = min(d, n - d + 1)  # h_0 .. h_(reach-1) meet the low d coefficients
+    h_digits = seq[:, n - reach:][:, ::-1]  # h_0, h_1, ..., lowest first
+    span = d + reach - 1
+    g_rows = np.zeros((e, e, span))
+    g_rows[:, :, :d] = np.take(mat.transpose(0, 2, 1).copy(), low, axis=2)
+    rem = sum(np.convolve(h_digits[r], g_rows[r].ravel())[:e * span] for r in range(e))
+    rem = rem.reshape(e, span)[:, :d]  # rem[s, t]
+    rem[0, 0] += 1  # the -1 of x^n - 1 (n >= d, so x^n adds nothing here)
+    if (rem.astype(np.int64) % p).any():
+        raise ValueError("the generator of C_delta does not divide x^n - 1")
+    packed = (powers @ seq[:, d - 1:]).astype(np.int32)
+    return Poly(f.mul_t[int(f.neg_t[low[0]]), packed].tolist(), f)
+
+
 def dual_code_params(spec: BchSpec, ctx: FieldCtx, table: CosetTable) -> CodeParams:
     """Parameters of the cyclic code with defining set T_perp (the dual of C_delta).
 
@@ -271,15 +350,14 @@ def dual_code_params(spec: BchSpec, ctx: FieldCtx, table: CosetTable) -> CodePar
     generator of C_delta: h has the roots beta^i for i outside T, so its
     reciprocal has the roots beta^-i, whose exponents make up T_perp.  So
     only the cosets in T need minimal polynomials, and |T| is the dual's
-    dimension, which is small wherever the dual can be enumerated.  Raises
-    ValueError if g does not divide x^n - 1, as when the table's leaders
-    repeat a coset: x^n - 1 is squarefree for gcd(n, q) = 1.
+    dimension, which is small wherever the dual can be enumerated.  h comes
+    from the linear recurrence of g, in blocks of exact GF(p) matrix
+    products (_dual_generator).  Raises ValueError if g does not divide
+    x^n - 1, as when the table's leaders repeat a coset: x^n - 1 is
+    squarefree for gcd(n, q) = 1.
     """
     g = generator_from_leaders(spec, ctx, defining_leaders(spec, table))
-    h, rem = divmod(Poly.x_pow_minus_one(spec.n, g.field), g)
-    if not rem.is_zero:
-        raise ValueError("the generator of C_delta does not divide x^n - 1")
-    gen = h.reciprocal().monic()
+    gen = _dual_generator(g, spec.n)
     return CodeParams(n=spec.n, k=spec.n - gen.degree, delta=None, generator=gen)
 
 

@@ -298,11 +298,14 @@ def _information_patterns(words, rows):
     rows is a reduced basis.  The first batch is the zero word plus the
     rows themselves; batch i + 1 is rows[i] plus c * rows[j] for every
     j > i and nonzero c, the first coefficient fixed to 1 because scalar
-    multiples weigh the same.  No sum is built here.
+    multiples weigh the same.  No sum is built here.  The multiples of
+    every row are gathered once, as a (multiplier, row, position) array,
+    and each batch slices its later rows from it, c-major.
     """
     yield np.zeros(rows.shape[1:], dtype=rows.dtype), rows
+    mults = words.multiples(rows).reshape(-1, *rows.shape)
     for i in range(len(rows) - 1):
-        yield rows[i], words.multiples(rows[i + 1:])
+        yield rows[i], mults[:, i + 1:].reshape(-1, rows.shape[-1])
 
 
 def _isd_best(gen: np.ndarray, field: ScalarField, target: int,

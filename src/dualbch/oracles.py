@@ -12,6 +12,8 @@ mindist._exhaustive_best walks one word per projective point of it and
 must return its (weight, witness).  isd_best_built_sums is the
 information-set search that builds every weight-2 sum before weighing it;
 mindist._isd_best weighs them unbuilt and must return the same search.
+dual_generator_by_division is the long division of x^n - 1 by g, which
+bch._dual_generator replaces by the linear recurrence of g.
 
 The package itself never imports this module.
 """
@@ -24,7 +26,7 @@ import numpy as np
 
 from .bch import BchSpec
 from .dualtools import PriorBound
-from .gf import ScalarField
+from .gf import Poly, ScalarField
 from .mindist import _block_digits, _lighter, _Search, _TableWords, _words_for
 
 
@@ -84,6 +86,18 @@ def frozen_prior_bounds(spec: BchSpec) -> tuple[PriorBound, ...]:
         if val is not None:
             out.append(PriorBound("projective_length", val, val <= 1))
     return tuple(out)
+
+
+def dual_generator_by_division(g: Poly, n: int) -> Poly:
+    """The monic reciprocal of (x^n - 1)/g by long division, frozen.
+
+    Raises ValueError, as bch._dual_generator does, when g leaves a
+    remainder.
+    """
+    h, rem = divmod(Poly.x_pow_minus_one(n, g.field), g)
+    if not rem.is_zero:
+        raise ValueError("the generator of C_delta does not divide x^n - 1")
+    return h.reciprocal().monic()
 
 
 def full_gray_best(gen: np.ndarray, field: ScalarField, words=None) -> _Search:

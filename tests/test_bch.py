@@ -26,17 +26,19 @@ from dualbch.bch import (
     theorem_families,
 )
 from dualbch import bch
-from dualbch.cyclotomic import CosetTable, coset_table, largest_leaders
+from dualbch.cyclotomic import CosetTable, coset_table, largest_leaders, orbit
 from dualbch.dualtools import dual_lower_bound
 from dualbch.gf import (
     Poly,
     field_new,
+    minimal_polynomial,
     poly_eval_in_ext,
     prime_power,
     rref,
     scalar_field,
 )
 from dualbch.mindist import DEFAULT_BUDGET
+from dualbch.oracles import dual_generator_by_division
 
 
 class TestBchSpec:
@@ -542,3 +544,100 @@ class TestDualGeneratorConsistency:
                 assert params.k == dim
                 compared += 1
         assert compared >= 200
+
+
+def with_width(monkeypatch, g, width):
+    """Clip _dual_generator's block to width terms for g (None: the default)."""
+    elems = bch._DUAL_BLOCK_ELEMS if width is None else width * g.degree * g.field.e**2
+    monkeypatch.setattr(bch, "_DUAL_BLOCK_ELEMS", elems)
+
+
+# (q, m): x^n - 1, n = q^m - 1, factored into the minimal polynomials of GF(q^m)
+DIVISOR_FIELDS = [(2, 6), (3, 4), (4, 3), (5, 3), (7, 2), (8, 2), (9, 2), (16, 2)]
+
+
+class TestDualGeneratorRecurrence:
+    """bch._dual_generator against the long division it replaces."""
+
+    def test_matches_division_on_theorem_family_segments(self, monkeypatch):
+        # every segment (delta = leader + 1, and n) of every family with n <= 128,
+        # at the default block and at blocks of 1 and 3 terms
+        compared = 0
+        for family in theorem_families(128):
+            q, m, n = family.q, family.m, family.n
+            table = coset_table(n, q)
+            ctx = field_new(q, m)
+            for delta in [int(l) + 1 for l in table.leaders[1:]] + [n]:
+                spec = BchSpec(family, delta)
+                g = generator_from_leaders(spec, ctx, defining_leaders(spec, table))
+                want = dual_generator_by_division(g, n).coeffs
+                for width in (None, 1, 3):
+                    with_width(monkeypatch, g, width)
+                    assert bch._dual_generator(g, n).coeffs == want, (family, delta, width)
+                monkeypatch.undo()
+                compared += 1
+        assert compared == 1930
+
+    @pytest.mark.parametrize("q,m", DIVISOR_FIELDS)
+    def test_matches_division_on_random_divisors(self, q, m, monkeypatch):
+        # products of random nonempty sets of minimal polynomials, coset 0's
+        # x - 1 among them, and the whole of x^n - 1 (d = n, generator 1)
+        n = q**m - 1
+        ctx = field_new(q, m)
+        factors = [minimal_polynomial(ctx, ctx.pow(ctx.generator, l), orbit(l, n, q))
+                   for l in map(int, coset_table(n, q).leaders)]
+        rng = np.random.default_rng(q)
+        subsets = [rng.random(len(factors)) < rng.random() for _ in range(12)]
+        subsets += [*np.eye(len(factors), dtype=bool)[:3], np.ones(len(factors), dtype=bool)]
+        for chosen in subsets:
+            if not chosen.any():
+                continue
+            g = Poly.one(ctx.field)
+            for factor in np.asarray(factors, dtype=object)[chosen]:
+                g = g * factor
+            want = dual_generator_by_division(g, n).coeffs
+            for width in (None, 1, 3):
+                with_width(monkeypatch, g, width)
+                assert bch._dual_generator(g, n).coeffs == want, (q, g.degree, width)
+        assert bch._dual_generator(g, n).coeffs == (1,)  # g = x^n - 1 came last
+
+    @pytest.mark.parametrize("q,m", [(2, 6), (4, 3), (9, 2)])
+    def test_refuses_non_divisors(self, q, m):
+        # a repeated factor, a factor x (g_0 = 0), and a degree above n
+        n = q**m - 1
+        ctx = field_new(q, m)
+        m1 = minimal_polynomial(ctx, ctx.generator, orbit(1, n, q))
+        x = Poly((0, 1), ctx.field)
+        for g in (m1 * m1, x * m1, x, Poly.x_pow_minus_one(n, ctx.field) * m1):
+            with pytest.raises(ValueError, match="does not divide"):
+                dual_generator_by_division(g, n)
+            with pytest.raises(ValueError, match="does not divide"):
+                bch._dual_generator(g, n)
+        assert bch._dual_generator(m1, n) == dual_generator_by_division(m1, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_refuses_exactly_where_division_leaves_a_remainder(self, data):
+        q = data.draw(st.sampled_from([2, 3, 4, 5, 9]))
+        n = data.draw(st.integers(1, 40).filter(lambda v: v % prime_power(q)[0]))
+        d = data.draw(st.integers(1, n))
+        low = data.draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d))
+        g = Poly(low + [1], scalar_field(q))
+        try:
+            want = dual_generator_by_division(g, n)
+        except ValueError:
+            with pytest.raises(ValueError, match="does not divide"):
+                bch._dual_generator(g, n)
+        else:
+            assert bch._dual_generator(g, n) == want
+
+    def test_dual_code_params_divides_nothing(self, monkeypatch):
+        # the package reads h off the recurrence: no division, no x^n - 1,
+        # no reciprocal
+        def refuse(*args):
+            raise AssertionError("long-division route called")
+
+        for name in ("__divmod__", "x_pow_minus_one", "reciprocal"):
+            monkeypatch.setattr(Poly, name, refuse)
+        spec = bch_spec(4, 3, 5, lam=1)
+        assert dual_code_params(spec, field_new(4, 3), coset_table(63, 4)).k == 9
